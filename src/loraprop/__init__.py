@@ -30,7 +30,6 @@ from .link_budget import (  # noqa: E402,F401
 )
 from .adr import AdrDecision, AdrState, adr_step, record_snr, snr_margin  # noqa: E402,F401
 from .propagation import (  # noqa: E402,F401
-    DEPLOYMENT_GEOMETRY,
     ENV_FIELDS,
     EnvVector,
     ModelVariant,

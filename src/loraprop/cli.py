@@ -17,7 +17,6 @@ directory override).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -29,6 +28,7 @@ from .adr import AdrState, adr_step, record_snr, snr_margin
 from .errors import LorapropError
 from .evaluation import cross_validate, evaluate_model
 from .fitting import FitConfig, fit
+from .jsonio import config_digest, write_json
 from .link_budget import (
     DEFAULT_LINK_BUDGET,
     esp,
@@ -58,10 +58,6 @@ log = logging.getLogger("loraprop")
 # Manifest plumbing
 
 
-def _config_digest(payload: dict) -> str:
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
 def _args_config(args: argparse.Namespace, *skip: str) -> dict:
     """Flag values of a parsed command, JSON-ready (handler dropped)."""
     drop = set(skip) | {"func"}
@@ -82,12 +78,12 @@ def _emit_manifest(
         "inputs": inputs,
         "outputs": outputs,
         "seeds": seeds,
-        "config_digest": _config_digest(config),
+        "config_digest": config_digest(config),
     }
     if manifest_path is None:
         log.info("manifest: %s", json.dumps(manifest, sort_keys=True))
     else:
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        write_json(manifest_path, manifest)
 
 
 def _sibling_manifest(primary_output: str | Path) -> Path:
@@ -354,7 +350,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     outputs = [args.out]
     payload = _fit_report_payload(report, len(records))
     if args.report:
-        Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(args.report, payload)
         outputs.append(args.report)
     else:
         _print_json(payload)
@@ -386,7 +382,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = evaluate_model(model, records)
     payload = _eval_payload(report)
     if args.report:
-        Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(args.report, payload)
         manifest_path = _sibling_manifest(args.report)
     else:
         _print_json(payload)
@@ -420,7 +416,7 @@ def cmd_cross_validate(args: argparse.Namespace) -> int:
         "aggregate": result.aggregate(),
     }
     if args.report:
-        Path(args.report).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(args.report, payload)
         manifest_path = _sibling_manifest(args.report)
     else:
         _print_json(payload)

@@ -12,10 +12,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .fitting import FitConfig, fit, params_from_model, predictions
+from .fitting import FitConfig, fit, predictions
 from .metrics import EvalReport, evaluate_predictions
 from .pipeline import kfold
-from .propagation import PathLossModel
+from .propagation import PathLossModel, params_from_model
 from .records import ObservationRecord
 
 

@@ -9,28 +9,24 @@ shadowing spread) rather than special-casing linearity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import FitError, InvalidConfigError, InvalidDataError
-from .propagation import ENV_FIELDS, ModelVariant, PathLossModel
-from .records import ObservationRecord
-
-_STRUCTURAL_PARAMS = (
-    "intercept_db",
-    "path_loss_exponent",
-    "wall_brick_db",
-    "wall_wood_db",
+from .propagation import (
+    ENV_FIELDS,
+    PARAM_NAMES,
+    ModelVariant,
+    PathLossModel,
+    check_params,
+    fixed_term,
+    model_from_params,
+    predictor_columns,
 )
-_ENV_PARAMS = tuple(f"env_{name}" for name in ENV_FIELDS)
-
-PARAM_NAMES: dict[ModelVariant, tuple[str, ...]] = {
-    ModelVariant.MW: _STRUCTURAL_PARAMS,
-    ModelVariant.MW_EP: _STRUCTURAL_PARAMS + _ENV_PARAMS + ("snr_coeff",),
-}
+from .records import COLUMN_ATTRS, ObservationRecord
 
 #: Structural starting point: the simulation presets (40 dB reference loss,
 #: exponent 3.5, 9 dB brick, 3 dB wood); covariate coefficients start at zero
@@ -97,58 +93,34 @@ class FitReport:
         )
 
 
+def _columns(observations: Sequence[ObservationRecord]):
+    """Column getter over records, by CSV column name."""
+
+    def column(name: str) -> np.ndarray:
+        values = map(attrgetter(COLUMN_ATTRS[name]), observations)
+        return np.fromiter(values, float, len(observations))
+
+    return column
+
+
 def design_matrix(
     observations: Sequence[ObservationRecord],
     variant: ModelVariant,
     reference_distance_m: float = 1.0,
 ) -> np.ndarray:
-    """N x p matrix of partial predictors, one column per coefficient.
-
-    Columns: all-ones intercept, ``10 log10(d/d0)``, brick count, wood count
-    and, for the extended variant, the five covariates and the SNR.
-    """
+    """N x p matrix of partial predictors, one column per coefficient; see
+    :func:`loraprop.propagation.predictor_columns`."""
     if not observations:
         raise InvalidDataError("no observations")
-    n = len(observations)
-    columns = [
-        np.ones(n),
-        np.array(
-            [10.0 * math.log10(r.distance_m / reference_distance_m) for r in observations]
-        ),
-        np.array([float(r.c_walls) for r in observations]),
-        np.array([float(r.w_walls) for r in observations]),
-    ]
-    if variant is ModelVariant.MW_EP:
-        columns.append(np.array([r.temperature_c for r in observations]))
-        columns.append(np.array([r.humidity_pct for r in observations]))
-        columns.append(np.array([r.pressure_hpa for r in observations]))
-        columns.append(np.array([r.pm25_ugm3 for r in observations]))
-        columns.append(np.array([r.co2_ppm for r in observations]))
-        columns.append(np.array([r.snr_db for r in observations]))
-    return np.column_stack(columns)
+    return predictor_columns(variant, _columns(observations), reference_distance_m)
 
 
 def fixed_offsets(
     observations: Sequence[ObservationRecord], variant: ModelVariant
 ) -> np.ndarray:
-    """Per-observation additive terms with no free coefficient.
-
-    The extended variant carries the 20*log10(f/MHz) frequency term with a
-    fixed coefficient of 20; the structural variant has none.
-    """
-    if variant is ModelVariant.MW_EP:
-        return np.array([20.0 * math.log10(r.frequency_mhz) for r in observations])
-    return np.zeros(len(observations))
-
-
-def _check_params(params: np.ndarray, variant: ModelVariant) -> np.ndarray:
-    params = np.asarray(params, dtype=float)
-    expected = len(PARAM_NAMES[variant])
-    if params.shape != (expected,):
-        raise InvalidDataError(
-            f"parameter vector has shape {params.shape}, expected ({expected},)"
-        )
-    return params
+    """Per-observation additive terms with no free coefficient; see
+    :func:`loraprop.propagation.fixed_term`."""
+    return fixed_term(variant, _columns(observations), len(observations))
 
 
 def predictions(
@@ -158,7 +130,7 @@ def predictions(
     reference_distance_m: float = 1.0,
 ) -> np.ndarray:
     """Predicted path loss per observation for a coefficient vector."""
-    params = _check_params(params, variant)
+    params = check_params(params, variant)
     x = design_matrix(observations, variant, reference_distance_m)
     return x @ params + fixed_offsets(observations, variant)
 
@@ -189,7 +161,7 @@ def jacobian(
     matrix for any parameter value; the vector is validated to keep the
     calling contract uniform with nonlinear extensions.
     """
-    _check_params(params, variant)
+    check_params(params, variant)
     return design_matrix(observations, variant, reference_distance_m)
 
 
@@ -222,7 +194,7 @@ def fit(
         )
 
     if config.initial_params is not None:
-        alpha = _check_params(np.array(config.initial_params), variant)
+        alpha = check_params(np.array(config.initial_params), variant)
     else:
         alpha = default_initial_params(variant)
 
@@ -281,47 +253,3 @@ def standard_errors(
     s2 = report.rss / (n - p)
     covariance = np.linalg.inv(x.T @ x) * s2
     return np.sqrt(np.diag(covariance))
-
-
-def params_from_model(model: PathLossModel) -> np.ndarray:
-    """Coefficient vector of a model, in canonical parameter order."""
-    values = [
-        model.intercept_db,
-        model.path_loss_exponent,
-        model.wall_loss_db.get("brick", 0.0),
-        model.wall_loss_db.get("wood", 0.0),
-    ]
-    if model.variant is ModelVariant.MW_EP:
-        values.extend(model.env_coeffs.get(name, 0.0) for name in ENV_FIELDS)
-        values.append(model.snr_coeff or 0.0)
-    return np.array(values)
-
-
-def model_from_params(
-    variant: ModelVariant,
-    params: np.ndarray,
-    shadowing_sigma_db: float = 0.0,
-    reference_distance_m: float = 1.0,
-) -> PathLossModel:
-    params = _check_params(params, variant)
-    wall_loss = {"brick": float(params[2]), "wood": float(params[3])}
-    if variant is ModelVariant.MW:
-        return PathLossModel(
-            variant=variant,
-            intercept_db=float(params[0]),
-            path_loss_exponent=float(params[1]),
-            wall_loss_db=wall_loss,
-            shadowing_sigma_db=shadowing_sigma_db,
-            reference_distance_m=reference_distance_m,
-        )
-    env = {name: float(v) for name, v in zip(ENV_FIELDS, params[4:9])}
-    return PathLossModel(
-        variant=variant,
-        intercept_db=float(params[0]),
-        path_loss_exponent=float(params[1]),
-        wall_loss_db=wall_loss,
-        env_coeffs=env,
-        snr_coeff=float(params[9]),
-        shadowing_sigma_db=shadowing_sigma_db,
-        reference_distance_m=reference_distance_m,
-    )

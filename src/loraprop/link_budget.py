@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InvalidConfigError
-
-_XI = 10.0 / math.log(10.0)
+from .propagation import XI
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,8 @@ SF_THRESHOLDS: dict[int, SfThreshold] = {
 def _excess_over_noise_db(snr_db: float) -> float:
     """10*log10(1 + 10^(snr/10)), evaluated without overflow for large SNR."""
     if snr_db > 0:
-        return snr_db + _XI * math.log1p(10.0 ** (-0.1 * snr_db))
-    return _XI * math.log1p(10.0 ** (0.1 * snr_db))
+        return snr_db + XI * math.log1p(10.0 ** (-0.1 * snr_db))
+    return XI * math.log1p(10.0 ** (0.1 * snr_db))
 
 
 def esp(rssi_dbm: float, snr_db: float) -> float:

@@ -9,8 +9,6 @@ its seed, and each is idempotent on its own output.
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -21,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidConfigError, InvalidDataError, LorapropError
+from .jsonio import config_digest, write_json
 from .link_budget import DEFAULT_LINK_BUDGET, LinkBudgetParams, esp, noise_power
 from .metrics import pdr
 from .records import (
@@ -538,9 +537,6 @@ def run_pipeline(
         "n_trees": if_config.n_trees,
         "subsample_size": if_config.subsample_size,
     }
-    digest = hashlib.sha256(
-        json.dumps(effective_config, sort_keys=True).encode()
-    ).hexdigest()
 
     cleaned_path = out / "cleaned.csv"
     train_path = out / "train.csv"
@@ -559,7 +555,7 @@ def run_pipeline(
             "test": str(test_path),
         },
         "config": effective_config,
-        "config_digest": digest,
+        "config_digest": config_digest(effective_config),
         "counts": {
             "rows_read": ingested.rows_read,
             "rejected": len(ingested.rejections),
@@ -575,7 +571,5 @@ def run_pipeline(
         "derived_audit_violations": len(violations),
         "per_device": per_device,
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "manifest.json", manifest)
     return PipelineResult(clean=clean, train=train, test=test, manifest=manifest)

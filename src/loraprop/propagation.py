@@ -6,6 +6,10 @@ frequency term, linear environmental covariates and an SNR term.  Predictions
 return the deterministic part only; the random shadowing term is sampled or
 evaluated separately so fitting can target the deterministic component and
 estimate the shadowing spread from residuals.
+
+The coefficient layout and the formula live here once: every prediction
+(the scalar predictors, the fitter's design matrix and the scene simulator)
+is built from :func:`predictor_columns` and :func:`fixed_term`.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidDataError
+from .jsonio import write_json
 
 #: dB-to-natural-log conversion constant, 10 / ln 10.
 XI = 10.0 / math.log(10.0)
@@ -72,16 +77,6 @@ class EnvVector:
         if self.pm25_ugm3 < 0:
             raise InvalidConfigError(f"pm25_ugm3 must be >= 0, got {self.pm25_ugm3}")
 
-    def as_dict(self) -> dict[str, float]:
-        """Values keyed by canonical covariate name (see :data:`ENV_FIELDS`)."""
-        return {
-            "temperature": self.temperature_c,
-            "humidity": self.humidity_pct,
-            "pressure": self.pressure_hpa,
-            "pm25": self.pm25_ugm3,
-            "co2": self.co2_ppm,
-        }
-
 
 @dataclass(frozen=True)
 class PathLossModel:
@@ -132,26 +127,133 @@ class ShadowingSpec:
             raise InvalidConfigError(f"sigma_db must be positive, got {self.sigma_db}")
 
 
-def _wall_term(model: PathLossModel, walls: WallCounts) -> float:
-    return walls.brick * model.wall_loss_db.get("brick", 0.0) + walls.wood * model.wall_loss_db.get("wood", 0.0)
+#: Coefficient order of each variant: intercept, exponent, one loss per wall
+#: material and, for the extended variant, one slope per covariate plus the
+#: SNR slope.  Predictor columns and fitted parameter vectors follow it.
+_STRUCTURAL_PARAMS = ("intercept_db", "path_loss_exponent") + tuple(
+    f"wall_{material}_db" for material in WALL_TYPES
+)
+PARAM_NAMES: dict[ModelVariant, tuple[str, ...]] = {
+    ModelVariant.MW: _STRUCTURAL_PARAMS,
+    ModelVariant.MW_EP: _STRUCTURAL_PARAMS
+    + tuple(f"env_{name}" for name in ENV_FIELDS)
+    + ("snr_coeff",),
+}
 
 
-def _distance_term(model: PathLossModel, distance_m: float) -> float:
-    if distance_m < model.reference_distance_m:
-        raise InvalidConfigError(
-            f"distance {distance_m} m is below the reference distance "
-            f"{model.reference_distance_m} m"
+def check_params(params, variant: ModelVariant) -> np.ndarray:
+    """The coefficient vector as floats, if its length matches the variant."""
+    params = np.asarray(params, dtype=float)
+    expected = len(PARAM_NAMES[variant])
+    if params.shape != (expected,):
+        raise InvalidDataError(
+            f"parameter vector has shape {params.shape}, expected ({expected},)"
         )
-    return 10.0 * model.path_loss_exponent * math.log10(
-        distance_m / model.reference_distance_m
+    return params
+
+
+def params_from_model(model: PathLossModel) -> np.ndarray:
+    """Coefficient vector of a model, in :data:`PARAM_NAMES` order."""
+    values = [model.intercept_db, model.path_loss_exponent]
+    values.extend(model.wall_loss_db.get(material, 0.0) for material in WALL_TYPES)
+    if model.variant is ModelVariant.MW_EP:
+        values.extend(model.env_coeffs.get(name, 0.0) for name in ENV_FIELDS)
+        values.append(model.snr_coeff or 0.0)
+    return np.array(values)
+
+
+def model_from_params(
+    variant: ModelVariant,
+    params,
+    shadowing_sigma_db: float = 0.0,
+    reference_distance_m: float = 1.0,
+) -> PathLossModel:
+    """Inverse of :func:`params_from_model`."""
+    values = check_params(params, variant).tolist()
+    extended = variant is ModelVariant.MW_EP
+    return PathLossModel(
+        variant=variant,
+        intercept_db=values[0],
+        path_loss_exponent=values[1],
+        wall_loss_db=dict(zip(WALL_TYPES, values[2:4])),
+        env_coeffs=dict(zip(ENV_FIELDS, values[4:9])) if extended else {},
+        snr_coeff=values[9] if extended else None,
+        shadowing_sigma_db=shadowing_sigma_db,
+        reference_distance_m=reference_distance_m,
     )
+
+
+def _log10(values: np.ndarray) -> np.ndarray:
+    """``math.log10`` per value; ``np.log10`` can differ from it in the last
+    bit, which would move every fitted output."""
+    return np.fromiter(map(math.log10, values), float, values.size)
+
+
+#: Per-row inputs of the predictor columns that follow the intercept and
+#: the log-distance, named after the CSV columns they are read from.
+PREDICTOR_INPUTS: dict[ModelVariant, tuple[str, ...]] = {
+    ModelVariant.MW: ("c_walls", "w_walls"),
+    ModelVariant.MW_EP: ("c_walls", "w_walls") + ENV_FIELDS + ("snr",),
+}
+
+
+def predictor_columns(
+    variant: ModelVariant, column: Callable[[str], Any], reference_distance_m: float
+) -> np.ndarray:
+    """N x p matrix of partial predictors, one column per coefficient in
+    :data:`PARAM_NAMES` order: all-ones intercept, ``10 log10(d/d0)``, then
+    the :data:`PREDICTOR_INPUTS`.  ``column(name)`` returns the N values of
+    one input, ``"distance"`` included.  Distances below d0 are rejected: the
+    formula is not defined there.
+    """
+    distance = np.asarray(column("distance"), dtype=float)
+    if np.any(distance < reference_distance_m):
+        raise InvalidConfigError(
+            f"distance {distance.min()} m is below the reference distance "
+            f"{reference_distance_m} m"
+        )
+    inputs = PREDICTOR_INPUTS[variant]
+    x = np.empty((distance.size, 2 + len(inputs)))
+    x[:, 0] = 1.0
+    x[:, 1] = 10.0 * _log10(distance / reference_distance_m)
+    for k, name in enumerate(inputs, start=2):
+        x[:, k] = column(name)
+    return x
+
+
+def fixed_term(variant: ModelVariant, column: Callable[[str], Any], rows: int) -> np.ndarray:
+    """Per-row additive loss with no free coefficient, for ``rows`` rows:
+    ``20 log10(f / MHz)`` with ``f = column("frequency")`` for the extended
+    variant, none for the structural one."""
+    if variant is ModelVariant.MW:
+        return np.zeros(rows)
+    freq_mhz = np.asarray(column("frequency"), dtype=float)
+    if np.any(freq_mhz <= 0):
+        raise InvalidConfigError(f"frequency must be positive, got {freq_mhz.min()} MHz")
+    return 20.0 * _log10(freq_mhz)
+
+
+def _predict_row(model, distance_m, walls, freq_mhz=0.0, env=None, snr_db=0.0) -> float:
+    """One-row form of the vectorised prediction ``x @ params + fixed``."""
+    row = dict(
+        distance=distance_m, c_walls=walls.brick, w_walls=walls.wood, frequency=freq_mhz, snr=snr_db
+    )
+    if env is not None:
+        values = (env.temperature_c, env.humidity_pct, env.pressure_hpa, env.pm25_ugm3, env.co2_ppm)
+        row.update(zip(ENV_FIELDS, values))
+
+    def column(name: str) -> list[float]:
+        return [row[name]]
+
+    x = predictor_columns(model.variant, column, model.reference_distance_m)
+    return float((x @ params_from_model(model) + fixed_term(model.variant, column, 1))[0])
 
 
 def predict_mw(model: PathLossModel, distance_m: float, walls: WallCounts) -> float:
     """Deterministic path loss of the structural variant, in dB."""
     if model.variant is not ModelVariant.MW:
         raise InvalidConfigError(f"expected an '{ModelVariant.MW.value}' model")
-    return model.intercept_db + _distance_term(model, distance_m) + _wall_term(model, walls)
+    return _predict_row(model, distance_m, walls)
 
 
 def predict_mw_ep(
@@ -169,21 +271,7 @@ def predict_mw_ep(
     """
     if model.variant is not ModelVariant.MW_EP:
         raise InvalidConfigError(f"expected an '{ModelVariant.MW_EP.value}' model")
-    if freq_mhz <= 0:
-        raise InvalidConfigError(f"frequency must be positive, got {freq_mhz} MHz")
-    env_values = env.as_dict()
-    env_term = sum(
-        model.env_coeffs.get(name, 0.0) * env_values[name] for name in ENV_FIELDS
-    )
-    snr_term = (model.snr_coeff or 0.0) * snr_db
-    return (
-        model.intercept_db
-        + _distance_term(model, distance_m)
-        + 20.0 * math.log10(freq_mhz)
-        + _wall_term(model, walls)
-        + env_term
-        + snr_term
-    )
+    return _predict_row(model, distance_m, walls, freq_mhz, env, snr_db)
 
 
 def shadowing_pdf(spec: ShadowingSpec, eps_linear):
@@ -277,48 +365,22 @@ def simulate_scene(spec: SceneSpec, seed: int) -> list[SceneSample]:
     else:
         noise = np.zeros(spec.num_points)
 
-    samples: list[SceneSample] = []
-    for d, eps in zip(distances, noise):
-        crossed = [i for i, p in enumerate(positions) if p <= d]
-        walls = WallCounts(
-            brick=sum(1 for i in crossed if materials[i] == "brick"),
-            wood=sum(1 for i in crossed if materials[i] == "wood"),
-        )
-        true_pl = (
-            spec.reference_loss_db
-            + 10.0 * spec.path_loss_exponent * math.log10(d / spec.reference_distance_m)
-            + sum(losses[i] for i in crossed)
-        )
-        samples.append(
-            SceneSample(
-                distance_m=float(d),
-                walls=walls,
-                true_path_loss_db=float(true_pl),
-                noisy_path_loss_db=float(true_pl + eps),
-            )
-        )
-    return samples
-
-
-@dataclass(frozen=True)
-class DevicePlacement:
-    """Fixed node position relative to the gateway."""
-
-    device_id: str
-    distance_m: float
-    walls: WallCounts
-
-
-#: Geometry of the six-node office deployment the bundled presets describe:
-#: gateway-relative distances and wall obstructions per device.
-DEPLOYMENT_GEOMETRY: tuple[DevicePlacement, ...] = (
-    DevicePlacement("ed0", 10.0, WallCounts(brick=0, wood=0)),
-    DevicePlacement("ed1", 8.0, WallCounts(brick=1, wood=0)),
-    DevicePlacement("ed2", 25.0, WallCounts(brick=0, wood=2)),
-    DevicePlacement("ed3", 18.0, WallCounts(brick=1, wood=2)),
-    DevicePlacement("ed4", 37.0, WallCounts(brick=0, wood=5)),
-    DevicePlacement("ed5", 40.0, WallCounts(brick=2, wood=2)),
-)
+    # walls crossed up to each distance, as prefix sums over the sorted positions
+    crossed = np.searchsorted(positions, distances, side="right")
+    brick = np.cumsum([0] + [material == "brick" for material in materials])[crossed]
+    wood = crossed - brick
+    inputs = {"distance": distances, "c_walls": brick, "w_walls": wood}
+    x = predictor_columns(ModelVariant.MW, inputs.__getitem__, spec.reference_distance_m)
+    true_pl = (
+        spec.reference_loss_db * x[:, 0]
+        + spec.path_loss_exponent * x[:, 1]
+        + np.cumsum([0.0] + losses)[crossed]
+    )
+    columns = (distances, brick, wood, true_pl, true_pl + noise)
+    return [
+        SceneSample(d, WallCounts(b, w), pl, noisy)
+        for d, b, w, pl, noisy in zip(*(c.tolist() for c in columns))
+    ]
 
 
 def model_to_dict(model: PathLossModel) -> dict:
@@ -361,7 +423,7 @@ def model_from_dict(payload: Mapping) -> PathLossModel:
 
 
 def save_model(model: PathLossModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path: str | Path) -> PathLossModel:

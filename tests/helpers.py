@@ -16,7 +16,7 @@ import numpy as np
 from loraprop.fitting import predictions
 from loraprop.link_budget import DEFAULT_LINK_BUDGET, esp, noise_power
 from loraprop.lora_phy import RadioConfig, time_on_air
-from loraprop.propagation import ModelVariant, PathLossModel
+from loraprop.propagation import ModelVariant, PathLossModel, params_from_model
 from loraprop.records import ObservationRecord
 
 #: Ground-truth extended model used by synthetic datasets (arbitrary but
@@ -145,7 +145,7 @@ def synth_dataset(
             )
             true_pl = float(
                 predictions(
-                    _model_params(model), [stub], model.variant, model.reference_distance_m
+                    params_from_model(model), [stub], model.variant, model.reference_distance_m
                 )[0]
             )
             exp_pl = true_pl + float(rng.normal(0.0, sigma_db)) if sigma_db > 0 else true_pl
@@ -177,7 +177,7 @@ def synth_dataset(
             base = per_device[position]
             retrans_pl = float(
                 predictions(
-                    _model_params(model), [base], model.variant, model.reference_distance_m
+                    params_from_model(model), [base], model.variant, model.reference_distance_m
                 )[0]
             ) + (float(rng.normal(0.0, sigma_db)) if sigma_db > 0 else 0.0)
             rssi = offset - retrans_pl
@@ -211,12 +211,6 @@ def synth_dataset(
     return SynthDataset(
         records=merged, clean=clean, duplicates=duplicates, model=model, sigma_db=sigma_db
     )
-
-
-def _model_params(model: PathLossModel) -> np.ndarray:
-    from loraprop.fitting import params_from_model
-
-    return params_from_model(model)
 
 
 def mw_observations(

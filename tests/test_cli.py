@@ -276,6 +276,30 @@ class TestFitCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_row_below_reference_distance_exits_1(self, capsys, caplog, tmp_path, command):
+        records = synth_dataset(rows_per_device=10, seed=4, duplicates_per_device=0).clean
+        near = tmp_path / "near.csv"
+        write_records_csv(records + [make_record(distance_m=0.5)], near)
+        if command == "fit":
+            argv = ["fit", "--variant", "mw", "--input", str(near), "--out", str(tmp_path / "m")]
+        else:
+            model = tmp_path / "model.json"
+            save_model(
+                PathLossModel(ModelVariant.MW, 31.3, 3.62, {"brick": 9.74, "wood": 2.64}), model
+            )
+            argv = ["evaluate", "--model", str(model), "--input", str(near)]
+        assert main(argv) == 1
+        assert "distance 0.5 m is below the reference distance" in caplog.text
+
+    def test_non_positive_frequency_exits_1(self, capsys, caplog, tmp_path):
+        records = synth_dataset(rows_per_device=10, seed=4, duplicates_per_device=0).clean
+        bad = tmp_path / "bad.csv"
+        write_records_csv(records + [make_record(frequency_mhz=0.0)], bad)
+        argv = ["fit", "--variant", "mw-ep", "--input", str(bad), "--out", str(tmp_path / "m.json")]
+        assert main(argv) == 1
+        assert "frequency must be positive" in caplog.text
+
     def test_refit_is_byte_identical(self, capsys, tmp_path, cleaned_csv):
         paths = [tmp_path / "m1.json", tmp_path / "m2.json"]
         for path in paths:

@@ -3,19 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from loraprop.errors import FitError, InvalidDataError
+from loraprop.errors import FitError, InvalidConfigError, InvalidDataError
 from loraprop.fitting import (
     FitConfig,
     default_initial_params,
+    design_matrix,
     fit,
     fixed_offsets,
     jacobian,
-    params_from_model,
     predictions,
     rss,
     standard_errors,
 )
-from loraprop.propagation import EnvVector, ModelVariant, WallCounts, predict_mw_ep
+from loraprop.propagation import (
+    EnvVector,
+    ModelVariant,
+    WallCounts,
+    model_from_params,
+    params_from_model,
+    predict_mw,
+    predict_mw_ep,
+)
 
 from helpers import TRUE_EP_MODEL, make_record, mw_observations, synth_dataset
 
@@ -235,6 +243,97 @@ class TestPredictionCoherence:
             assert pointwise == pytest.approx(float(expected), abs=1e-9)
 
 
+class TestOneFormula:
+    """The scalar predictors are one-row calls of the vectorised formula.
+
+    Only single rows are compared: inside a larger batch, BLAS may sum a
+    row's terms in another order and move its last bit.
+    """
+
+    MW_MODEL = model_from_params(ModelVariant.MW, [31.3, 3.62, 9.74, 2.64])
+
+    @staticmethod
+    def random_record(rng):
+        return make_record(
+            distance_m=float(rng.uniform(1.0, 60.0)),
+            c_walls=int(rng.integers(0, 4)),
+            w_walls=int(rng.integers(0, 7)),
+            frequency_mhz=float(rng.uniform(863.0, 870.0)),
+            temperature_c=float(rng.normal(21.0, 3.0)),
+            humidity_pct=float(rng.uniform(10.0, 90.0)),
+            pressure_hpa=float(rng.normal(323.0, 10.0)),
+            pm25_ugm3=float(rng.uniform(0.0, 20.0)),
+            co2_ppm=float(rng.uniform(400.0, 2000.0)),
+            snr_db=float(rng.uniform(-20.0, 15.0)),
+        )
+
+    def test_predict_mw_equals_single_row_predictions(self):
+        rng = np.random.default_rng(17)
+        params = params_from_model(self.MW_MODEL)
+        for _ in range(300):
+            r = self.random_record(rng)
+            scalar = predict_mw(self.MW_MODEL, r.distance_m, WallCounts(r.c_walls, r.w_walls))
+            assert scalar == predictions(params, [r], ModelVariant.MW)[0]
+
+    def test_predict_mw_ep_equals_single_row_predictions(self):
+        rng = np.random.default_rng(18)
+        params = params_from_model(TRUE_EP_MODEL)
+        for _ in range(300):
+            r = self.random_record(rng)
+            env = EnvVector(r.temperature_c, r.humidity_pct, r.pressure_hpa, r.pm25_ugm3, r.co2_ppm)
+            scalar = predict_mw_ep(
+                TRUE_EP_MODEL, r.distance_m, WallCounts(r.c_walls, r.w_walls),
+                r.frequency_mhz, env, r.snr_db,
+            )
+            assert scalar == predictions(params, [r], ModelVariant.MW_EP)[0]
+
+    @pytest.mark.parametrize("variant", [ModelVariant.MW, ModelVariant.MW_EP])
+    def test_design_matrix_uses_math_log10_exactly(self, variant):
+        records = synth_dataset(rows_per_device=4, seed=9, duplicates_per_device=0).clean
+        records += mw_observations(n=50, seed=9)[0]
+        np.testing.assert_array_equal(
+            design_matrix(records, variant), independent_design(records, variant)
+        )
+
+    def test_frequency_term_uses_math_log10_exactly(self):
+        rng = np.random.default_rng(19)
+        records = [make_record(frequency_mhz=float(f)) for f in rng.uniform(100.0, 2500.0, 200)]
+        expected = [20.0 * math.log10(r.frequency_mhz) for r in records]
+        assert fixed_offsets(records, ModelVariant.MW_EP).tolist() == expected
+
+
+class TestBelowReferenceDistance:
+    """Below d0 the log-distance term is undefined: every path rejects it."""
+
+    def test_scalar_paths_reject(self):
+        with pytest.raises(InvalidConfigError, match="below the reference distance"):
+            predict_mw(TestOneFormula.MW_MODEL, 0.5, WallCounts())
+        with pytest.raises(InvalidConfigError, match="below the reference distance"):
+            predict_mw_ep(
+                TRUE_EP_MODEL, 0.5, WallCounts(), 868.1,
+                EnvVector(21.0, 38.0, 323.0, 2.0, 550.0), 7.0,
+            )
+
+    @pytest.mark.parametrize("variant", [ModelVariant.MW, ModelVariant.MW_EP])
+    def test_design_matrix_rejects(self, variant):
+        records = [make_record(distance_m=10.0), make_record(distance_m=0.5)]
+        with pytest.raises(InvalidConfigError, match="distance 0.5 m"):
+            design_matrix(records, variant)
+
+    def test_design_matrix_honours_the_reference_distance(self):
+        records = [make_record(distance_m=2.0), make_record(distance_m=10.0)]
+        with pytest.raises(InvalidConfigError):
+            design_matrix(records, ModelVariant.MW, reference_distance_m=5.0)
+        assert design_matrix(records, ModelVariant.MW, reference_distance_m=2.0)[0, 1] == 0.0
+
+    @pytest.mark.parametrize("variant", [ModelVariant.MW, ModelVariant.MW_EP])
+    def test_fit_rejects(self, variant):
+        records = synth_dataset(rows_per_device=10, seed=4, duplicates_per_device=0).clean
+        records.append(make_record(distance_m=0.5))
+        with pytest.raises(InvalidConfigError, match="below the reference distance"):
+            fit(records, variant)
+
+
 class TestOffsets:
     def test_structural_variant_has_no_offsets(self):
         records, _ = mw_observations(n=5)
@@ -250,8 +349,6 @@ class TestOffsets:
 
 class TestModelConversion:
     def test_params_round_trip(self):
-        from loraprop.fitting import model_from_params
-
         params = params_from_model(TRUE_EP_MODEL)
         rebuilt = model_from_params(
             ModelVariant.MW_EP,

@@ -279,6 +279,40 @@ class TestSimulateScene:
         with pytest.raises(InvalidConfigError):
             SceneSpec(max_distance_m=0.5)
 
+    @pytest.mark.parametrize("seed", [0, 3, 12, 21])
+    def test_matches_pointwise_loop(self, seed):
+        """Reference: the scene evaluated point by point, wall by wall, with
+        the same draws.  Walls and distances match exactly; the losses sum in
+        another order, so they may differ in the last bits."""
+        d0 = 2.0
+        spec = SceneSpec(
+            max_distance_m=60.0, num_points=150, reference_distance_m=d0, shadowing_sigma_db=4.0
+        )
+        rng = np.random.default_rng(seed)
+        positions, pos = [], 0.0
+        while (pos := pos + rng.uniform(*spec.wall_spacing_m)) <= spec.max_distance_m:
+            positions.append(pos)
+        materials = [("brick", "wood")[rng.integers(2)] for _ in positions]
+        losses = [rng.uniform(*spec.wall_loss_db) for _ in positions]
+        distances = np.linspace(d0, spec.max_distance_m, spec.num_points)
+        noise = rng.normal(0.0, spec.shadowing_sigma_db, size=spec.num_points)
+
+        samples = simulate_scene(spec, seed)
+        for sample, d, eps in zip(samples, distances, noise):
+            crossed = [i for i, p in enumerate(positions) if p <= d]
+            true_pl = (
+                spec.reference_loss_db
+                + 10.0 * spec.path_loss_exponent * math.log10(d / d0)
+                + sum(losses[i] for i in crossed)
+            )
+            assert sample.distance_m == d
+            assert sample.walls == WallCounts(
+                brick=sum(materials[i] == "brick" for i in crossed),
+                wood=sum(materials[i] == "wood" for i in crossed),
+            )
+            assert sample.true_path_loss_db == pytest.approx(true_pl, rel=1e-14)
+            assert sample.noisy_path_loss_db == pytest.approx(true_pl + eps, rel=1e-14)
+
 
 class TestModelIO:
     def test_round_trip(self, tmp_path):

@@ -1,0 +1,69 @@
+"""The benchmark's traced run (``perfbench/run.py --trace 1``) wraps loraprop
+functions at the module attributes listed in ``perfbench/tracing.py``.
+
+Moving or renaming one of them, or renaming the argument a span extractor
+reads, would crash that run.  These tests read the tracing table as it is and
+check it still resolves against the package.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load_tracing()
+
+#: Argument each span extractor reads from the traced call, as
+#: (position, name); ``None`` for extractors that read only the result.
+EXTRACTOR_ARGS = {
+    "_removed": (0, "records"),
+    "_bytes": (1, "path"),
+    "_rows": (0, "observations"),
+    "_iterations": None,
+}
+
+
+@pytest.mark.parametrize(
+    "module_name, attribute",
+    [entry[:2] for entry in tracing.SPANS] + [entry[:2] for entry in tracing.PER_ROW],
+)
+def test_traced_attribute_resolves(module_name, attribute):
+    module = importlib.import_module(module_name)
+    assert callable(getattr(module, attribute, None)), f"{module_name}.{attribute} is gone"
+
+
+@pytest.mark.parametrize(
+    "module_name, attribute, extractor",
+    [(m, a, x) for m, a, _, x in tracing.SPANS if x is not None],
+)
+def test_extractor_argument_exists(module_name, attribute, extractor):
+    assert extractor.__name__ in EXTRACTOR_ARGS, f"unknown extractor {extractor.__name__}"
+    expected = EXTRACTOR_ARGS[extractor.__name__]
+    source = inspect.getsource(extractor)
+    if expected is None:
+        assert "_arg(" not in source
+        return
+    position, name = expected
+    assert f'_arg(args, kwargs, {position}, "{name}")' in source
+    fn = getattr(importlib.import_module(module_name), attribute)
+    parameters = list(inspect.signature(fn).parameters)
+    assert parameters[position : position + 1] == [name], (
+        f"{module_name}.{attribute}{inspect.signature(fn)} has no argument "
+        f"{name!r} at position {position}"
+    )
