@@ -95,6 +95,13 @@ def small_run(tmp_path_factory):
     return root, result
 
 
+#: Digests of the raw corpora the pipeline reads: the test fixtures that
+#: build them must not drift either.
+INPUTS = {
+    "a7.csv": "3c45c67a025e247217562a1eb1ec0d76a7532f4cfd1bfa52d79c1d4e23584c23",
+    "small.csv": "a694691305de786d45807aaab3cdbfe7879425f6e8b4e1c952df1bdba27c9341",
+}
+
 A7_PIPELINE = {
     "cleaned.csv": "0758a5127e40913e5553aed80e130ccb94f2d1dce9b50192dace90e0ef6487bb",
     "train.csv": "934cb10ac79c877292bf64e5ae7f28ff46088ab91ef1e4ac73b2659be8f0b070",
@@ -132,6 +139,11 @@ A7_CLI = {
     "mw-ep.eval.json": "84b4bbfb9f3aed28467201ca1bd5ae48f409d0dbad1cd9ed6f0c7d09b2651c25",
     "mw-ep.cv.json": "fe9619e93abfc713d1856e0363289612e516d0e0f51eb10c4e3d4e90d0c2d564",
 }
+
+
+def test_input_corpora_pinned(a7_run, small_run):
+    root, _ = small_run
+    assert _digests(a7_run, ["a7.csv"]) | _digests(root, ["small.csv"]) == INPUTS
 
 
 def test_a7_pipeline_outputs_pinned(a7_run):
