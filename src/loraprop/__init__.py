@@ -45,7 +45,7 @@ from .propagation import (  # noqa: E402,F401
     shadowing_pdf,
     simulate_scene,
 )
-from .records import CSV_COLUMNS, FEATURE_FIELDS, ObservationRecord  # noqa: E402,F401
+from .records import CSV_COLUMNS, FEATURE_FIELDS, ObservationTable  # noqa: E402,F401
 from .fitting import FitConfig, FitReport, fit, jacobian, rss  # noqa: E402,F401
 from .pipeline import (  # noqa: E402,F401
     IsolationForestConfig,

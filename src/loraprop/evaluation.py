@@ -8,7 +8,6 @@ statistics themselves live in :mod:`loraprop.metrics`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -16,21 +15,20 @@ from .fitting import FitConfig, fit, predictions
 from .metrics import EvalReport, evaluate_predictions
 from .pipeline import kfold
 from .propagation import PathLossModel, params_from_model
-from .records import ObservationRecord
+from .records import ObservationTable
 
 
 def evaluate_model(
-    model: PathLossModel, observations: Sequence[ObservationRecord]
+    model: PathLossModel, observations: ObservationTable
 ) -> EvalReport:
-    """Metrics of a fitted model on a record set."""
+    """Metrics of a fitted model on an observation table."""
     predicted = predictions(
         params_from_model(model),
         observations,
         model.variant,
         model.reference_distance_m,
     )
-    actual = np.array([r.exp_pl_db for r in observations])
-    return evaluate_predictions(actual, predicted)
+    return evaluate_predictions(observations["exp_pl"], predicted)
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ class CrossValReport:
 
 
 def cross_validate(
-    observations: Sequence[ObservationRecord],
+    observations: ObservationTable,
     variant,
     folds: int = 5,
     seed: int = 42,
@@ -76,8 +74,8 @@ def cross_validate(
     for fold_index, (train_idx, validation_idx) in enumerate(
         kfold(observations, folds, seed)
     ):
-        train = [observations[i] for i in train_idx]
-        validation = [observations[i] for i in validation_idx]
+        train = observations.take(train_idx)
+        validation = observations.take(validation_idx)
         report = fit(train, variant, config)
         model = report.to_model()
         reports.append(

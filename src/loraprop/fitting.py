@@ -10,8 +10,6 @@ shadowing spread) rather than special-casing linearity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from .propagation import (
     model_from_params,
     predictor_columns,
 )
-from .records import COLUMN_ATTRS, ObservationRecord
+from .records import ObservationTable
 
 #: Structural starting point: the simulation presets (40 dB reference loss,
 #: exponent 3.5, 9 dB brick, 3 dB wood); covariate coefficients start at zero
@@ -93,18 +91,8 @@ class FitReport:
         )
 
 
-def _columns(observations: Sequence[ObservationRecord]):
-    """Column getter over records, by CSV column name."""
-
-    def column(name: str) -> np.ndarray:
-        values = map(attrgetter(COLUMN_ATTRS[name]), observations)
-        return np.fromiter(values, float, len(observations))
-
-    return column
-
-
 def design_matrix(
-    observations: Sequence[ObservationRecord],
+    observations: ObservationTable,
     variant: ModelVariant,
     reference_distance_m: float = 1.0,
 ) -> np.ndarray:
@@ -112,20 +100,20 @@ def design_matrix(
     :func:`loraprop.propagation.predictor_columns`."""
     if not observations:
         raise InvalidDataError("no observations")
-    return predictor_columns(variant, _columns(observations), reference_distance_m)
+    return predictor_columns(variant, observations.__getitem__, reference_distance_m)
 
 
 def fixed_offsets(
-    observations: Sequence[ObservationRecord], variant: ModelVariant
+    observations: ObservationTable, variant: ModelVariant
 ) -> np.ndarray:
     """Per-observation additive terms with no free coefficient; see
     :func:`loraprop.propagation.fixed_term`."""
-    return fixed_term(variant, _columns(observations), len(observations))
+    return fixed_term(variant, observations.__getitem__, len(observations))
 
 
 def predictions(
     params: np.ndarray,
-    observations: Sequence[ObservationRecord],
+    observations: ObservationTable,
     variant: ModelVariant,
     reference_distance_m: float = 1.0,
 ) -> np.ndarray:
@@ -137,21 +125,21 @@ def predictions(
 
 def rss(
     params: np.ndarray,
-    observations: Sequence[ObservationRecord],
+    observations: ObservationTable,
     variant: ModelVariant,
     reference_distance_m: float = 1.0,
 ) -> float:
     """Residual sum of squares of measured minus predicted path loss."""
     if not observations:
         raise InvalidDataError("no observations")
-    measured = np.array([r.exp_pl_db for r in observations])
-    residual = measured - predictions(params, observations, variant, reference_distance_m)
+    predicted = predictions(params, observations, variant, reference_distance_m)
+    residual = observations["exp_pl"] - predicted
     return float(residual @ residual)
 
 
 def jacobian(
     params: np.ndarray,
-    observations: Sequence[ObservationRecord],
+    observations: ObservationTable,
     variant: ModelVariant,
     reference_distance_m: float = 1.0,
 ) -> np.ndarray:
@@ -166,7 +154,7 @@ def jacobian(
 
 
 def fit(
-    observations: Sequence[ObservationRecord],
+    observations: ObservationTable,
     variant: ModelVariant,
     config: FitConfig | None = None,
 ) -> FitReport:
@@ -186,7 +174,7 @@ def fit(
         )
 
     x = design_matrix(observations, variant, config.reference_distance_m)
-    y = np.array([r.exp_pl_db for r in observations]) - fixed_offsets(observations, variant)
+    y = observations["exp_pl"] - fixed_offsets(observations, variant)
     if np.linalg.matrix_rank(x) < p:
         raise FitError(
             "singular normal equations: the design is rank-deficient "
@@ -239,7 +227,7 @@ def fit(
 
 
 def standard_errors(
-    report: FitReport, observations: Sequence[ObservationRecord]
+    report: FitReport, observations: ObservationTable
 ) -> np.ndarray:
     """Conventional coefficient standard errors, sqrt(diag((X'X)^-1 s^2)).
 

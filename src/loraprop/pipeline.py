@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -23,10 +25,10 @@ from .jsonio import config_digest, write_json
 from .link_budget import DEFAULT_LINK_BUDGET, LinkBudgetParams, esp, noise_power
 from .metrics import pdr
 from .records import (
+    COLUMN_DTYPES,
     CSV_COLUMNS,
     FEATURE_FIELDS,
-    ObservationRecord,
-    field_value,
+    ObservationTable,
     format_row,
     parse_row,
 )
@@ -48,7 +50,7 @@ class Rejection:
 
 @dataclass
 class IngestResult:
-    records: list[ObservationRecord]
+    records: ObservationTable
     rejections: list[Rejection]
     rows_read: int
 
@@ -58,7 +60,7 @@ class IngestResult:
 
 
 def ingest(source: str | Path | TextIO) -> IngestResult:
-    """Parse a CSV export into typed records, dropping anything malformed.
+    """Parse a CSV export into an observation table, dropping anything malformed.
 
     The header must match the canonical column list exactly.  Rows with
     missing cells, unparseable tokens, non-finite numbers or range
@@ -80,7 +82,10 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
         raise InvalidDataError(
             f"malformed header: expected {list(CSV_COLUMNS)}, got {header}"
         )
-    records: list[ObservationRecord] = []
+    # one buffer per column, typed arrays for the numeric ones, which the
+    # table then takes without a copy: no row outlives its parse as objects
+    buffers = [[] if d.kind in "MU" else array(d.char) for d in COLUMN_DTYPES.values()]
+    appends = [buffer.append for buffer in buffers]
     rejections: list[Rejection] = []
     rows = 0
     for line, row in enumerate(reader, start=1):
@@ -88,18 +93,21 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
             continue
         rows += 1
         try:
-            records.append(parse_row(row))
+            values = parse_row(row)
         except LorapropError as exc:
             reason = str(exc).split(":", 1)[0]
             rejections.append(Rejection(line=line, reason=reason))
             log.debug("rejected row %d: %s", line, exc)
+            continue
+        for append, value in zip(appends, values):
+            append(value)
+    records = ObservationTable(dict(zip(CSV_COLUMNS, buffers)))
+    result = IngestResult(records=records, rejections=rejections, rows_read=rows)
     log.info(
         "ingested %d rows, rejected %d (%.4f%%)",
-        len(records),
-        len(rejections),
-        100.0 * (len(rejections) / rows if rows else 0.0),
+        len(records), len(rejections), 100.0 * result.rejection_rate,
     )
-    return IngestResult(records=records, rejections=rejections, rows_read=rows)
+    return result
 
 
 @dataclass(frozen=True)
@@ -111,7 +119,7 @@ class DerivedViolation:
 
 
 def audit_derived_columns(
-    records: Sequence[ObservationRecord],
+    records: ObservationTable,
     params: LinkBudgetParams = DEFAULT_LINK_BUDGET,
     tolerance_db: float = 0.01,
 ) -> list[DerivedViolation]:
@@ -122,11 +130,12 @@ def audit_derived_columns(
     """
     violations: list[DerivedViolation] = []
     offset = params.link_offset_db
-    for i, r in enumerate(records):
+    rows = records.rows(("rssi", "snr", "exp_pl", "esp", "n_power"))
+    for i, (rssi, snr, exp_pl_db, esp_dbm, n_power_dbm) in enumerate(rows):
         checks = (
-            ("exp_pl", offset - r.rssi_dbm, r.exp_pl_db),
-            ("esp", esp(r.rssi_dbm, r.snr_db), r.esp_dbm),
-            ("n_power", noise_power(r.rssi_dbm, r.snr_db), r.n_power_dbm),
+            ("exp_pl", offset - rssi, exp_pl_db),
+            ("esp", esp(rssi, snr), esp_dbm),
+            ("n_power", noise_power(rssi, snr), n_power_dbm),
         )
         for column, expected, actual in checks:
             if abs(expected - actual) >= tolerance_db:
@@ -140,38 +149,42 @@ def audit_derived_columns(
 # Cleaning stages
 
 
-def dedup_retransmissions(
-    records: Iterable[ObservationRecord], window_s: float = 2.0
-) -> list[ObservationRecord]:
+def dedup_retransmissions(records: ObservationTable, window_s: float = 2.0) -> ObservationTable:
     """Drop per-device repeats of an unchanged frame counter within a short
     window, keeping the earliest arrival (the original transmission).
 
-    Records are first brought into canonical (device, time) order, so the
-    result does not depend on input ordering.  Time deltas are raw wall-clock
-    differences.
+    Rows are first brought into canonical (device, time, counter) order, so
+    the result does not depend on input ordering.  A repeat is measured
+    against the last *kept* row of its device, so a chain of repeats longer
+    than the window keeps one row per window.  Time deltas are raw
+    wall-clock differences.
     """
-    ordered = sorted(records, key=lambda r: (r.device_id, r.time, r.f_count))
-    kept: list[ObservationRecord] = []
-    last_per_device: dict[str, ObservationRecord] = {}
-    for record in ordered:
-        anchor = last_per_device.get(record.device_id)
-        if (
-            anchor is not None
-            and record.f_count == anchor.f_count
-            and (record.time - anchor.time).total_seconds() <= window_s
-        ):
-            continue
-        kept.append(record)
-        last_per_device[record.device_id] = record
-    return kept
+    order = np.lexsort((records["f_count"], records["time"], records["device_id"]))
+    device = records["device_id"][order]
+    f_count = records["f_count"][order]
+    micros = records["time"][order].view(np.int64)
+    keep = np.ones(order.size, dtype=bool)
+    # only a row that repeats its predecessor's device and counter can be
+    # dropped; its anchor is the predecessor unless that was a repeat too
+    repeats = np.flatnonzero((device[1:] == device[:-1]) & (f_count[1:] == f_count[:-1])) + 1
+    anchor = previous = -1
+    for i in repeats.tolist():
+        if i - 1 != previous:
+            anchor = i - 1
+        if int(micros[i] - micros[anchor]) / 10**6 <= window_s:
+            keep[i] = False
+        else:
+            anchor = i
+        previous = i
+    return records.take(order[keep])
 
 
 def filter_sf(
-    records: Iterable[ObservationRecord],
+    records: ObservationTable,
     excluded: frozenset[int] | set[int] = frozenset({11, 12}),
-) -> list[ObservationRecord]:
-    """Remove records whose spreading factor is in ``excluded``."""
-    return [r for r in records if r.sf not in excluded]
+) -> ObservationTable:
+    """Remove rows whose spreading factor is in ``excluded``."""
+    return records.take(~np.isin(records["SF"], sorted(excluded)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +204,21 @@ class FeatureScaler:
 
 
 def feature_matrix(
-    records: Sequence[ObservationRecord], features: Sequence[str] = FEATURE_FIELDS
+    records: ObservationTable, features: Sequence[str] = FEATURE_FIELDS
 ) -> np.ndarray:
-    """N x F matrix of the requested columns, in the given order."""
-    return np.array(
-        [[float(field_value(r, name)) for name in features] for r in records]
-    )
+    """N x F float matrix of the requested columns, in the given order.
+
+    It is C-contiguous: the column means and spreads the anomaly screen
+    depends on are summed in that layout's order.
+    """
+    matrix = np.empty((len(records), len(features)))
+    for k, name in enumerate(features):
+        matrix[:, k] = records[name]
+    return matrix
 
 
 def standardize(
-    records: Sequence[ObservationRecord], features: Sequence[str] = FEATURE_FIELDS
+    records: ObservationTable, features: Sequence[str] = FEATURE_FIELDS
 ) -> tuple[np.ndarray, FeatureScaler]:
     """Z-score the feature columns; returns the scaled matrix and the
     transform parameters for reuse on held-out data."""
@@ -365,28 +383,30 @@ def isolation_forest(
     return AnomalyResult(flags=flags, scores=scores)
 
 
+def _rows_by_device(records: ObservationTable) -> list[tuple[str, np.ndarray]]:
+    """``(device, row indices in table order)`` per device, devices sorted."""
+    devices, codes = np.unique(records["device_id"], return_inverse=True)
+    order = np.argsort(codes, kind="stable")
+    ends = np.cumsum(np.bincount(codes, minlength=devices.size))
+    return list(zip(devices.tolist(), np.split(order, ends[:-1])))
+
+
 def flag_anomalies(
-    records: Sequence[ObservationRecord], config: IsolationForestConfig
+    records: ObservationTable, config: IsolationForestConfig
 ) -> np.ndarray:
-    """Per-device anomaly flags over all records, aligned with input order.
+    """Per-device anomaly flags over all rows, aligned with table order.
 
     Each device gets its own scaler and forest so one node's operating
     pattern cannot mask another's outliers.  Devices with fewer than two
-    records are passed through unflagged.
+    rows are passed through unflagged.
     """
     flags = np.zeros(len(records), dtype=bool)
-    by_device: dict[str, list[int]] = {}
-    for i, record in enumerate(records):
-        by_device.setdefault(record.device_id, []).append(i)
-    for device in sorted(by_device):
-        idx = by_device[device]
-        if len(idx) < 2:
-            log.warning("device %s has %d record(s); skipping anomaly screen", device, len(idx))
+    for device, idx in _rows_by_device(records):
+        if idx.size < 2:
+            log.warning("device %s has %d record(s); skipping anomaly screen", device, idx.size)
             continue
-        subset = [records[i] for i in idx]
-        scaled, _ = standardize(subset, config.features)
-        result = isolation_forest(scaled, config)
-        flags[np.asarray(idx)] = result.flags
+        scaled, _ = standardize(records.take(idx), config.features)
+        flags[idx] = isolation_forest(scaled, config).flags
     return flags
 
 
@@ -408,32 +428,29 @@ class SplitSpec:
 
 
 def split(
-    records: Sequence[ObservationRecord], spec: SplitSpec
-) -> tuple[list[ObservationRecord], list[ObservationRecord]]:
-    """Uniform random train/test partition, deterministic per seed."""
+    records: ObservationTable, spec: SplitSpec
+) -> tuple[ObservationTable, ObservationTable]:
+    """Uniform random train/test partition, deterministic per seed, in table order."""
     if len(records) < 2:
         raise InvalidDataError("need at least two records to split")
     rng = np.random.default_rng(spec.seed)
     order = rng.permutation(len(records))
     n_test = int(round(spec.test_fraction * len(records)))
-    test_idx = set(order[:n_test].tolist())
-    train = [r for i, r in enumerate(records) if i not in test_idx]
-    test = [r for i, r in enumerate(records) if i in test_idx]
-    return train, test
+    in_test = np.zeros(len(records), dtype=bool)
+    in_test[order[:n_test]] = True
+    return records.take(~in_test), records.take(in_test)
 
 
-def daily_distribution(records: Sequence[ObservationRecord]) -> dict[str, float]:
-    """Percentage of records per calendar day (ISO date -> share in %)."""
-    counts: dict[str, int] = {}
-    for record in records:
-        day = record.time.date().isoformat()
-        counts[day] = counts.get(day, 0) + 1
+def daily_distribution(records: ObservationTable) -> dict[str, float]:
+    """Percentage of rows per calendar day (ISO date -> share in %)."""
+    days, counts = np.unique(records["time"].astype("datetime64[D]"), return_counts=True)
     total = len(records)
-    return {day: 100.0 * counts[day] / total for day in sorted(counts)}
+    shares = zip(days.tolist(), counts.tolist())
+    return {day.isoformat(): 100.0 * count / total for day, count in shares}
 
 
 def kfold(
-    records: Sequence[ObservationRecord], folds: int, seed: int
+    records: ObservationTable, folds: int, seed: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Shuffled k-fold index partition: ``[(train_idx, validation_idx), ...]``.
 
@@ -462,19 +479,19 @@ def kfold(
 
 @dataclass
 class PipelineResult:
-    clean: list[ObservationRecord]
-    train: list[ObservationRecord]
-    test: list[ObservationRecord]
+    clean: ObservationTable
+    train: ObservationTable
+    test: ObservationTable
     manifest: dict
 
 
-def write_records_csv(records: Sequence[ObservationRecord], path: str | Path) -> None:
-    """Write records in the canonical column order and float formatting."""
+def write_records_csv(records: ObservationTable, path: str | Path) -> None:
+    """Write a table in the canonical column order and float formatting."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for record in records:
-            writer.writerow(format_row(record))
+        for row in records.rows():
+            writer.writerow(format_row(row))
 
 
 def run_pipeline(
@@ -503,29 +520,23 @@ def run_pipeline(
 
     if_config = IsolationForestConfig(contamination=contamination, seed=seed)
     flags = flag_anomalies(sf_filtered, if_config)
-    clean = [r for r, bad in zip(sf_filtered, flags) if not bad]
+    clean = sf_filtered.take(~flags)
 
     split_spec = SplitSpec(test_fraction=test_fraction, seed=seed)
     train, test = split(clean, split_spec)
 
+    flagged = Counter(sf_filtered["device_id"][flags].tolist())
     per_device: dict[str, dict] = {}
-    for device in sorted({r.device_id for r in deduped}):
+    for device, idx in _rows_by_device(deduped):
         # delivery ratio uses every received frame: the SF filter would punch
-        # artificial counter gaps
-        received = [r for r in deduped if r.device_id == device]
-        counters = [r.f_count for r in sorted(received, key=lambda r: r.time)]
-        flagged = int(
-            sum(1 for r, bad in zip(sf_filtered, flags) if bad and r.device_id == device)
-        )
+        # artificial counter gaps.  Dedup left each device's rows in time order.
         per_device[device] = {
-            "rows": len(received),
-            "anomalies": flagged,
-            "pdr": pdr(counters) if counters else None,
+            "rows": idx.size,
+            "anomalies": flagged[device],
+            "pdr": pdr(deduped["f_count"][idx].tolist()),
         }
 
-    reasons: dict[str, int] = {}
-    for rejection in ingested.rejections:
-        reasons[rejection.reason] = reasons.get(rejection.reason, 0) + 1
+    reasons = Counter(rejection.reason for rejection in ingested.rejections)
 
     effective_config = {
         "seed": seed,

@@ -1,6 +1,6 @@
-"""The observation record shared by the pipeline, the fitter and the metrics.
+"""The observation table shared by the pipeline, the fitter and the metrics.
 
-One record is one received uplink: timestamp, device, environmental
+One row is one received uplink: timestamp, device, environmental
 covariates, signal metrics, radio parameters, frame counters and the
 gateway-relative geometry, plus the derived link-budget columns.
 """
@@ -8,10 +8,12 @@ gateway-relative geometry, plus the derived link-budget columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import datetime
+from typing import Any, Iterator, Mapping, Sequence
 
-from .errors import InvalidConfigError
+import numpy as np
+
+from .errors import InvalidDataError
 
 #: Exact CSV header, in column order.
 CSV_COLUMNS = (
@@ -37,141 +39,141 @@ CSV_COLUMNS = (
     "esp",
 )
 
-#: CSV column name -> record attribute.
-COLUMN_ATTRS = {
-    "time": "time",
-    "device_id": "device_id",
-    "co2": "co2_ppm",
-    "humidity": "humidity_pct",
-    "pm25": "pm25_ugm3",
-    "pressure": "pressure_hpa",
-    "temperature": "temperature_c",
-    "rssi": "rssi_dbm",
-    "snr": "snr_db",
-    "SF": "sf",
-    "frequency": "frequency_mhz",
-    "f_count": "f_count",
-    "p_count": "p_count",
-    "toa": "toa_s",
-    "distance": "distance_m",
-    "c_walls": "c_walls",
-    "w_walls": "w_walls",
-    "exp_pl": "exp_pl_db",
-    "n_power": "n_power_dbm",
-    "esp": "esp_dbm",
-}
-
 #: The seven sensor/signal features anomaly screening runs on, in the fixed
 #: order configuration files refer to.
 FEATURE_FIELDS = ("co2", "humidity", "pm25", "pressure", "temperature", "rssi", "snr")
 
 _INT_COLUMNS = frozenset({"SF", "f_count", "p_count", "c_walls", "w_walls"})
-_TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
+
+#: numpy dtype of each column of an :class:`ObservationTable`, in CSV order.
+COLUMN_DTYPES = (
+    dict.fromkeys(CSV_COLUMNS, np.dtype(np.float64))
+    | dict.fromkeys(_INT_COLUMNS, np.dtype(np.int64))
+    | {"time": np.dtype("datetime64[us]"), "device_id": np.dtype(np.str_)}
+)
+
+_SF, _FREQUENCY, _DISTANCE, _C_WALLS, _W_WALLS = map(
+    CSV_COLUMNS.index, ("SF", "frequency", "distance", "c_walls", "w_walls")
+)
 
 
-@dataclass(frozen=True, slots=True)
-class ObservationRecord:
-    """One dataset row.
+class ObservationTable:
+    """Observations as one numpy array per CSV column, keyed by column name.
 
-    Timestamps are naive local wall-clock values (the source data declares a
-    single fixed timezone); arithmetic on them uses raw deltas.
+    Float columns are float64; ``SF``, the frame counters and the wall
+    counts int64; ``time`` is ``datetime64[us]`` (naive local wall-clock
+    values: the source data declares a single fixed timezone) and
+    ``device_id`` a numpy ``str`` array; the constructor coerces each
+    array-like it is given to its :data:`COLUMN_DTYPES` entry.  Stages do
+    not modify a table: they select rows into a new one with :meth:`take`.
     """
 
-    time: datetime
-    device_id: str
-    co2_ppm: float
-    humidity_pct: float
-    pm25_ugm3: float
-    pressure_hpa: float
-    temperature_c: float
-    rssi_dbm: float
-    snr_db: float
-    sf: int
-    frequency_mhz: float
-    f_count: int
-    p_count: int
-    toa_s: float
-    distance_m: float
-    c_walls: int
-    w_walls: int
-    exp_pl_db: float
-    n_power_dbm: float
-    esp_dbm: float
+    __slots__ = ("_columns",)
 
-    def __post_init__(self) -> None:
-        if not 7 <= self.sf <= 12:
-            raise InvalidConfigError(f"sf out of range 7..12: {self.sf}")
-        if self.distance_m <= 0:
-            raise InvalidConfigError(f"distance must be positive: {self.distance_m}")
-        if self.c_walls < 0 or self.w_walls < 0:
-            raise InvalidConfigError("wall counts must be >= 0")
+    def __init__(self, columns: Mapping[str, Any]) -> None:
+        if set(columns) != set(CSV_COLUMNS):
+            raise InvalidDataError(
+                f"table columns must be {list(CSV_COLUMNS)}, got {list(columns)}"
+            )
+        self._columns = {
+            name: np.asarray(columns[name], dtype=COLUMN_DTYPES[name]) for name in CSV_COLUMNS
+        }
+        if len({c.shape for c in self._columns.values()}) != 1 or self._columns["time"].ndim != 1:
+            raise InvalidDataError("table columns must be one-dimensional and of equal length")
 
+    def __len__(self) -> int:
+        return self._columns["time"].size
 
-def field_value(record: ObservationRecord, column: str):
-    """Value of a record attribute addressed by its CSV column name."""
-    return getattr(record, COLUMN_ATTRS[column])
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._columns[name]
+
+    def take(self, index) -> ObservationTable:
+        """The rows selected by an index array or a boolean mask, in that order."""
+        return ObservationTable({name: c[index] for name, c in self._columns.items()})
+
+    def rows(self, columns: Sequence[str] = CSV_COLUMNS, block: int = 4096) -> Iterator[tuple]:
+        """Rows as tuples of Python values (``datetime``, ``str``, ``int``,
+        ``float``) of ``columns``, converted ``block`` rows at a time so a
+        large table is never held as Python objects all at once."""
+        arrays = [self._columns[name] for name in columns]
+        for start in range(0, len(self), block):
+            yield from zip(*(a[start : start + block].tolist() for a in arrays))
 
 
-def parse_row(values: list[str]) -> ObservationRecord:
-    """Build a record from one CSV row (strings in :data:`CSV_COLUMNS` order).
+def _parse_time(text: str) -> datetime:
+    try:
+        value = datetime.fromisoformat(text)
+    except ValueError:
+        try:
+            value = datetime.strptime(text, "%Y-%m-%d %H:%M:%S")
+        except ValueError:
+            raise InvalidDataError(f"bad-time: {text!r}") from None
+    if value.tzinfo is not None:
+        # the schema is naive local time; an offset cannot be placed on it
+        raise InvalidDataError(f"bad-time: timezone offset in {text!r}")
+    return value
 
-    Raises :class:`ValueError` subclasses with a machine-readable reason as
-    the first message token: ``missing-value``, ``bad-<column>``,
-    ``non-finite`` or the range violation from the record invariants.
+
+def parse_row(values: list[str]) -> tuple:
+    """Typed values of one CSV row (strings in :data:`CSV_COLUMNS` order),
+    in the same order: ``datetime``, ``str``, ``int`` or ``float``.
+
+    Raises :class:`InvalidDataError` with a machine-readable reason as the
+    first message token: ``wrong-field-count``, ``missing-value``,
+    ``bad-<column>``, ``non-finite`` or a range violation (SF, distance,
+    wall counts, frequency).
     """
     if len(values) != len(CSV_COLUMNS):
-        raise InvalidConfigError(
+        raise InvalidDataError(
             f"wrong-field-count: expected {len(CSV_COLUMNS)}, got {len(values)}"
         )
-    kwargs = {}
+    typed: list = []
     for column, raw in zip(CSV_COLUMNS, values):
         text = raw.strip()
         if text == "":
-            raise InvalidConfigError(f"missing-value: empty {column}")
-        attr = COLUMN_ATTRS[column]
+            raise InvalidDataError(f"missing-value: empty {column}")
         if column == "time":
-            try:
-                kwargs[attr] = datetime.strptime(text, _TIME_FORMAT)
-            except ValueError:
-                try:
-                    kwargs[attr] = datetime.fromisoformat(text)
-                except ValueError:
-                    raise InvalidConfigError(f"bad-time: {text!r}") from None
+            typed.append(_parse_time(text))
         elif column == "device_id":
-            kwargs[attr] = text
-        elif column in _INT_COLUMNS:
-            try:
-                as_float = float(text)
-            except ValueError:
-                raise InvalidConfigError(f"bad-{column}: {text!r}") from None
-            if not math.isfinite(as_float):
-                raise InvalidConfigError(f"non-finite: {column}={text!r}")
-            if as_float != int(as_float):
-                raise InvalidConfigError(f"bad-{column}: non-integer {text!r}")
-            kwargs[attr] = int(as_float)
+            typed.append(text)
         else:
             try:
                 value = float(text)
             except ValueError:
-                raise InvalidConfigError(f"bad-{column}: {text!r}") from None
+                raise InvalidDataError(f"bad-{column}: {text!r}") from None
             if not math.isfinite(value):
-                raise InvalidConfigError(f"non-finite: {column}={text!r}")
-            kwargs[attr] = value
-    return ObservationRecord(**kwargs)
+                raise InvalidDataError(f"non-finite: {column}={text!r}")
+            if column in _INT_COLUMNS:
+                if value != int(value):
+                    raise InvalidDataError(f"bad-{column}: non-integer {text!r}")
+                if not -(2**63) <= value < 2**63:
+                    raise InvalidDataError(f"bad-{column}: out of the int64 range {text!r}")
+                typed.append(int(value))
+            else:
+                typed.append(value)
+    if not 7 <= typed[_SF] <= 12:
+        raise InvalidDataError(f"sf out of range 7..12: {typed[_SF]}")
+    if typed[_DISTANCE] <= 0:
+        raise InvalidDataError(f"distance must be positive: {typed[_DISTANCE]}")
+    if typed[_C_WALLS] < 0 or typed[_W_WALLS] < 0:
+        raise InvalidDataError("wall counts must be >= 0")
+    if typed[_FREQUENCY] <= 0:
+        raise InvalidDataError(f"frequency must be positive: {typed[_FREQUENCY]}")
+    return tuple(typed)
 
 
-def format_row(record: ObservationRecord) -> list[str]:
-    """Serialise a record back to CSV cell strings, canonically.
+def format_row(values: Sequence) -> list[str]:
+    """Serialise one row's typed values (as :func:`parse_row` returns them)
+    back to CSV cell strings, canonically.
 
     Floats use ``repr`` (shortest round-trip form) so re-serialising an
-    unchanged record is byte-stable.
+    unchanged row is byte-stable.
     """
     cells: list[str] = []
-    for column in CSV_COLUMNS:
-        value = field_value(record, column)
+    for column, value in zip(CSV_COLUMNS, values):
         if column == "time":
             # identical to the declared format for whole seconds, and keeps
-            # sub-second precision when a record carries it
+            # sub-second precision when a row carries it
             cells.append(value.isoformat(sep=" "))
         elif column == "device_id":
             cells.append(value)

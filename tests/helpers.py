@@ -13,11 +13,16 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from loraprop.fitting import predictions
 from loraprop.link_budget import DEFAULT_LINK_BUDGET, esp, noise_power
 from loraprop.lora_phy import RadioConfig, time_on_air
-from loraprop.propagation import ModelVariant, PathLossModel, params_from_model
-from loraprop.records import ObservationRecord
+from loraprop.propagation import (
+    EnvVector,
+    ModelVariant,
+    PathLossModel,
+    WallCounts,
+    predict_mw_ep,
+)
+from loraprop.records import CSV_COLUMNS, ObservationTable
 
 #: Ground-truth extended model used by synthetic datasets (arbitrary but
 #: plausible magnitudes; negative covariate slopes like the fitted ones).
@@ -49,50 +54,90 @@ PLACEMENTS = (
 _CHANNELS = (867.1, 867.3, 867.5, 867.7, 867.9, 868.1, 868.3, 868.5)
 _START = datetime(2024, 1, 1, 0, 0, 0)
 
+#: One syntactically valid row, keyed by CSV column name.
+DEFAULT_ROW = dict(
+    time=_START,
+    device_id="dev0",
+    co2=550.0,
+    humidity=38.0,
+    pm25=2.0,
+    pressure=323.0,
+    temperature=21.0,
+    rssi=-75.0,
+    snr=8.0,
+    SF=7,
+    frequency=868.1,
+    f_count=0,
+    p_count=0,
+    toa=0.046336,
+    distance=10.0,
+    c_walls=0,
+    w_walls=0,
+    exp_pl=92.26,
+    n_power=-83.0,
+    esp=-75.7,
+)
 
-def make_record(**overrides) -> ObservationRecord:
-    """One syntactically valid record with sensible defaults."""
-    defaults = dict(
-        time=_START,
-        device_id="dev0",
-        co2_ppm=550.0,
-        humidity_pct=38.0,
-        pm25_ugm3=2.0,
-        pressure_hpa=323.0,
-        temperature_c=21.0,
-        rssi_dbm=-75.0,
-        snr_db=8.0,
-        sf=7,
-        frequency_mhz=868.1,
-        f_count=0,
-        p_count=0,
-        toa_s=0.046336,
-        distance_m=10.0,
-        c_walls=0,
-        w_walls=0,
-        exp_pl_db=92.26,
-        n_power_dbm=-83.0,
-        esp_dbm=-75.7,
+
+def _is_sequence(value) -> bool:
+    return isinstance(value, (list, tuple, range, np.ndarray))
+
+
+def make_table(**columns) -> ObservationTable:
+    """Rows with :data:`DEFAULT_ROW` values.  Each keyword, a CSV column
+    name, sets that column to a sequence of values or to one value for every
+    row; the longest sequence sets the row count (one row without any)."""
+    n = max((len(v) for v in columns.values() if _is_sequence(v)), default=1)
+    return ObservationTable(
+        {
+            name: value if _is_sequence(value) else [value] * n
+            for name, value in ((name, columns.get(name, DEFAULT_ROW[name])) for name in CSV_COLUMNS)
+        }
     )
-    defaults.update(overrides)
-    return ObservationRecord(**defaults)
+
+
+def table_from_rows(rows: list[dict]) -> ObservationTable:
+    """Table of row dicts keyed by CSV column name, in list order."""
+    return ObservationTable({name: [row[name] for row in rows] for name in CSV_COLUMNS})
+
+
+def replace_columns(table: ObservationTable, **columns) -> ObservationTable:
+    """Copy of ``table`` with the named columns replaced."""
+    return ObservationTable({name: columns.get(name, table[name]) for name in CSV_COLUMNS})
+
+
+def concat(*tables: ObservationTable) -> ObservationTable:
+    return ObservationTable(
+        {name: np.concatenate([t[name] for t in tables]) for name in CSV_COLUMNS}
+    )
+
+
+def rows_of(table: ObservationTable) -> list[tuple]:
+    """Every row as a tuple of Python values, for exact comparisons."""
+    return list(table.rows())
 
 
 @dataclass
 class SynthDataset:
-    records: list[ObservationRecord]          # clean + duplicates, time order
-    clean: list[ObservationRecord]
-    duplicates: list[ObservationRecord]
+    records: ObservationTable          # clean + duplicates, (device, time) order
+    clean: ObservationTable
+    duplicates: ObservationTable
     model: PathLossModel
     sigma_db: float
 
 
-def _key(record: ObservationRecord) -> tuple:
-    return (record.device_id, record.time, record.f_count)
+def _key(row: dict) -> tuple:
+    return (row["device_id"], row["time"], row["f_count"])
 
 
-def record_keys(records) -> set[tuple]:
-    return {_key(r) for r in records}
+def record_keys(table: ObservationTable) -> set[tuple]:
+    return set(table.rows(("device_id", "time", "f_count")))
+
+
+def _true_path_loss(model: PathLossModel, row: dict) -> float:
+    env = EnvVector(row["temperature"], row["humidity"], row["pressure"], row["pm25"], row["co2"])
+    walls = WallCounts(row["c_walls"], row["w_walls"])
+    return predict_mw_ep(model, row["distance"], walls, row["frequency"], env, row["snr"])
 
 
 def synth_dataset(
@@ -106,110 +151,83 @@ def synth_dataset(
 ) -> SynthDataset:
     """Build a dataset with known coefficients and a known duplicate set.
 
-    Duplicates repeat an existing frame (same counter) 1.5 s later, so the
+    Duplicates repeat an existing frame (same counter) 1 s later, so the
     retransmission rule and only that rule removes them.  Frame counters
     skip one value with 10% probability to leave realistic delivery gaps.
+    ``model`` must be an extended-variant model.
     """
     rng = np.random.default_rng(seed)
-    clean: list[ObservationRecord] = []
-    duplicates: list[ObservationRecord] = []
+    clean: list[dict] = []
+    duplicates: list[dict] = []
     offset = DEFAULT_LINK_BUDGET.link_offset_db
 
-    for device_index, (device, distance, brick, wood) in enumerate(placements):
+    for device, distance, brick, wood in placements:
         f_count = int(rng.integers(0, 50))
-        base_time = _START
-        per_device: list[ObservationRecord] = []
+        per_device: list[dict] = []
         for i in range(rows_per_device):
             sf = sf_cycle[i % len(sf_cycle)]
-            env = dict(
-                temperature_c=float(np.clip(rng.normal(21.0, 2.5), -5.0, 45.0)),
-                humidity_pct=float(np.clip(rng.normal(38.0, 6.0), 5.0, 95.0)),
-                pressure_hpa=float(rng.normal(323.0, 10.0)),
-                pm25_ugm3=float(abs(rng.normal(2.0, 2.5))),
-                co2_ppm=float(np.clip(rng.normal(550.0, 130.0), 360.0, 2200.0)),
+            row = dict(
+                DEFAULT_ROW,
+                temperature=float(np.clip(rng.normal(21.0, 2.5), -5.0, 45.0)),
+                humidity=float(np.clip(rng.normal(38.0, 6.0), 5.0, 95.0)),
+                pressure=float(rng.normal(323.0, 10.0)),
+                pm25=float(abs(rng.normal(2.0, 2.5))),
+                co2=float(np.clip(rng.normal(550.0, 130.0), 360.0, 2200.0)),
             )
             snr = float(np.clip(rng.normal(8.0, 5.0), -24.0, 19.0))
             freq = _CHANNELS[int(rng.integers(len(_CHANNELS)))]
-            stub = make_record(
-                time=base_time + timedelta(seconds=60 * i),
+            row.update(
+                time=_START + timedelta(seconds=60 * i),
                 device_id=device,
-                sf=sf,
-                frequency_mhz=freq,
-                snr_db=snr,
-                distance_m=distance,
+                SF=sf,
+                frequency=freq,
+                snr=snr,
+                distance=distance,
                 c_walls=brick,
                 w_walls=wood,
                 f_count=f_count,
                 p_count=i,
-                **env,
             )
-            true_pl = float(
-                predictions(
-                    params_from_model(model), [stub], model.variant, model.reference_distance_m
-                )[0]
-            )
+            true_pl = _true_path_loss(model, row)
             exp_pl = true_pl + float(rng.normal(0.0, sigma_db)) if sigma_db > 0 else true_pl
             rssi = offset - exp_pl
             cfg = RadioConfig(sf=sf, bw_hz=125_000.0, payload_bytes=18, implicit_header=True)
-            record = make_record(
-                time=stub.time,
-                device_id=device,
-                sf=sf,
-                frequency_mhz=freq,
-                snr_db=snr,
-                distance_m=distance,
-                c_walls=brick,
-                w_walls=wood,
-                f_count=f_count,
-                p_count=i,
-                rssi_dbm=rssi,
-                exp_pl_db=exp_pl,
-                esp_dbm=esp(rssi, snr),
-                n_power_dbm=noise_power(rssi, snr),
-                toa_s=time_on_air(cfg),
-                **env,
+            row.update(
+                rssi=rssi,
+                exp_pl=exp_pl,
+                esp=esp(rssi, snr),
+                n_power=noise_power(rssi, snr),
+                toa=time_on_air(cfg),
             )
-            per_device.append(record)
+            per_device.append(row)
             f_count += 2 if rng.random() < 0.1 else 1
 
         dup_positions = rng.choice(rows_per_device, size=duplicates_per_device, replace=False)
         for position in sorted(int(p) for p in dup_positions):
             base = per_device[position]
-            retrans_pl = float(
-                predictions(
-                    params_from_model(model), [base], model.variant, model.reference_distance_m
-                )[0]
-            ) + (float(rng.normal(0.0, sigma_db)) if sigma_db > 0 else 0.0)
+            retrans_pl = _true_path_loss(model, base) + (
+                float(rng.normal(0.0, sigma_db)) if sigma_db > 0 else 0.0
+            )
             rssi = offset - retrans_pl
             duplicates.append(
-                make_record(
-                    time=base.time + timedelta(seconds=1),
-                    device_id=base.device_id,
-                    sf=base.sf,
-                    frequency_mhz=base.frequency_mhz,
-                    snr_db=base.snr_db,
-                    distance_m=base.distance_m,
-                    c_walls=base.c_walls,
-                    w_walls=base.w_walls,
-                    f_count=base.f_count,
-                    p_count=base.p_count,
-                    rssi_dbm=rssi,
-                    exp_pl_db=retrans_pl,
-                    esp_dbm=esp(rssi, base.snr_db),
-                    n_power_dbm=noise_power(rssi, base.snr_db),
-                    toa_s=base.toa_s,
-                    co2_ppm=base.co2_ppm,
-                    humidity_pct=base.humidity_pct,
-                    pm25_ugm3=base.pm25_ugm3,
-                    pressure_hpa=base.pressure_hpa,
-                    temperature_c=base.temperature_c,
+                dict(
+                    base,
+                    time=base["time"] + timedelta(seconds=1),
+                    rssi=rssi,
+                    exp_pl=retrans_pl,
+                    esp=esp(rssi, base["snr"]),
+                    n_power=noise_power(rssi, base["snr"]),
                 )
             )
         clean.extend(per_device)
 
     merged = sorted(clean + duplicates, key=_key)
     return SynthDataset(
-        records=merged, clean=clean, duplicates=duplicates, model=model, sigma_db=sigma_db
+        records=table_from_rows(merged),
+        clean=table_from_rows(clean),
+        duplicates=table_from_rows(duplicates),
+        model=model,
+        sigma_db=sigma_db,
     )
 
 
@@ -219,15 +237,15 @@ def mw_observations(
     sigma_db: float = 0.0,
     coeffs: tuple[float, float, float, float] = (40.0, 3.5, 9.0, 3.0),
     distance_range: tuple[float, float] = (1.0, 40.0),
-) -> tuple[list[ObservationRecord], np.ndarray]:
+) -> tuple[ObservationTable, np.ndarray]:
     """Structural-variant observations at random distances and wall counts.
 
-    Returns the records and the true coefficient vector; the measured path
+    Returns the table and the true coefficient vector; the measured path
     loss is the exact model value plus optional Gaussian shadowing.
     """
     rng = np.random.default_rng(seed)
     beta0, exponent, brick_loss, wood_loss = coeffs
-    records = []
+    rows = []
     lo, hi = distance_range
     for i in range(n):
         distance = float(rng.uniform(lo, hi))
@@ -241,15 +259,16 @@ def mw_observations(
         )
         if sigma_db > 0:
             pl += float(rng.normal(0.0, sigma_db))
-        records.append(
-            make_record(
+        rows.append(
+            dict(
+                DEFAULT_ROW,
                 time=_START + timedelta(seconds=60 * i),
                 f_count=i,
                 p_count=i,
-                distance_m=distance,
+                distance=distance,
                 c_walls=brick,
                 w_walls=wood,
-                exp_pl_db=float(pl),
+                exp_pl=float(pl),
             )
         )
-    return records, np.array(coeffs)
+    return table_from_rows(rows), np.array(coeffs)

@@ -123,12 +123,12 @@ def test_a5_fitter_oracle():
         x = np.column_stack(
             [
                 np.ones(len(noisy)),
-                [10.0 * math.log10(r.distance_m) for r in noisy],
-                [float(r.c_walls) for r in noisy],
-                [float(r.w_walls) for r in noisy],
+                [10.0 * math.log10(d) for d in noisy["distance"].tolist()],
+                [float(w) for w in noisy["c_walls"].tolist()],
+                [float(w) for w in noisy["w_walls"].tolist()],
             ]
         )
-        y = np.array([r.exp_pl_db for r in noisy])
+        y = np.array(noisy["exp_pl"].tolist())
         direct, *_ = np.linalg.lstsq(x, y, rcond=None)
         noisy_report = fit(noisy, ModelVariant.MW)
         assert np.max(np.abs(noisy_report.params - direct)) < 1e-6

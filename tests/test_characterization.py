@@ -15,13 +15,12 @@ paths, because ``manifest.json`` records the paths it was given.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 from contextlib import contextmanager
-from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from loraprop.cli import main
@@ -29,7 +28,7 @@ from loraprop.fitting import fit
 from loraprop.pipeline import ingest, run_pipeline, write_records_csv
 from loraprop.propagation import ModelVariant
 
-from helpers import synth_dataset
+from helpers import replace_columns, synth_dataset
 
 PIPELINE_FILES = ("cleaned.csv", "train.csv", "test.csv", "manifest.json")
 
@@ -60,16 +59,14 @@ def a7_run(tmp_path_factory):
     return root
 
 
-def _small_corpus_records() -> list:
+def _small_corpus_records():
     """Synthetic rows with SF 7-12, three in four shifted by a sub-second
     offset; the malformed rows in :data:`_SMALL_BAD_ROWS` go after them."""
-    data = synth_dataset(
+    records = synth_dataset(
         rows_per_device=40, seed=5, duplicates_per_device=2, sf_cycle=(7, 8, 9, 10, 11, 12)
-    )
-    return [
-        dataclasses.replace(r, time=r.time + timedelta(milliseconds=250 * (i % 4)))
-        for i, r in enumerate(data.records)
-    ]
+    ).records
+    shift = np.arange(len(records)) % 4 * np.timedelta64(250, "ms")
+    return replace_columns(records, time=records["time"] + shift)
 
 
 _SMALL_BAD_ROWS = (

@@ -6,7 +6,7 @@ from loraprop.cli import main
 from loraprop.pipeline import run_pipeline, write_records_csv
 from loraprop.propagation import ModelVariant, PathLossModel, save_model
 
-from helpers import make_record, synth_dataset
+from helpers import concat, make_table, synth_dataset
 
 SUBCOMMANDS = [
     "airtime",
@@ -236,6 +236,21 @@ class TestPipelineCommand:
         assert main(["pipeline", "run", "--input", str(raw), "--contamination", "0.05"]) == 0
         assert (target / "cleaned.csv").exists()
 
+    def test_timezone_offset_row_is_rejected_as_bad_time(self, capsys, tmp_path):
+        data = synth_dataset(rows_per_device=60, seed=2, duplicates_per_device=0)
+        raw = tmp_path / "raw.csv"
+        write_records_csv(data.records, raw)
+        lines = raw.read_text().splitlines()
+        lines[5] = lines[5].replace("2024-01-01 00:04:00", "2024-01-01 00:04:00+02:00")
+        raw.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = ["pipeline", "run", "--input", str(raw), "--out-dir", str(out),
+                "--contamination", "0.05"]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["rejections_by_reason"] == {"bad-time": 1}
+        assert manifest["counts"]["ingested"] == len(data.records) - 1
+
     def test_missing_out_dir_is_domain_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("LORAPROP_OUT_DIR", raising=False)
         assert main(["pipeline", "run", "--input", "whatever.csv"]) == 1
@@ -270,7 +285,7 @@ class TestFitCommand:
 
     def test_underdetermined_fit_exits_1(self, capsys, tmp_path):
         tiny = tmp_path / "tiny.csv"
-        write_records_csv([make_record(f_count=0), make_record(f_count=1)], tiny)
+        write_records_csv(make_table(f_count=[0, 1]), tiny)
         code = main(
             ["fit", "--variant", "mw", "--input", str(tiny), "--out", str(tmp_path / "m.json")]
         )
@@ -280,7 +295,7 @@ class TestFitCommand:
     def test_row_below_reference_distance_exits_1(self, capsys, caplog, tmp_path, command):
         records = synth_dataset(rows_per_device=10, seed=4, duplicates_per_device=0).clean
         near = tmp_path / "near.csv"
-        write_records_csv(records + [make_record(distance_m=0.5)], near)
+        write_records_csv(concat(records, make_table(distance=0.5)), near)
         if command == "fit":
             argv = ["fit", "--variant", "mw", "--input", str(near), "--out", str(tmp_path / "m")]
         else:
@@ -292,13 +307,17 @@ class TestFitCommand:
         assert main(argv) == 1
         assert "distance 0.5 m is below the reference distance" in caplog.text
 
-    def test_non_positive_frequency_exits_1(self, capsys, caplog, tmp_path):
+    def test_non_positive_frequency_row_is_rejected_at_ingest(self, capsys, tmp_path):
         records = synth_dataset(rows_per_device=10, seed=4, duplicates_per_device=0).clean
         bad = tmp_path / "bad.csv"
-        write_records_csv(records + [make_record(frequency_mhz=0.0)], bad)
-        argv = ["fit", "--variant", "mw-ep", "--input", str(bad), "--out", str(tmp_path / "m.json")]
-        assert main(argv) == 1
-        assert "frequency must be positive" in caplog.text
+        write_records_csv(concat(records, make_table(frequency=0.0)), bad)
+        report = tmp_path / "fit.json"
+        argv = [
+            "fit", "--variant", "mw-ep", "--input", str(bad),
+            "--out", str(tmp_path / "m.json"), "--report", str(report),
+        ]
+        assert main(argv) == 0
+        assert json.loads(report.read_text())["n_observations"] == len(records)
 
     def test_refit_is_byte_identical(self, capsys, tmp_path, cleaned_csv):
         paths = [tmp_path / "m1.json", tmp_path / "m2.json"]

@@ -24,26 +24,30 @@ from loraprop.propagation import (
     predict_mw,
     predict_mw_ep,
 )
+from loraprop.records import CSV_COLUMNS
 
-from helpers import TRUE_EP_MODEL, make_record, mw_observations, synth_dataset
+from helpers import (
+    TRUE_EP_MODEL,
+    concat,
+    make_table,
+    mw_observations,
+    replace_columns,
+    synth_dataset,
+)
 
 
 def independent_design(records, variant):
     """Test-side design matrix built column by column, by hand."""
     cols = [
         np.ones(len(records)),
-        np.array([10.0 * math.log10(r.distance_m) for r in records]),
-        np.array([r.c_walls for r in records], dtype=float),
-        np.array([r.w_walls for r in records], dtype=float),
+        np.array([10.0 * math.log10(d) for d in records["distance"].tolist()]),
+        np.array(records["c_walls"].tolist(), dtype=float),
+        np.array(records["w_walls"].tolist(), dtype=float),
     ]
     if variant is ModelVariant.MW_EP:
         cols += [
-            np.array([r.temperature_c for r in records]),
-            np.array([r.humidity_pct for r in records]),
-            np.array([r.pressure_hpa for r in records]),
-            np.array([r.pm25_ugm3 for r in records]),
-            np.array([r.co2_ppm for r in records]),
-            np.array([r.snr_db for r in records]),
+            np.array(records[name].tolist())
+            for name in ("temperature", "humidity", "pressure", "pm25", "co2", "snr")
         ]
     return np.column_stack(cols)
 
@@ -80,8 +84,7 @@ class TestJacobian:
         np.testing.assert_array_equal(j[:, 0], np.ones(30))
 
     def test_exponent_column_vanishes_at_reference_distance(self):
-        record = make_record(distance_m=1.0)
-        j = jacobian(default_initial_params(ModelVariant.MW), [record], ModelVariant.MW)
+        j = jacobian(default_initial_params(ModelVariant.MW), make_table(distance=1.0), ModelVariant.MW)
         assert j[0, 1] == 0.0
 
     @pytest.mark.parametrize("variant", [ModelVariant.MW, ModelVariant.MW_EP])
@@ -124,7 +127,7 @@ class TestFitExactRecovery:
         records, _ = mw_observations(n=400, seed=17, sigma_db=6.0)
         report = fit(records, ModelVariant.MW)
         x = independent_design(records, ModelVariant.MW)
-        y = np.array([r.exp_pl_db for r in records])
+        y = np.array(records["exp_pl"].tolist())
         direct, *_ = np.linalg.lstsq(x, y, rcond=None)
         np.testing.assert_allclose(report.params, direct, atol=1e-6)
 
@@ -133,7 +136,10 @@ class TestFitExactRecovery:
         report = fit(data.clean, ModelVariant.MW_EP)
         x = independent_design(data.clean, ModelVariant.MW_EP)
         y = np.array(
-            [r.exp_pl_db - 20.0 * math.log10(r.frequency_mhz) for r in data.clean]
+            [
+                pl - 20.0 * math.log10(f)
+                for pl, f in data.clean.rows(("exp_pl", "frequency"))
+            ]
         )
         direct, *_ = np.linalg.lstsq(x, y, rcond=None)
         np.testing.assert_allclose(report.params, direct, atol=1e-6)
@@ -169,18 +175,7 @@ class TestFitProperties:
 
     def test_constant_shift_moves_only_intercept(self):
         records, _ = mw_observations(n=200, seed=37, sigma_db=3.0)
-        shifted = [
-            make_record(
-                time=r.time,
-                f_count=r.f_count,
-                p_count=r.p_count,
-                distance_m=r.distance_m,
-                c_walls=r.c_walls,
-                w_walls=r.w_walls,
-                exp_pl_db=r.exp_pl_db + 12.5,
-            )
-            for r in records
-        ]
+        shifted = replace_columns(records, exp_pl=records["exp_pl"] + 12.5)
         base = fit(records, ModelVariant.MW)
         moved = fit(shifted, ModelVariant.MW)
         assert moved.params[0] - base.params[0] == pytest.approx(12.5, abs=1e-9)
@@ -192,10 +187,10 @@ class TestFitProperties:
             fit(records, ModelVariant.MW)
 
     def test_rank_deficient_design_rejected(self):
-        records = [
-            make_record(distance_m=10.0, c_walls=1, w_walls=2, f_count=i, exp_pl_db=90.0 + i)
-            for i in range(50)
-        ]
+        records = make_table(
+            distance=10.0, c_walls=1, w_walls=2, f_count=range(50),
+            exp_pl=[90.0 + i for i in range(50)],
+        )
         with pytest.raises(FitError, match="rank-deficient"):
             fit(records, ModelVariant.MW)
 
@@ -224,21 +219,22 @@ class TestPredictionCoherence:
         data = synth_dataset(rows_per_device=3, seed=2, duplicates_per_device=0)
         params = params_from_model(TRUE_EP_MODEL)
         vectorised = predictions(params, data.clean, ModelVariant.MW_EP)
-        for record, expected in zip(data.clean, vectorised):
+        for r, expected in zip(data.clean.rows(), vectorised):
+            r = dict(zip(CSV_COLUMNS, r))
             env = EnvVector(
-                temperature_c=record.temperature_c,
-                humidity_pct=record.humidity_pct,
-                pressure_hpa=record.pressure_hpa,
-                pm25_ugm3=record.pm25_ugm3,
-                co2_ppm=record.co2_ppm,
+                temperature_c=r["temperature"],
+                humidity_pct=r["humidity"],
+                pressure_hpa=r["pressure"],
+                pm25_ugm3=r["pm25"],
+                co2_ppm=r["co2"],
             )
             pointwise = predict_mw_ep(
                 TRUE_EP_MODEL,
-                record.distance_m,
-                WallCounts(record.c_walls, record.w_walls),
-                record.frequency_mhz,
+                r["distance"],
+                WallCounts(r["c_walls"], r["w_walls"]),
+                r["frequency"],
                 env,
-                record.snr_db,
+                r["snr"],
             )
             assert pointwise == pytest.approx(float(expected), abs=1e-9)
 
@@ -253,52 +249,54 @@ class TestOneFormula:
     MW_MODEL = model_from_params(ModelVariant.MW, [31.3, 3.62, 9.74, 2.64])
 
     @staticmethod
-    def random_record(rng):
-        return make_record(
-            distance_m=float(rng.uniform(1.0, 60.0)),
+    def random_row(rng):
+        return dict(
+            distance=float(rng.uniform(1.0, 60.0)),
             c_walls=int(rng.integers(0, 4)),
             w_walls=int(rng.integers(0, 7)),
-            frequency_mhz=float(rng.uniform(863.0, 870.0)),
-            temperature_c=float(rng.normal(21.0, 3.0)),
-            humidity_pct=float(rng.uniform(10.0, 90.0)),
-            pressure_hpa=float(rng.normal(323.0, 10.0)),
-            pm25_ugm3=float(rng.uniform(0.0, 20.0)),
-            co2_ppm=float(rng.uniform(400.0, 2000.0)),
-            snr_db=float(rng.uniform(-20.0, 15.0)),
+            frequency=float(rng.uniform(863.0, 870.0)),
+            temperature=float(rng.normal(21.0, 3.0)),
+            humidity=float(rng.uniform(10.0, 90.0)),
+            pressure=float(rng.normal(323.0, 10.0)),
+            pm25=float(rng.uniform(0.0, 20.0)),
+            co2=float(rng.uniform(400.0, 2000.0)),
+            snr=float(rng.uniform(-20.0, 15.0)),
         )
 
     def test_predict_mw_equals_single_row_predictions(self):
         rng = np.random.default_rng(17)
         params = params_from_model(self.MW_MODEL)
         for _ in range(300):
-            r = self.random_record(rng)
-            scalar = predict_mw(self.MW_MODEL, r.distance_m, WallCounts(r.c_walls, r.w_walls))
-            assert scalar == predictions(params, [r], ModelVariant.MW)[0]
+            r = self.random_row(rng)
+            scalar = predict_mw(self.MW_MODEL, r["distance"], WallCounts(r["c_walls"], r["w_walls"]))
+            assert scalar == predictions(params, make_table(**r), ModelVariant.MW)[0]
 
     def test_predict_mw_ep_equals_single_row_predictions(self):
         rng = np.random.default_rng(18)
         params = params_from_model(TRUE_EP_MODEL)
         for _ in range(300):
-            r = self.random_record(rng)
-            env = EnvVector(r.temperature_c, r.humidity_pct, r.pressure_hpa, r.pm25_ugm3, r.co2_ppm)
+            r = self.random_row(rng)
+            env = EnvVector(r["temperature"], r["humidity"], r["pressure"], r["pm25"], r["co2"])
             scalar = predict_mw_ep(
-                TRUE_EP_MODEL, r.distance_m, WallCounts(r.c_walls, r.w_walls),
-                r.frequency_mhz, env, r.snr_db,
+                TRUE_EP_MODEL, r["distance"], WallCounts(r["c_walls"], r["w_walls"]),
+                r["frequency"], env, r["snr"],
             )
-            assert scalar == predictions(params, [r], ModelVariant.MW_EP)[0]
+            assert scalar == predictions(params, make_table(**r), ModelVariant.MW_EP)[0]
 
     @pytest.mark.parametrize("variant", [ModelVariant.MW, ModelVariant.MW_EP])
     def test_design_matrix_uses_math_log10_exactly(self, variant):
-        records = synth_dataset(rows_per_device=4, seed=9, duplicates_per_device=0).clean
-        records += mw_observations(n=50, seed=9)[0]
+        records = concat(
+            synth_dataset(rows_per_device=4, seed=9, duplicates_per_device=0).clean,
+            mw_observations(n=50, seed=9)[0],
+        )
         np.testing.assert_array_equal(
             design_matrix(records, variant), independent_design(records, variant)
         )
 
     def test_frequency_term_uses_math_log10_exactly(self):
         rng = np.random.default_rng(19)
-        records = [make_record(frequency_mhz=float(f)) for f in rng.uniform(100.0, 2500.0, 200)]
-        expected = [20.0 * math.log10(r.frequency_mhz) for r in records]
+        records = make_table(frequency=rng.uniform(100.0, 2500.0, 200))
+        expected = [20.0 * math.log10(f) for f in records["frequency"].tolist()]
         assert fixed_offsets(records, ModelVariant.MW_EP).tolist() == expected
 
 
@@ -316,20 +314,22 @@ class TestBelowReferenceDistance:
 
     @pytest.mark.parametrize("variant", [ModelVariant.MW, ModelVariant.MW_EP])
     def test_design_matrix_rejects(self, variant):
-        records = [make_record(distance_m=10.0), make_record(distance_m=0.5)]
+        records = make_table(distance=[10.0, 0.5])
         with pytest.raises(InvalidConfigError, match="distance 0.5 m"):
             design_matrix(records, variant)
 
     def test_design_matrix_honours_the_reference_distance(self):
-        records = [make_record(distance_m=2.0), make_record(distance_m=10.0)]
+        records = make_table(distance=[2.0, 10.0])
         with pytest.raises(InvalidConfigError):
             design_matrix(records, ModelVariant.MW, reference_distance_m=5.0)
         assert design_matrix(records, ModelVariant.MW, reference_distance_m=2.0)[0, 1] == 0.0
 
     @pytest.mark.parametrize("variant", [ModelVariant.MW, ModelVariant.MW_EP])
     def test_fit_rejects(self, variant):
-        records = synth_dataset(rows_per_device=10, seed=4, duplicates_per_device=0).clean
-        records.append(make_record(distance_m=0.5))
+        records = concat(
+            synth_dataset(rows_per_device=10, seed=4, duplicates_per_device=0).clean,
+            make_table(distance=0.5),
+        )
         with pytest.raises(InvalidConfigError, match="below the reference distance"):
             fit(records, variant)
 
@@ -342,8 +342,7 @@ class TestOffsets:
         )
 
     def test_extended_offset_is_frequency_term(self):
-        record = make_record(frequency_mhz=868.1)
-        offsets = fixed_offsets([record], ModelVariant.MW_EP)
+        offsets = fixed_offsets(make_table(frequency=868.1), ModelVariant.MW_EP)
         assert offsets[0] == pytest.approx(20.0 * math.log10(868.1), rel=1e-12)
 
 

@@ -1,10 +1,12 @@
 import io
 import json
 import math
+from collections import namedtuple
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loraprop.errors import InvalidDataError
 from loraprop.pipeline import (
@@ -27,7 +29,7 @@ from loraprop.pipeline import (
 )
 from loraprop.records import CSV_COLUMNS
 
-from helpers import make_record, record_keys
+from helpers import make_table, record_keys, rows_of
 
 HEADER = ",".join(CSV_COLUMNS)
 GOOD_ROW = (
@@ -45,24 +47,25 @@ class TestIngest:
         result = ingest(csv_source(GOOD_ROW))
         assert result.rows_read == 1
         assert not result.rejections
-        record = result.records[0]
-        assert record.device_id == "dev0"
-        assert record.time == datetime(2024, 1, 1, 0, 0, 0)
-        assert record.co2_ppm == 550.0
-        assert record.sf == 7
-        assert record.exp_pl_db == 92.26
+        table = result.records
+        assert len(table) == 1
+        assert table["device_id"][0] == "dev0"
+        assert table["time"][0] == np.datetime64(datetime(2024, 1, 1, 0, 0, 0))
+        assert table["co2"][0] == 550.0
+        assert table["SF"][0] == 7
+        assert table["exp_pl"][0] == 92.26
 
     def test_missing_value_rejected(self):
         row = GOOD_ROW.replace("550.0", "")
         result = ingest(csv_source(row))
-        assert not result.records
+        assert len(result.records) == 0
         assert result.rejections[0].reason == "missing-value"
         assert result.rejections[0].line == 1
 
     def test_non_finite_rejected(self):
         for token in ("nan", "inf", "-inf", "NaN"):
             result = ingest(csv_source(GOOD_ROW.replace("550.0", token)))
-            assert not result.records
+            assert len(result.records) == 0
             assert result.rejections[0].reason == "non-finite"
 
     def test_unparseable_token_rejected(self):
@@ -102,7 +105,7 @@ class TestIngest:
         path = tmp_path / "round.csv"
         write_records_csv(small_synth.records, path)
         again = ingest(path).records
-        assert again == small_synth.records
+        assert rows_of(again) == rows_of(small_synth.records)
 
 
 class TestDerivedAudit:
@@ -110,80 +113,124 @@ class TestDerivedAudit:
         assert audit_derived_columns(small_synth.records) == []
 
     def test_corrupted_column_flagged(self, caplog):
-        bad = make_record(esp_dbm=0.0)
-        violations = audit_derived_columns([bad])
+        violations = audit_derived_columns(make_table(esp=0.0))
         assert any(v.column == "esp" for v in violations)
 
 
 class TestDedup:
-    def base(self, seconds, f_count, device="dev0"):
-        return make_record(
-            time=datetime(2024, 1, 1) + timedelta(seconds=seconds),
-            device_id=device,
-            f_count=f_count,
-        )
+    @staticmethod
+    def frames(seconds, f_count, devices="dev0"):
+        """Frames at ``seconds`` after midnight with the given counters."""
+        times = [datetime(2024, 1, 1) + timedelta(seconds=s) for s in seconds]
+        return make_table(time=times, f_count=f_count, device_id=devices)
+
+    def kept(self, table, *positions):
+        return rows_of(table.take(list(positions)))
 
     def test_repeat_within_window_dropped(self):
-        first = self.base(0.0, 10)
-        repeat = self.base(1.5, 10)
-        assert dedup_retransmissions([first, repeat]) == [first]
+        frames = self.frames([0.0, 1.5], [10, 10])
+        assert rows_of(dedup_retransmissions(frames)) == self.kept(frames, 0)
 
     def test_repeat_outside_window_kept(self):
-        first = self.base(0.0, 10)
-        late = self.base(3.0, 10)
-        assert dedup_retransmissions([first, late]) == [first, late]
+        frames = self.frames([0.0, 3.0], [10, 10])
+        assert rows_of(dedup_retransmissions(frames)) == self.kept(frames, 0, 1)
 
     def test_interleaved_devices_kept(self):
-        a = self.base(0.0, 10, "devA")
-        b = self.base(0.5, 10, "devB")
-        c = self.base(1.0, 10, "devC")
-        assert dedup_retransmissions([a, b, c]) == [a, b, c]
+        frames = self.frames([0.0, 0.5, 1.0], [10, 10, 10], ["devA", "devB", "devC"])
+        assert rows_of(dedup_retransmissions(frames)) == self.kept(frames, 0, 1, 2)
 
     def test_keeps_first_of_run(self):
-        first = self.base(0.0, 10)
-        second = self.base(1.0, 10)
-        third = self.base(1.9, 10)
-        assert dedup_retransmissions([first, second, third]) == [first]
+        frames = self.frames([0.0, 1.0, 1.9], [10, 10, 10])
+        assert rows_of(dedup_retransmissions(frames)) == self.kept(frames, 0)
 
     def test_anchor_advances_when_window_expires(self):
-        first = self.base(0.0, 10)
-        late = self.base(2.5, 10)       # outside window: kept, becomes anchor
-        tail = self.base(3.5, 10)       # within window of the new anchor
-        assert dedup_retransmissions([first, late, tail]) == [first, late]
+        # 2.5 s is outside the window: kept, and becomes the anchor that
+        # 3.5 s falls within
+        frames = self.frames([0.0, 2.5, 3.5], [10, 10, 10])
+        assert rows_of(dedup_retransmissions(frames)) == self.kept(frames, 0, 1)
 
     def test_counter_change_resets(self):
-        first = self.base(0.0, 10)
-        nxt = self.base(1.0, 11)
-        assert dedup_retransmissions([first, nxt]) == [first, nxt]
+        frames = self.frames([0.0, 1.0], [10, 11])
+        assert rows_of(dedup_retransmissions(frames)) == self.kept(frames, 0, 1)
 
     def test_input_order_invariance(self, small_synth):
         forward = dedup_retransmissions(small_synth.records)
-        backward = dedup_retransmissions(list(reversed(small_synth.records)))
-        assert forward == backward
+        reversed_order = np.arange(len(small_synth.records))[::-1]
+        backward = dedup_retransmissions(small_synth.records.take(reversed_order))
+        assert rows_of(forward) == rows_of(backward)
 
     def test_idempotent(self, small_synth):
         once = dedup_retransmissions(small_synth.records)
         twice = dedup_retransmissions(once)
-        assert once == twice
+        assert rows_of(once) == rows_of(twice)
 
     def test_drops_exactly_the_constructed_duplicates(self, small_synth):
         kept = dedup_retransmissions(small_synth.records)
         assert record_keys(kept) == record_keys(small_synth.clean)
 
 
+Frame = namedtuple("Frame", "device_id time f_count p_count")
+
+
+def reference_dedup(frames, window_s=2.0):
+    """The record-list dedup the table version replaced, kept as its oracle."""
+    ordered = sorted(frames, key=lambda r: (r.device_id, r.time, r.f_count))
+    kept = []
+    last_per_device = {}
+    for record in ordered:
+        anchor = last_per_device.get(record.device_id)
+        if (
+            anchor is not None
+            and record.f_count == anchor.f_count
+            and (record.time - anchor.time).total_seconds() <= window_s
+        ):
+            continue
+        kept.append(record)
+        last_per_device[record.device_id] = record
+    return kept
+
+
+# frames on a 250 ms grid from a few devices and counters: repeats, chains
+# of repeats longer than the window, exact ties and any input order
+_frames = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(0, 40), st.integers(0, 2)),
+    max_size=60,
+)
+
+
+class TestDedupEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(frames=_frames, window_s=st.sampled_from([0.0, 0.25, 0.6, 1.0, 2.0, 2.5]))
+    def test_matches_the_record_list_reference(self, frames, window_s):
+        start = datetime(2024, 1, 1)
+        rows = [
+            Frame(device, start + timedelta(milliseconds=250 * tick), counter, i)
+            for i, (device, tick, counter) in enumerate(frames)
+        ]
+        table = make_table(
+            device_id=[r.device_id for r in rows],
+            time=[r.time for r in rows],
+            f_count=[r.f_count for r in rows],
+            p_count=[r.p_count for r in rows],
+        )
+        kept = dedup_retransmissions(table, window_s=window_s)
+        expected = reference_dedup(rows, window_s)
+        # p_count numbers the input rows: the same rows, in the same order
+        assert kept["p_count"].tolist() == [r.p_count for r in expected]
+
+
 class TestFilterSf:
     def test_excluded_removed(self):
-        records = [make_record(sf=sf) for sf in (7, 11, 12)]
-        kept = filter_sf(records)
-        assert [r.sf for r in kept] == [7]
+        kept = filter_sf(make_table(SF=[7, 11, 12]))
+        assert kept["SF"].tolist() == [7]
 
     def test_empty_exclusion_is_identity(self):
-        records = [make_record(sf=sf) for sf in (7, 11, 12)]
-        assert filter_sf(records, excluded=frozenset()) == records
+        records = make_table(SF=[7, 11, 12])
+        assert rows_of(filter_sf(records, excluded=frozenset())) == rows_of(records)
 
     def test_idempotent(self, small_synth):
         once = filter_sf(small_synth.records)
-        assert filter_sf(once) == once
+        assert rows_of(filter_sf(once)) == rows_of(once)
 
 
 class TestStandardize:
@@ -193,8 +240,8 @@ class TestStandardize:
         np.testing.assert_allclose(scaled.std(axis=0), 1.0, atol=1e-9)
 
     def test_shift_invariance(self):
-        records = [make_record(co2_ppm=500.0 + i * 10) for i in range(10)]
-        shifted = [make_record(co2_ppm=600.0 + i * 10) for i in range(10)]
+        records = make_table(co2=[500.0 + i * 10 for i in range(10)])
+        shifted = make_table(co2=[600.0 + i * 10 for i in range(10)])
         a, _ = standardize(records, features=("co2",))
         b, _ = standardize(shifted, features=("co2",))
         np.testing.assert_allclose(a, b, atol=1e-12)
@@ -207,13 +254,13 @@ class TestStandardize:
         np.testing.assert_allclose(scaler.transform(raw), scaled, atol=1e-12)
 
     def test_zero_variance_feature_rejected(self):
-        records = [make_record(co2_ppm=500.0, f_count=i) for i in range(5)]
+        records = make_table(co2=500.0, f_count=range(5))
         with pytest.raises(InvalidDataError, match="zero-variance"):
             standardize(records, features=("co2",))
 
     def test_too_few_records(self):
         with pytest.raises(InvalidDataError):
-            standardize([make_record()])
+            standardize(make_table())
 
 
 class TestIsolationForest:
@@ -295,17 +342,16 @@ class TestIsolationForest:
         clean = small_synth.clean
         config = IsolationForestConfig(contamination=0.05, seed=42)
         flags = flag_anomalies(clean, config)
-        for device in {r.device_id for r in clean}:
-            n_dev = sum(1 for r in clean if r.device_id == device)
-            flagged = sum(
-                1 for r, f in zip(clean, flags) if f and r.device_id == device
-            )
+        devices = clean["device_id"]
+        for device in set(devices.tolist()):
+            n_dev = int(np.sum(devices == device))
+            flagged = int(np.sum(flags & (devices == device)))
             assert flagged == round(0.05 * n_dev)
 
 
 class TestSplit:
     def test_sizes(self, small_synth):
-        records = small_synth.clean[:1000] if len(small_synth.clean) >= 1000 else small_synth.clean
+        records = small_synth.clean.take(np.arange(min(1000, len(small_synth.clean))))
         train, test = split(records, SplitSpec(test_fraction=0.2, seed=1))
         assert len(test) == round(0.2 * len(records))
         assert len(train) + len(test) == len(records)
@@ -314,12 +360,12 @@ class TestSplit:
         spec = SplitSpec(seed=11)
         a = split(small_synth.clean, spec)
         b = split(small_synth.clean, spec)
-        assert a == b
+        assert [rows_of(t) for t in a] == [rows_of(t) for t in b]
 
     def test_different_seed_differs(self, small_synth):
         a = split(small_synth.clean, SplitSpec(seed=1))
         b = split(small_synth.clean, SplitSpec(seed=2))
-        assert a != b
+        assert [rows_of(t) for t in a] != [rows_of(t) for t in b]
 
     def test_partition_is_exact(self, small_synth):
         train, test = split(small_synth.clean, SplitSpec(seed=3))
@@ -340,12 +386,12 @@ class TestSplit:
 
 class TestKfold:
     def test_equal_validation_sizes(self):
-        records = [make_record(f_count=i) for i in range(10)]
+        records = make_table(f_count=range(10))
         folds = kfold(records, folds=5, seed=0)
         assert all(len(val) == 2 for _, val in folds)
 
     def test_cover_and_disjoint(self):
-        records = [make_record(f_count=i) for i in range(23)]
+        records = make_table(f_count=range(23))
         folds = kfold(records, folds=5, seed=1)
         seen = np.concatenate([val for _, val in folds])
         assert sorted(seen.tolist()) == list(range(23))
@@ -357,7 +403,7 @@ class TestKfold:
 
     def test_too_few_records(self):
         with pytest.raises(InvalidDataError):
-            kfold([make_record()], folds=5, seed=0)
+            kfold(make_table(), folds=5, seed=0)
 
 
 class TestRunPipeline:

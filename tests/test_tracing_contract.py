@@ -14,6 +14,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -67,3 +68,23 @@ def test_extractor_argument_exists(module_name, attribute, extractor):
         f"{module_name}.{attribute}{inspect.signature(fn)} has no argument "
         f"{name!r} at position {position}"
     )
+
+
+def test_benchmark_library_calls_run(tmp_path):
+    """What ``perfbench/checks.py`` and ``perfbench/worker.py`` call outside
+    the CLI: ``ingest(path).records`` with a length, and the mw-ep fit and
+    its standard errors on that table."""
+    from loraprop.fitting import fit, standard_errors
+    from loraprop.pipeline import ingest, write_records_csv
+    from loraprop.propagation import ModelVariant
+
+    from helpers import synth_dataset
+
+    path = tmp_path / "tiny.csv"
+    write_records_csv(synth_dataset(rows_per_device=6, seed=3, duplicates_per_device=0).clean, path)
+    records = ingest(path).records
+    assert len(records) == 30
+    report = fit(records, ModelVariant.MW_EP)
+    errors = standard_errors(report, records)
+    assert errors.shape == report.params.shape
+    assert np.all(np.isfinite(errors))
