@@ -88,12 +88,8 @@ def make_table(**columns) -> ObservationTable:
     name, sets that column to a sequence of values or to one value for every
     row; the longest sequence sets the row count (one row without any)."""
     n = max((len(v) for v in columns.values() if _is_sequence(v)), default=1)
-    return ObservationTable(
-        {
-            name: value if _is_sequence(value) else [value] * n
-            for name, value in ((name, columns.get(name, DEFAULT_ROW[name])) for name in CSV_COLUMNS)
-        }
-    )
+    row = DEFAULT_ROW | columns
+    return ObservationTable({k: v if _is_sequence(v) else [v] * n for k, v in row.items()})
 
 
 def table_from_rows(rows: list[dict]) -> ObservationTable:

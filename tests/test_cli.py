@@ -242,6 +242,7 @@ class TestPipelineCommand:
         write_records_csv(data.records, raw)
         lines = raw.read_text().splitlines()
         lines[5] = lines[5].replace("2024-01-01 00:04:00", "2024-01-01 00:04:00+02:00")
+        assert "+02:00" in lines[5]
         raw.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
         argv = ["pipeline", "run", "--input", str(raw), "--out-dir", str(out),

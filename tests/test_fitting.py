@@ -219,8 +219,8 @@ class TestPredictionCoherence:
         data = synth_dataset(rows_per_device=3, seed=2, duplicates_per_device=0)
         params = params_from_model(TRUE_EP_MODEL)
         vectorised = predictions(params, data.clean, ModelVariant.MW_EP)
-        for r, expected in zip(data.clean.rows(), vectorised):
-            r = dict(zip(CSV_COLUMNS, r))
+        for values, expected in zip(data.clean.rows(), vectorised):
+            r = dict(zip(CSV_COLUMNS, values))
             env = EnvVector(
                 temperature_c=r["temperature"],
                 humidity_pct=r["humidity"],
