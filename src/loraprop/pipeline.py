@@ -79,9 +79,7 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
     except StopIteration:
         raise InvalidDataError("malformed header: empty input") from None
     if tuple(header) != CSV_COLUMNS:
-        raise InvalidDataError(
-            f"malformed header: expected {list(CSV_COLUMNS)}, got {header}"
-        )
+        raise InvalidDataError(f"malformed header: expected {list(CSV_COLUMNS)}, got {header}")
     # one buffer per column, typed arrays for the numeric ones, which the
     # table then takes without a copy: no row outlives its parse as objects
     buffers = [[] if d.kind in "MU" else array(d.char) for d in COLUMN_DTYPES.values()]
@@ -460,17 +458,14 @@ def kfold(
     if folds < 2:
         raise InvalidConfigError("folds must be >= 2")
     if len(records) < folds:
-        raise InvalidDataError(
-            f"too few records ({len(records)}) for {folds} folds"
-        )
+        raise InvalidDataError(f"too few records ({len(records)}) for {folds} folds")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(records))
     parts = np.array_split(order, folds)
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    for i, validation in enumerate(parts):
-        train = np.concatenate([parts[j] for j in range(folds) if j != i])
-        out.append((np.sort(train), np.sort(validation)))
-    return out
+    return [
+        (np.sort(np.concatenate(parts[:i] + parts[i + 1 :])), np.sort(validation))
+        for i, validation in enumerate(parts)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -549,22 +544,15 @@ def run_pipeline(
         "subsample_size": if_config.subsample_size,
     }
 
-    cleaned_path = out / "cleaned.csv"
-    train_path = out / "train.csv"
-    test_path = out / "test.csv"
-    write_records_csv(clean, cleaned_path)
-    write_records_csv(train, train_path)
-    write_records_csv(test, test_path)
+    outputs = {"cleaned": clean, "train": train, "test": test}
+    for name, table in outputs.items():
+        write_records_csv(table, out / f"{name}.csv")
 
     manifest = {
         "command": "pipeline run",
         "tool_version": __version__,
         "input": str(input_path),
-        "outputs": {
-            "cleaned": str(cleaned_path),
-            "train": str(train_path),
-            "test": str(test_path),
-        },
+        "outputs": {name: str(out / f"{name}.csv") for name in outputs},
         "config": effective_config,
         "config_digest": config_digest(effective_config),
         "counts": {

@@ -52,6 +52,11 @@ COLUMN_DTYPES = (
     | {"time": np.dtype("datetime64[us]"), "device_id": np.dtype(np.str_)}
 )
 
+#: Longest ``device_id`` :func:`parse_row` accepts.
+MAX_DEVICE_ID_CHARS = 64
+#: Rows :meth:`ObservationTable.rows` converts to Python values at a time.
+_ROW_BLOCK = 4096
+
 _SF, _FREQUENCY, _DISTANCE, _C_WALLS, _W_WALLS = map(
     CSV_COLUMNS.index, ("SF", "frequency", "distance", "c_walls", "w_walls")
 )
@@ -91,13 +96,13 @@ class ObservationTable:
         """The rows selected by an index array or a boolean mask, in that order."""
         return ObservationTable({name: c[index] for name, c in self._columns.items()})
 
-    def rows(self, columns: Sequence[str] = CSV_COLUMNS, block: int = 4096) -> Iterator[tuple]:
+    def rows(self, columns: Sequence[str] = CSV_COLUMNS) -> Iterator[tuple]:
         """Rows as tuples of Python values (``datetime``, ``str``, ``int``,
-        ``float``) of ``columns``, converted ``block`` rows at a time so a
+        ``float``) of ``columns``, converted a block of rows at a time so a
         large table is never held as Python objects all at once."""
         arrays = [self._columns[name] for name in columns]
-        for start in range(0, len(self), block):
-            yield from zip(*(a[start : start + block].tolist() for a in arrays))
+        for start in range(0, len(self), _ROW_BLOCK):
+            yield from zip(*(a[start : start + _ROW_BLOCK].tolist() for a in arrays))
 
 
 def _parse_time(text: str) -> datetime:
@@ -120,7 +125,8 @@ def parse_row(values: list[str]) -> tuple:
 
     Raises :class:`InvalidDataError` with a machine-readable reason as the
     first message token: ``wrong-field-count``, ``missing-value``,
-    ``bad-<column>``, ``non-finite`` or a range violation (SF, distance,
+    ``bad-<column>`` (a ``device_id`` also when it is longer than
+    :data:`MAX_DEVICE_ID_CHARS` or holds a NUL), ``non-finite`` or a range violation (SF, distance,
     wall counts, frequency).
     """
     if len(values) != len(CSV_COLUMNS):
@@ -135,6 +141,10 @@ def parse_row(values: list[str]) -> tuple:
         if column == "time":
             typed.append(_parse_time(text))
         elif column == "device_id":
+            # a str column is as wide as its longest id, and numpy drops
+            # trailing NULs, which would make "dev\0" the device "dev"
+            if len(text) > MAX_DEVICE_ID_CHARS or "\0" in text:
+                raise InvalidDataError(f"bad-device_id: over {MAX_DEVICE_ID_CHARS} chars or a NUL")
             typed.append(text)
         else:
             try:

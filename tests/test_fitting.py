@@ -345,6 +345,12 @@ class TestOffsets:
         offsets = fixed_offsets(make_table(frequency=868.1), ModelVariant.MW_EP)
         assert offsets[0] == pytest.approx(20.0 * math.log10(868.1), rel=1e-12)
 
+    def test_non_positive_frequency_raises(self):
+        # ingest rejects such a row, but a table built in code can carry one
+        for frequency in (0.0, -868.1):
+            with pytest.raises(InvalidConfigError, match="frequency must be positive"):
+                fixed_offsets(make_table(frequency=frequency), ModelVariant.MW_EP)
+
 
 class TestModelConversion:
     def test_params_round_trip(self):

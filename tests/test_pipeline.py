@@ -27,7 +27,7 @@ from loraprop.pipeline import (
     standardize,
     write_records_csv,
 )
-from loraprop.records import CSV_COLUMNS
+from loraprop.records import CSV_COLUMNS, MAX_DEVICE_ID_CHARS
 
 from helpers import make_table, record_keys, rows_of
 
@@ -95,6 +95,20 @@ class TestIngest:
         assert len(result.rejections) == 1
         assert result.rejections[0].line == 2
         assert result.rejection_rate == pytest.approx(1 / 3)
+
+    def test_oversized_device_id_rejected_without_widening_the_column(self):
+        # near the csv module's default field limit of 131072 characters; kept,
+        # it would make every id in the column that wide
+        long_id = GOOD_ROW.replace("dev0", "d" * 131_000)
+        result = ingest(csv_source(GOOD_ROW, long_id, GOOD_ROW))
+        assert [r.reason for r in result.rejections] == ["bad-device_id"]
+        assert result.records["device_id"].tolist() == ["dev0", "dev0"]
+        assert result.records["device_id"].dtype.itemsize <= 4 * MAX_DEVICE_ID_CHARS
+
+    def test_device_id_with_a_nul_is_not_merged_into_another(self):
+        result = ingest(csv_source(GOOD_ROW, GOOD_ROW.replace("dev0", "dev0\0")))
+        assert [r.reason for r in result.rejections] == ["bad-device_id"]
+        assert len(result.records) == 1
 
     def test_reads_from_path(self, small_synth_csv, small_synth):
         result = ingest(small_synth_csv)

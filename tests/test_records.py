@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from loraprop.errors import InvalidDataError
-from loraprop.records import CSV_COLUMNS, ObservationTable, format_row, parse_row
+from loraprop.records import (
+    CSV_COLUMNS,
+    MAX_DEVICE_ID_CHARS,
+    ObservationTable,
+    format_row,
+    parse_row,
+)
 
 from helpers import DEFAULT_ROW, make_table, rows_of
 
@@ -36,8 +42,8 @@ class TestObservationTable:
         assert type(row[CSV_COLUMNS.index("SF")]) is int
 
     def test_rows_cross_block_boundaries(self):
-        table = make_table(f_count=range(10))
-        assert [r[CSV_COLUMNS.index("f_count")] for r in table.rows(block=3)] == list(range(10))
+        table = make_table(f_count=range(10_000))
+        assert [r[CSV_COLUMNS.index("f_count")] for r in table.rows()] == list(range(10_000))
 
     def test_take_by_index_and_mask(self):
         table = make_table(f_count=range(5))
@@ -79,12 +85,19 @@ class TestParseRow:
             (with_cell("time", "2024-01-01 00:00:00+02:00"), "bad-time"),
             (with_cell("time", "2024-01-01T00:00:00Z"), "bad-time"),
             (with_cell("f_count", "1e19"), "bad-f_count"),
+            (with_cell("device_id", "d" * (MAX_DEVICE_ID_CHARS + 1)), "bad-device_id"),
+            (with_cell("device_id", "dev\0"), "bad-device_id"),
+            (with_cell("device_id", "d\0ev"), "bad-device_id"),
         ],
     )
     def test_data_faults_raise_invalid_data_error(self, cells, reason):
         with pytest.raises(InvalidDataError) as caught:
             parse_row(cells)
         assert str(caught.value).split(":", 1)[0] == reason
+
+    def test_device_id_of_the_longest_accepted_length(self):
+        longest = "d" * MAX_DEVICE_ID_CHARS
+        assert parse_row(with_cell("device_id", longest))[1] == longest
 
     def test_range_checks_follow_the_cell_checks(self):
         # a row with several faults reports the first cell fault, then the
