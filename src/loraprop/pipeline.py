@@ -255,19 +255,20 @@ class IsolationForestConfig:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    """Isolation tree node; a leaf has ``feature == -1`` and records the
-    number of training points that ended up in it."""
+class IsolationTree:
+    """One isolation tree as parallel per-node arrays in depth-first preorder.
 
-    size: int
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    A split node sends a row to ``left`` when its ``feature`` value is below
+    ``threshold``, else to ``right``.  A leaf points to itself on both sides,
+    so a row that reaches it stays there, and its ``leaf_depth`` is its depth
+    plus c(size) of the training points that ended up in it.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf_depth: np.ndarray
 
 
 _EULER_GAMMA = 0.5772156649015329
@@ -282,54 +283,57 @@ def average_path_length(n: int) -> float:
     return 2.0 * (math.log(n - 1.0) + _EULER_GAMMA) - 2.0 * (n - 1.0) / n
 
 
-def _build_tree(
-    data: np.ndarray, rng: np.random.Generator, depth: int, max_depth: int
-) -> TreeNode:
-    n = data.shape[0]
-    if n <= 1 or depth >= max_depth:
-        return TreeNode(size=n)
-    lows = data.min(axis=0)
-    highs = data.max(axis=0)
-    splittable = np.nonzero(highs > lows)[0]
-    if splittable.size == 0:
-        return TreeNode(size=n)
-    feature = int(splittable[rng.integers(splittable.size)])
-    threshold = float(rng.uniform(lows[feature], highs[feature]))
-    mask = data[:, feature] < threshold
-    return TreeNode(
-        size=n,
-        feature=feature,
-        threshold=threshold,
-        left=_build_tree(data[mask], rng, depth + 1, max_depth),
-        right=_build_tree(data[~mask], rng, depth + 1, max_depth),
-    )
+def _build_tree(sample: np.ndarray, rng: np.random.Generator, max_depth: int) -> IsolationTree:
+    """Grow one tree on the F x psi ``sample`` (one row per feature).
+
+    Nodes are visited in depth-first preorder, left before right, so the two
+    draws of each split come in the order a recursive build makes them;
+    another order would grow other trees from the same seed.
+    """
+    nodes: list[list] = []  # [feature, threshold, left, right, leaf_depth]
+    # (columns reaching the node, its depth, the parent it is the right child of)
+    stack: list[tuple[np.ndarray, int, list | None]] = [(sample, 0, None)]
+    while stack:
+        block, depth, parent = stack.pop()
+        node = len(nodes)
+        if parent is not None:
+            parent[3] = node
+        size = block.shape[1]
+        if size > 1 and depth < max_depth:
+            lows = block.min(axis=1).tolist()
+            highs = block.max(axis=1).tolist()
+            splittable = [k for k, (low, high) in enumerate(zip(lows, highs)) if high > low]
+            if splittable:
+                split_on = splittable[rng.integers(len(splittable))]
+                cut = rng.uniform(lows[split_on], highs[split_on])
+                below = block[split_on] < cut
+                nodes.append([split_on, cut, node + 1, -1, 0.0])
+                stack.append((block.compress(~below, axis=1), depth + 1, nodes[-1]))
+                stack.append((block.compress(below, axis=1), depth + 1, None))
+                continue
+        nodes.append([0, 0.0, node, node, depth + average_path_length(size)])
+    return IsolationTree(*(np.array(column) for column in zip(*nodes)))
 
 
 @dataclass(frozen=True)
 class IsolationForestModel:
-    trees: tuple[TreeNode, ...]
+    trees: tuple[IsolationTree, ...]
     subsample_size: int
 
     def path_lengths(self, matrix: np.ndarray) -> np.ndarray:
         """Mean isolation depth per row, leaf sizes adjusted by c(size)."""
         matrix = np.asarray(matrix, dtype=float)
-        totals = np.zeros(matrix.shape[0])
-        for root in self.trees:
-            depths = np.empty(matrix.shape[0])
-            stack: list[tuple[TreeNode, np.ndarray, int]] = [
-                (root, np.arange(matrix.shape[0]), 0)
-            ]
-            while stack:
-                node, idx, depth = stack.pop()
-                if idx.size == 0:
-                    continue
-                if node.is_leaf:
-                    depths[idx] = depth + average_path_length(node.size)
-                    continue
-                mask = matrix[idx, node.feature] < node.threshold
-                stack.append((node.left, idx[mask], depth + 1))
-                stack.append((node.right, idx[~mask], depth + 1))
-            totals += depths
+        n, width = matrix.shape
+        values = matrix.ravel()
+        row_start = np.arange(n) * width
+        totals = np.zeros(n)
+        for tree in self.trees:
+            # every row moves down one level per step; leaves hold on to it
+            node = np.zeros(n, dtype=np.intp)
+            for _ in range((self.subsample_size - 1).bit_length()):  # the depth limit
+                below = values.take(row_start + tree.feature.take(node)) < tree.threshold.take(node)
+                node = np.where(below, tree.left.take(node), tree.right.take(node))
+            totals += tree.leaf_depth.take(node)
         return totals / len(self.trees)
 
     def scores(self, matrix: np.ndarray) -> np.ndarray:
@@ -349,16 +353,18 @@ def fit_isolation_forest(
 ) -> IsolationForestModel:
     """Grow the randomized tree ensemble on subsamples of ``matrix``."""
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] == 0:
+    if matrix.ndim != 2 or matrix.size == 0:
         raise InvalidDataError("need a non-empty 2-D matrix")
     n = matrix.shape[0]
     rng = np.random.default_rng(config.seed)
     psi = min(config.subsample_size, n)
-    max_depth = math.ceil(math.log2(psi)) if psi > 1 else 0
+    max_depth = (psi - 1).bit_length()  # ceil(log2(psi)), 0 for one row
+    # one contiguous row per feature: a node's min/max run along memory
+    columns = np.ascontiguousarray(matrix.T)
     trees = []
     for _ in range(config.n_trees):
-        subsample = matrix[rng.choice(n, size=psi, replace=False)]
-        trees.append(_build_tree(subsample, rng, 0, max_depth))
+        sample = columns.take(rng.choice(n, size=psi, replace=False), axis=1)
+        trees.append(_build_tree(sample, rng, max_depth))
     return IsolationForestModel(trees=tuple(trees), subsample_size=psi)
 
 
@@ -391,21 +397,30 @@ def _rows_by_device(records: ObservationTable) -> list[tuple[str, np.ndarray]]:
 
 def flag_anomalies(
     records: ObservationTable, config: IsolationForestConfig
-) -> np.ndarray:
-    """Per-device anomaly flags over all rows, aligned with table order.
+) -> tuple[np.ndarray, dict[str, list[str]]]:
+    """Per-device anomaly flags over all rows, aligned with table order, and
+    the constant feature columns of each device that has any.
 
     Each device gets its own scaler and forest so one node's operating
-    pattern cannot mask another's outliers.  Devices with fewer than two
-    rows are passed through unflagged.
+    pattern cannot mask another's outliers.  A device is screened on its
+    non-constant features only; one with fewer than two rows or no varying
+    feature is passed through unflagged.
     """
     flags = np.zeros(len(records), dtype=bool)
+    constant: dict[str, list[str]] = {}
     for device, idx in _rows_by_device(records):
         if idx.size < 2:
             log.warning("device %s has %d record(s); skipping anomaly screen", device, idx.size)
             continue
-        scaled, _ = standardize(records.take(idx), config.features)
-        flags[idx] = isolation_forest(scaled, config).flags
-    return flags
+        rows = records.take(idx)
+        varying = [name for name in config.features if rows[name].min() < rows[name].max()]
+        if len(varying) < len(config.features):
+            constant[device] = [name for name in config.features if name not in varying]
+            log.warning("device %s has constant feature(s) %s; screening on the others", device, constant[device])
+        if varying:
+            scaled, _ = standardize(rows, varying)
+            flags[idx] = isolation_forest(scaled, config).flags
+    return flags, constant
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +529,7 @@ def run_pipeline(
     sf_filtered = filter_sf(deduped, excluded=excluded_sf)
 
     if_config = IsolationForestConfig(contamination=contamination, seed=seed)
-    flags = flag_anomalies(sf_filtered, if_config)
+    flags, constant = flag_anomalies(sf_filtered, if_config)
     clean = sf_filtered.take(~flags)
 
     split_spec = SplitSpec(test_fraction=test_fraction, seed=seed)
@@ -530,6 +545,8 @@ def run_pipeline(
             "anomalies": flagged[device],
             "pdr": pdr(deduped["f_count"][idx].tolist()),
         }
+        if device in constant:
+            per_device[device]["constant_features"] = constant[device]
 
     reasons = Counter(rejection.reason for rejection in ingested.rejections)
 

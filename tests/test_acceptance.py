@@ -191,7 +191,7 @@ def test_a7_pipeline_determinism(tmp_path):
 
         # the anomaly screen flags exactly round(0.01 * N) rows
         survivors = filter_sf(deduped)
-        flags = flag_anomalies(survivors, IsolationForestConfig(contamination=0.01, seed=42))
+        flags, _ = flag_anomalies(survivors, IsolationForestConfig(contamination=0.01, seed=42))
         assert int(flags.sum()) == round(0.01 * len(survivors)) == 100
 
         # and the single-matrix operation obeys the same exact-count contract

@@ -1,12 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from loraprop.cli import main
 from loraprop.pipeline import run_pipeline, write_records_csv
 from loraprop.propagation import ModelVariant, PathLossModel, save_model
 
-from helpers import concat, make_table, synth_dataset
+from helpers import concat, make_table, replace_columns, synth_dataset
 
 SUBCOMMANDS = [
     "airtime",
@@ -251,6 +252,24 @@ class TestPipelineCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["rejections_by_reason"] == {"bad-time": 1}
         assert manifest["counts"]["ingested"] == len(data.records) - 1
+
+    def test_device_with_a_constant_sensor_column_is_screened_on_the_others(
+        self, capsys, tmp_path, caplog
+    ):
+        data = synth_dataset(rows_per_device=80, seed=21, duplicates_per_device=0)
+        records = data.records
+        pm25 = np.where(records["device_id"] == "dev2", 5.0, records["pm25"])
+        raw = tmp_path / "raw.csv"
+        write_records_csv(replace_columns(records, pm25=pm25), raw)
+        out = tmp_path / "out"
+        argv = ["pipeline", "run", "--input", str(raw), "--out-dir", str(out),
+                "--contamination", "0.05"]
+        assert main(argv) == 0
+        per_device = json.loads((out / "manifest.json").read_text())["per_device"]
+        assert per_device["dev2"]["constant_features"] == ["pm25"]
+        assert per_device["dev2"]["anomalies"] == round(0.05 * per_device["dev2"]["rows"]) == 4
+        assert all("constant_features" not in per_device[d] for d in per_device if d != "dev2")
+        assert "device dev2 has constant feature(s) ['pm25']" in caplog.text
 
     def test_missing_out_dir_is_domain_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("LORAPROP_OUT_DIR", raising=False)

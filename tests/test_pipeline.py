@@ -1,7 +1,7 @@
 import io
 import json
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -29,7 +29,7 @@ from loraprop.pipeline import (
 )
 from loraprop.records import CSV_COLUMNS, MAX_DEVICE_ID_CHARS
 
-from helpers import make_table, record_keys, rows_of
+from helpers import make_table, record_keys, replace_columns, rows_of
 
 HEADER = ",".join(CSV_COLUMNS)
 GOOD_ROW = (
@@ -309,16 +309,27 @@ class TestIsolationForest:
                 return 1.0
             return 2.0 * (math.log(n - 1) + 0.5772156649015329) - 2.0 * (n - 1) / n
 
-        def walk(node, x):
-            depth = 0
-            while not node.is_leaf:
-                node = node.left if x[node.feature] < node.threshold else node.right
+        def leaf_of(tree, x):
+            """Walk the flat node arrays by hand; returns (leaf, depth)."""
+            node, depth = 0, 0
+            while tree.left[node] != node:
+                node = tree.left[node] if x[tree.feature[node]] < tree.threshold[node] else tree.right[node]
                 depth += 1
-            return depth + c(node.size)
+            return node, depth
+
+        # psi equals the row count, so each tree was grown on every row: a
+        # leaf's training size is the number of rows that reach it, counted
+        # here rather than read back from the tree
+        assert model.subsample_size == len(matrix)
+        leaf_sizes = [Counter(leaf_of(tree, x)[0] for x in matrix) for tree in model.trees]
+
+        def walk(tree, sizes, x):
+            leaf, depth = leaf_of(tree, x)
+            return depth + c(sizes[leaf])
 
         expected = []
         for x in matrix:
-            mean_depth = np.mean([walk(root, x) for root in model.trees])
+            mean_depth = np.mean([walk(t, s, x) for t, s in zip(model.trees, leaf_sizes)])
             expected.append(2.0 ** (-mean_depth / c(model.subsample_size)))
         np.testing.assert_allclose(model.scores(matrix), expected, atol=1e-12)
         assert int(np.argmax(model.scores(matrix))) == len(matrix) - 1
@@ -345,6 +356,10 @@ class TestIsolationForest:
         np.testing.assert_array_equal(a.flags, b.flags)
         np.testing.assert_array_equal(a.scores, b.scores)
 
+    def test_matrix_without_columns_rejected(self):
+        with pytest.raises(InvalidDataError, match="non-empty"):
+            isolation_forest(np.zeros((5, 0)), IsolationForestConfig())
+
     def test_average_path_length_values(self):
         assert average_path_length(1) == 0.0
         assert average_path_length(2) == 1.0
@@ -355,12 +370,42 @@ class TestIsolationForest:
     def test_per_device_flag_counts(self, small_synth):
         clean = small_synth.clean
         config = IsolationForestConfig(contamination=0.05, seed=42)
-        flags = flag_anomalies(clean, config)
+        flags, constant = flag_anomalies(clean, config)
+        assert constant == {}
         devices = clean["device_id"]
         for device in set(devices.tolist()):
             n_dev = int(np.sum(devices == device))
             flagged = int(np.sum(flags & (devices == device)))
             assert flagged == round(0.05 * n_dev)
+
+
+    def test_constant_feature_screened_on_the_others(self, small_synth, caplog):
+        clean = small_synth.clean
+        config = IsolationForestConfig(contamination=0.05, seed=42)
+        devices = clean["device_id"]
+        mine = devices == "dev1"
+        flat = replace_columns(clean, pm25=np.where(mine, 5.0, clean["pm25"]))
+        flags, constant = flag_anomalies(flat, config)
+        assert constant == {"dev1": ["pm25"]}
+        assert "device dev1 has constant feature(s) ['pm25']" in caplog.text
+        assert int(flags[mine].sum()) == round(0.05 * int(mine.sum()))
+        # the device is screened as if pm25 were not among its features
+        varying = tuple(name for name in config.features if name != "pm25")
+        scaled, _ = standardize(flat.take(mine), varying)
+        np.testing.assert_array_equal(flags[mine], isolation_forest(scaled, config).flags)
+        # and every other device as before
+        unchanged, _ = flag_anomalies(clean, config)
+        np.testing.assert_array_equal(flags[~mine], unchanged[~mine])
+
+    def test_device_without_a_varying_feature_passes_unflagged(self, small_synth):
+        clean = small_synth.clean
+        config = IsolationForestConfig(contamination=0.05, seed=42)
+        mine = clean["device_id"] == "dev3"
+        frozen = {name: np.where(mine, 1.0, clean[name]) for name in config.features}
+        flags, constant = flag_anomalies(replace_columns(clean, **frozen), config)
+        assert constant == {"dev3": list(config.features)}
+        assert not flags[mine].any()
+        assert int(flags[~mine].sum()) > 0
 
 
 class TestSplit:

@@ -88,3 +88,23 @@ def test_benchmark_library_calls_run(tmp_path):
     errors = standard_errors(report, records)
     assert errors.shape == report.params.shape
     assert np.all(np.isfinite(errors))
+
+
+def test_isolation_forest_builds_through_the_module_attribute(monkeypatch):
+    """``isolation_forest`` must look ``fit_isolation_forest`` up at call time,
+    so the traced run can time the forest build apart from the scoring
+    (``pipeline.fit_isolation_forest.s`` vs ``pipeline.isolation_forest.self_s``)."""
+    from loraprop import pipeline
+
+    calls = []
+    build = pipeline.fit_isolation_forest
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_isolation_forest", wrapper)
+    matrix = np.random.default_rng(0).normal(size=(50, 3))
+    result = pipeline.isolation_forest(matrix, pipeline.IsolationForestConfig(n_trees=5))
+    assert len(calls) == 1
+    assert result.scores.shape == (50,)
