@@ -328,9 +328,9 @@ class IsolationForestModel:
         row_start = np.arange(n) * width
         totals = np.zeros(n)
         for tree in self.trees:
-            # every row moves down one level per step; leaves hold on to it
+            # one level per step; a leaf keeps its rows, and the depth limit bounds the steps
             node = np.zeros(n, dtype=np.intp)
-            for _ in range((self.subsample_size - 1).bit_length()):  # the depth limit
+            for _ in range((self.subsample_size - 1).bit_length()):
                 below = values.take(row_start + tree.feature.take(node)) < tree.threshold.take(node)
                 node = np.where(below, tree.left.take(node), tree.right.take(node))
             totals += tree.leaf_depth.take(node)
