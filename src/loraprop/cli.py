@@ -28,7 +28,7 @@ from .adr import AdrState, adr_step, record_snr, snr_margin
 from .errors import LorapropError
 from .evaluation import cross_validate, evaluate_model
 from .fitting import FitConfig, fit
-from .jsonio import config_digest, write_json
+from .jsonio import atomic_write, config_digest, write_json
 from .link_budget import (
     DEFAULT_LINK_BUDGET,
     esp,
@@ -276,7 +276,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with atomic_write(args.out) as handle:
+            handle.write(text)
         manifest_path = _sibling_manifest(args.out)
     else:
         sys.stdout.write(text)

@@ -14,6 +14,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidConfigError, InvalidDataError, LorapropError
-from .jsonio import config_digest, write_json
+from .jsonio import atomic_write, config_digest, write_json
 from .link_budget import DEFAULT_LINK_BUDGET, LinkBudgetParams, esp, noise_power
 from .metrics import pdr
 from .records import (
@@ -72,6 +73,11 @@ def ingest(source: str | Path | TextIO) -> IngestResult:
     return _ingest_stream(source)
 
 
+#: Parsed rows :func:`ingest` holds before moving them into its column buffers.
+_INGEST_BLOCK = 4096
+_EPOCH, _MICROSECOND = datetime(1970, 1, 1), timedelta(microseconds=1)
+
+
 def _ingest_stream(stream: TextIO) -> IngestResult:
     reader = csv.reader(stream)
     try:
@@ -80,10 +86,20 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
         raise InvalidDataError("malformed header: empty input") from None
     if tuple(header) != CSV_COLUMNS:
         raise InvalidDataError(f"malformed header: expected {list(CSV_COLUMNS)}, got {header}")
-    # one buffer per column, typed arrays for the numeric ones, which the
-    # table then takes without a copy: no row outlives its parse as objects
-    buffers = [[] if d.kind in "MU" else array(d.char) for d in COLUMN_DTYPES.values()]
-    appends = [buffer.append for buffer in buffers]
+    # one buffer per column, typed arrays for all but the ids (times as
+    # microseconds since the epoch), which the table then takes without a
+    # copy; parsed rows wait in a bounded block, moved in column by column
+    buffers = [[] if d.kind == "U" else array("q" if d.kind == "M" else d.char) for d in COLUMN_DTYPES.values()]
+    block: list[tuple] = []
+
+    def flush() -> None:
+        times, devices, *numbers = zip(*block)
+        buffers[0].fromlist([(when - _EPOCH) // _MICROSECOND for when in times])
+        buffers[1].extend(devices)
+        for buffer, column in zip(buffers[2:], numbers):
+            buffer.fromlist(list(column))
+        block.clear()
+
     rejections: list[Rejection] = []
     rows = 0
     for line, row in enumerate(reader, start=1):
@@ -91,14 +107,17 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
             continue
         rows += 1
         try:
-            values = parse_row(row)
+            block.append(parse_row(row))
         except LorapropError as exc:
             reason = str(exc).split(":", 1)[0]
             rejections.append(Rejection(line=line, reason=reason))
             log.debug("rejected row %d: %s", line, exc)
             continue
-        for append, value in zip(appends, values):
-            append(value)
+        if len(block) == _INGEST_BLOCK:
+            flush()
+    if block:
+        flush()
+    buffers[0] = np.asarray(buffers[0]).view(COLUMN_DTYPES["time"])
     records = ObservationTable(dict(zip(CSV_COLUMNS, buffers)))
     result = IngestResult(records=records, rejections=rejections, rows_read=rows)
     log.info(
@@ -353,12 +372,13 @@ def fit_isolation_forest(
 ) -> IsolationForestModel:
     """Grow the randomized tree ensemble on subsamples of ``matrix``."""
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.size == 0:
-        raise InvalidDataError("need a non-empty 2-D matrix")
+    # one row would make psi = 1, whose score normaliser c(1) is 0
+    if matrix.ndim != 2 or matrix.size == 0 or len(matrix) < 2:
+        raise InvalidDataError("need a non-empty 2-D matrix with at least two rows")
     n = matrix.shape[0]
     rng = np.random.default_rng(config.seed)
     psi = min(config.subsample_size, n)
-    max_depth = (psi - 1).bit_length()  # ceil(log2(psi)), 0 for one row
+    max_depth = (psi - 1).bit_length()  # ceil(log2(psi))
     # one contiguous row per feature: a node's min/max run along memory
     columns = np.ascontiguousarray(matrix.T)
     trees = []
@@ -496,8 +516,8 @@ class PipelineResult:
 
 
 def write_records_csv(records: ObservationTable, path: str | Path) -> None:
-    """Write a table in the canonical column order and float formatting."""
-    with open(path, "w", newline="") as handle:
+    """Write a table in the canonical column order and float formatting, atomically."""
+    with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in records.rows():

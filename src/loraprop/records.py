@@ -129,6 +129,31 @@ def parse_row(values: list[str]) -> tuple:
     :data:`MAX_DEVICE_ID_CHARS` or holds a NUL), ``non-finite`` or a range violation (SF, distance,
     wall counts, frequency).
     """
+    # fast path: a row that converts whole and passes every check at once;
+    # any other row takes the per-cell checks, the one source of reasons
+    try:
+        when = datetime.fromisoformat(values[0])
+        (co2, humidity, pm25, pressure, temperature, rssi, snr, sf, frequency, f_count, p_count,
+         toa, distance, c_walls, w_walls, exp_pl, n_power, esp) = numbers = [*map(float, values[2:])]
+    except (ValueError, IndexError):
+        return _parse_row_checked(values)
+    device = values[1].strip()
+    if (
+        when.tzinfo is None and 0 < len(device) <= MAX_DEVICE_ID_CHARS and "\0" not in device
+        and math.isfinite(sum(numbers)) and sf.is_integer() and 7 <= sf <= 12
+        and f_count.is_integer() and -(2**63) <= f_count < 2**63
+        and p_count.is_integer() and -(2**63) <= p_count < 2**63
+        and c_walls.is_integer() and 0 <= c_walls < 2**63
+        and w_walls.is_integer() and 0 <= w_walls < 2**63 and distance > 0 and frequency > 0
+    ):
+        return (when, device, co2, humidity, pm25, pressure, temperature, rssi, snr, int(sf),
+                frequency, int(f_count), int(p_count), toa, distance, int(c_walls),
+                int(w_walls), exp_pl, n_power, esp)
+    return _parse_row_checked(values)
+
+
+def _parse_row_checked(values: list[str]) -> tuple:
+    """:func:`parse_row` one cell at a time, raising on the first fault."""
     if len(values) != len(CSV_COLUMNS):
         raise InvalidDataError(
             f"wrong-field-count: expected {len(CSV_COLUMNS)}, got {len(values)}"

@@ -29,6 +29,16 @@ def small_synth_csv(small_synth, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="session")
+def a7_corpus(tmp_path_factory):
+    """The A7 corpus (10k rows from five devices, 25 injected duplicates,
+    SF 7-10) and its CSV, built once for every test that reads it."""
+    data = synth_dataset(rows_per_device=2000, seed=7, duplicates_per_device=5, sf_cycle=(7, 8, 9, 10))
+    path = tmp_path_factory.mktemp("a7") / "a7.csv"
+    write_records_csv(data.records, path)
+    return data, path
+
+
 def dataset_path() -> Path | None:
     """Location of the published measurement CSV, if the user provided one."""
     candidate = os.environ.get("LORAPROP_DATASET")

@@ -33,12 +33,11 @@ from loraprop.pipeline import (
     ingest,
     isolation_forest,
     run_pipeline,
-    write_records_csv,
 )
 from loraprop.propagation import ModelVariant, ShadowingSpec, sample_shadowing, shadowing_pdf
 
 from conftest import dataset_path
-from helpers import mw_observations, record_keys, synth_dataset
+from helpers import mw_observations, record_keys
 
 needs_dataset = pytest.mark.dataset
 
@@ -162,14 +161,10 @@ def test_a6_adr():
     verdict("A6 ADR margin + clamp walk", body)
 
 
-def test_a7_pipeline_determinism(tmp_path):
+def test_a7_pipeline_determinism(tmp_path, a7_corpus):
     def body():
-        data = synth_dataset(
-            rows_per_device=2000, seed=7, duplicates_per_device=5, sf_cycle=(7, 8, 9, 10)
-        )
+        data, raw = a7_corpus
         assert len(data.clean) == 10_000
-        raw = tmp_path / "synthetic.csv"
-        write_records_csv(data.records, raw)
 
         out = tmp_path / "out"
         run_pipeline(raw, out, seed=42, contamination=0.01)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -48,12 +49,9 @@ def _digests(directory: Path, names) -> dict[str, str]:
 
 
 @pytest.fixture(scope="module")
-def a7_run(tmp_path_factory):
+def a7_run(tmp_path_factory, a7_corpus):
     root = tmp_path_factory.mktemp("a7")
-    data = synth_dataset(
-        rows_per_device=2000, seed=7, duplicates_per_device=5, sf_cycle=(7, 8, 9, 10)
-    )
-    write_records_csv(data.records, root / "a7.csv")
+    shutil.copyfile(a7_corpus[1], root / "a7.csv")
     with _cwd(root):
         run_pipeline("a7.csv", "out", seed=42, contamination=0.01)
     return root

@@ -26,10 +26,7 @@ from loraprop.pipeline import (
     ingest,
     isolation_forest,
     standardize,
-    write_records_csv,
 )
-
-from helpers import synth_dataset
 
 
 @dataclass(frozen=True)
@@ -155,13 +152,9 @@ def test_tied_values_and_a_constant_column(seed):
     assert_same_as_reference(matrix, IsolationForestConfig(n_trees=25, contamination=0.05, seed=seed))
 
 
-def test_every_device_of_the_a7_corpus(tmp_path):
+def test_every_device_of_the_a7_corpus(a7_corpus):
     """Each device's standardised features as ``pipeline run`` screens them."""
-    data = synth_dataset(
-        rows_per_device=2000, seed=7, duplicates_per_device=5, sf_cycle=(7, 8, 9, 10)
-    )
-    write_records_csv(data.records, tmp_path / "a7.csv")
-    screened = filter_sf(dedup_retransmissions(ingest(tmp_path / "a7.csv").records))
+    screened = filter_sf(dedup_retransmissions(ingest(a7_corpus[1]).records))
     config = IsolationForestConfig(contamination=0.01, seed=42)
     devices = _rows_by_device(screened)
     assert len(devices) == 5

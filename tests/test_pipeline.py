@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 from collections import Counter, namedtuple
 from datetime import datetime, timedelta
 
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loraprop import pipeline
 from loraprop.errors import InvalidDataError
+from loraprop.jsonio import write_json
 from loraprop.pipeline import (
     IsolationForestConfig,
     SplitSpec,
@@ -27,7 +30,7 @@ from loraprop.pipeline import (
     standardize,
     write_records_csv,
 )
-from loraprop.records import CSV_COLUMNS, MAX_DEVICE_ID_CHARS
+from loraprop.records import CSV_COLUMNS, MAX_DEVICE_ID_CHARS, format_row
 
 from helpers import make_table, record_keys, replace_columns, rows_of
 
@@ -360,6 +363,12 @@ class TestIsolationForest:
         with pytest.raises(InvalidDataError, match="non-empty"):
             isolation_forest(np.zeros((5, 0)), IsolationForestConfig())
 
+    def test_matrix_with_one_row_rejected(self):
+        # one row gives psi = 1, whose normaliser c(1) = 0 made the score NaN
+        for call in (fit_isolation_forest, isolation_forest):
+            with pytest.raises(InvalidDataError, match="at least two rows"):
+                call(np.zeros((1, 3)), IsolationForestConfig())
+
     def test_average_path_length_values(self):
         assert average_path_length(1) == 0.0
         assert average_path_length(2) == 1.0
@@ -494,3 +503,45 @@ class TestRunPipeline:
         run_pipeline(small_synth_csv, out_b, seed=42, contamination=0.05)
         for name in ("cleaned.csv", "train.csv", "test.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+class TestAtomicWrites:
+    def test_failed_csv_rewrite_keeps_the_old_file(self, small_synth, tmp_path, monkeypatch):
+        path = tmp_path / "cleaned.csv"
+        write_records_csv(small_synth.records.take(slice(0, 3)), path)
+        old = path.read_bytes()
+        calls = []
+
+        def failing_format_row(values):
+            calls.append(values)
+            if len(calls) == 50:
+                raise RuntimeError("disk full")
+            return format_row(values)
+
+        monkeypatch.setattr(pipeline, "format_row", failing_format_row)
+        with pytest.raises(RuntimeError, match="disk full"):
+            write_records_csv(small_synth.records, path)
+        assert len(calls) == 50
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["cleaned.csv"]
+
+    def test_failed_json_replace_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "manifest.json"
+        write_json(path, {"run": 1})
+        old = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            write_json(path, {"run": 2})
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+    def test_new_files_are_written_whole(self, small_synth, tmp_path):
+        write_json(tmp_path / "a.json", {"b": [1, 2], "a": None})
+        assert (tmp_path / "a.json").read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    2\n  ]\n}\n'
+        write_records_csv(small_synth.records, tmp_path / "a.csv")
+        assert len(ingest(tmp_path / "a.csv").records) == len(small_synth.records)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.json"]
