@@ -87,9 +87,10 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
     if tuple(header) != CSV_COLUMNS:
         raise InvalidDataError(f"malformed header: expected {list(CSV_COLUMNS)}, got {header}")
     # one buffer per column, typed arrays for all but the ids (times as
-    # microseconds since the epoch), which the table then takes without a
-    # copy; parsed rows wait in a bounded block, moved in column by column
-    buffers = [[] if d.kind == "U" else array("q" if d.kind == "M" else d.char) for d in COLUMN_DTYPES.values()]
+    # microseconds since the epoch); parsed rows wait in a bounded block,
+    # moved in column by column
+    buffers = [[] if d.kind == "U" else array("q" if d.kind == "M" else d.char)
+               for d in COLUMN_DTYPES.values()]
     block: list[tuple] = []
 
     def flush() -> None:
@@ -117,7 +118,9 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
             flush()
     if block:
         flush()
-    buffers[0] = np.asarray(buffers[0]).view(COLUMN_DTYPES["time"])
+    # exact-size copies, a column at a time, so no buffer's growth slack is retained
+    for k, dtype in enumerate(COLUMN_DTYPES.values()):
+        buffers[k] = np.array(buffers[k], dtype)
     records = ObservationTable(dict(zip(CSV_COLUMNS, buffers)))
     result = IngestResult(records=records, rejections=rejections, rows_read=rows)
     log.info(
