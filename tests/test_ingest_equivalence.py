@@ -313,8 +313,10 @@ def test_cells_the_fast_path_must_refuse(cell, column):
     cells = [valid_cell(name, lambda options: options[0]) for name in CSV_COLUMNS]
     cells[CSV_COLUMNS.index(column)] = cell
     assert_same_parse(cells)
-    if column == "co2":
-        # finite values whose sum overflows are still accepted
-        cells[CSV_COLUMNS.index("humidity")] = "1e308"
-        assert_same_parse(cells)
-        assert parse_row(cells)[2] == 1e308
+
+
+def test_finite_values_whose_sum_overflows_are_accepted():
+    cells = [valid_cell(name, lambda options: options[0]) for name in CSV_COLUMNS]
+    cells[CSV_COLUMNS.index("co2")] = cells[CSV_COLUMNS.index("humidity")] = "1e308"
+    assert_same_parse(cells)
+    assert parse_row(cells)[2:4] == (1e308, 1e308)
