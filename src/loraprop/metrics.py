@@ -96,7 +96,9 @@ def pdr(frame_counters: Sequence[int]) -> float:
     """Packet delivery ratio inferred from frame-counter gaps.
 
     ``expected`` spans first to last counter inclusive after unwrapping the
-    16-bit rollover; ``received`` counts distinct counter values, so
+    16-bit rollover, a backward jump of more than half the modulus, and
+    splicing each counter reset (rejoin or reboot), a smaller one, on after
+    the counter before it; ``received`` counts distinct unwrapped values, so
     retransmissions do not inflate the ratio.
     """
     if len(frame_counters) == 0:
@@ -106,7 +108,8 @@ def pdr(frame_counters: Sequence[int]) -> float:
     previous = None
     for counter in frame_counters:
         if previous is not None and counter < previous:
-            offset += FRAME_COUNTER_MODULUS
+            jump = previous - counter
+            offset += FRAME_COUNTER_MODULUS if jump > FRAME_COUNTER_MODULUS // 2 else jump + 1
         unwrapped.append(counter + offset)
         previous = counter
     expected = unwrapped[-1] - unwrapped[0] + 1

@@ -15,6 +15,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import chain
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -305,35 +306,79 @@ def average_path_length(n: int) -> float:
     return 2.0 * (math.log(n - 1.0) + _EULER_GAMMA) - 2.0 * (n - 1.0) / n
 
 
+#: Nodes of at most this many points are split as Python lists of points.
+_SMALL_NODE = 16
+
+
 def _build_tree(sample: np.ndarray, rng: np.random.Generator, max_depth: int) -> IsolationTree:
     """Grow one tree on the F x psi ``sample`` (one row per feature).
 
     Nodes are visited in depth-first preorder, left before right, so the two
     draws of each split come in the order a recursive build makes them;
-    another order would grow other trees from the same seed.
+    another order would grow other trees from the same seed.  The draws are
+    made from raw words exactly as ``rng.integers(k)`` (Lemire's method on
+    buffered 32-bit halves) and ``rng.uniform`` make them.  Values must be finite.
     """
+    bits = rng.bit_generator
+    start = bits.state
+    has_half, half = start["has_uint32"], start["uinteger"]
+    # raw words in blocks of 256, numbered from 1 so that ``used`` counts those taken
+    words = enumerate(chain.from_iterable(iter(lambda: bits.random_raw(256).tolist(), None)), 1)
+    used = 0
     nodes: list[list] = []  # [feature, threshold, left, right, leaf_depth]
-    # (columns reaching the node, its depth, the parent it is the right child of)
-    stack: list[tuple[np.ndarray, int, list | None]] = [(sample, 0, None)]
+    # (points as F x n columns, n point rows or, for a leaf, None; n; depth; the parent it is the right child of)
+    stack: list[tuple] = [(sample, sample.shape[1], 0, None)]
     while stack:
-        block, depth, parent = stack.pop()
+        points, size, depth, parent = stack.pop()
         node = len(nodes)
         if parent is not None:
             parent[3] = node
-        size = block.shape[1]
-        if size > 1 and depth < max_depth:
-            lows = block.min(axis=1).tolist()
-            highs = block.max(axis=1).tolist()
-            splittable = [k for k, (low, high) in enumerate(zip(lows, highs)) if high > low]
+        if points is not None:
+            if type(points) is list:  # a column splits unless all its values are equal
+                columns = list(zip(*points))
+                splittable = [k for k, column in enumerate(columns) if column.count(column[0]) < size]
+            else:
+                lows, highs = points.min(axis=1).tolist(), points.max(axis=1).tolist()
+                splittable = [k for k, (low, high) in enumerate(zip(lows, highs)) if high > low]
             if splittable:
-                split_on = splittable[rng.integers(len(splittable))]
-                cut = rng.uniform(lows[split_on], highs[split_on])
-                below = block[split_on] < cut
+                k, u = len(splittable), 0  # k = 1 takes no draw
+                while k > 1:
+                    if has_half:
+                        has_half, u = 0, half
+                    else:
+                        used, word = next(words)
+                        has_half, u, half = 1, word & 0xFFFFFFFF, word >> 32
+                    if u * k & 0xFFFFFFFF >= (2**32 - k) % k:
+                        break
+                split_on = splittable[u * k >> 32]
+                if type(points) is list:
+                    low, high = min(columns[split_on]), max(columns[split_on])
+                else:
+                    low, high = lows[split_on], highs[split_on]
+                used, word = next(words)
+                cut = low + (high - low) * ((word >> 11) * 2.0**-53)
                 nodes.append([split_on, cut, node + 1, -1, 0.0])
-                stack.append((block.compress(~below, axis=1), depth + 1, nodes[-1]))
-                stack.append((block.compress(below, axis=1), depth + 1, None))
+                if type(points) is list:
+                    sides = [p for p in points if not p[split_on] < cut], [p for p in points if p[split_on] < cut]
+                    n_left = len(sides[1])
+                else:
+                    below = points[split_on] < cut
+                    sides, n_left = (~below, below), int(np.count_nonzero(below))
+                # right child first, so the left one is grown first
+                for side, n, right_of in zip(sides, (size - n_left, n_left), (nodes[-1], None)):
+                    if n <= 1 or depth + 1 >= max_depth:
+                        side = None  # a leaf needs only its size
+                    elif type(side) is not list:
+                        side = points.compress(side, axis=1)
+                        if n <= _SMALL_NODE:
+                            side = side.T.tolist()
+                    stack.append((side, n, depth + 1, right_of))
                 continue
         nodes.append([0, 0.0, node, node, depth + average_path_length(size)])
+    # leave the generator as the per-call draws would: ``used`` words on, a half buffered or not
+    bits.state = start
+    bits.advance(used)
+    bits.state = {**bits.state, "has_uint32": has_half, "uinteger": half}
     return IsolationTree(*(np.array(column) for column in zip(*nodes)))
 
 
@@ -378,6 +423,9 @@ def fit_isolation_forest(
     # one row would make psi = 1, whose score normaliser c(1) is 0
     if matrix.ndim != 2 or matrix.size == 0 or len(matrix) < 2:
         raise InvalidDataError("need a non-empty 2-D matrix with at least two rows")
+    with np.errstate(over="ignore", invalid="ignore"):  # cuts are drawn from column ranges
+        if not np.isfinite(matrix.max(axis=0) - matrix.min(axis=0)).all():
+            raise InvalidDataError("matrix holds a non-finite value or a column range that overflows")
     n = matrix.shape[0]
     rng = np.random.default_rng(config.seed)
     psi = min(config.subsample_size, n)
@@ -427,7 +475,8 @@ def flag_anomalies(
     Each device gets its own scaler and forest so one node's operating
     pattern cannot mask another's outliers.  A device is screened on its
     non-constant features only; one with fewer than two rows or no varying
-    feature is passed through unflagged.
+    feature is passed through unflagged, and one whose spread is not finite
+    and positive (a sum overflows or squares underflow) is left out the same way.
     """
     flags = np.zeros(len(records), dtype=bool)
     constant: dict[str, list[str]] = {}
@@ -440,6 +489,12 @@ def flag_anomalies(
         if len(varying) < len(config.features):
             constant[device] = [name for name in config.features if name not in varying]
             log.warning("device %s has constant feature(s) %s; screening on the others", device, constant[device])
+        with np.errstate(over="ignore", invalid="ignore"):
+            spread = feature_matrix(rows, varying).std(axis=0).tolist()
+        unscalable = [name for name, value in zip(varying, spread) if not 0.0 < value < math.inf]
+        if unscalable:
+            varying = [name for name in varying if name not in unscalable]
+            log.warning("device %s has feature(s) %s that cannot be standardised; screening on the others", device, unscalable)
         if varying:
             scaled, _ = standardize(rows, varying)
             flags[idx] = isolation_forest(scaled, config).flags
@@ -472,6 +527,8 @@ def split(
     rng = np.random.default_rng(spec.seed)
     order = rng.permutation(len(records))
     n_test = int(round(spec.test_fraction * len(records)))
+    if not 0 < n_test < len(records):
+        raise InvalidDataError(f"test fraction {spec.test_fraction} of {len(records)} records leaves one side empty")
     in_test = np.zeros(len(records), dtype=bool)
     in_test[order[:n_test]] = True
     return records.take(~in_test), records.take(in_test)

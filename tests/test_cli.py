@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -270,6 +271,37 @@ class TestPipelineCommand:
         assert per_device["dev2"]["anomalies"] == round(0.05 * per_device["dev2"]["rows"]) == 4
         assert all("constant_features" not in per_device[d] for d in per_device if d != "dev2")
         assert "device dev2 has constant feature(s) ['pm25']" in caplog.text
+
+    def test_feature_whose_mean_overflows_is_left_out_of_the_screen(self, capsys, tmp_path, caplog):
+        # two temperatures of 1.7e308 overflow dev2's mean; the standardised
+        # column used to be all NaN, which no tree can split, so every
+        # output byte is as it was when the column stayed in
+        data = synth_dataset(rows_per_device=80, seed=21, duplicates_per_device=0)
+        records = data.records
+        temperature = records["temperature"].copy()
+        temperature[np.flatnonzero(records["device_id"] == "dev2")[:2]] = 1.7e308
+        raw = tmp_path / "raw.csv"
+        write_records_csv(replace_columns(records, temperature=temperature), raw)
+        out = tmp_path / "out"
+        argv = ["pipeline", "run", "--input", str(raw), "--out-dir", str(out),
+                "--contamination", "0.05"]
+        assert main(argv) == 0
+        digests = {name: hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest()
+                   for name in ("cleaned", "train", "test")}
+        assert digests == {
+            "cleaned": "892c3845da5a25fd87d11dde81e7e601d0d3be373b8c7553bdfc347f28b414f9",
+            "train": "633e5d0fd938883c5778b53a97350bd144aef34c982367592d440a54ada39586",
+            "test": "69e6ac09e7c17d035651c1dfa75f4e3abe38cb58ecb8a1de66f08877c72cbb84",
+        }
+        assert "device dev2 has feature(s) ['temperature'] that cannot be standardised" in caplog.text
+
+    def test_test_fraction_that_empties_a_side_is_domain_error(self, capsys, tmp_path, caplog):
+        raw = tmp_path / "raw.csv"
+        write_records_csv(synth_dataset(rows_per_device=40, seed=2, duplicates_per_device=0).records, raw)
+        argv = ["pipeline", "run", "--input", str(raw), "--out-dir", str(tmp_path / "out"),
+                "--test-fraction", "0.999"]
+        assert main(argv) == 1
+        assert "leaves one side empty" in caplog.text
 
     def test_missing_out_dir_is_domain_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("LORAPROP_OUT_DIR", raising=False)

@@ -133,6 +133,15 @@ class TestPdr:
     def test_nonzero_start(self):
         assert pdr([100, 101, 102]) == 1.0
 
+    def test_counter_reset_starts_a_new_segment(self):
+        # a rejoin or reboot restarts the counter; it is not a 16-bit wrap
+        assert pdr([100, 101, 102, 103, 104, 0, 1, 2, 3, 4]) == 1.0
+        assert pdr([10, 11, 13, 0, 1]) == pytest.approx(5 / 6)
+
+    def test_backward_jump_of_exactly_half_the_modulus_is_a_reset(self):
+        assert pdr([32768, 0, 1]) == 1.0
+        assert pdr([32769, 0, 1]) == pytest.approx(3 / 32769)
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidDataError):
             pdr([])

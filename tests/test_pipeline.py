@@ -369,6 +369,17 @@ class TestIsolationForest:
             with pytest.raises(InvalidDataError, match="at least two rows"):
                 call(np.zeros((1, 3)), IsolationForestConfig())
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "overflowing range"])
+    def test_non_finite_matrix_rejected(self, bad):
+        matrix = np.random.default_rng(0).normal(size=(20, 3))
+        if bad == "overflowing range":
+            matrix[:2, 1] = (-1e308, 1e308)
+        else:
+            matrix[4, 1] = bad
+        for call in (fit_isolation_forest, isolation_forest):
+            with pytest.raises(InvalidDataError, match="non-finite"):
+                call(matrix, IsolationForestConfig(n_trees=3))
+
     def test_average_path_length_values(self):
         assert average_path_length(1) == 0.0
         assert average_path_length(2) == 1.0
@@ -406,6 +417,28 @@ class TestIsolationForest:
         unchanged, _ = flag_anomalies(clean, config)
         np.testing.assert_array_equal(flags[~mine], unchanged[~mine])
 
+    @pytest.mark.parametrize("kind", ["mean overflows", "squares underflow"])
+    def test_feature_that_cannot_be_standardised_is_screened_on_the_others(
+        self, small_synth, caplog, kind
+    ):
+        clean = small_synth.clean
+        config = IsolationForestConfig(contamination=0.05, seed=42)
+        mine = clean["device_id"] == "dev1"
+        if kind == "mean overflows":
+            pm25 = clean["pm25"].copy()
+            pm25[np.flatnonzero(mine)[:2]] = 1.7e308
+        else:  # varies, but its spread is 0.0
+            pm25 = np.where(mine, 1e-170 * (np.arange(len(clean)) % 2), clean["pm25"])
+        odd = replace_columns(clean, pm25=pm25)
+        flags, constant = flag_anomalies(odd, config)
+        assert constant == {}
+        assert "device dev1 has feature(s) ['pm25'] that cannot be standardised" in caplog.text
+        varying = tuple(name for name in config.features if name != "pm25")
+        scaled, _ = standardize(odd.take(mine), varying)
+        np.testing.assert_array_equal(flags[mine], isolation_forest(scaled, config).flags)
+        unchanged, _ = flag_anomalies(clean, config)
+        np.testing.assert_array_equal(flags[~mine], unchanged[~mine])
+
     def test_device_without_a_varying_feature_passes_unflagged(self, small_synth):
         clean = small_synth.clean
         config = IsolationForestConfig(contamination=0.05, seed=42)
@@ -439,6 +472,11 @@ class TestSplit:
         train, test = split(small_synth.clean, SplitSpec(seed=3))
         assert record_keys(train) | record_keys(test) == record_keys(small_synth.clean)
         assert not (record_keys(train) & record_keys(test))
+
+    @pytest.mark.parametrize("n, fraction", [(199, 0.999), (2, 0.2)])
+    def test_empty_side_rejected(self, n, fraction):
+        with pytest.raises(InvalidDataError, match="leaves one side empty"):
+            split(make_table(f_count=range(n)), SplitSpec(test_fraction=fraction))
 
     def test_daily_distribution_sums_to_100(self, small_synth):
         shares = daily_distribution(small_synth.clean)
