@@ -126,7 +126,7 @@ def cmd_airtime(args: argparse.Namespace) -> int:
 
 def cmd_duty_cycle(args: argparse.Namespace) -> int:
     schedule = []
-    with open(args.schedule) as handle:
+    with open(args.schedule, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -190,7 +190,7 @@ def cmd_adr_sim(args: argparse.Namespace) -> int:
         min_sf=args.min_sf,
         history_capacity=args.history,
     )
-    with open(args.trace) as handle:
+    with open(args.trace, encoding="utf-8") as handle:
         try:
             values = [float(line) for line in handle if line.strip()]
         except ValueError as exc:
@@ -319,7 +319,7 @@ def cmd_pipeline_run(args: argparse.Namespace) -> int:
 def _fit_config_from_file(path: str | None) -> FitConfig:
     if path is None:
         return FitConfig()
-    raw = json.loads(Path(path).read_text())
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
         if "initial_params" in raw and raw["initial_params"] is not None:
             raw["initial_params"] = tuple(float(v) for v in raw["initial_params"])

@@ -12,10 +12,10 @@ from typing import Iterator, TextIO
 
 @contextmanager
 def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
-    """A text handle on a new file beside ``path`` that replaces ``path`` when
+    """A UTF-8 text handle on a new file beside ``path`` that replaces ``path`` when
     the block completes; on an exception the new file is removed instead."""
     temp = Path(path).with_name(f".{Path(path).name}.{os.urandom(6).hex()}.tmp")
-    handle = open(temp, "x", newline=newline)
+    handle = open(temp, "x", newline=newline, encoding="utf-8")
     try:
         with handle:
             yield handle

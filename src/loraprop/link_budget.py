@@ -137,7 +137,7 @@ def load_thresholds(path: str | Path) -> dict[int, SfThreshold]:
 
     Expected shape: ``{"7": {"snr_req_db": -7.5, "sensitivity_dbm": -123}, ...}``.
     """
-    raw = json.loads(Path(path).read_text())
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
     table: dict[int, SfThreshold] = {}
     try:
         for key, row in raw.items():
@@ -154,7 +154,7 @@ def load_thresholds(path: str | Path) -> dict[int, SfThreshold]:
 
 def load_link_budget(path: str | Path) -> LinkBudgetParams:
     """Read link-budget parameters from a JSON file keyed by field name."""
-    raw = json.loads(Path(path).read_text())
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
     try:
         return LinkBudgetParams(**{k: float(v) for k, v in raw.items()})
     except InvalidConfigError:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import chain
 from pathlib import Path
-from typing import Sequence, TextIO
+from types import SimpleNamespace
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -69,7 +70,7 @@ def ingest(source: str | Path | TextIO) -> IngestResult:
     violations are rejected and logged individually with a reason.
     """
     if isinstance(source, (str, Path)):
-        with open(source, newline="") as handle:
+        with open(source, newline="", encoding="utf-8-sig") as handle:
             return _ingest_stream(handle)
     return _ingest_stream(source)
 
@@ -242,16 +243,24 @@ def standardize(
     records: ObservationTable, features: Sequence[str] = FEATURE_FIELDS
 ) -> tuple[np.ndarray, FeatureScaler]:
     """Z-score the feature columns; returns the scaled matrix and the
-    transform parameters for reuse on held-out data."""
+    transform parameters for reuse on held-out data.
+
+    A constant feature is a ``zero-variance`` error; so is, under its own
+    reason, a varying one whose spread is not finite and positive (a sum
+    overflows or the squares underflow).
+    """
     if len(records) < 2:
         raise InvalidDataError("standardize needs at least two records")
     raw = feature_matrix(records, features)
-    mean = raw.mean(axis=0)
-    std = raw.std(axis=0)
-    flat = np.nonzero(std == 0)[0]
-    if flat.size:
-        names = [features[i] for i in flat]
-        raise InvalidDataError(f"zero-variance feature(s): {names}")
+    flat = [name for name, low, high in zip(features, raw.min(axis=0), raw.max(axis=0)) if low == high]
+    if flat:
+        raise InvalidDataError(f"zero-variance feature(s): {flat}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = raw.mean(axis=0)
+        std = raw.std(axis=0)
+    unscalable = [name for name, value in zip(features, std.tolist()) if not 0.0 < value < math.inf]
+    if unscalable:
+        raise InvalidDataError(f"feature(s) {unscalable} vary but their spread overflows or underflows")
     scaler = FeatureScaler(features=tuple(features), mean=mean, std=std)
     return scaler.transform(raw), scaler
 
@@ -518,10 +527,9 @@ class SplitSpec:
             raise InvalidConfigError("folds must be >= 2")
 
 
-def split(
-    records: ObservationTable, spec: SplitSpec
-) -> tuple[ObservationTable, ObservationTable]:
-    """Uniform random train/test partition, deterministic per seed, in table order."""
+def split(records: ObservationTable, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform random train/test partition, deterministic per seed: the
+    sorted row indices ``(train_index, test_index)``."""
     if len(records) < 2:
         raise InvalidDataError("need at least two records to split")
     rng = np.random.default_rng(spec.seed)
@@ -529,9 +537,7 @@ def split(
     n_test = int(round(spec.test_fraction * len(records)))
     if not 0 < n_test < len(records):
         raise InvalidDataError(f"test fraction {spec.test_fraction} of {len(records)} records leaves one side empty")
-    in_test = np.zeros(len(records), dtype=bool)
-    in_test[order[:n_test]] = True
-    return records.take(~in_test), records.take(in_test)
+    return np.sort(order[n_test:]), np.sort(order[:n_test])
 
 
 def daily_distribution(records: ObservationTable) -> dict[str, float]:
@@ -575,13 +581,21 @@ class PipelineResult:
     manifest: dict
 
 
-def write_records_csv(records: ObservationTable, path: str | Path) -> None:
-    """Write a table in the canonical column order and float formatting, atomically."""
+def csv_lines(records: ObservationTable) -> list[str]:
+    """One ``\\n``-terminated CSV line per row, no header, in the canonical
+    column order and float formatting."""
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
+        map(format_row, records.rows())
+    )
+    return lines
+
+
+def write_records_csv(lines: Iterable[str], path: str | Path) -> None:
+    """Write the header and the given :func:`csv_lines` lines, atomically."""
     with atomic_write(path, newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in records.rows():
-            writer.writerow(format_row(row))
+        handle.write(",".join(CSV_COLUMNS) + "\n")
+        handle.writelines(lines)
 
 
 def run_pipeline(
@@ -613,7 +627,8 @@ def run_pipeline(
     clean = sf_filtered.take(~flags)
 
     split_spec = SplitSpec(test_fraction=test_fraction, seed=seed)
-    train, test = split(clean, split_spec)
+    train_index, test_index = split(clean, split_spec)
+    train, test = clean.take(train_index), clean.take(test_index)
 
     flagged = Counter(sf_filtered["device_id"][flags].tolist())
     per_device: dict[str, dict] = {}
@@ -641,9 +656,15 @@ def run_pipeline(
         "subsample_size": if_config.subsample_size,
     }
 
-    outputs = {"cleaned": clean, "train": train, "test": test}
-    for name, table in outputs.items():
-        write_records_csv(table, out / f"{name}.csv")
+    # each cleaned row is formatted once; train and test partition its lines
+    lines = csv_lines(clean)
+    outputs = {
+        "cleaned": lines,
+        "train": [lines[i] for i in train_index.tolist()],
+        "test": [lines[i] for i in test_index.tolist()],
+    }
+    for name, rows in outputs.items():
+        write_records_csv(rows, out / f"{name}.csv")
 
     manifest = {
         "command": "pipeline run",

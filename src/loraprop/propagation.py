@@ -427,4 +427,4 @@ def save_model(model: PathLossModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> PathLossModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -201,19 +201,9 @@ def format_row(values: Sequence) -> list[str]:
     """Serialise one row's typed values (as :func:`parse_row` returns them)
     back to CSV cell strings, canonically.
 
-    Floats use ``repr`` (shortest round-trip form) so re-serialising an
-    unchanged row is byte-stable.
+    The time keeps sub-second precision only when the row carries it; ints
+    are their digits and floats their ``repr`` (``str`` of a float is its
+    shortest round-trip form), so re-serialising an unchanged row is
+    byte-stable.
     """
-    cells: list[str] = []
-    for column, value in zip(CSV_COLUMNS, values):
-        if column == "time":
-            # identical to the declared format for whole seconds, and keeps
-            # sub-second precision when a row carries it
-            cells.append(value.isoformat(sep=" "))
-        elif column == "device_id":
-            cells.append(value)
-        elif column in _INT_COLUMNS:
-            cells.append(str(value))
-        else:
-            cells.append(repr(value))
-    return cells
+    return [values[0].isoformat(sep=" "), values[1], *map(str, values[2:])]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from loraprop.pipeline import write_records_csv
+from loraprop.pipeline import csv_lines, write_records_csv
 
 from helpers import synth_dataset
 
@@ -25,7 +25,7 @@ def small_synth():
 @pytest.fixture(scope="session")
 def small_synth_csv(small_synth, tmp_path_factory):
     path = tmp_path_factory.mktemp("synth") / "synth.csv"
-    write_records_csv(small_synth.records, path)
+    write_records_csv(csv_lines(small_synth.records), path)
     return path
 
 
@@ -35,7 +35,7 @@ def a7_corpus(tmp_path_factory):
     SF 7-10) and its CSV, built once for every test that reads it."""
     data = synth_dataset(rows_per_device=2000, seed=7, duplicates_per_device=5, sf_cycle=(7, 8, 9, 10))
     path = tmp_path_factory.mktemp("a7") / "a7.csv"
-    write_records_csv(data.records, path)
+    write_records_csv(csv_lines(data.records), path)
     return data, path
 
 

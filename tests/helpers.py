@@ -8,8 +8,10 @@ gaps and injected retransmission duplicates.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from loraprop.propagation import (
     WallCounts,
     predict_mw_ep,
 )
-from loraprop.records import CSV_COLUMNS, ObservationTable
+from loraprop.records import _INT_COLUMNS, CSV_COLUMNS, ObservationTable
 
 #: Ground-truth extended model used by synthetic datasets (arbitrary but
 #: plausible magnitudes; negative covariate slopes like the fitted ones).
@@ -124,6 +126,34 @@ class SynthDataset:
 
 def _key(row: dict) -> tuple:
     return (row["device_id"], row["time"], row["f_count"])
+
+
+def reference_format_row(values) -> list[str]:
+    """The per-column ``records.format_row`` that the single-expression one
+    replaced, kept verbatim as the reference for its cells."""
+    cells: list[str] = []
+    for column, value in zip(CSV_COLUMNS, values):
+        if column == "time":
+            # identical to the declared format for whole seconds, and keeps
+            # sub-second precision when a row carries it
+            cells.append(value.isoformat(sep=" "))
+        elif column == "device_id":
+            cells.append(value)
+        elif column in _INT_COLUMNS:
+            cells.append(str(value))
+        else:
+            cells.append(repr(value))
+    return cells
+
+
+def write_reference_csv(table: ObservationTable, path: Path) -> None:
+    """A table written row by row with :func:`reference_format_row`, the way
+    ``write_records_csv`` wrote one before it took prepared lines."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for row in table.rows():
+            writer.writerow(reference_format_row(row))
 
 
 def record_keys(table: ObservationTable) -> set[tuple]:

@@ -26,7 +26,7 @@ import pytest
 
 from loraprop.cli import main
 from loraprop.fitting import fit
-from loraprop.pipeline import ingest, run_pipeline, write_records_csv
+from loraprop.pipeline import csv_lines, ingest, run_pipeline, write_records_csv
 from loraprop.propagation import ModelVariant
 
 from helpers import replace_columns, synth_dataset
@@ -82,7 +82,7 @@ _SMALL_BAD_ROWS = (
 def small_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("small")
     raw = root / "small.csv"
-    write_records_csv(_small_corpus_records(), raw)
+    write_records_csv(csv_lines(_small_corpus_records()), raw)
     with open(raw, "a") as handle:
         handle.write("\n".join(_SMALL_BAD_ROWS) + "\n")
     with _cwd(root):

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loraprop
 from loraprop.cli import main
-from loraprop.pipeline import run_pipeline, write_records_csv
+from loraprop.pipeline import csv_lines, run_pipeline, write_records_csv
 from loraprop.propagation import ModelVariant, PathLossModel, save_model
 
 from helpers import concat, make_table, replace_columns, synth_dataset
@@ -203,7 +208,7 @@ def cleaned_csv(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_data")
     raw = root / "raw.csv"
     data = synth_dataset(rows_per_device=120, seed=13, duplicates_per_device=2)
-    write_records_csv(data.records, raw)
+    write_records_csv(csv_lines(data.records), raw)
     out = root / "out"
     run_pipeline(raw, out, seed=42, contamination=0.05)
     return out / "cleaned.csv"
@@ -213,7 +218,7 @@ class TestPipelineCommand:
     def test_run_and_rerun_byte_identical(self, capsys, tmp_path):
         raw = tmp_path / "raw.csv"
         data = synth_dataset(rows_per_device=80, seed=21, duplicates_per_device=1)
-        write_records_csv(data.records, raw)
+        write_records_csv(csv_lines(data.records), raw)
         out = tmp_path / "out"
         argv = [
             "pipeline", "run",
@@ -232,7 +237,7 @@ class TestPipelineCommand:
     def test_out_dir_env_override(self, capsys, tmp_path, monkeypatch):
         raw = tmp_path / "raw.csv"
         data = synth_dataset(rows_per_device=60, seed=2, duplicates_per_device=0)
-        write_records_csv(data.records, raw)
+        write_records_csv(csv_lines(data.records), raw)
         target = tmp_path / "from_env"
         monkeypatch.setenv("LORAPROP_OUT_DIR", str(target))
         assert main(["pipeline", "run", "--input", str(raw), "--contamination", "0.05"]) == 0
@@ -241,7 +246,7 @@ class TestPipelineCommand:
     def test_timezone_offset_row_is_rejected_as_bad_time(self, capsys, tmp_path):
         data = synth_dataset(rows_per_device=60, seed=2, duplicates_per_device=0)
         raw = tmp_path / "raw.csv"
-        write_records_csv(data.records, raw)
+        write_records_csv(csv_lines(data.records), raw)
         lines = raw.read_text().splitlines()
         lines[5] = lines[5].replace("2024-01-01 00:04:00", "2024-01-01 00:04:00+02:00")
         assert "+02:00" in lines[5]
@@ -261,7 +266,7 @@ class TestPipelineCommand:
         records = data.records
         pm25 = np.where(records["device_id"] == "dev2", 5.0, records["pm25"])
         raw = tmp_path / "raw.csv"
-        write_records_csv(replace_columns(records, pm25=pm25), raw)
+        write_records_csv(csv_lines(replace_columns(records, pm25=pm25)), raw)
         out = tmp_path / "out"
         argv = ["pipeline", "run", "--input", str(raw), "--out-dir", str(out),
                 "--contamination", "0.05"]
@@ -281,7 +286,7 @@ class TestPipelineCommand:
         temperature = records["temperature"].copy()
         temperature[np.flatnonzero(records["device_id"] == "dev2")[:2]] = 1.7e308
         raw = tmp_path / "raw.csv"
-        write_records_csv(replace_columns(records, temperature=temperature), raw)
+        write_records_csv(csv_lines(replace_columns(records, temperature=temperature)), raw)
         out = tmp_path / "out"
         argv = ["pipeline", "run", "--input", str(raw), "--out-dir", str(out),
                 "--contamination", "0.05"]
@@ -297,11 +302,48 @@ class TestPipelineCommand:
 
     def test_test_fraction_that_empties_a_side_is_domain_error(self, capsys, tmp_path, caplog):
         raw = tmp_path / "raw.csv"
-        write_records_csv(synth_dataset(rows_per_device=40, seed=2, duplicates_per_device=0).records, raw)
+        write_records_csv(csv_lines(synth_dataset(rows_per_device=40, seed=2, duplicates_per_device=0).records), raw)
         argv = ["pipeline", "run", "--input", str(raw), "--out-dir", str(tmp_path / "out"),
                 "--test-fraction", "0.999"]
         assert main(argv) == 1
         assert "leaves one side empty" in caplog.text
+
+    def test_utf8_bom_before_the_header_is_read(self, capsys, tmp_path):
+        data = synth_dataset(rows_per_device=40, seed=2, duplicates_per_device=0)
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_records_csv(csv_lines(data.records), plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for raw in (plain, bom):
+            out = tmp_path / f"out_{raw.stem}"
+            assert main(["pipeline", "run", "--input", str(raw), "--out-dir", str(out),
+                         "--contamination", "0.05"]) == 0
+            outputs.append({name: (out / f"{name}.csv").read_bytes() for name in ("cleaned", "train", "test")})
+        assert outputs[0] == outputs[1]
+        manifest = json.loads((tmp_path / "out_bom" / "manifest.json").read_text())
+        assert manifest["counts"]["rejected"] == 0
+
+    def test_non_ascii_id_gives_the_same_bytes_under_the_c_locale(self, capsys, tmp_path):
+        data = synth_dataset(rows_per_device=40, seed=2, duplicates_per_device=0)
+        ids = np.where(data.records["device_id"] == "dev2", "n\u00f6de02", data.records["device_id"])
+        raw = tmp_path / "raw.csv"
+        write_records_csv(csv_lines(replace_columns(data.records, device_id=ids)), raw)
+        out = tmp_path / "out"
+        argv = ["pipeline", "run", "--input", str(raw), "--out-dir", str(out), "--contamination", "0.05"]
+        assert main(argv) == 0
+        names = ("cleaned.csv", "train.csv", "test.csv", "manifest.json")
+        utf8_run = {name: (out / name).read_bytes() for name in names}
+        assert "n\u00f6de02".encode() in utf8_run["cleaned.csv"]
+
+        src = str(Path(loraprop.__file__).resolve().parents[1])
+        env = os.environ | {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+                            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = ("import locale, sys; from loraprop.cli import main; "
+                  "print(locale.getpreferredencoding(False)); sys.exit(main(sys.argv[1:]))")
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[0].lower().replace("-", "") not in ("utf8", "utf_8")
+        assert {name: (out / name).read_bytes() for name in names} == utf8_run
 
     def test_missing_out_dir_is_domain_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("LORAPROP_OUT_DIR", raising=False)
@@ -337,7 +379,7 @@ class TestFitCommand:
 
     def test_underdetermined_fit_exits_1(self, capsys, tmp_path):
         tiny = tmp_path / "tiny.csv"
-        write_records_csv(make_table(f_count=[0, 1]), tiny)
+        write_records_csv(csv_lines(make_table(f_count=[0, 1])), tiny)
         code = main(
             ["fit", "--variant", "mw", "--input", str(tiny), "--out", str(tmp_path / "m.json")]
         )
@@ -347,7 +389,7 @@ class TestFitCommand:
     def test_row_below_reference_distance_exits_1(self, capsys, caplog, tmp_path, command):
         records = synth_dataset(rows_per_device=10, seed=4, duplicates_per_device=0).clean
         near = tmp_path / "near.csv"
-        write_records_csv(concat(records, make_table(distance=0.5)), near)
+        write_records_csv(csv_lines(concat(records, make_table(distance=0.5))), near)
         if command == "fit":
             argv = ["fit", "--variant", "mw", "--input", str(near), "--out", str(tmp_path / "m")]
         else:
@@ -362,7 +404,7 @@ class TestFitCommand:
     def test_non_positive_frequency_row_is_rejected_at_ingest(self, capsys, tmp_path):
         records = synth_dataset(rows_per_device=10, seed=4, duplicates_per_device=0).clean
         bad = tmp_path / "bad.csv"
-        write_records_csv(concat(records, make_table(frequency=0.0)), bad)
+        write_records_csv(csv_lines(concat(records, make_table(frequency=0.0))), bad)
         report = tmp_path / "fit.json"
         argv = [
             "fit", "--variant", "mw-ep", "--input", str(bad),

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import warnings
 from collections import Counter, namedtuple
 from datetime import datetime, timedelta
 
@@ -17,6 +18,7 @@ from loraprop.pipeline import (
     SplitSpec,
     audit_derived_columns,
     average_path_length,
+    csv_lines,
     daily_distribution,
     dedup_retransmissions,
     filter_sf,
@@ -30,9 +32,9 @@ from loraprop.pipeline import (
     standardize,
     write_records_csv,
 )
-from loraprop.records import CSV_COLUMNS, MAX_DEVICE_ID_CHARS, format_row
+from loraprop.records import CSV_COLUMNS, MAX_DEVICE_ID_CHARS
 
-from helpers import make_table, record_keys, replace_columns, rows_of
+from helpers import make_table, record_keys, replace_columns, rows_of, write_reference_csv
 
 HEADER = ",".join(CSV_COLUMNS)
 GOOD_ROW = (
@@ -120,9 +122,20 @@ class TestIngest:
 
     def test_round_trip_preserves_records(self, tmp_path, small_synth):
         path = tmp_path / "round.csv"
-        write_records_csv(small_synth.records, path)
+        write_records_csv(csv_lines(small_synth.records), path)
         again = ingest(path).records
         assert rows_of(again) == rows_of(small_synth.records)
+
+    def test_ids_holding_commas_and_quotes_round_trip(self, tmp_path):
+        ids = ["a,b", 'q"x', 'a,"b"', "\"", "plain"]
+        table = make_table(device_id=ids, f_count=range(len(ids)))
+        path = tmp_path / "quoted.csv"
+        write_records_csv(csv_lines(table), path)
+        assert path.read_text().splitlines()[1].split(",")[1:3] == ['"a', 'b"']
+        result = ingest(path)
+        assert not result.rejections
+        assert rows_of(result.records) == rows_of(table)
+
 
 
 class TestDerivedAudit:
@@ -269,6 +282,22 @@ class TestStandardize:
 
         raw = feature_matrix(small_synth.clean)
         np.testing.assert_allclose(scaler.transform(raw), scaled, atol=1e-12)
+
+    def test_feature_whose_sum_overflows_is_rejected_by_name(self):
+        records = make_table(co2=[500.0, 510.0, 520.0, 530.0, 540.0], temperature=[1.7e308, 1.7e308, 20.0, 21.0, 22.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDataError, match=r"\['temperature'\] vary but") as caught:
+                standardize(records, features=("co2", "temperature"))
+        assert "co2" not in str(caught.value)
+
+    def test_feature_whose_squares_underflow_is_not_called_constant(self):
+        records = make_table(co2=[0.0, 1e-170, 0.0, 1e-170])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDataError, match=r"\['co2'\] vary but") as caught:
+                standardize(records, features=("co2",))
+        assert "zero-variance" not in str(caught.value)
 
     def test_zero_variance_feature_rejected(self):
         records = make_table(co2=500.0, f_count=range(5))
@@ -461,17 +490,19 @@ class TestSplit:
         spec = SplitSpec(seed=11)
         a = split(small_synth.clean, spec)
         b = split(small_synth.clean, spec)
-        assert [rows_of(t) for t in a] == [rows_of(t) for t in b]
+        assert [t.tolist() for t in a] == [t.tolist() for t in b]
 
     def test_different_seed_differs(self, small_synth):
         a = split(small_synth.clean, SplitSpec(seed=1))
         b = split(small_synth.clean, SplitSpec(seed=2))
-        assert [rows_of(t) for t in a] != [rows_of(t) for t in b]
+        assert [t.tolist() for t in a] != [t.tolist() for t in b]
 
     def test_partition_is_exact(self, small_synth):
         train, test = split(small_synth.clean, SplitSpec(seed=3))
-        assert record_keys(train) | record_keys(test) == record_keys(small_synth.clean)
-        assert not (record_keys(train) & record_keys(test))
+        assert sorted(train.tolist() + test.tolist()) == list(range(len(small_synth.clean)))
+        for index in (train, test):
+            assert index.dtype.kind == "i"
+            assert np.all(np.diff(index) > 0)
 
     @pytest.mark.parametrize("n, fraction", [(199, 0.999), (2, 0.2)])
     def test_empty_side_rejected(self, n, fraction):
@@ -485,7 +516,7 @@ class TestSplit:
     def test_train_daily_share_tracks_population(self, small_synth):
         train, _ = split(small_synth.clean, SplitSpec(seed=5))
         all_shares = daily_distribution(small_synth.clean)
-        train_shares = daily_distribution(train)
+        train_shares = daily_distribution(small_synth.clean.take(train))
         for day, share in all_shares.items():
             assert abs(train_shares.get(day, 0.0) - share) < 2.0
 
@@ -542,24 +573,38 @@ class TestRunPipeline:
         for name in ("cleaned.csv", "train.csv", "test.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_outputs_equal_tables_written_row_by_row(self, small_synth_csv, tmp_path):
+        result = run_pipeline(small_synth_csv, tmp_path / "out", seed=42, contamination=0.05)
+        tables = {"cleaned": result.clean, "train": result.train, "test": result.test}
+        for name, table in tables.items():
+            write_reference_csv(table, tmp_path / f"{name}.reference.csv")
+            written = (tmp_path / "out" / f"{name}.csv").read_bytes()
+            assert written == (tmp_path / f"{name}.reference.csv").read_bytes()
+        assert record_keys(result.train) | record_keys(result.test) == record_keys(result.clean)
+        assert not (record_keys(result.train) & record_keys(result.test))
+
 
 class TestAtomicWrites:
-    def test_failed_csv_rewrite_keeps_the_old_file(self, small_synth, tmp_path, monkeypatch):
+    def test_failed_csv_rewrite_keeps_the_old_file(self, small_synth, tmp_path):
         path = tmp_path / "cleaned.csv"
-        write_records_csv(small_synth.records.take(slice(0, 3)), path)
+        write_records_csv(csv_lines(small_synth.records.take(slice(0, 3))), path)
         old = path.read_bytes()
-        calls = []
+        served, open_files = [], []
 
-        def failing_format_row(values):
-            calls.append(values)
-            if len(calls) == 50:
-                raise RuntimeError("disk full")
-            return format_row(values)
+        def failing_lines():
+            for line in csv_lines(small_synth.records):
+                if len(served) == 49:
+                    # the new file is open and partly written when the 50th line fails
+                    open_files.extend(sorted(p.name for p in tmp_path.iterdir()))
+                    raise RuntimeError("disk full")
+                served.append(line)
+                yield line
 
-        monkeypatch.setattr(pipeline, "format_row", failing_format_row)
         with pytest.raises(RuntimeError, match="disk full"):
-            write_records_csv(small_synth.records, path)
-        assert len(calls) == 50
+            write_records_csv(failing_lines(), path)
+        assert len(served) == 49
+        assert len(open_files) == 2 and open_files[1] == "cleaned.csv"
+        assert open_files[0].startswith(".cleaned.csv.") and open_files[0].endswith(".tmp")
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["cleaned.csv"]
 
@@ -580,6 +625,6 @@ class TestAtomicWrites:
     def test_new_files_are_written_whole(self, small_synth, tmp_path):
         write_json(tmp_path / "a.json", {"b": [1, 2], "a": None})
         assert (tmp_path / "a.json").read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    2\n  ]\n}\n'
-        write_records_csv(small_synth.records, tmp_path / "a.csv")
+        write_records_csv(csv_lines(small_synth.records), tmp_path / "a.csv")
         assert len(ingest(tmp_path / "a.csv").records) == len(small_synth.records)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.json"]

@@ -2,9 +2,11 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from loraprop.errors import InvalidDataError
 from loraprop.records import (
+    _INT_COLUMNS,
     CSV_COLUMNS,
     MAX_DEVICE_ID_CHARS,
     ObservationTable,
@@ -12,7 +14,7 @@ from loraprop.records import (
     parse_row,
 )
 
-from helpers import DEFAULT_ROW, make_table, rows_of
+from helpers import DEFAULT_ROW, make_table, reference_format_row, rows_of
 
 GOOD_CELLS = [
     "2024-01-01 00:00:00", "dev0", "550.0", "38.0", "2.0", "323.0", "21.0", "-75.0", "8.0",
@@ -114,3 +116,27 @@ class TestParseRow:
         for text in ("2024-01-01 00:00:00", "2024-01-01T00:00:00", "2024-1-1 0:00:00"):
             assert parse_row(with_cell("time", text))[0] == datetime(2024, 1, 1)
         assert parse_row(with_cell("time", "2024-01-01 00:00:00.25"))[0].microsecond == 250000
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e-7, 1.7976931348623157e308, 0.1)
+EDGE_INTS = (0, -1, 2**63 - 1, -(2**63 - 1), -(2**63))
+
+
+def typed_cell(column):
+    if column == "time":
+        return st.datetimes() | st.datetimes().map(lambda t: t.replace(microsecond=0))
+    if column == "device_id":
+        return st.text(min_size=1, max_size=MAX_DEVICE_ID_CHARS)
+    if column in _INT_COLUMNS:
+        return st.sampled_from(EDGE_INTS) | st.integers(-(2**63), 2**63 - 1)
+    return st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestFormatRow:
+    @given(st.tuples(*map(typed_cell, CSV_COLUMNS)))
+    @example(tuple(DEFAULT_ROW[name] for name in CSV_COLUMNS))
+    @example((datetime(2024, 1, 1, 0, 0, 0, 5), "dev0", -0.0, 5e-324, 1e16, 1e-7,
+              *(2**63 - 1 if name in _INT_COLUMNS else -(2**-1074) for name in CSV_COLUMNS[6:])))
+    def test_cells_equal_the_per_column_reference(self, values):
+        assert format_row(values) == reference_format_row(values)
+

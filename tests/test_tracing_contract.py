@@ -75,13 +75,13 @@ def test_benchmark_library_calls_run(tmp_path):
     the CLI: ``ingest(path).records`` with a length, and the mw-ep fit and
     its standard errors on that table."""
     from loraprop.fitting import fit, standard_errors
-    from loraprop.pipeline import ingest, write_records_csv
+    from loraprop.pipeline import csv_lines, ingest, write_records_csv
     from loraprop.propagation import ModelVariant
 
     from helpers import synth_dataset
 
     path = tmp_path / "tiny.csv"
-    write_records_csv(synth_dataset(rows_per_device=6, seed=3, duplicates_per_device=0).clean, path)
+    write_records_csv(csv_lines(synth_dataset(rows_per_device=6, seed=3, duplicates_per_device=0).clean), path)
     records = ingest(path).records
     assert len(records) == 30
     report = fit(records, ModelVariant.MW_EP)
@@ -108,3 +108,23 @@ def test_isolation_forest_builds_through_the_module_attribute(monkeypatch):
     result = pipeline.isolation_forest(matrix, pipeline.IsolationForestConfig(n_trees=5))
     assert len(calls) == 1
     assert result.scores.shape == (50,)
+
+
+def test_run_pipeline_formats_each_clean_row_once_through_the_module_attribute(
+    monkeypatch, small_synth_csv, tmp_path
+):
+    """``records.format_row.calls`` counts calls made through
+    ``pipeline.format_row``: one per cleaned row, since train and test are
+    written from the cleaned rows' lines."""
+    from loraprop import pipeline
+
+    calls = []
+    format_row = pipeline.format_row
+
+    def wrapper(values):
+        calls.append(values)
+        return format_row(values)
+
+    monkeypatch.setattr(pipeline, "format_row", wrapper)
+    result = pipeline.run_pipeline(small_synth_csv, tmp_path, contamination=0.05)
+    assert len(calls) == result.manifest["counts"]["clean"] == len(result.clean)
