@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ from .adr import AdrState, adr_step, record_snr, snr_margin
 from .errors import LorapropError
 from .evaluation import cross_validate, evaluate_model
 from .fitting import FitConfig, fit
-from .jsonio import atomic_write, config_digest, write_json
+from .jsonio import atomic_write, config_digest, to_json, write_json
 from .link_budget import (
     DEFAULT_LINK_BUDGET,
     esp,
@@ -81,7 +82,7 @@ def _emit_manifest(
         "config_digest": config_digest(config),
     }
     if manifest_path is None:
-        log.info("manifest: %s", json.dumps(manifest, sort_keys=True))
+        log.info("manifest: %s", to_json(manifest, sort_keys=True))
     else:
         write_json(manifest_path, manifest)
 
@@ -92,7 +93,15 @@ def _sibling_manifest(primary_output: str | Path) -> Path:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(to_json(payload, indent=2))
+
+
+def finite_float(text: str) -> float:
+    """``float`` of a flag value or a trace line, refusing NaN and infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +201,7 @@ def cmd_adr_sim(args: argparse.Namespace) -> int:
     )
     with open(args.trace, encoding="utf-8") as handle:
         try:
-            values = [float(line) for line in handle if line.strip()]
+            values = [finite_float(line) for line in map(str.strip, handle) if line]
         except ValueError as exc:
             raise LorapropError(f"bad SNR trace {args.trace}: {exc}") from exc
     for index, snr in enumerate(values):
@@ -200,7 +209,7 @@ def cmd_adr_sim(args: argparse.Namespace) -> int:
         margin = snr_margin(state)
         state, decision = adr_step(state)
         print(
-            json.dumps(
+            to_json(
                 {
                     "index": index,
                     "snr_db": snr,
@@ -447,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("airtime", help="symbol time, payload symbols and time on air")
     p.add_argument("--sf", type=int, required=True)
-    p.add_argument("--bw", type=float, required=True, help="bandwidth in Hz")
+    p.add_argument("--bw", type=finite_float, required=True, help="bandwidth in Hz")
     p.add_argument("--payload", type=int, required=True, help="payload size in bytes")
     p.add_argument("--cr", type=int, default=1, help="coding rate index n in 4/(4+n)")
     p.add_argument("--preamble", type=int, default=8)
@@ -460,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("duty-cycle", help="hourly airtime budget of a schedule file")
     p.add_argument("--schedule", required=True, help="JSONL: radio config plus count per line")
-    p.add_argument("--limit", type=float, default=0.01)
+    p.add_argument("--limit", type=finite_float, default=0.01)
     p.set_defaults(func=cmd_duty_cycle)
 
     p = sub.add_parser("link-budget", help="ESP, noise power and derived path loss")
-    p.add_argument("--rssi", type=float, required=True)
-    p.add_argument("--snr", type=float, required=True)
+    p.add_argument("--rssi", type=finite_float, required=True)
+    p.add_argument("--snr", type=finite_float, required=True)
     p.add_argument("--sf", type=int, default=None)
     p.add_argument("--params", default=None, help="JSON link-budget parameter file")
     p.set_defaults(func=cmd_link_budget)
@@ -473,32 +482,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adr-sim", help="replay an SNR trace through the ADR procedure")
     p.add_argument("--trace", required=True, help="file with one SNR (dB) per line")
     p.add_argument("--sf", type=int, default=12)
-    p.add_argument("--power", type=float, default=14.0)
+    p.add_argument("--power", type=finite_float, default=14.0)
     p.add_argument("--min-sf", type=int, default=7)
-    p.add_argument("--max-power", type=float, default=14.0)
-    p.add_argument("--fade-margin", type=float, default=10.0)
-    p.add_argument("--power-step", type=float, default=2.0)
+    p.add_argument("--max-power", type=finite_float, default=14.0)
+    p.add_argument("--fade-margin", type=finite_float, default=10.0)
+    p.add_argument("--power-step", type=finite_float, default=2.0)
     p.add_argument("--history", type=int, default=20)
     p.set_defaults(func=cmd_adr_sim)
 
     p = sub.add_parser("predict", help="deterministic path loss of a saved model")
     p.add_argument("--model", required=True)
-    p.add_argument("--distance", type=float, required=True)
+    p.add_argument("--distance", type=finite_float, required=True)
     p.add_argument("--brick", type=int, default=0)
     p.add_argument("--wood", type=int, default=0)
-    p.add_argument("--freq", type=float, default=None, help="carrier frequency in MHz")
+    p.add_argument("--freq", type=finite_float, default=None, help="carrier frequency in MHz")
     p.add_argument("--env-json", default=None, help="JSON covariates: temperature, humidity, pressure, pm25, co2")
-    p.add_argument("--snr", type=float, default=None)
+    p.add_argument("--snr", type=finite_float, default=None)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("simulate", help="sweep a random multi-wall scene")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-distance", type=float, required=True)
+    p.add_argument("--max-distance", type=finite_float, required=True)
     p.add_argument("--points", type=int, default=200)
-    p.add_argument("--sigma", type=float, default=9.0)
-    p.add_argument("--exponent", type=float, default=3.5)
-    p.add_argument("--pl0", type=float, default=40.0)
-    p.add_argument("--d0", type=float, default=1.0)
+    p.add_argument("--sigma", type=finite_float, default=9.0)
+    p.add_argument("--exponent", type=finite_float, default=3.5)
+    p.add_argument("--pl0", type=finite_float, default=40.0)
+    p.add_argument("--d0", type=finite_float, default=1.0)
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_simulate)
 
@@ -508,9 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--contamination", type=float, default=0.01)
-    p.add_argument("--dedup-window", type=float, default=2.0)
-    p.add_argument("--test-fraction", type=float, default=0.2)
+    p.add_argument("--contamination", type=finite_float, default=0.01)
+    p.add_argument("--dedup-window", type=finite_float, default=2.0)
+    p.add_argument("--test-fraction", type=finite_float, default=0.2)
     p.set_defaults(func=cmd_pipeline_run)
 
     p = sub.add_parser("fit", help="estimate model coefficients from a cleaned CSV")

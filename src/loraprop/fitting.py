@@ -158,23 +158,24 @@ def fit(
     variant: ModelVariant,
     config: FitConfig | None = None,
 ) -> FitReport:
-    """Damped least squares over the coefficient vector.
+    """:func:`fit_design` on the table's design matrix and its path loss less the fixed term."""
+    config = config or FitConfig()
+    x = design_matrix(observations, variant, config.reference_distance_m)
+    return fit_design(x, observations["exp_pl"] - fixed_offsets(observations, variant), variant, config)
+
+
+def fit_design(x: np.ndarray, y: np.ndarray, variant: ModelVariant, config: FitConfig) -> FitReport:
+    """Damped least squares of ``y`` on the design matrix ``x``.
 
     The damping factor shrinks on every accepted step and grows when a trial
     step fails to reduce the RSS; iteration stops on a sub-tolerance relative
     RSS change or at the iteration cap (reported via ``converged``, not an
-    error).  Rank-deficient designs are rejected up front.
+    error).  Underdetermined and rank-deficient designs are rejected up front.
     """
-    config = config or FitConfig()
     names = PARAM_NAMES[variant]
     p = len(names)
-    if len(observations) < p + 1:
-        raise FitError(
-            f"underdetermined: {len(observations)} observations for {p} coefficients"
-        )
-
-    x = design_matrix(observations, variant, config.reference_distance_m)
-    y = observations["exp_pl"] - fixed_offsets(observations, variant)
+    if len(x) < p + 1:
+        raise FitError(f"underdetermined: {len(x)} observations for {p} coefficients")
     if np.linalg.matrix_rank(x) < p:
         raise FitError(
             "singular normal equations: the design is rank-deficient "

@@ -9,6 +9,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
 
+from .errors import InvalidDataError
+
 
 @contextmanager
 def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
@@ -25,10 +27,20 @@ def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextI
         raise
 
 
+def to_json(payload, **options) -> str:
+    """``json.dumps`` that refuses NaN and infinities, which JSON cannot hold."""
+    try:
+        return json.dumps(payload, allow_nan=False, **options)
+    except ValueError as exc:
+        raise InvalidDataError(f"result holds a non-finite number, not written as JSON ({exc})") from None
+
+
 def write_json(path: str | Path, payload) -> None:
-    """Two-space indent, sorted keys, trailing newline; written atomically."""
+    """Two-space indent, sorted keys, trailing newline; written atomically, and
+    not at all if the payload holds a non-finite number."""
+    text = to_json(payload, indent=2, sort_keys=True) + "\n"
     with atomic_write(path) as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        handle.write(text)
 
 
 def config_digest(config) -> str:

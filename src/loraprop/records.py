@@ -126,8 +126,8 @@ def parse_row(values: list[str]) -> tuple:
     Raises :class:`InvalidDataError` with a machine-readable reason as the
     first message token: ``wrong-field-count``, ``missing-value``,
     ``bad-<column>`` (a ``device_id`` also when it is longer than
-    :data:`MAX_DEVICE_ID_CHARS` or holds a NUL), ``non-finite`` or a range violation (SF, distance,
-    wall counts, frequency).
+    :data:`MAX_DEVICE_ID_CHARS` or holds a NUL; an SF outside 7..12, a distance or
+    frequency <= 0 and a negative wall count too) or ``non-finite``.
     """
     # fast path: a row that converts whole and passes every check at once;
     # any other row takes the per-cell checks, the one source of reasons
@@ -187,13 +187,14 @@ def _parse_row_checked(values: list[str]) -> tuple:
             else:
                 typed.append(value)
     if not 7 <= typed[_SF] <= 12:
-        raise InvalidDataError(f"sf out of range 7..12: {typed[_SF]}")
+        raise InvalidDataError(f"bad-SF: {typed[_SF]} outside 7..12")
     if typed[_DISTANCE] <= 0:
-        raise InvalidDataError(f"distance must be positive: {typed[_DISTANCE]}")
-    if typed[_C_WALLS] < 0 or typed[_W_WALLS] < 0:
-        raise InvalidDataError("wall counts must be >= 0")
+        raise InvalidDataError(f"bad-distance: {typed[_DISTANCE]} is not positive")
+    for walls in (_C_WALLS, _W_WALLS):
+        if typed[walls] < 0:
+            raise InvalidDataError(f"bad-{CSV_COLUMNS[walls]}: {typed[walls]} is negative")
     if typed[_FREQUENCY] <= 0:
-        raise InvalidDataError(f"frequency must be positive: {typed[_FREQUENCY]}")
+        raise InvalidDataError(f"bad-frequency: {typed[_FREQUENCY]} is not positive")
     return tuple(typed)
 
 

@@ -108,7 +108,7 @@ SMALL_PIPELINE = {
     "cleaned.csv": "c988efdc94a78a45ed0199fa4f077b90c539079c9e8f11069a069383046caa33",
     "train.csv": "e5604585b9446be6913e54d137e7fd29cf418c1a4986772cc1ff82c461499180",
     "test.csv": "f02955425a6b9b88f418211a25214068160a145bd11f1574e0ae3e1797c1fd93",
-    "manifest.json": "925fef028992cd4ced6fd181f2f06b5015398f63b9729566de12f9c2d809da30",
+    "manifest.json": "712e231bc245719b6f87b9a38c0aa0199bd87216d62dea1ae2e269db2824524b",
 }
 
 #: Fitted coefficients on the A7 train split, in parameter order.

@@ -11,7 +11,7 @@ import pytest
 import loraprop
 from loraprop.cli import main
 from loraprop.pipeline import csv_lines, run_pipeline, write_records_csv
-from loraprop.propagation import ModelVariant, PathLossModel, save_model
+from loraprop.propagation import ModelVariant, PathLossModel, model_to_dict, save_model
 
 from helpers import concat, make_table, replace_columns, synth_dataset
 
@@ -83,6 +83,59 @@ class TestDispatch:
     def test_missing_file_exits_1(self, capsys):
         assert main(["adr-sim", "--trace", "/nonexistent/trace.txt"]) == 1
 
+
+class TestNonFiniteValues:
+    """JSON has no NaN or infinity: a non-finite flag is a usage error, and a
+    non-finite result is a domain error that prints and replaces nothing."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["link-budget", "--rssi", "nan", "--snr", "3"],
+            ["predict", "--model", "m.json", "--distance", "inf"],
+            ["adr-sim", "--trace", "t.txt", "--power=-inf"],
+            ["pipeline", "run", "--input", "x.csv", "--dedup-window", "nan"],
+            ["airtime", "--sf", "7", "--bw", "NaN", "--payload", "18"],
+        ],
+    )
+    def test_non_finite_flag_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "invalid finite_float value" in captured.err
+        assert captured.out == ""
+
+    @staticmethod
+    def _nan_model(path):
+        # json.dumps writes NaN by default; this stands for a hand-edited file
+        model = PathLossModel(ModelVariant.MW, 31.3, 3.62, {"brick": 9.74, "wood": 2.64})
+        path.write_text(json.dumps(model_to_dict(model) | {"intercept_db": float("nan")}))
+        return path
+
+    def test_non_finite_result_on_stdout_exits_1(self, capsys, caplog, tmp_path):
+        model = self._nan_model(tmp_path / "nan.json")
+        assert main(["predict", "--model", str(model), "--distance", "10"]) == 1
+        assert capsys.readouterr().out == ""
+        assert "non-finite number" in caplog.text
+
+    def test_non_finite_report_replaces_no_file(self, capsys, caplog, tmp_path):
+        model = self._nan_model(tmp_path / "nan.json")
+        data = tmp_path / "data.csv"
+        write_records_csv(csv_lines(synth_dataset(rows_per_device=10, seed=4, duplicates_per_device=0).clean), data)
+        report = tmp_path / "eval.json"
+        report.write_text("earlier report\n")
+        before = sorted(tmp_path.iterdir())
+        assert main(["evaluate", "--model", str(model), "--input", str(data), "--report", str(report)]) == 1
+        assert report.read_text() == "earlier report\n"
+        assert sorted(tmp_path.iterdir()) == before  # no manifest, no temporary file
+        assert "non-finite number" in caplog.text
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_trace_line_exits_1_before_any_output(self, capsys, caplog, tmp_path, value):
+        trace = tmp_path / "trace.txt"
+        trace.write_text(f"10.0\n{value}\n5.0\n")
+        assert main(["adr-sim", "--trace", str(trace)]) == 1
+        assert capsys.readouterr().out == ""
+        assert f"not a finite number: {value!r}" in caplog.text
 
 class TestDutyCycleCommand:
     def test_schedule_file(self, capsys, tmp_path):

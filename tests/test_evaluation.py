@@ -1,10 +1,15 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from loraprop.evaluation import cross_validate, evaluate_model
+from loraprop.errors import LorapropError
+from loraprop.evaluation import CrossValReport, FoldReport, cross_validate, evaluate_model
+from loraprop.fitting import FitConfig, fit
+from loraprop.pipeline import kfold
 from loraprop.propagation import ModelVariant
 
-from helpers import TRUE_EP_MODEL, mw_observations, synth_dataset
+from helpers import TRUE_EP_MODEL, make_table, mw_observations, replace_columns, synth_dataset
 
 
 class TestEvaluateModel:
@@ -65,3 +70,85 @@ class TestCrossValidate:
             agg["validation_rmse_db"]["mean"]
             >= agg["train_rmse_db"]["mean"] - 0.2
         )
+
+
+def reference_cross_validate(observations, variant, folds, seed, config=None):
+    """The per-fold loop ``cross_validate`` replaced: each fold takes its rows
+    into new tables, fits the train table and scores the model on both."""
+    reports = []
+    for fold_index, (train_idx, validation_idx) in enumerate(kfold(observations, folds, seed)):
+        train = observations.take(train_idx)
+        validation = observations.take(validation_idx)
+        report = fit(train, variant, config)
+        model = report.to_model()
+        reports.append(
+            FoldReport(
+                fold=fold_index,
+                train=evaluate_model(model, train),
+                validation=evaluate_model(model, validation),
+            )
+        )
+    return CrossValReport(folds=tuple(reports))
+
+
+@lru_cache(maxsize=None)
+def _table(variant, seed):
+    # every distance is at least 2 m, so d0 = 2 m is a valid reference
+    if variant is ModelVariant.MW:
+        return mw_observations(n=240, seed=seed, sigma_db=6.0, distance_range=(2.0, 40.0))[0]
+    return synth_dataset(rows_per_device=50, seed=seed, sigma_db=8.0, duplicates_per_device=0).clean
+
+
+class TestFoldsFromOneDesignMatrix:
+    """Slicing one design matrix per fold gives the per-fold tables' results
+    exactly: every metric of every fold is equal, not merely close."""
+
+    @pytest.mark.parametrize("config", [None, FitConfig(reference_distance_m=2.0, max_iterations=2)])
+    @pytest.mark.parametrize("folds", [2, 5, 7])
+    @pytest.mark.parametrize("seed", [0, 17, 1101])
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_every_fold_report_field_is_identical(self, variant, seed, folds, config):
+        table = _table(variant, seed)
+        got = cross_validate(table, variant, folds=folds, seed=seed, config=config)
+        want = reference_cross_validate(table, variant, folds, seed, config)
+        assert len(got.folds) == folds
+        for got_fold, want_fold in zip(got.folds, want.folds):
+            assert got_fold.fold == want_fold.fold
+            assert vars(got_fold.train) == vars(want_fold.train)
+            assert vars(got_fold.validation) == vars(want_fold.validation)
+
+    def test_capped_fit_reaches_the_folds(self):
+        # the capped configuration is not a no-op: it changes the fold fits
+        table = _table(ModelVariant.MW_EP, 0)
+        capped = cross_validate(table, ModelVariant.MW_EP, folds=5, seed=0, config=FitConfig(max_iterations=1))
+        assert capped != cross_validate(table, ModelVariant.MW_EP, folds=5, seed=0)
+
+    @staticmethod
+    def _assert_same_error(table, variant, folds, seed):
+        with pytest.raises(LorapropError) as want:
+            reference_cross_validate(table, variant, folds, seed)
+        with pytest.raises(LorapropError) as got:
+            cross_validate(table, variant, folds=folds, seed=seed)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        return str(got.value)
+
+    def test_rank_deficient_train_side_raises_the_reference_error(self):
+        # only the last fold's validation rows leave 10 m, so that fold's
+        # train side has a single distance and a singular design
+        n, folds, seed = 60, 5, 3
+        rng = np.random.default_rng(seed)
+        table = make_table(f_count=range(n), c_walls=rng.integers(0, 3, n), w_walls=rng.integers(0, 6, n))
+        _, last_validation = kfold(table, folds, seed)[-1]
+        distance = np.full(n, 10.0)
+        distance[last_validation] = 20.0 + np.arange(last_validation.size)
+        exp_pl = 40.0 + 35.0 * np.log10(distance) + 9.0 * table["c_walls"] + 3.0 * table["w_walls"]
+        table = replace_columns(table, distance=distance, exp_pl=exp_pl + rng.normal(0.0, 2.0, n))
+        message = self._assert_same_error(table, ModelVariant.MW, folds, seed)
+        assert message.startswith("singular normal equations")
+
+    def test_fold_model_failing_the_model_checks_raises_the_reference_error(self):
+        # path loss that falls with distance fits a negative exponent, which
+        # no path-loss model accepts
+        records, _ = mw_observations(n=100, seed=2, sigma_db=1.0, coeffs=(90.0, -2.0, 9.0, 3.0))
+        message = self._assert_same_error(records, ModelVariant.MW, 5, 0)
+        assert message == "path_loss_exponent must be positive"

@@ -95,13 +95,15 @@ def reference_parse_row(values: list[str]) -> tuple:
             else:
                 typed.append(value)
     if not 7 <= typed[_SF] <= 12:
-        raise InvalidDataError(f"sf out of range 7..12: {typed[_SF]}")
+        raise InvalidDataError(f"bad-SF: {typed[_SF]} outside 7..12")
     if typed[_DISTANCE] <= 0:
-        raise InvalidDataError(f"distance must be positive: {typed[_DISTANCE]}")
-    if typed[_C_WALLS] < 0 or typed[_W_WALLS] < 0:
-        raise InvalidDataError("wall counts must be >= 0")
+        raise InvalidDataError(f"bad-distance: {typed[_DISTANCE]} is not positive")
+    if typed[_C_WALLS] < 0:
+        raise InvalidDataError(f"bad-c_walls: {typed[_C_WALLS]} is negative")
+    if typed[_W_WALLS] < 0:
+        raise InvalidDataError(f"bad-w_walls: {typed[_W_WALLS]} is negative")
     if typed[_FREQUENCY] <= 0:
-        raise InvalidDataError(f"frequency must be positive: {typed[_FREQUENCY]}")
+        raise InvalidDataError(f"bad-frequency: {typed[_FREQUENCY]} is not positive")
     return tuple(typed)
 
 

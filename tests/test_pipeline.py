@@ -83,7 +83,7 @@ class TestIngest:
 
     def test_out_of_range_sf_rejected(self):
         result = ingest(csv_source(GOOD_ROW.replace(",7,868.1", ",6,868.1")))
-        assert result.rejections[0].reason == "sf out of range 7..12"
+        assert result.rejections[0].reason == "bad-SF"
 
     def test_wrong_field_count_rejected(self):
         result = ingest(csv_source(GOOD_ROW + ",extra"))

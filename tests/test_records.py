@@ -78,11 +78,11 @@ class TestParseRow:
             (with_cell("rssi", "oops"), "bad-rssi"),
             (with_cell("rssi", "nan"), "non-finite"),
             (with_cell("f_count", "1.5"), "bad-f_count"),
-            (with_cell("SF", "13"), "sf out of range 7..12"),
-            (with_cell("distance", "-3"), "distance must be positive"),
-            (with_cell("w_walls", "-1"), "wall counts must be >= 0"),
-            (with_cell("frequency", "0"), "frequency must be positive"),
-            (with_cell("frequency", "-868.1"), "frequency must be positive"),
+            (with_cell("SF", "13"), "bad-SF"),
+            (with_cell("distance", "-3"), "bad-distance"),
+            (with_cell("w_walls", "-1"), "bad-w_walls"),
+            (with_cell("frequency", "0"), "bad-frequency"),
+            (with_cell("frequency", "-868.1"), "bad-frequency"),
             (with_cell("time", "2024-13-01 00:00:00"), "bad-time"),
             (with_cell("time", "2024-01-01 00:00:00+02:00"), "bad-time"),
             (with_cell("time", "2024-01-01T00:00:00Z"), "bad-time"),
@@ -90,6 +90,7 @@ class TestParseRow:
             (with_cell("device_id", "d" * (MAX_DEVICE_ID_CHARS + 1)), "bad-device_id"),
             (with_cell("device_id", "dev\0"), "bad-device_id"),
             (with_cell("device_id", "d\0ev"), "bad-device_id"),
+            (with_cell("c_walls", "-1"), "bad-c_walls"),
         ],
     )
     def test_data_faults_raise_invalid_data_error(self, cells, reason):
@@ -106,7 +107,7 @@ class TestParseRow:
         # range checks in their fixed order
         cells = with_cell("SF", "13")
         cells[CSV_COLUMNS.index("frequency")] = "0"
-        with pytest.raises(InvalidDataError, match="^sf out of range"):
+        with pytest.raises(InvalidDataError, match="^bad-SF: 13 outside"):
             parse_row(cells)
         cells[CSV_COLUMNS.index("rssi")] = "oops"
         with pytest.raises(InvalidDataError, match="^bad-rssi"):

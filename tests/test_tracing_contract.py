@@ -110,6 +110,29 @@ def test_isolation_forest_builds_through_the_module_attribute(monkeypatch):
     assert result.scores.shape == (50,)
 
 
+def test_cross_validate_builds_the_design_once_through_the_module_attributes(monkeypatch):
+    """``fitting.design_matrix.rows_per_input_row`` counts design rows built
+    under ``cross_validate`` per row it was given: X and the fixed term are
+    built once, for the whole table, through the ``loraprop.fitting``
+    attributes, so the traced ratio is 1.0."""
+    from loraprop import fitting
+    from loraprop.evaluation import cross_validate
+    from loraprop.propagation import ModelVariant
+
+    from helpers import synth_dataset
+
+    rows = {"design_matrix": [], "fixed_offsets": []}
+    for name in rows:
+        def wrapper(observations, *args, _build=getattr(fitting, name), _rows=rows[name], **kwargs):
+            _rows.append(len(observations))
+            return _build(observations, *args, **kwargs)
+
+        monkeypatch.setattr(fitting, name, wrapper)
+    table = synth_dataset(rows_per_device=20, seed=5, duplicates_per_device=0).clean
+    result = cross_validate(table, ModelVariant.MW_EP, folds=5, seed=1)
+    assert len(result.folds) == 5
+    assert rows == {"design_matrix": [len(table)], "fixed_offsets": [len(table)]}
+
 def test_run_pipeline_formats_each_clean_row_once_through_the_module_attribute(
     monkeypatch, small_synth_csv, tmp_path
 ):
