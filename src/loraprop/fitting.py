@@ -9,6 +9,7 @@ shadowing spread) rather than special-casing linearity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,13 @@ class FitConfig:
     reference_distance_m: float = 1.0
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below, and infinity most of them
+        numbers = {name: value for name, value in vars(self).items() if name != "initial_params"}
+        initial = () if self.initial_params is None else self.initial_params
+        numbers |= {f"initial_params[{k}]": value for k, value in enumerate(initial)}
+        for name, value in numbers.items():
+            if not math.isfinite(value):
+                raise InvalidConfigError(f"{name} must be finite, got {value}")
         if self.max_iterations < 1:
             raise InvalidConfigError("max_iterations must be >= 1")
         if self.rss_tolerance <= 0:

@@ -15,7 +15,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Sequence, TextIO
@@ -66,11 +66,14 @@ def ingest(source: str | Path | TextIO) -> IngestResult:
     """Parse a CSV export into an observation table, dropping anything malformed.
 
     The header must match the canonical column list exactly.  Rows with
-    missing cells, unparseable tokens, non-finite numbers or range
-    violations are rejected and logged individually with a reason.
+    missing cells, unparseable tokens, non-finite numbers, range
+    violations or bytes that are not UTF-8, and records the ``csv`` module
+    cannot read (a field over its size limit), are rejected and logged
+    individually with a reason.
     """
     if isinstance(source, (str, Path)):
-        with open(source, newline="", encoding="utf-8-sig") as handle:
+        # a byte that is not UTF-8 becomes a lone surrogate, which rejects its row
+        with open(source, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
             return _ingest_stream(handle)
     return _ingest_stream(source)
 
@@ -105,7 +108,18 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
 
     rejections: list[Rejection] = []
     rows = 0
-    for line, row in enumerate(reader, start=1):
+    for line in count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            # the reader drops the rest of the physical line and goes on with the next
+            rows += 1
+            reason = "oversized-field" if "field limit" in str(exc) else "bad-csv"
+            rejections.append(Rejection(line=line, reason=reason))
+            log.debug("rejected row %d: %s", line, exc)
+            continue
         if not row:
             continue
         rows += 1
@@ -575,10 +589,23 @@ def kfold(
 
 @dataclass
 class PipelineResult:
+    """The cleaned table and the sorted row indices of its train/test split.
+
+    ``train`` and ``test`` are selected from ``clean`` each time they are read.
+    """
+
     clean: ObservationTable
-    train: ObservationTable
-    test: ObservationTable
+    train_index: np.ndarray
+    test_index: np.ndarray
     manifest: dict
+
+    @property
+    def train(self) -> ObservationTable:
+        return self.clean.take(self.train_index)
+
+    @property
+    def test(self) -> ObservationTable:
+        return self.clean.take(self.test_index)
 
 
 def csv_lines(records: ObservationTable) -> list[str]:
@@ -617,33 +644,47 @@ def run_pipeline(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    # each stage's input table is dropped once its output and counts exist,
+    # so at most two tables are alive at a time
     ingested = ingest(input_path)
-    violations = audit_derived_columns(ingested.records, link_budget)
+    reasons = Counter(rejection.reason for rejection in ingested.rejections)
+    counts = {
+        "rows_read": ingested.rows_read,
+        "rejected": len(ingested.rejections),
+        "ingested": len(ingested.records),
+    }
+    n_violations = len(audit_derived_columns(ingested.records, link_budget))
     deduped = dedup_retransmissions(ingested.records, window_s=dedup_window_s)
-    sf_filtered = filter_sf(deduped, excluded=excluded_sf)
+    del ingested
 
-    if_config = IsolationForestConfig(contamination=contamination, seed=seed)
-    flags, constant = flag_anomalies(sf_filtered, if_config)
-    clean = sf_filtered.take(~flags)
-
-    split_spec = SplitSpec(test_fraction=test_fraction, seed=seed)
-    train_index, test_index = split(clean, split_spec)
-    train, test = clean.take(train_index), clean.take(test_index)
-
-    flagged = Counter(sf_filtered["device_id"][flags].tolist())
     per_device: dict[str, dict] = {}
     for device, idx in _rows_by_device(deduped):
         # delivery ratio uses every received frame: the SF filter would punch
         # artificial counter gaps.  Dedup left each device's rows in time order.
+        # Anomalies are counted once the screen has run.
         per_device[device] = {
             "rows": idx.size,
-            "anomalies": flagged[device],
+            "anomalies": 0,
             "pdr": pdr(deduped["f_count"][idx].tolist()),
         }
-        if device in constant:
-            per_device[device]["constant_features"] = constant[device]
+    counts["after_dedup"] = len(deduped)
+    sf_filtered = filter_sf(deduped, excluded=excluded_sf)
+    del deduped
 
-    reasons = Counter(rejection.reason for rejection in ingested.rejections)
+    if_config = IsolationForestConfig(contamination=contamination, seed=seed)
+    flags, constant = flag_anomalies(sf_filtered, if_config)
+    flagged = Counter(sf_filtered["device_id"][flags].tolist())
+    counts["after_sf_filter"] = len(sf_filtered)
+    counts["anomalies_flagged"] = int(flags.sum())
+    clean = sf_filtered.take(~flags)
+    del sf_filtered
+    for device, info in per_device.items():
+        info["anomalies"] = flagged[device]
+        if device in constant:
+            info["constant_features"] = constant[device]
+
+    train_index, test_index = split(clean, SplitSpec(test_fraction=test_fraction, seed=seed))
+    counts |= {"clean": len(clean), "train": train_index.size, "test": test_index.size}
 
     effective_config = {
         "seed": seed,
@@ -673,20 +714,10 @@ def run_pipeline(
         "outputs": {name: str(out / f"{name}.csv") for name in outputs},
         "config": effective_config,
         "config_digest": config_digest(effective_config),
-        "counts": {
-            "rows_read": ingested.rows_read,
-            "rejected": len(ingested.rejections),
-            "ingested": len(ingested.records),
-            "after_dedup": len(deduped),
-            "after_sf_filter": len(sf_filtered),
-            "anomalies_flagged": int(flags.sum()),
-            "clean": len(clean),
-            "train": len(train),
-            "test": len(test),
-        },
+        "counts": counts,
         "rejections_by_reason": dict(sorted(reasons.items())),
-        "derived_audit_violations": len(violations),
+        "derived_audit_violations": n_violations,
         "per_device": per_device,
     }
     write_json(out / "manifest.json", manifest)
-    return PipelineResult(clean=clean, train=train, test=test, manifest=manifest)
+    return PipelineResult(clean=clean, train_index=train_index, test_index=test_index, manifest=manifest)

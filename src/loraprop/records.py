@@ -8,6 +8,7 @@ gateway-relative geometry, plus the derived link-budget columns.
 from __future__ import annotations
 
 import math
+import re
 from datetime import datetime
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -54,6 +55,9 @@ COLUMN_DTYPES = (
 
 #: Longest ``device_id`` :func:`parse_row` accepts.
 MAX_DEVICE_ID_CHARS = 64
+#: What a byte that is not UTF-8 decodes to under ``errors="surrogateescape"``;
+#: no text holds a lone surrogate.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 #: Rows :meth:`ObservationTable.rows` converts to Python values at a time.
 _ROW_BLOCK = 4096
 
@@ -124,7 +128,8 @@ def parse_row(values: list[str]) -> tuple:
     in the same order: ``datetime``, ``str``, ``int`` or ``float``.
 
     Raises :class:`InvalidDataError` with a machine-readable reason as the
-    first message token: ``wrong-field-count``, ``missing-value``,
+    first message token: ``bad-encoding`` (a cell holds a lone surrogate: a
+    byte that was not UTF-8), ``wrong-field-count``, ``missing-value``,
     ``bad-<column>`` (a ``device_id`` also when it is longer than
     :data:`MAX_DEVICE_ID_CHARS` or holds a NUL; an SF outside 7..12, a distance or
     frequency <= 0 and a negative wall count too) or ``non-finite``.
@@ -139,7 +144,10 @@ def parse_row(values: list[str]) -> tuple:
         return _parse_row_checked(values)
     device = values[1].strip()
     if (
-        when.tzinfo is None and 0 < len(device) <= MAX_DEVICE_ID_CHARS and "\0" not in device
+        # a lone surrogate is a byte that was not UTF-8; ``fromisoformat``
+        # takes any character between date and time, so the time cell too
+        values[0].isascii() and (device.isascii() or not _SURROGATE.search(device))
+        and when.tzinfo is None and 0 < len(device) <= MAX_DEVICE_ID_CHARS and "\0" not in device
         and math.isfinite(sum(numbers)) and sf.is_integer() and 7 <= sf <= 12
         and f_count.is_integer() and -(2**63) <= f_count < 2**63
         and p_count.is_integer() and -(2**63) <= p_count < 2**63
@@ -154,6 +162,8 @@ def parse_row(values: list[str]) -> tuple:
 
 def _parse_row_checked(values: list[str]) -> tuple:
     """:func:`parse_row` one cell at a time, raising on the first fault."""
+    if any(not value.isascii() and _SURROGATE.search(value) for value in values):
+        raise InvalidDataError("bad-encoding: a byte that is not UTF-8")
     if len(values) != len(CSV_COLUMNS):
         raise InvalidDataError(
             f"wrong-field-count: expected {len(CSV_COLUMNS)}, got {len(values)}"

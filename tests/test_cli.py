@@ -12,6 +12,7 @@ import loraprop
 from loraprop.cli import main
 from loraprop.pipeline import csv_lines, run_pipeline, write_records_csv
 from loraprop.propagation import ModelVariant, PathLossModel, model_to_dict, save_model
+from loraprop.records import CSV_COLUMNS
 
 from helpers import concat, make_table, replace_columns, synth_dataset
 
@@ -398,6 +399,43 @@ class TestPipelineCommand:
         assert done.stdout.splitlines()[0].lower().replace("-", "") not in ("utf8", "utf_8")
         assert {name: (out / name).read_bytes() for name in names} == utf8_run
 
+    def test_bytes_that_are_not_utf8_are_bad_encoding_rejections(self, capsys, tmp_path):
+        data = synth_dataset(rows_per_device=40, seed=2, duplicates_per_device=0)
+        raw = tmp_path / "raw.csv"
+        write_records_csv(csv_lines(data.records), raw)
+        lines = raw.read_bytes().splitlines(keepends=True)
+        lines[3] = lines[3].replace(b",dev", b",d\xffv", 1)
+        cells = lines[7].split(b",")
+        cells[CSV_COLUMNS.index("rssi")] = b"-7\xff5"
+        lines[7] = b",".join(cells)
+        raw.write_bytes(b"".join(lines))
+        out = tmp_path / "out"
+        argv = ["pipeline", "run", "--input", str(raw), "--out-dir", str(out), "--contamination", "0.05"]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["rejections_by_reason"] == {"bad-encoding": 2}
+        assert manifest["counts"]["ingested"] == len(data.records) - 2
+        report = tmp_path / "fit.json"
+        argv = ["fit", "--variant", "mw", "--input", str(raw), "--out", str(tmp_path / "m.json"), "--report", str(report)]
+        assert main(argv) == 0
+        assert json.loads(report.read_text())["n_observations"] == len(data.records) - 2
+        assert main(["evaluate", "--model", str(tmp_path / "m.json"), "--input", str(raw)]) == 0
+        assert main(["cross-validate", "--variant", "mw", "--input", str(raw)]) == 0
+
+    def test_field_over_the_csv_limit_is_one_oversized_field_rejection(self, capsys, tmp_path):
+        data = synth_dataset(rows_per_device=40, seed=2, duplicates_per_device=0)
+        raw = tmp_path / "raw.csv"
+        write_records_csv(csv_lines(data.records), raw)
+        lines = raw.read_text().splitlines(keepends=True)
+        lines[5] = lines[5].replace(",dev", "," + "d" * 200_000, 1)
+        raw.write_text("".join(lines))
+        out = tmp_path / "out"
+        argv = ["pipeline", "run", "--input", str(raw), "--out-dir", str(out), "--contamination", "0.05"]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["rejections_by_reason"] == {"oversized-field": 1}
+        assert manifest["counts"]["rows_read"] == len(data.records)
+
     def test_missing_out_dir_is_domain_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("LORAPROP_OUT_DIR", raising=False)
         assert main(["pipeline", "run", "--input", "whatever.csv"]) == 1
@@ -465,6 +503,25 @@ class TestFitCommand:
         ]
         assert main(argv) == 0
         assert json.loads(report.read_text())["n_observations"] == len(records)
+
+    @pytest.mark.parametrize(
+        "config, reason",
+        [
+            ('{"rss_tolerance": NaN}', "rss_tolerance must be finite"),
+            ('{"damping_initial": Infinity}', "damping_initial must be finite"),
+            ('{"initial_params": [40, 3.5, NaN, 3]}', "initial_params[2] must be finite"),
+        ],
+    )
+    def test_non_finite_fit_config_exits_1(self, capsys, caplog, tmp_path, cleaned_csv, config, reason):
+        # NaN passed the range checks: the fit ran its 100,000 iterations and
+        # exited 0, and an infinite damping wrote the starting coefficients
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        model = tmp_path / "m.json"
+        argv = ["fit", "--variant", "mw", "--input", str(cleaned_csv), "--out", str(model), "--config", str(path)]
+        assert main(argv) == 1
+        assert reason in caplog.text
+        assert not model.exists()
 
     def test_refit_is_byte_identical(self, capsys, tmp_path, cleaned_csv):
         paths = [tmp_path / "m1.json", tmp_path / "m2.json"]

@@ -1,7 +1,9 @@
+import gc
 import io
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from collections import Counter, namedtuple
 from datetime import datetime, timedelta
@@ -135,6 +137,34 @@ class TestIngest:
         result = ingest(path)
         assert not result.rejections
         assert rows_of(result.records) == rows_of(table)
+
+    def test_bytes_that_are_not_utf8_reject_their_rows_only(self, tmp_path):
+        rows = [
+            GOOD_ROW,
+            GOOD_ROW.replace("dev0", "d\udcffv"),
+            GOOD_ROW.replace("-75.0", "-7\udcff5", 1),
+            GOOD_ROW.replace(" ", "\udcff", 1),  # fromisoformat takes any date/time separator
+            GOOD_ROW.replace("dev0", "n\u00f6de"),
+        ]
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("\n".join([HEADER, *rows, ""]).encode("utf-8", "surrogateescape"))
+        assert b"\xff" in path.read_bytes()
+        result = ingest(path)
+        assert [(r.line, r.reason) for r in result.rejections] == [(n, "bad-encoding") for n in (2, 3, 4)]
+        assert result.records["device_id"].tolist() == ["dev0", "n\u00f6de"]
+
+    def test_field_over_the_csv_limit_is_one_rejection(self):
+        huge = GOOD_ROW.replace("dev0", "d" * 200_000)
+        result = ingest(csv_source(GOOD_ROW, huge, GOOD_ROW.replace("dev0", "dev1")))
+        assert [(r.line, r.reason) for r in result.rejections] == [(2, "oversized-field")]
+        assert result.rows_read == 3
+        assert result.records["device_id"].tolist() == ["dev0", "dev1"]
+
+    def test_other_csv_errors_are_one_rejection(self):
+        # read without newline="", a carriage return inside a line is a csv.Error
+        result = ingest(csv_source(GOOD_ROW + "\r" + GOOD_ROW, GOOD_ROW))
+        assert [(r.line, r.reason) for r in result.rejections] == [(1, "bad-csv")]
+        assert (result.rows_read, len(result.records)) == (2, 1)
 
 
 
@@ -582,6 +612,29 @@ class TestRunPipeline:
             assert written == (tmp_path / f"{name}.reference.csv").read_bytes()
         assert record_keys(result.train) | record_keys(result.test) == record_keys(result.clean)
         assert not (record_keys(result.train) & record_keys(result.test))
+
+    def test_train_and_test_are_the_split_rows_of_clean(self, small_synth_csv, tmp_path):
+        result = run_pipeline(small_synth_csv, tmp_path / "out", seed=42, contamination=0.05)
+        want = split(result.clean, SplitSpec(test_fraction=0.2, seed=42))
+        assert all(np.array_equal(got, index) for got, index in zip((result.train_index, result.test_index), want))
+        assert rows_of(result.train) == rows_of(result.clean.take(want[0]))
+        assert rows_of(result.test) == rows_of(result.clean.take(want[1]))
+
+    def test_peak_memory_is_a_small_multiple_of_the_ingested_table(self, a7_corpus, tmp_path):
+        # each stage's input table is dropped once its output exists; holding
+        # every stage's table to the end peaked at 8.5x the ingested columns
+        _, path = a7_corpus
+        records = ingest(path).records
+        table_bytes = sum(records[name].nbytes for name in CSV_COLUMNS)
+        del records
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_pipeline(path, tmp_path / "out", seed=42, contamination=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.0 * table_bytes
 
 
 class TestAtomicWrites:

@@ -98,6 +98,23 @@ class TestParseRow:
             parse_row(cells)
         assert str(caught.value).split(":", 1)[0] == reason
 
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            with_cell("device_id", "d\udcffv"),
+            with_cell("device_id", "n\u00f6de\udcff"),
+            with_cell("rssi", "-7\udcff5"),
+            # fromisoformat takes any character between date and time
+            with_cell("time", "2024-01-01\udcff00:00:00"),
+            with_cell("SF", "13\udcff"),
+            GOOD_CELLS[:-1] + ["\udcff"],
+            GOOD_CELLS[:-2] + ["\udcff"],
+        ],
+    )
+    def test_a_lone_surrogate_anywhere_is_bad_encoding(self, cells):
+        with pytest.raises(InvalidDataError, match="^bad-encoding: "):
+            parse_row(cells)
+
     def test_device_id_of_the_longest_accepted_length(self):
         longest = "d" * MAX_DEVICE_ID_CHARS
         assert parse_row(with_cell("device_id", longest))[1] == longest
