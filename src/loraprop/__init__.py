@@ -46,7 +46,7 @@ from .propagation import (  # noqa: E402,F401
     simulate_scene,
 )
 from .records import CSV_COLUMNS, FEATURE_FIELDS, ObservationTable  # noqa: E402,F401
-from .fitting import FitConfig, FitReport, fit, jacobian, rss  # noqa: E402,F401
+from .fitting import FitConfig, FitReport, fit  # noqa: E402,F401
 from .pipeline import (  # noqa: E402,F401
     IsolationForestConfig,
     SplitSpec,

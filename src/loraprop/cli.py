@@ -29,9 +29,10 @@ from .adr import AdrState, adr_step, record_snr, snr_margin
 from .errors import LorapropError
 from .evaluation import cross_validate, evaluate_model
 from .fitting import FitConfig, fit
-from .jsonio import atomic_write, config_digest, to_json, write_json
+from .jsonio import atomic_write, config_digest, read_json, to_json, write_json
 from .link_budget import (
     DEFAULT_LINK_BUDGET,
+    check_reception,
     esp,
     experimental_path_loss,
     load_link_budget,
@@ -166,6 +167,7 @@ def cmd_duty_cycle(args: argparse.Namespace) -> int:
 
 
 def cmd_link_budget(args: argparse.Namespace) -> int:
+    check_reception(args.rssi, args.snr)
     params = load_link_budget(args.params) if args.params else DEFAULT_LINK_BUDGET
     payload = {
         "esp_dbm": esp(args.rssi, args.snr),
@@ -328,7 +330,7 @@ def cmd_pipeline_run(args: argparse.Namespace) -> int:
 def _fit_config_from_file(path: str | None) -> FitConfig:
     if path is None:
         return FitConfig()
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = read_json(path)
     try:
         if "initial_params" in raw and raw["initial_params"] is not None:
             raw["initial_params"] = tuple(float(v) for v in raw["initial_params"])
@@ -559,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (LorapropError, OSError, json.JSONDecodeError) as exc:
+    except (LorapropError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         log.error("%s", exc)
         return 1
 

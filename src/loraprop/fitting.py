@@ -131,36 +131,6 @@ def predictions(
     return x @ params + fixed_offsets(observations, variant)
 
 
-def rss(
-    params: np.ndarray,
-    observations: ObservationTable,
-    variant: ModelVariant,
-    reference_distance_m: float = 1.0,
-) -> float:
-    """Residual sum of squares of measured minus predicted path loss."""
-    if not observations:
-        raise InvalidDataError("no observations")
-    predicted = predictions(params, observations, variant, reference_distance_m)
-    residual = observations["exp_pl"] - predicted
-    return float(residual @ residual)
-
-
-def jacobian(
-    params: np.ndarray,
-    observations: ObservationTable,
-    variant: ModelVariant,
-    reference_distance_m: float = 1.0,
-) -> np.ndarray:
-    """Partial derivatives of the prediction w.r.t. each coefficient.
-
-    The models are linear in their coefficients, so this equals the design
-    matrix for any parameter value; the vector is validated to keep the
-    calling contract uniform with nonlinear extensions.
-    """
-    check_params(params, variant)
-    return design_matrix(observations, variant, reference_distance_m)
-
-
 def fit(
     observations: ObservationTable,
     variant: ModelVariant,

@@ -43,6 +43,16 @@ def write_json(path: str | Path, payload) -> None:
         handle.write(text)
 
 
+def read_json(path: str | Path):
+    """The JSON value in a UTF-8 file; bytes that are not UTF-8 are an
+    :class:`InvalidDataError` naming the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidDataError(f"{path} is not UTF-8 text: byte {exc.start} ({exc.reason})") from None
+    return json.loads(text)
+
+
 def config_digest(config) -> str:
     """SHA-256 of the compact, key-sorted JSON form of a configuration."""
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()

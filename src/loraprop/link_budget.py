@@ -8,12 +8,12 @@ part of the test surface, so no fixed-point shortcuts anywhere.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, InvalidDataError
+from .jsonio import read_json
 from .propagation import XI
 
 
@@ -82,6 +82,24 @@ SF_THRESHOLDS: dict[int, SfThreshold] = {
 }
 
 
+#: Readings one reception can give: an RSSI in dBm from far below any LoRa
+#: receiver's sensitivity (-137 dBm at SF12) up to more than a front end
+#: survives, and an SNR in dB within the signed quarter-dB byte a LoRa radio
+#: reports it in.
+RSSI_RANGE_DBM = (-200.0, 30.0)
+SNR_RANGE_DB = (-32.0, 32.0)
+
+
+def check_reception(rssi_dbm: float, snr_db: float) -> None:
+    """Refuse an RSSI or SNR outside :data:`RSSI_RANGE_DBM` or :data:`SNR_RANGE_DB`."""
+    for name, value, (low, high), unit in (
+        ("rssi", rssi_dbm, RSSI_RANGE_DBM, "dBm"),
+        ("snr", snr_db, SNR_RANGE_DB, "dB"),
+    ):
+        if not low <= value <= high:
+            raise InvalidDataError(f"{name} {value!r} {unit} is outside the physical range [{low}, {high}] {unit}")
+
+
 def _excess_over_noise_db(snr_db: float) -> float:
     """10*log10(1 + 10^(snr/10)), evaluated without overflow for large SNR."""
     if snr_db > 0:
@@ -137,7 +155,7 @@ def load_thresholds(path: str | Path) -> dict[int, SfThreshold]:
 
     Expected shape: ``{"7": {"snr_req_db": -7.5, "sensitivity_dbm": -123}, ...}``.
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = read_json(path)
     table: dict[int, SfThreshold] = {}
     try:
         for key, row in raw.items():
@@ -154,7 +172,7 @@ def load_thresholds(path: str | Path) -> dict[int, SfThreshold]:
 
 def load_link_budget(path: str | Path) -> LinkBudgetParams:
     """Read link-budget parameters from a JSON file keyed by field name."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw = read_json(path)
     try:
         return LinkBudgetParams(**{k: float(v) for k, v in raw.items()})
     except InvalidConfigError:

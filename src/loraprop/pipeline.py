@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -489,6 +490,95 @@ def _rows_by_device(records: ObservationTable) -> list[tuple[str, np.ndarray]]:
     return list(zip(devices.tolist(), np.split(order, ends[:-1])))
 
 
+def _screen_device(rows: ObservationTable, device: str, config: IsolationForestConfig):
+    """Screen one device's rows (two or more): its flags, or None when it is
+    passed through, its constant features and the warnings to log about it
+    as ``(format, args)`` pairs."""
+    notes = []
+    varying = [name for name in config.features if rows[name].min() < rows[name].max()]
+    constant = [name for name in config.features if name not in varying]
+    if constant:
+        notes.append(("device %s has constant feature(s) %s; screening on the others", (device, constant)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = feature_matrix(rows, varying).std(axis=0).tolist()
+    unscalable = [name for name, value in zip(varying, spread) if not 0.0 < value < math.inf]
+    if unscalable:
+        varying = [name for name in varying if name not in unscalable]
+        notes.append(("device %s has feature(s) %s that cannot be standardised; screening on the others", (device, unscalable)))
+    flags = None
+    if varying:
+        scaled, _ = standardize(rows, varying)
+        flags = isolation_forest(scaled, config).flags
+    return flags, constant, notes
+
+
+def _screen_share(records: ObservationTable, share: list, config: IsolationForestConfig) -> list:
+    """:func:`_screen_device` over each ``(device, row indices)`` of a share."""
+    return [_screen_device(records.take(idx), device, config) for device, idx in share]
+
+
+def _screen_in_child(conn, records: ObservationTable, share: list, config: IsolationForestConfig) -> None:
+    """Body of a forked screening process: send its share's results, or the
+    exception that stopped it, back to the parent."""
+    try:
+        reply = ("ok", _screen_share(records, share, config))
+    except BaseException as exc:  # the parent re-raises it
+        reply = ("error", exc)
+    conn.send(reply)
+    conn.close()
+
+
+def _shares(devices: list, workers: int, subsample_size: int) -> list[list]:
+    """Split ``(device, row indices)`` pairs into ``workers`` shares, largest
+    first onto the lightest share, weighing a device by rows + subsample size."""
+    shares: list[list] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for device, idx in sorted(devices, key=lambda pair: -pair[1].size):
+        lightest = loads.index(min(loads))
+        shares[lightest].append((device, idx))
+        loads[lightest] += idx.size + subsample_size
+    return shares
+
+
+def _screen_devices(records: ObservationTable, devices: list, config: IsolationForestConfig) -> dict:
+    """:func:`_screen_device` results by device, the devices spread over the
+    usable CPUs: the parent screens the first share and a forked child each
+    other one.  With one share no process is started."""
+    import multiprocessing  # here, not at the top: commands that screen nothing skip its import
+
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(devices)))
+    if multiprocessing.current_process().daemon:  # a daemonic process may not start any
+        workers = 1
+    shares = _shares(devices, workers, config.subsample_size)
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for share in shares[1:]:
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_screen_in_child, args=(send, records, share, config), daemon=True)
+            child.start()
+            children.append((child, receive))
+            send.close()  # so a child that dies leaves the parent an EOFError, not a wait
+        results = _screen_share(records, shares[0], config)
+        for child, receive in children:
+            try:
+                status, reply = receive.recv()
+            except EOFError:
+                raise LorapropError(f"anomaly screening process {child.pid} ended without a result") from None
+            if status == "error":
+                raise reply
+            results += reply
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
+    return {device: result for (device, _), result in zip(chain.from_iterable(shares), results)}
+
+
 def flag_anomalies(
     records: ObservationTable, config: IsolationForestConfig
 ) -> tuple[np.ndarray, dict[str, list[str]]]:
@@ -500,27 +590,24 @@ def flag_anomalies(
     non-constant features only; one with fewer than two rows or no varying
     feature is passed through unflagged, and one whose spread is not finite
     and positive (a sum overflows or squares underflow) is left out the same way.
+    Devices are screened in parallel (see :func:`_screen_devices`); flags
+    and warnings do not depend on the number of CPUs.
     """
     flags = np.zeros(len(records), dtype=bool)
     constant: dict[str, list[str]] = {}
-    for device, idx in _rows_by_device(records):
+    devices = _rows_by_device(records)
+    results = _screen_devices(records, [(device, idx) for device, idx in devices if idx.size >= 2], config)
+    for device, idx in devices:
         if idx.size < 2:
             log.warning("device %s has %d record(s); skipping anomaly screen", device, idx.size)
             continue
-        rows = records.take(idx)
-        varying = [name for name in config.features if rows[name].min() < rows[name].max()]
-        if len(varying) < len(config.features):
-            constant[device] = [name for name in config.features if name not in varying]
-            log.warning("device %s has constant feature(s) %s; screening on the others", device, constant[device])
-        with np.errstate(over="ignore", invalid="ignore"):
-            spread = feature_matrix(rows, varying).std(axis=0).tolist()
-        unscalable = [name for name, value in zip(varying, spread) if not 0.0 < value < math.inf]
-        if unscalable:
-            varying = [name for name in varying if name not in unscalable]
-            log.warning("device %s has feature(s) %s that cannot be standardised; screening on the others", device, unscalable)
-        if varying:
-            scaled, _ = standardize(rows, varying)
-            flags[idx] = isolation_forest(scaled, config).flags
+        device_flags, device_constant, notes = results[device]
+        for message, args in notes:
+            log.warning(message, *args)
+        if device_constant:
+            constant[device] = device_constant
+        if device_flags is not None:
+            flags[idx] = device_flags
     return flags, constant
 
 

@@ -15,7 +15,6 @@ is built from :func:`predictor_columns` and :func:`fixed_term`.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +23,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidDataError
-from .jsonio import write_json
+from .jsonio import read_json, write_json
 
 #: dB-to-natural-log conversion constant, 10 / ln 10.
 XI = 10.0 / math.log(10.0)
@@ -427,4 +426,4 @@ def save_model(model: PathLossModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> PathLossModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return model_from_dict(read_json(path))

@@ -58,6 +58,9 @@ MAX_DEVICE_ID_CHARS = 64
 #: What a byte that is not UTF-8 decodes to under ``errors="surrogateescape"``;
 #: no text holds a lone surrogate.
 _SURROGATE = re.compile("[\ud800-\udfff]")
+#: A date in a form ``datetime.fromisoformat`` or ``yyyy-m-d`` reads, then the
+#: end of the cell or one of the two date/time separators the schema allows.
+_DATE_THEN_SEPARATOR = re.compile(r"\d{4}(?:-\d\d?-\d\d?|\d{4}|-?W\d\d(?:-?\d)?)(?:\Z|[T ])")
 #: Rows :meth:`ObservationTable.rows` converts to Python values at a time.
 _ROW_BLOCK = 4096
 
@@ -117,6 +120,9 @@ def _parse_time(text: str) -> datetime:
             value = datetime.strptime(text, "%Y-%m-%d %H:%M:%S")
         except ValueError:
             raise InvalidDataError(f"bad-time: {text!r}") from None
+    if not _DATE_THEN_SEPARATOR.match(text):
+        # ``fromisoformat`` takes any character between date and time
+        raise InvalidDataError(f"bad-time: date and time separated by neither 'T' nor a space in {text!r}")
     if value.tzinfo is not None:
         # the schema is naive local time; an offset cannot be placed on it
         raise InvalidDataError(f"bad-time: timezone offset in {text!r}")
@@ -144,9 +150,10 @@ def parse_row(values: list[str]) -> tuple:
         return _parse_row_checked(values)
     device = values[1].strip()
     if (
-        # a lone surrogate is a byte that was not UTF-8; ``fromisoformat``
-        # takes any character between date and time, so the time cell too
-        values[0].isascii() and (device.isascii() or not _SURROGATE.search(device))
+        # a lone surrogate is a byte that was not UTF-8, in the time cell too;
+        # a time whose date is not ``yyyy-mm-dd`` before a 'T' or a space is checked per cell
+        values[0].isascii() and values[0][10:11] in ("T", " ")
+        and (device.isascii() or not _SURROGATE.search(device))
         and when.tzinfo is None and 0 < len(device) <= MAX_DEVICE_ID_CHARS and "\0" not in device
         and math.isfinite(sum(numbers)) and sf.is_integer() and 7 <= sf <= 12
         and f_count.is_integer() and -(2**63) <= f_count < 2**63

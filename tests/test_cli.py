@@ -174,6 +174,28 @@ class TestLinkBudgetCommand:
         payload = json.loads(out)
         assert payload["receivable"] is True
 
+    @pytest.mark.parametrize("rssi, snr", [("-200", "-32"), ("30", "32")])
+    def test_readings_at_the_ends_of_their_ranges(self, capsys, rssi, snr):
+        code, out = run(capsys, "link-budget", "--rssi", rssi, "--snr", snr)
+        assert code == 0
+        assert json.loads(out)["exp_pl_db"] == pytest.approx(17.26 - float(rssi), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "rssi, snr, reason",
+        [
+            ("1e308", "3", "rssi 1e+308 dBm is outside the physical range [-200.0, 30.0] dBm"),
+            ("-200.5", "0", "rssi -200.5 dBm is outside"),
+            ("30.5", "0", "rssi 30.5 dBm is outside"),
+            ("-73", "-1e300", "snr -1e+300 dB is outside the physical range [-32.0, 32.0] dB"),
+            ("-73", "32.25", "snr 32.25 dB is outside"),
+        ],
+    )
+    def test_reading_outside_its_physical_range_exits_1(self, capsys, caplog, rssi, snr, reason):
+        # 1e308 printed esp_dbm 1e+308 and exited 0
+        assert main(["link-budget", f"--rssi={rssi}", f"--snr={snr}"]) == 1
+        assert capsys.readouterr().out == ""
+        assert reason in caplog.text
+
 
 class TestAdrSimCommand:
     def test_trace_replay(self, capsys, tmp_path):
@@ -309,6 +331,21 @@ class TestPipelineCommand:
         argv = ["pipeline", "run", "--input", str(raw), "--out-dir", str(out),
                 "--contamination", "0.05"]
         assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["rejections_by_reason"] == {"bad-time": 1}
+        assert manifest["counts"]["ingested"] == len(data.records) - 1
+
+    def test_date_and_time_separated_by_another_character_is_bad_time(self, capsys, tmp_path):
+        # fromisoformat takes any separator: this row was ingested as 00:04
+        data = synth_dataset(rows_per_device=60, seed=2, duplicates_per_device=0)
+        raw = tmp_path / "raw.csv"
+        write_records_csv(csv_lines(data.records), raw)
+        lines = raw.read_text().splitlines()
+        lines[5] = lines[5].replace("2024-01-01 00:04:00", "2024-01-01Q00:04:00")
+        assert "Q00:04" in lines[5]
+        raw.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["pipeline", "run", "--input", str(raw), "--out-dir", str(out), "--contamination", "0.05"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["rejections_by_reason"] == {"bad-time": 1}
         assert manifest["counts"]["ingested"] == len(data.records) - 1
@@ -530,6 +567,30 @@ class TestFitCommand:
                 ["fit", "--variant", "mw", "--input", str(cleaned_csv), "--out", str(path)]
             ) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_fit_config_that_is_not_utf8_exits_1(self, capsys, caplog, tmp_path, cleaned_csv):
+        # a UnicodeDecodeError traceback before
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"rss_tolerance": 1e-9, "x": "\xff"}')
+        model = tmp_path / "m.json"
+        argv = ["fit", "--variant", "mw", "--input", str(cleaned_csv), "--out", str(model), "--config", str(path)]
+        assert main(argv) == 1
+        assert f"{path} is not UTF-8 text: byte 30" in caplog.text
+        assert not model.exists()
+
+    def test_model_file_that_is_not_utf8_exits_1(self, capsys, caplog, tmp_path):
+        # a UnicodeDecodeError traceback before
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"variant": "mw\xff"}')
+        assert main(["predict", "--model", str(path), "--distance", "10"]) == 1
+        assert capsys.readouterr().out == ""
+        assert f"{path} is not UTF-8 text: byte 15" in caplog.text
+
+    def test_schedule_that_is_not_utf8_exits_1(self, capsys, caplog, tmp_path):
+        path = tmp_path / "schedule.jsonl"
+        path.write_bytes(b'{"sf": 7, "bw_hz": 125000, "payload_bytes": 18, "count": 5, "x": "\xff"}\n')
+        assert main(["duty-cycle", "--schedule", str(path)]) == 1
+        assert "can't decode byte 0xff" in caplog.text
 
     def test_malformed_model_file_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

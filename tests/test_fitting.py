@@ -10,9 +10,7 @@ from loraprop.fitting import (
     design_matrix,
     fit,
     fixed_offsets,
-    jacobian,
     predictions,
-    rss,
     standard_errors,
 )
 from loraprop.propagation import (
@@ -52,6 +50,12 @@ def independent_design(records, variant):
     return np.column_stack(cols)
 
 
+def rss(params, records, variant):
+    """Residual sum of squares of measured minus predicted path loss."""
+    residual = records["exp_pl"] - predictions(params, records, variant)
+    return float(residual @ residual)
+
+
 class TestRss:
     def test_zero_at_truth(self):
         records, truth = mw_observations(n=50, sigma_db=0.0)
@@ -78,13 +82,16 @@ class TestRss:
 
 
 class TestJacobian:
+    """The models are linear in their coefficients: the design matrix is the
+    Jacobian of the predictions at any coefficient vector."""
+
     def test_intercept_column_is_ones(self):
-        records, truth = mw_observations(n=30)
-        j = jacobian(truth, records, ModelVariant.MW)
+        records, _ = mw_observations(n=30)
+        j = design_matrix(records, ModelVariant.MW)
         np.testing.assert_array_equal(j[:, 0], np.ones(30))
 
     def test_exponent_column_vanishes_at_reference_distance(self):
-        j = jacobian(default_initial_params(ModelVariant.MW), make_table(distance=1.0), ModelVariant.MW)
+        j = design_matrix(make_table(distance=1.0), ModelVariant.MW)
         assert j[0, 1] == 0.0
 
     @pytest.mark.parametrize("variant", [ModelVariant.MW, ModelVariant.MW_EP])
@@ -95,7 +102,7 @@ class TestJacobian:
         else:
             records = synth_dataset(rows_per_device=2, seed=5, duplicates_per_device=0).clean
             params = default_initial_params(variant)
-        analytic = jacobian(params, records, variant)
+        analytic = design_matrix(records, variant)
         h = 1e-6
         for k in range(len(params)):
             up = params.copy()
@@ -203,7 +210,7 @@ class TestFitProperties:
     def test_jacobian_dimension_mismatch(self):
         records, _ = mw_observations(n=10)
         with pytest.raises(InvalidDataError):
-            jacobian(np.zeros(7), records, ModelVariant.MW)
+            predictions(np.zeros(7), records, ModelVariant.MW)
 
     def test_rss_non_increasing_over_accepted_steps(self):
         records, _ = mw_observations(n=250, seed=3, sigma_db=8.0)

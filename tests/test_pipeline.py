@@ -1,8 +1,11 @@
 import gc
 import io
 import json
+import logging
 import math
+import multiprocessing
 import os
+import signal
 import tracemalloc
 import warnings
 from collections import Counter, namedtuple
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loraprop import pipeline
-from loraprop.errors import InvalidDataError
+from loraprop.errors import InvalidDataError, LorapropError
 from loraprop.jsonio import write_json
 from loraprop.pipeline import (
     IsolationForestConfig,
@@ -36,7 +39,15 @@ from loraprop.pipeline import (
 )
 from loraprop.records import CSV_COLUMNS, MAX_DEVICE_ID_CHARS
 
-from helpers import make_table, record_keys, replace_columns, rows_of, write_reference_csv
+from helpers import (
+    concat,
+    make_table,
+    record_keys,
+    replace_columns,
+    rows_of,
+    synth_dataset,
+    write_reference_csv,
+)
 
 HEADER = ",".join(CSV_COLUMNS)
 GOOD_ROW = (
@@ -507,6 +518,139 @@ class TestIsolationForest:
         assert constant == {"dev3": list(config.features)}
         assert not flags[mine].any()
         assert int(flags[~mine].sum()) > 0
+
+
+@pytest.fixture(scope="module")
+def devices32(tmp_path_factory):
+    """A 32-device table and its CSV: 60 rows per device, a constant ``pm25``
+    on dev07, a ``co2`` whose mean overflows on dev10 and a lone row on dev31."""
+    placements = [(f"dev{k:02d}", 2.0 + k, k % 3, k % 4) for k in range(31)]
+    table = synth_dataset(rows_per_device=60, seed=32, duplicates_per_device=0,
+                          placements=placements).records
+    devices = table["device_id"]
+    co2 = table["co2"].copy()
+    co2[np.flatnonzero(devices == "dev10")[:2]] = 1.7e308
+    table = replace_columns(table, pm25=np.where(devices == "dev07", 5.0, table["pm25"]), co2=co2)
+    lone = replace_columns(table.take([0]), device_id=["dev31"])
+    table = concat(table, lone)
+    path = tmp_path_factory.mktemp("devices32") / "devices32.csv"
+    write_records_csv(csv_lines(table), path)
+    return table, path
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestParallelScreen:
+    """The per-device screens spread over forked processes give the results,
+    warnings and files of one process, and leave no process behind."""
+
+    @pytest.fixture(autouse=True)
+    def bounded(self):
+        """A screen that waits on a child for ever fails the test instead."""
+        def expire(signum, frame):
+            raise TimeoutError("the anomaly screen still waits after 120 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("corpus", ["a7", "devices32"])
+    def test_flags_and_warnings_do_not_depend_on_the_cpus(self, corpus, a7_corpus, devices32, monkeypatch, caplog):
+        table = a7_corpus[0].clean if corpus == "a7" else devices32[0]
+        config = IsolationForestConfig(contamination=0.05, seed=42)
+        got = []
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="loraprop.pipeline"):
+                flags, constant = flag_anomalies(table, config)
+            got.append((flags, constant, [(r.levelname, r.getMessage()) for r in caplog.records]))
+            assert multiprocessing.active_children() == []
+        (flags1, constant1, warned1), (flags2, constant2, warned2) = got
+        np.testing.assert_array_equal(flags1, flags2)
+        assert constant1 == constant2
+        assert warned1 == warned2
+        if corpus == "devices32":
+            assert constant1 == {"dev07": ["pm25"]}
+            assert [message.split(" has ")[0] for _, message in warned1] == ["device dev07", "device dev10", "device dev31"]
+            assert int(flags1.sum()) == 31 * 3
+
+    @pytest.mark.parametrize("corpus", ["a7", "devices32"])
+    def test_pipeline_outputs_do_not_depend_on_the_cpus(self, corpus, a7_corpus, devices32, monkeypatch, tmp_path):
+        path = a7_corpus[1] if corpus == "a7" else devices32[1]
+        outputs = []
+        for n in (1, 2):
+            use_cpus(monkeypatch, n)
+            run_pipeline(path, tmp_path, seed=42, contamination=0.05)
+            assert multiprocessing.active_children() == []
+            outputs.append({name: (tmp_path / name).read_bytes()
+                            for name in ("cleaned.csv", "train.csv", "test.csv", "manifest.json")})
+        assert outputs[0] == outputs[1]
+
+    def test_daemonic_process_screens_every_device_itself(self, devices32, monkeypatch):
+        # a pool worker is daemonic, and a daemonic process may not start one
+        use_cpus(monkeypatch, 2)
+        config = IsolationForestConfig(contamination=0.05)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            flags, constant = pool.apply(flag_anomalies, (devices32[0], config))
+        expected, _ = flag_anomalies(devices32[0], config)
+        np.testing.assert_array_equal(flags, expected)
+        assert constant == {"dev07": ["pm25"]}
+
+    def test_shares_put_the_largest_device_on_the_lightest_share(self):
+        devices = [(name, np.arange(size)) for name, size in (("a", 10), ("b", 300), ("c", 40), ("d", 290))]
+        shares = pipeline._shares(devices, 2, 256)
+        assert [[name for name, _ in share] for share in shares] == [["b", "a"], ["d", "c"]]
+
+    @staticmethod
+    def _in_child(monkeypatch, act):
+        """Make ``isolation_forest`` call ``act`` in a forked child, as itself in the parent."""
+        parent, screen = os.getpid(), pipeline.isolation_forest
+
+        def isolation_forest(matrix, config):
+            if os.getpid() != parent:
+                act()
+            return screen(matrix, config)
+
+        monkeypatch.setattr(pipeline, "isolation_forest", isolation_forest)
+
+    def test_error_in_a_child_is_raised_by_the_parent(self, devices32, monkeypatch, tmp_path):
+        def fail():
+            raise InvalidDataError("bad-child: screened in a child")
+
+        use_cpus(monkeypatch, 2)
+        self._in_child(monkeypatch, fail)
+        with pytest.raises(InvalidDataError, match="^bad-child: screened in a child$"):
+            run_pipeline(devices32[1], tmp_path, seed=42, contamination=0.05)
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_child_that_dies_is_an_error_not_a_wait(self, devices32, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        self._in_child(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(LorapropError, match="ended without a result"):
+            flag_anomalies(devices32[0], IsolationForestConfig(contamination=0.05))
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_the_parent_stops_the_children(self, devices32, monkeypatch):
+        parent, screen = os.getpid(), pipeline.isolation_forest
+
+        def isolation_forest(matrix, config):
+            if os.getpid() == parent:
+                raise InvalidDataError("bad-parent")
+            return screen(matrix, config)
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(pipeline, "isolation_forest", isolation_forest)
+        with pytest.raises(InvalidDataError, match="bad-parent"):
+            flag_anomalies(devices32[0], IsolationForestConfig(contamination=0.05))
+        assert multiprocessing.active_children() == []
 
 
 class TestSplit:

@@ -86,6 +86,12 @@ class TestParseRow:
             (with_cell("time", "2024-13-01 00:00:00"), "bad-time"),
             (with_cell("time", "2024-01-01 00:00:00+02:00"), "bad-time"),
             (with_cell("time", "2024-01-01T00:00:00Z"), "bad-time"),
+            # fromisoformat reads any character between date and time
+            (with_cell("time", "2024-01-01Q12:00:00"), "bad-time"),
+            (with_cell("time", "2024-01-01t12:00:00"), "bad-time"),
+            (with_cell("time", "2024-01-01512:00:00"), "bad-time"),
+            (with_cell("time", "20240101Q120000"), "bad-time"),
+            (with_cell("time", "2024-1-1\t0:00:00"), "bad-time"),
             (with_cell("f_count", "1e19"), "bad-f_count"),
             (with_cell("device_id", "d" * (MAX_DEVICE_ID_CHARS + 1)), "bad-device_id"),
             (with_cell("device_id", "dev\0"), "bad-device_id"),
@@ -131,7 +137,8 @@ class TestParseRow:
             parse_row(cells)
 
     def test_iso_and_declared_time_formats_agree(self):
-        for text in ("2024-01-01 00:00:00", "2024-01-01T00:00:00", "2024-1-1 0:00:00"):
+        for text in ("2024-01-01 00:00:00", "2024-01-01T00:00:00", "2024-1-1 0:00:00",
+                     "20240101T000000", "2024-01-01"):
             assert parse_row(with_cell("time", text))[0] == datetime(2024, 1, 1)
         assert parse_row(with_cell("time", "2024-01-01 00:00:00.25"))[0].microsecond == 250000
 
