@@ -179,3 +179,156 @@ def test_a7_cli_outputs_pinned(a7_run, capsys):
         for argv in commands:
             assert main(argv) == 0
     assert _digests(cli, A7_CLI) == A7_CLI
+
+
+#: Every subcommand, run in order from one working directory with relative
+#: paths; later runs read what earlier ones wrote.  Each run pins its stdout,
+#: its ``manifest:`` log line (``None`` when it wrote a manifest file) and the
+#: files it wrote.
+CLI_RUNS = (
+    (["airtime", "--sf", "9", "--bw", "125000", "--payload", "18"], ()),
+    (["duty-cycle", "--schedule", "schedule.jsonl", "--limit", "0.02"], ()),
+    (["link-budget", "--rssi", "-73", "--snr", "5.5", "--sf", "7"], ()),
+    (["link-budget", "--rssi", "-90", "--snr", "-2", "--params", "params.json"], ()),
+    (["adr-sim", "--trace", "trace.txt", "--sf", "10"], ()),
+    (["simulate", "--seed", "3", "--max-distance", "40", "--points", "12"], ()),
+    (["simulate", "--seed", "4", "--max-distance", "60", "--points", "9", "--out", "sim.csv"],
+     ("sim.csv", "sim.manifest.json")),
+    (["pipeline", "run", "--input", "raw.csv", "--out-dir", "out", "--seed", "7"],
+     ("out/cleaned.csv", "out/train.csv", "out/test.csv", "out/manifest.json")),
+    (["fit", "--variant", "mw", "--input", "out/train.csv", "--out", "mw.json"],
+     ("mw.json", "mw.manifest.json")),
+    (["fit", "--variant", "mw-ep", "--input", "out/train.csv", "--config", "fit.json",
+      "--out", "ep.json", "--report", "ep.fit.json"],
+     ("ep.json", "ep.fit.json", "ep.manifest.json")),
+    (["predict", "--model", "mw.json", "--distance", "12.5", "--brick", "1", "--wood", "2"], ()),
+    (["predict", "--model", "ep.json", "--distance", "12.5", "--brick", "1", "--freq", "868.3",
+      "--snr", "4", "--env-json", '{"temperature": 21, "humidity": 40, "pressure": 323, '
+      '"pm25": 2, "co2": 550}'], ()),
+    (["evaluate", "--model", "mw.json", "--input", "out/test.csv"], ()),
+    (["evaluate", "--model", "ep.json", "--input", "out/test.csv", "--report", "ep.eval.json"],
+     ("ep.eval.json", "ep.eval.manifest.json")),
+    (["cross-validate", "--variant", "mw", "--input", "out/train.csv", "--folds", "3",
+      "--seed", "5"], ()),
+    (["cross-validate", "--variant", "mw-ep", "--input", "out/train.csv", "--folds", "3",
+      "--seed", "5", "--config", "fit.json", "--report", "ep.cv.json"],
+     ("ep.cv.json", "ep.cv.manifest.json")),
+)
+
+_CLI_INPUTS = {
+    "schedule.jsonl": '{"sf": 7, "bw_hz": 125000, "payload_bytes": 18, "count": 40}\n'
+                      '{"sf": 10, "bw_hz": 125000, "payload_bytes": 30, "count": 6}\n',
+    "params.json": '{"tx_power_dbm": 14, "tx_cable_loss_db": 0.5, "tx_antenna_gain_dbi": 2,'
+                   ' "rx_antenna_gain_dbi": 3, "rx_cable_loss_db": 1,'
+                   ' "tx_antenna_height_m": 1.5, "rx_antenna_height_m": 2}\n',
+    "trace.txt": "10\n8.5\n-3\n12\n15\n2\n",
+    "fit.json": '{"max_iterations": 50, "damping_initial": 0.01}\n',
+}
+
+
+def _sha(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+CLI_PINS = {
+    "00 airtime": {
+        "stdout": "55139637d1c005349cd1d2bf89bf4d74a05d64d8b7998605a41da5c4dddefaf2",
+        "manifest_log": "1cc55383434f991f40ed19a74989f24559f4d59b61347ef41ab00bf526f8ae71",
+    },
+    "01 duty-cycle": {
+        "stdout": "42acb3b2df8eb39375d6b965c123698f3d0318bc0159d2fe0da7cb03c2c62ade",
+        "manifest_log": "6952d2c224ca106b4d71b28517d1140d78361987f0170974f11420580c25e439",
+    },
+    "02 link-budget": {
+        "stdout": "b568ae8d4006954c8cc6dcaa2ea0c6f8ed0fbf8d5d18d439d653cad8bd0a630d",
+        "manifest_log": "f761f5f11450c846657e10afdde86761d6eb3f1dfde712f458944f28602a6023",
+    },
+    "03 link-budget": {
+        "stdout": "c462382e7a27e8acad63a9b0c04d912c70f19f5bbc4d337224872e558bb6b0a4",
+        "manifest_log": "22962fad23c7c3f9f73346985c9b5fa9b49189839cfb30a50d3beea8a3b5d339",
+    },
+    "04 adr-sim": {
+        "stdout": "039041611db740db0e5791d475f6888e176cb8f69dc89c3361889318bf81acad",
+        "manifest_log": "6395f3bb6aa5a3373a24a8c62fcab2d3d125fc060123279585c0e0eff486e3ca",
+    },
+    "05 simulate": {
+        "stdout": "0c2f59f2789ef7f613b3a5068046556f375ab51d87d3a5f6ba8451cad835a250",
+        "manifest_log": "f111dd4f626e6a5e445c1fc7176836f64d021511c5b1943c2e108fd184859429",
+    },
+    "06 simulate": {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "manifest_log": None,
+        "sim.csv": "7eb7b6b30feea589a27e8021cef82ab783b5bf26338e3ce4f7cc5ba9ab034371",
+        "sim.manifest.json": "d795687648958c4fec2eb13aecefeb8d7932f4f7e7c67f3370e52649b2d1cce1",
+    },
+    "07 pipeline": {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "manifest_log": None,
+        "out/cleaned.csv": "a94957d89c8a5fac34f1c9d80fab2f4ffa0c76041198099aaffa19a486ec4d0a",
+        "out/train.csv": "371ab783ab80ed4983516dc8e794724e704189c3e1ea83d0025d7864cc11b21f",
+        "out/test.csv": "3bdadf789c2b59786a00c819e92df9f6ef54d84cecc1172b7fa0a0ef12ffa258",
+        "out/manifest.json": "68713ad1862997b3e8f1564a7559df3e37a386a23a1d494308056026963c993a",
+    },
+    "08 fit": {
+        "stdout": "4964a83a03fa17a8f9bbb993eb85a5eee5bb66dd7af44b492a155bb74b9a852c",
+        "manifest_log": None,
+        "mw.json": "1a98c11230ea1d55363f5a81f70cd204d33dd53be4a8c949b4c66ea95a5a5336",
+        "mw.manifest.json": "c51e8eaabecb54a04c41f15b8b5cc604f635c1a7122dd701780447b07d2f5c20",
+    },
+    "09 fit": {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "manifest_log": None,
+        "ep.json": "df82f3070c142d53b0caddc91ef7eee5c1783377e549bddb3ec5c3be38885dbf",
+        "ep.fit.json": "ad9f16d1ab3d1bb8fa428e0074612d48b855d8a6429e19872ac01fb82bdf9f90",
+        "ep.manifest.json": "ad38bf336ac616d015901c7b64b7129e6ab3fe5cf49cebe3b3f6ab6ab669c32b",
+    },
+    "10 predict": {
+        "stdout": "7b462858aee7f0f052e2864ba160112c4bef231242d4f936e062ae5b05452320",
+        "manifest_log": "6d72f64d6c2e58ca8f20751e9658302d7fa982db418dd11b28eb0830cce45c74",
+    },
+    "11 predict": {
+        "stdout": "8bc9c9095a649e0ed945f3026f8434402b56059c53fd438e6058e92ff9e7a6ce",
+        "manifest_log": "6005dab6a5937a09ea5562eb58470f1b089a5cc0bfe410020a663f4bc01d05e4",
+    },
+    "12 evaluate": {
+        "stdout": "6cd39c815369ca4577b6b08bbc5c125eb5128f634b3d128dd5951ed9bc38d3fa",
+        "manifest_log": "5859cfaaa8297f4e00ab2767b665c1fca4bdfb0416ee0f9a389db4b74acb44d4",
+    },
+    "13 evaluate": {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "manifest_log": None,
+        "ep.eval.json": "00e49349019b704e84d0010aae5efb5950ced35793fdfeb9e2f7e96cfb1536a3",
+        "ep.eval.manifest.json": "655e923502e443264163925546c66529e5f73b0f533c5f998b2873efffb73f1f",
+    },
+    "14 cross-validate": {
+        "stdout": "56c070eba74152e70b85c83dd1b7ff4cbec7bda91e9249c3ff345e5fd947ede9",
+        "manifest_log": "e77941f90cef459bf0214e14ff55b43e9b75027960235da3e6260edeb7193cf7",
+    },
+    "15 cross-validate": {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "manifest_log": None,
+        "ep.cv.json": "b9cd7bc50651a0e54819e565fa55cb7996378aa7ad4ad31fe6d364e3fc9b83ad",
+        "ep.cv.manifest.json": "9337266e6f2bdb45768dfd8631b1ecf99b35affd1f7a76ef7f19c742aca6f2cb",
+    },
+}
+
+
+def test_every_cli_command_pinned(tmp_path, capsys, caplog):
+    caplog.set_level("INFO", logger="loraprop")
+    raw = synth_dataset(rows_per_device=100, seed=3, duplicates_per_device=2,
+                        sf_cycle=(7, 8, 9, 10, 11, 12)).records
+    write_records_csv(csv_lines(raw), tmp_path / "raw.csv")
+    for name, text in _CLI_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    pins = {}
+    with _cwd(tmp_path):
+        for argv, written in CLI_RUNS:
+            caplog.clear()
+            assert main(argv) == 0, argv
+            logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("manifest: ")]
+            assert len(logged) == (0 if written else 1), argv
+            pins[f"{len(pins):02d} {argv[0]}"] = {
+                "stdout": _sha(capsys.readouterr().out),
+                "manifest_log": _sha(logged[0]) if logged else None,
+            } | {path: _sha(Path(path).read_bytes()) for path in written}
+    assert pins == CLI_PINS
