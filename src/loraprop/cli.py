@@ -7,9 +7,9 @@ files (JSON/CSV); logs go to stderr.  Exit codes: 0 success, 1 domain error,
 2 usage error.
 
 Every run emits exactly one manifest recording inputs, seeds and outputs:
-commands that write files put ``*.manifest.json`` next to their primary
-output (``manifest.json`` for pipeline runs); stdout-only commands log the
-manifest to stderr.  All randomness is seed-injected through flags; the only
+``*.manifest.json`` beside the first file the command wrote (``--out``, else
+``--report``; ``manifest.json`` for pipeline runs), or a log line on stderr
+when it wrote no file.  All randomness is seed-injected through flags; the only
 environment variable honoured is ``LORAPROP_OUT_DIR`` (default output
 directory override).
 """
@@ -22,6 +22,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -29,7 +30,7 @@ from .adr import AdrState, adr_step, record_snr, snr_margin
 from .errors import LorapropError
 from .evaluation import cross_validate, evaluate_model
 from .fitting import FitConfig, fit
-from .jsonio import atomic_write, config_digest, read_json, to_json, write_json
+from .jsonio import atomic_write, manifest, read_json, to_json, write_json
 from .link_budget import (
     DEFAULT_LINK_BUDGET,
     check_reception,
@@ -57,7 +58,7 @@ log = logging.getLogger("loraprop")
 
 
 # ---------------------------------------------------------------------------
-# Manifest plumbing
+# Flags, results and manifests
 
 
 def _args_config(args: argparse.Namespace, *skip: str) -> dict:
@@ -66,35 +67,43 @@ def _args_config(args: argparse.Namespace, *skip: str) -> dict:
     return {k: v for k, v in vars(args).items() if k not in drop}
 
 
-def _emit_manifest(
-    command: str,
-    inputs: list[str],
-    outputs: list[str],
-    seeds: dict[str, int],
-    config: dict,
-    manifest_path: Path | None,
-) -> None:
-    manifest = {
-        "command": command,
-        "tool_version": __version__,
-        "inputs": inputs,
-        "outputs": outputs,
-        "seeds": seeds,
-        "config_digest": config_digest(config),
-    }
-    if manifest_path is None:
-        log.info("manifest: %s", to_json(manifest, sort_keys=True))
+def _finish(args: argparse.Namespace, config: dict, payload: dict | None = None) -> int:
+    """Write ``payload`` to ``--report``, or print it, then emit the run's
+    manifest: beside the first file written (``--out``, else ``--report``),
+    or to the log when the command wrote no file.  ``config`` is what the
+    manifest's digest covers."""
+    flags = vars(args)
+    if payload is not None:
+        if flags.get("report"):
+            write_json(flags["report"], payload)
+        else:
+            print(to_json(payload, indent=2))
+    outputs = [flags[name] for name in ("out", "report") if flags.get(name)]
+    record = manifest(
+        args.command,
+        config,
+        inputs=[
+            flags[name]
+            for name in ("schedule", "params", "trace", "model", "input", "config")
+            if flags.get(name)
+        ],
+        outputs=outputs,
+        seeds={"seed": args.seed} if "seed" in flags else {},
+    )
+    if outputs:
+        primary = Path(outputs[0])
+        write_json(primary.with_name(primary.stem + ".manifest.json"), record)
     else:
-        write_json(manifest_path, manifest)
+        log.info("manifest: %s", to_json(record, sort_keys=True))
+    return 0
 
 
-def _sibling_manifest(primary_output: str | Path) -> Path:
-    primary = Path(primary_output)
-    return primary.with_name(primary.stem + ".manifest.json")
-
-
-def _print_json(payload: dict) -> None:
-    print(to_json(payload, indent=2))
+def non_negative_int(text: str) -> int:
+    """``int`` of a ``--seed`` value, refusing the negatives numpy cannot seed with."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative: {text!r}")
+    return value
 
 
 def finite_float(text: str) -> float:
@@ -129,9 +138,7 @@ def cmd_airtime(args: argparse.Namespace) -> int:
         "n_payload": payload_symbols(cfg),
         "toa_ms": time_on_air(cfg) * 1e3,
     }
-    _print_json(payload)
-    _emit_manifest("airtime", [], [], {}, _args_config(args), None)
-    return 0
+    return _finish(args, _args_config(args), payload)
 
 
 def cmd_duty_cycle(args: argparse.Namespace) -> int:
@@ -147,23 +154,20 @@ def cmd_duty_cycle(args: argparse.Namespace) -> int:
                 schedule.append((RadioConfig(**entry), count))
             except LorapropError:
                 raise
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise LorapropError(
                     f"bad schedule entry at line {line_no}: {exc}"
                 ) from exc
     report = duty_cycle(schedule, limit=args.limit)
-    _print_json(
-        {
-            "total_airtime_ms_per_hour": report.total_airtime_ms_per_hour,
-            "duty_cycle_fraction": report.duty_cycle_fraction,
-            "per_sf_airtime_ms": {str(sf): ms for sf, ms in sorted(report.per_sf_airtime_ms.items())},
-            "limit": report.limit,
-            "compliant": report.compliant,
-            "violations": list(report.violations),
-        }
-    )
-    _emit_manifest("duty-cycle", [args.schedule], [], {}, {"limit": args.limit}, None)
-    return 0
+    payload = {
+        "total_airtime_ms_per_hour": report.total_airtime_ms_per_hour,
+        "duty_cycle_fraction": report.duty_cycle_fraction,
+        "per_sf_airtime_ms": {str(sf): ms for sf, ms in sorted(report.per_sf_airtime_ms.items())},
+        "limit": report.limit,
+        "compliant": report.compliant,
+        "violations": list(report.violations),
+    }
+    return _finish(args, {"limit": args.limit}, payload)
 
 
 def cmd_link_budget(args: argparse.Namespace) -> int:
@@ -179,16 +183,7 @@ def cmd_link_budget(args: argparse.Namespace) -> int:
             else None
         ),
     }
-    _print_json(payload)
-    _emit_manifest(
-        "link-budget",
-        [args.params] if args.params else [],
-        [],
-        {},
-        {"rssi": args.rssi, "snr": args.snr, "sf": args.sf},
-        None,
-    )
-    return 0
+    return _finish(args, {"rssi": args.rssi, "snr": args.snr, "sf": args.sf}, payload)
 
 
 def cmd_adr_sim(args: argparse.Namespace) -> int:
@@ -204,6 +199,8 @@ def cmd_adr_sim(args: argparse.Namespace) -> int:
     with open(args.trace, encoding="utf-8") as handle:
         try:
             values = [finite_float(line) for line in map(str.strip, handle) if line]
+            for snr in values:
+                check_reception(None, snr)
         except ValueError as exc:
             raise LorapropError(f"bad SNR trace {args.trace}: {exc}") from exc
     for index, snr in enumerate(values):
@@ -222,18 +219,12 @@ def cmd_adr_sim(args: argparse.Namespace) -> int:
                 }
             )
         )
-    _emit_manifest(
-        "adr-sim",
-        [args.trace],
-        [],
-        {},
-        _args_config(args, "trace"),
-        None,
-    )
-    return 0
+    return _finish(args, _args_config(args, "trace"))
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    if args.snr is not None:
+        check_reception(None, args.snr)
     model = load_model(args.model)
     walls = WallCounts(brick=args.brick, wood=args.wood)
     if model.variant is ModelVariant.MW:
@@ -257,16 +248,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         except (KeyError, TypeError, ValueError) as exc:
             raise LorapropError(f"bad --env-json: {exc}") from exc
         value = predict_mw_ep(model, args.distance, walls, args.freq, env, args.snr)
-    _print_json({"path_loss_db": value})
-    _emit_manifest(
-        "predict",
-        [args.model],
-        [],
-        {},
-        _args_config(args),
-        None,
-    )
-    return 0
+    return _finish(args, _args_config(args), {"path_loss_db": value})
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -289,19 +271,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out:
         with atomic_write(args.out) as handle:
             handle.write(text)
-        manifest_path = _sibling_manifest(args.out)
     else:
         sys.stdout.write(text)
-        manifest_path = None
-    _emit_manifest(
-        "simulate",
-        [],
-        [args.out] if args.out else [],
-        {"seed": args.seed},
-        _args_config(args),
-        manifest_path,
-    )
-    return 0
+    return _finish(args, _args_config(args))
 
 
 def cmd_pipeline_run(args: argparse.Namespace) -> int:
@@ -341,107 +313,35 @@ def _fit_config_from_file(path: str | None) -> FitConfig:
         raise LorapropError(f"invalid fit config {path}: {exc}") from exc
 
 
-def _fit_report_payload(report, n_observations: int) -> dict:
-    return {
+def cmd_fit(args: argparse.Namespace) -> int:
+    records = ingest(args.input).records
+    report = fit(records, ModelVariant(args.variant), _fit_config_from_file(args.config))
+    save_model(report.to_model(), args.out)
+    payload = {
         "variant": report.variant.value,
         "params": report.params_by_name(),
         "rss": report.rss,
         "shadowing_sigma_db": report.shadowing_sigma_db,
         "iterations": report.iterations,
         "converged": report.converged,
-        "n_observations": n_observations,
+        "n_observations": len(records),
     }
-
-
-def cmd_fit(args: argparse.Namespace) -> int:
-    variant = ModelVariant(args.variant)
-    records = ingest(args.input).records
-    config = _fit_config_from_file(args.config)
-    report = fit(records, variant, config)
-    save_model(report.to_model(), args.out)
-    outputs = [args.out]
-    payload = _fit_report_payload(report, len(records))
-    if args.report:
-        write_json(args.report, payload)
-        outputs.append(args.report)
-    else:
-        _print_json(payload)
-    _emit_manifest(
-        "fit",
-        [args.input] + ([args.config] if args.config else []),
-        outputs,
-        {},
-        {"variant": args.variant},
-        _sibling_manifest(args.out),
-    )
-    return 0
-
-
-def _eval_payload(report) -> dict:
-    return {
-        "rmse_db": report.rmse_db,
-        "r2": report.r2,
-        "residual_mean_db": report.residual_mean_db,
-        "residual_skewness": report.residual_skewness,
-        "shadowing_sigma_db": report.shadowing_sigma_db,
-        "n_observations": report.n_observations,
-    }
+    return _finish(args, {"variant": args.variant}, payload)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    records = ingest(args.input).records
-    report = evaluate_model(model, records)
-    payload = _eval_payload(report)
-    if args.report:
-        write_json(args.report, payload)
-        manifest_path = _sibling_manifest(args.report)
-    else:
-        _print_json(payload)
-        manifest_path = None
-    _emit_manifest(
-        "evaluate",
-        [args.model, args.input],
-        [args.report] if args.report else [],
-        {},
-        {},
-        manifest_path,
-    )
-    return 0
+    report = evaluate_model(load_model(args.model), ingest(args.input).records)
+    return _finish(args, {}, asdict(report))
 
 
 def cmd_cross_validate(args: argparse.Namespace) -> int:
-    variant = ModelVariant(args.variant)
     records = ingest(args.input).records
     config = _fit_config_from_file(args.config)
-    result = cross_validate(records, variant, folds=args.folds, seed=args.seed, config=config)
-    payload = {
-        "variant": args.variant,
-        "folds": [
-            {
-                "fold": f.fold,
-                "train": _eval_payload(f.train),
-                "validation": _eval_payload(f.validation),
-            }
-            for f in result.folds
-        ],
-        "aggregate": result.aggregate(),
-    }
-    if args.report:
-        write_json(args.report, payload)
-        manifest_path = _sibling_manifest(args.report)
-    else:
-        _print_json(payload)
-        manifest_path = None
-    _emit_manifest(
-        "cross-validate",
-        [args.input] + ([args.config] if args.config else []),
-        [args.report] if args.report else [],
-        {"seed": args.seed},
-        {"variant": args.variant, "folds": args.folds},
-        manifest_path,
+    result = cross_validate(
+        records, ModelVariant(args.variant), folds=args.folds, seed=args.seed, config=config
     )
-    return 0
+    payload = {"variant": args.variant} | asdict(result) | {"aggregate": result.aggregate()}
+    return _finish(args, {"variant": args.variant, "folds": args.folds}, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("simulate", help="sweep a random multi-wall scene")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=non_negative_int, required=True)
     p.add_argument("--max-distance", type=finite_float, required=True)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--sigma", type=finite_float, default=9.0)
@@ -518,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = pipeline_sub.add_parser("run", help="ingest, clean, screen and split a CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=non_negative_int, default=42)
     p.add_argument("--contamination", type=finite_float, default=0.01)
     p.add_argument("--dedup-window", type=finite_float, default=2.0)
     p.add_argument("--test-fraction", type=finite_float, default=0.2)
@@ -542,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=[v.value for v in ModelVariant], required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=non_negative_int, default=42)
     p.add_argument("--config", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_cross_validate)

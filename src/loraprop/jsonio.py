@@ -1,4 +1,4 @@
-"""Atomic file writes, canonical JSON files and config digests."""
+"""Atomic file writes, canonical JSON files and run manifests."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
 
+from . import __version__
 from .errors import InvalidDataError
 
 
@@ -53,6 +54,8 @@ def read_json(path: str | Path):
     return json.loads(text)
 
 
-def config_digest(config) -> str:
-    """SHA-256 of the compact, key-sorted JSON form of a configuration."""
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+def manifest(command: str, config, /, **fields) -> dict:
+    """A run manifest: ``command``, ``tool_version``, the given ``fields`` and
+    ``config_digest``, the SHA-256 of ``config``'s compact, key-sorted JSON."""
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+    return {"command": command, "tool_version": __version__, **fields, "config_digest": digest}

@@ -90,13 +90,14 @@ RSSI_RANGE_DBM = (-200.0, 30.0)
 SNR_RANGE_DB = (-32.0, 32.0)
 
 
-def check_reception(rssi_dbm: float, snr_db: float) -> None:
-    """Refuse an RSSI or SNR outside :data:`RSSI_RANGE_DBM` or :data:`SNR_RANGE_DB`."""
+def check_reception(rssi_dbm: float | None, snr_db: float | None) -> None:
+    """Refuse an RSSI or SNR outside :data:`RSSI_RANGE_DBM` or :data:`SNR_RANGE_DB`;
+    a reading given as ``None`` is not checked."""
     for name, value, (low, high), unit in (
         ("rssi", rssi_dbm, RSSI_RANGE_DBM, "dBm"),
         ("snr", snr_db, SNR_RANGE_DB, "dB"),
     ):
-        if not low <= value <= high:
+        if value is not None and not low <= value <= high:
             raise InvalidDataError(f"{name} {value!r} {unit} is outside the physical range [{low}, {high}] {unit}")
 
 

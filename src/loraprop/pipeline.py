@@ -23,9 +23,8 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from . import __version__
 from .errors import InvalidConfigError, InvalidDataError, LorapropError
-from .jsonio import atomic_write, config_digest, write_json
+from .jsonio import atomic_write, manifest, write_json
 from .link_budget import DEFAULT_LINK_BUDGET, LinkBudgetParams, esp, noise_power
 from .metrics import pdr
 from .records import (
@@ -794,17 +793,16 @@ def run_pipeline(
     for name, rows in outputs.items():
         write_records_csv(rows, out / f"{name}.csv")
 
-    manifest = {
-        "command": "pipeline run",
-        "tool_version": __version__,
-        "input": str(input_path),
-        "outputs": {name: str(out / f"{name}.csv") for name in outputs},
-        "config": effective_config,
-        "config_digest": config_digest(effective_config),
-        "counts": counts,
-        "rejections_by_reason": dict(sorted(reasons.items())),
-        "derived_audit_violations": n_violations,
-        "per_device": per_device,
-    }
-    write_json(out / "manifest.json", manifest)
-    return PipelineResult(clean=clean, train_index=train_index, test_index=test_index, manifest=manifest)
+    record = manifest(
+        "pipeline run",
+        effective_config,
+        input=str(input_path),
+        outputs={name: str(out / f"{name}.csv") for name in outputs},
+        config=effective_config,
+        counts=counts,
+        rejections_by_reason=dict(sorted(reasons.items())),
+        derived_audit_violations=n_violations,
+        per_device=per_device,
+    )
+    write_json(out / "manifest.json", record)
+    return PipelineResult(clean=clean, train_index=train_index, test_index=test_index, manifest=record)

@@ -296,6 +296,10 @@ def sample_shadowing(spec: ShadowingSpec, seed: int, count: int) -> np.ndarray:
     return rng.normal(spec.mean_db, spec.sigma_db, size=count)
 
 
+#: Walls a simulated scene may hold at its minimum wall spacing.
+MAX_SCENE_WALLS = 10**6
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """Synthetic single-corridor scene for simulation sweeps.
@@ -315,6 +319,8 @@ class SceneSpec:
     wall_loss_db: tuple[float, float] = (5.0, 12.0)
 
     def __post_init__(self) -> None:
+        if self.reference_distance_m <= 0:
+            raise InvalidConfigError("reference_distance_m must be positive")
         if self.max_distance_m <= self.reference_distance_m:
             raise InvalidConfigError(
                 "max_distance_m must exceed the reference distance"
@@ -326,6 +332,12 @@ class SceneSpec:
         lo, hi = self.wall_spacing_m
         if not 0 < lo <= hi:
             raise InvalidConfigError("wall_spacing_m must satisfy 0 < low <= high")
+        # written so that NaN fails it too: the wall loop would never end
+        if not self.max_distance_m / lo <= MAX_SCENE_WALLS:
+            raise InvalidConfigError(
+                f"{self.max_distance_m / lo:g} walls at the minimum wall spacing"
+                f" exceed the {MAX_SCENE_WALLS} a scene may hold"
+            )
         lo, hi = self.wall_loss_db
         if lo > hi:
             raise InvalidConfigError("wall_loss_db low bound exceeds high bound")

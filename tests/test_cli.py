@@ -105,6 +105,21 @@ class TestNonFiniteValues:
         assert "invalid finite_float value" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--seed", "-1", "--max-distance", "40"],
+            ["pipeline", "run", "--input", "x.csv", "--seed=-1"],
+            ["cross-validate", "--variant", "mw", "--input", "x.csv", "--seed", "-7"],
+        ],
+    )
+    def test_negative_seed_is_a_usage_error(self, capsys, argv):
+        # numpy refused it with a ValueError traceback
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "invalid non_negative_int value" in captured.err
+        assert captured.out == ""
+
     @staticmethod
     def _nan_model(path):
         # json.dumps writes NaN by default; this stands for a hand-edited file
@@ -157,6 +172,15 @@ class TestDutyCycleCommand:
         assert payload["total_airtime_ms_per_hour"] == pytest.approx(231.68, abs=1e-6)
         assert payload["duty_cycle_fraction"] == pytest.approx(231.68 / 3.6e6, rel=1e-9)
         assert payload["compliant"] is True
+
+    @pytest.mark.parametrize("line", ["5", '"sf7"', "null", "[7, 125000]"])
+    def test_entry_that_is_not_an_object_exits_1(self, capsys, caplog, tmp_path, line):
+        # a scalar line raised AttributeError with a traceback
+        schedule = tmp_path / "schedule.jsonl"
+        schedule.write_text('{"sf": 7, "bw_hz": 125000, "payload_bytes": 18, "count": 5}\n' + line + "\n")
+        assert main(["duty-cycle", "--schedule", str(schedule)]) == 1
+        assert capsys.readouterr().out == ""
+        assert "bad schedule entry at line 2" in caplog.text
 
 
 class TestLinkBudgetCommand:
@@ -212,6 +236,34 @@ class TestAdrSimCommand:
         assert lines[4]["sf"] == 7
         assert decisions[5] == "no_change"
 
+    @pytest.mark.parametrize(
+        "snr, reason",
+        [
+            ("1e308", "snr 1e+308 dB is outside the physical range [-32.0, 32.0] dB"),
+            ("-32.5", "snr -32.5 dB is outside"),
+        ],
+    )
+    def test_snr_outside_its_physical_range_exits_1_before_any_output(
+        self, capsys, caplog, tmp_path, snr, reason
+    ):
+        # 1e308 was replayed as a margin of 1e+308 and exited 0
+        trace = tmp_path / "trace.txt"
+        trace.write_text(f"10.0\n{snr}\n")
+        assert main(["adr-sim", "--trace", str(trace)]) == 1
+        assert capsys.readouterr().out == ""
+        assert reason in caplog.text
+
+
+EP_MODEL = PathLossModel(
+    variant=ModelVariant.MW_EP,
+    intercept_db=5.46,
+    path_loss_exponent=3.20,
+    wall_loss_db={"brick": 8.52, "wood": 2.98},
+    env_coeffs={"temperature": -0.005767, "humidity": -0.074299,
+                "pressure": -0.011567, "pm25": -0.153205, "co2": -0.002497},
+    snr_coeff=-1.982231,
+)
+
 
 class TestPredictCommand:
     def test_structural_model(self, capsys, tmp_path):
@@ -230,17 +282,8 @@ class TestPredictCommand:
         assert json.loads(out)["path_loss_db"] == pytest.approx(67.50, abs=1e-9)
 
     def test_extended_model_requires_covariates(self, capsys, tmp_path):
-        model = PathLossModel(
-            variant=ModelVariant.MW_EP,
-            intercept_db=5.46,
-            path_loss_exponent=3.20,
-            wall_loss_db={"brick": 8.52, "wood": 2.98},
-            env_coeffs={"temperature": -0.005767, "humidity": -0.074299,
-                        "pressure": -0.011567, "pm25": -0.153205, "co2": -0.002497},
-            snr_coeff=-1.982231,
-        )
         path = tmp_path / "ep.json"
-        save_model(model, path)
+        save_model(EP_MODEL, path)
         assert main(["predict", "--model", str(path), "--distance", "10"]) == 1
         env = json.dumps(
             {"temperature": 21.0, "humidity": 38.0, "pressure": 323.0, "pm25": 2.0, "co2": 550.0}
@@ -256,6 +299,23 @@ class TestPredictCommand:
         )
         assert code == 0
         assert json.loads(out)["path_loss_db"] > 0
+
+    @pytest.mark.parametrize(
+        "snr, reason",
+        [
+            ("1e300", "snr 1e+300 dB is outside the physical range [-32.0, 32.0] dB"),
+            ("32.5", "snr 32.5 dB is outside"),
+        ],
+    )
+    def test_snr_outside_its_physical_range_exits_1(self, capsys, caplog, tmp_path, snr, reason):
+        # --snr 1e300 printed a path loss of -1.98e+300 and exited 0
+        path = tmp_path / "ep.json"
+        save_model(EP_MODEL, path)
+        env = '{"temperature": 21, "humidity": 38, "pressure": 323, "pm25": 2, "co2": 550}'
+        assert main(["predict", "--model", str(path), "--distance", "10", "--freq", "868.1",
+                     "--env-json", env, f"--snr={snr}"]) == 1
+        assert capsys.readouterr().out == ""
+        assert reason in caplog.text
 
 
 class TestSimulateCommand:
@@ -276,6 +336,22 @@ class TestSimulateCommand:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--d0", "0"], "reference_distance_m must be positive"),
+            (["--d0=-1"], "reference_distance_m must be positive"),
+            (["--max-distance", "1e17"], "2.5e+16 walls at the minimum wall spacing exceed the 1000000"),
+        ],
+        ids=["d0-zero", "d0-negative", "max-distance-1e17"],
+    )
+    def test_invalid_scene_exits_1_before_any_output(self, capsys, caplog, flags, reason):
+        # d0 = 0 printed nan/inf rows, d0 = -1 raised a math domain error and
+        # 1e17 m never ended
+        assert main(["simulate", "--seed", "3", "--max-distance", "40"] + flags) == 1
+        assert capsys.readouterr().out == ""
+        assert reason in caplog.text
 
 
 @pytest.fixture(scope="module")

@@ -279,6 +279,19 @@ class TestSimulateScene:
         with pytest.raises(InvalidConfigError):
             SceneSpec(max_distance_m=0.5)
 
+    @pytest.mark.parametrize("d0", [0.0, -1.0])
+    def test_non_positive_reference_distance_rejected(self, d0):
+        # d0 = 0 simulated nan/inf rows, d0 = -1 a math domain error
+        with pytest.raises(InvalidConfigError, match="reference_distance_m must be positive"):
+            SceneSpec(max_distance_m=40.0, reference_distance_m=d0)
+
+    @pytest.mark.parametrize("max_distance_m", [4e6 + 1e-3, 1e17, float("nan")])
+    def test_layout_of_more_than_a_million_walls_rejected(self, max_distance_m):
+        # at 1e17 m the wall loop's position stopped advancing and never ended
+        SceneSpec(max_distance_m=4e6)  # 10**6 walls at the 4 m minimum spacing
+        with pytest.raises(InvalidConfigError, match="a scene may hold"):
+            SceneSpec(max_distance_m=max_distance_m)
+
     @pytest.mark.parametrize("seed", [0, 3, 12, 21])
     def test_matches_pointwise_loop(self, seed):
         """Reference: the scene evaluated point by point, wall by wall, with
