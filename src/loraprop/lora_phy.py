@@ -14,6 +14,10 @@ from .errors import InvalidConfigError
 
 MS_PER_HOUR = 3_600_000.0
 
+#: The bandwidths a LoRa radio transmits on, in Hz: 7.8 to 500 kHz.
+LORA_BANDWIDTHS_HZ = (7_800.0, 10_400.0, 15_600.0, 20_800.0, 31_250.0, 41_700.0, 62_500.0,
+                      125_000.0, 250_000.0, 500_000.0)
+
 #: Preamble end marker: a LoRa preamble contributes 4.25 extra symbol times
 #: (sync word + quarter symbol) on top of the programmed preamble length.
 PREAMBLE_OVERHEAD_SYMBOLS = 4.25
@@ -42,8 +46,11 @@ class RadioConfig:
     def __post_init__(self) -> None:
         if not 7 <= self.sf <= 12:
             raise InvalidConfigError(f"sf must be in 7..12, got {self.sf}")
-        if self.bw_hz <= 0:
-            raise InvalidConfigError(f"bw_hz must be positive, got {self.bw_hz}")
+        if self.bw_hz not in LORA_BANDWIDTHS_HZ:
+            raise InvalidConfigError(
+                f"bw_hz must be a LoRa bandwidth"
+                f" ({', '.join(f'{bw:g}' for bw in LORA_BANDWIDTHS_HZ)} Hz), got {self.bw_hz}"
+            )
         if not 1 <= self.cr_index <= 4:
             raise InvalidConfigError(f"cr_index must be in 1..4, got {self.cr_index}")
         if not 1 <= self.payload_bytes <= 255:

@@ -9,6 +9,7 @@ its seed, and each is idempotent on its own output.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import os
@@ -37,6 +38,75 @@ from .records import (
 )
 
 log = logging.getLogger(__name__)
+
+
+# ---------------------------------------------------------------------------
+# Work spread over forked processes
+
+
+def _workers(most: int) -> int:
+    """Processes to spread at most ``most`` shares of work over: one per CPU
+    the process may use (``os.sched_getaffinity``), and 1 inside a daemonic
+    process (a ``multiprocessing.Pool`` worker), which may not start one.
+    There is no flag, setting or environment variable for it."""
+    workers = max(1, min(len(os.sched_getaffinity(0)), most))
+    if workers > 1:
+        import multiprocessing  # here, not at the top: a command that forks nothing skips its import
+
+        if multiprocessing.current_process().daemon:
+            return 1
+    return workers
+
+
+def _in_child(conn, task, share) -> None:
+    """Body of a forked process: send ``task(share)``, or the exception that
+    stopped it, back to the parent."""
+    try:
+        reply = ("ok", task(share))
+    except BaseException as exc:  # the parent re-raises it
+        reply = ("error", exc)
+    conn.send(reply)
+    conn.close()
+
+
+def _fork_map(task, shares: list, what: str) -> list:
+    """``[task(share) for share in shares]``: the parent runs the first share
+    and a child forked for each other one runs that, from the memory it
+    inherits.  A child's exception is raised again in the parent, and a child
+    that dies without a result is a :class:`LorapropError`; on any error the
+    children are stopped, and the parent waits for every child before it
+    returns or raises.  With one share no process is started."""
+    if len(shares) == 1:
+        return [task(shares[0])]
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for share in shares[1:]:
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_in_child, args=(send, task, share), daemon=True)
+            child.start()
+            children.append((child, receive))
+            send.close()  # so a child that dies leaves the parent an EOFError, not a wait
+        results = [task(shares[0])]
+        for child, receive in children:
+            try:
+                status, reply = receive.recv()
+            except EOFError:
+                raise LorapropError(f"{what} process {child.pid} ended without a result") from None
+            if status == "error":
+                raise reply
+            results.append(reply)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -69,28 +139,114 @@ def ingest(source: str | Path | TextIO) -> IngestResult:
     missing cells, unparseable tokens, non-finite numbers, range
     violations or bytes that are not UTF-8, and records the ``csv`` module
     cannot read (a field over its size limit), are rejected and logged
-    individually with a reason.
+    individually with a reason.  A file is read in byte ranges on the
+    usable CPUs (see :func:`_ingest_file`), a stream in one piece; the
+    result and the log do not depend on the number of CPUs.
     """
     if isinstance(source, (str, Path)):
-        # a byte that is not UTF-8 becomes a lone surrogate, which rejects its row
-        with open(source, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
-            return _ingest_stream(handle)
-    return _ingest_stream(source)
+        return _ingest_file(source)
+    return _joined([_read_part(source, header=True, boundary=False)])
 
 
 #: Parsed rows :func:`ingest` holds before moving them into its column buffers.
 _INGEST_BLOCK = 4096
+#: The fewest bytes of a file per range: a file under twice this is read in one piece.
+_MIN_RANGE_BYTES = 1 << 20
+#: The record of the line fed to the reader after a range.  No decoded input
+#: holds a lone U+D800 (``surrogateescape`` makes only U+DC80..U+DCFF), so
+#: the line comes back as this record only if the range ends where a record does.
+_BOUNDARY = ["\ud800"]
 _EPOCH, _MICROSECOND = datetime(1970, 1, 1), timedelta(microseconds=1)
 
 
-def _ingest_stream(stream: TextIO) -> IngestResult:
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InvalidDataError("malformed header: empty input") from None
-    if tuple(header) != CSV_COLUMNS:
-        raise InvalidDataError(f"malformed header: expected {list(CSV_COLUMNS)}, got {header}")
+@dataclass
+class _Part:
+    """The records of one byte range of a CSV file; line numbers count from
+    its own first record."""
+
+    columns: list[np.ndarray]  # one per CSV column, in order
+    rejections: list[Rejection]
+    notes: list[str]  # the message of each rejection, when DEBUG is logged
+    rows: int  # blank lines left out
+    records: int  # blank lines counted
+    clean: bool  # it ends where a record ends
+
+
+def _ingest_file(path: str | Path) -> IngestResult:
+    """Read a CSV file in byte ranges, one per worker (:func:`_workers`) and
+    at most one per ``_MIN_RANGE_BYTES``: the parent reads the first and a
+    forked child each other one.  A range starts right after a ``\\n``, which is
+    never part of a UTF-8 sequence and always ends a line; a file without
+    one, such as a CR-only file, is one range.  If a quoted field runs over
+    the end of a range, the parts are thrown away and the file is read
+    again as one range."""
+    size = os.path.getsize(path)
+    workers = _workers(size // _MIN_RANGE_BYTES)
+    starts = [0]
+    if workers > 1:
+        with open(path, "rb") as raw:
+            for k in range(1, workers):
+                raw.seek(size * k // workers)
+                while (piece := raw.readline(_MIN_RANGE_BYTES)) and not piece.endswith(b"\n"):
+                    pass
+                if starts[-1] < raw.tell() < size:
+                    starts.append(raw.tell())
+    ranges = list(zip(starts, starts[1:] + [None]))
+    parts = _fork_map(lambda bounds: _read_range(path, *bounds), ranges, "ingest")
+    if all(part.clean for part in parts):
+        return _joined(parts)
+    del parts
+    return _joined([_read_range(path, 0, None)])
+
+
+class _ByteRange(io.RawIOBase):
+    """The next ``size`` bytes of a binary file, as a raw stream."""
+
+    def __init__(self, handle, size: int) -> None:
+        self.handle, self.left = handle, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        got = self.handle.readinto(memoryview(buffer)[: self.left])
+        self.left -= got
+        return got
+
+
+def _read_range(path: str | Path, start: int, end: int | None) -> _Part:
+    """:func:`_read_part` of the bytes from ``start`` up to ``end`` (None:
+    the end of the file), the header first if ``start`` is 0."""
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        source = raw if end is None else io.BufferedReader(_ByteRange(raw, end - start))
+        # a byte that is not UTF-8 becomes a lone surrogate, which rejects its row;
+        # a byte-order mark is skipped at the start of the file only
+        encoding = "utf-8" if start else "utf-8-sig"
+        with io.TextIOWrapper(source, encoding=encoding, errors="surrogateescape", newline="") as text:
+            return _read_part(text, header=not start, boundary=end is not None)
+
+
+def _read_part(stream: Iterable[str], header: bool, boundary: bool) -> _Part:
+    """Parse the records of ``stream``, checking the header first if
+    ``header``.  With ``boundary``, the part is clean only if a line of
+    :data:`_BOUNDARY` fed after the stream comes back as a record of its
+    own; a header that fails in a way that may involve that line leaves it
+    unclean, so that reading the file in one piece names the whole fault."""
+    reader = csv.reader(chain(stream, [_BOUNDARY[0] + "\n"]) if boundary else stream)
+    if header:
+        try:
+            names = next(reader)
+        except StopIteration:
+            raise InvalidDataError("malformed header: empty input") from None
+        except csv.Error:
+            if boundary:
+                return _Part([], [], [], 0, 0, clean=False)
+            raise
+        if tuple(names) != CSV_COLUMNS:
+            if boundary and _BOUNDARY[0] in "".join(names):
+                return _Part([], [], [], 0, 0, clean=False)
+            raise InvalidDataError(f"malformed header: expected {list(CSV_COLUMNS)}, got {names}")
     # one buffer per column, typed arrays for all but the ids (times as
     # microseconds since the epoch); parsed rows wait in a bounded block,
     # moved in column by column
@@ -107,7 +263,10 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
         block.clear()
 
     rejections: list[Rejection] = []
+    # the parent logs them once every part is read, in line order
+    notes: list[str] | None = [] if log.isEnabledFor(logging.DEBUG) else None
     rows = 0
+    clean = not boundary
     for line in count(1):
         try:
             row = next(reader)
@@ -118,17 +277,22 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
             rows += 1
             reason = "oversized-field" if "field limit" in str(exc) else "bad-csv"
             rejections.append(Rejection(line=line, reason=reason))
-            log.debug("rejected row %d: %s", line, exc)
+            if notes is not None:
+                notes.append(str(exc))
             continue
         if not row:
             continue
+        if row == _BOUNDARY:
+            clean = True
+            break
         rows += 1
         try:
             block.append(parse_row(row))
         except LorapropError as exc:
             reason = str(exc).split(":", 1)[0]
             rejections.append(Rejection(line=line, reason=reason))
-            log.debug("rejected row %d: %s", line, exc)
+            if notes is not None:
+                notes.append(str(exc))
             continue
         if len(block) == _INGEST_BLOCK:
             flush()
@@ -137,7 +301,27 @@ def _ingest_stream(stream: TextIO) -> IngestResult:
     # exact-size copies, a column at a time, so no buffer's growth slack is retained
     for k, dtype in enumerate(COLUMN_DTYPES.values()):
         buffers[k] = np.array(buffers[k], dtype)
-    records = ObservationTable(dict(zip(CSV_COLUMNS, buffers)))
+    return _Part(buffers, rejections, notes or [], rows, line - 1, clean)
+
+
+def _joined(parts: list[_Part]) -> IngestResult:
+    """The ingest result of a file's parts, in file order: line numbers
+    count on from part to part, and each rejection is logged at DEBUG."""
+    rejections: list[Rejection] = []
+    offset = rows = 0
+    for part in parts:
+        shifted = [Rejection(r.line + offset, r.reason) for r in part.rejections] if offset else part.rejections
+        for rejection, note in zip(shifted, part.notes):
+            log.debug("rejected row %d: %s", rejection.line, note)
+        rejections += shifted
+        offset += part.records
+        rows += part.rows
+    columns = {}
+    for name in CSV_COLUMNS:
+        # a column at a time, each part's copy dropped once it is joined
+        pieces = [part.columns.pop(0) for part in parts]
+        columns[name] = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    records = ObservationTable(columns)
     result = IngestResult(records=records, rejections=rejections, rows_read=rows)
     log.info(
         "ingested %d rows, rejected %d (%.4f%%)",
@@ -516,17 +700,6 @@ def _screen_share(records: ObservationTable, share: list, config: IsolationFores
     return [_screen_device(records.take(idx), device, config) for device, idx in share]
 
 
-def _screen_in_child(conn, records: ObservationTable, share: list, config: IsolationForestConfig) -> None:
-    """Body of a forked screening process: send its share's results, or the
-    exception that stopped it, back to the parent."""
-    try:
-        reply = ("ok", _screen_share(records, share, config))
-    except BaseException as exc:  # the parent re-raises it
-        reply = ("error", exc)
-    conn.send(reply)
-    conn.close()
-
-
 def _shares(devices: list, workers: int, subsample_size: int) -> list[list]:
     """Split ``(device, row indices)`` pairs into ``workers`` shares, largest
     first onto the lightest share, weighing a device by rows + subsample size."""
@@ -541,41 +714,10 @@ def _shares(devices: list, workers: int, subsample_size: int) -> list[list]:
 
 def _screen_devices(records: ObservationTable, devices: list, config: IsolationForestConfig) -> dict:
     """:func:`_screen_device` results by device, the devices spread over the
-    usable CPUs: the parent screens the first share and a forked child each
-    other one.  With one share no process is started."""
-    import multiprocessing  # here, not at the top: commands that screen nothing skip its import
-
-    workers = max(1, min(len(os.sched_getaffinity(0)), len(devices)))
-    if multiprocessing.current_process().daemon:  # a daemonic process may not start any
-        workers = 1
-    shares = _shares(devices, workers, config.subsample_size)
-    context = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for share in shares[1:]:
-            receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=_screen_in_child, args=(send, records, share, config), daemon=True)
-            child.start()
-            children.append((child, receive))
-            send.close()  # so a child that dies leaves the parent an EOFError, not a wait
-        results = _screen_share(records, shares[0], config)
-        for child, receive in children:
-            try:
-                status, reply = receive.recv()
-            except EOFError:
-                raise LorapropError(f"anomaly screening process {child.pid} ended without a result") from None
-            if status == "error":
-                raise reply
-            results += reply
-    except BaseException:
-        for child, _ in children:
-            child.terminate()
-        raise
-    finally:
-        for child, receive in children:
-            child.join()
-            receive.close()
-    return {device: result for (device, _), result in zip(chain.from_iterable(shares), results)}
+    workers (:func:`_fork_map`)."""
+    shares = _shares(devices, _workers(len(devices)), config.subsample_size)
+    results = _fork_map(lambda share: _screen_share(records, share, config), shares, "anomaly screening")
+    return dict(zip((device for device, _ in chain.from_iterable(shares)), chain.from_iterable(results)))
 
 
 def flag_anomalies(

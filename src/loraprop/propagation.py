@@ -367,8 +367,9 @@ def simulate_scene(spec: SceneSpec, seed: int) -> list[SceneSample]:
         if pos > spec.max_distance_m:
             break
         positions.append(pos)
-    materials = [WALL_TYPES[rng.integers(len(WALL_TYPES))] for _ in positions]
-    losses = [rng.uniform(*spec.wall_loss_db) for _ in positions]
+    # one call per column draws what one call per wall would, in the same order
+    is_brick = rng.integers(len(WALL_TYPES), size=len(positions)) == WALL_TYPES.index("brick")
+    losses = rng.uniform(*spec.wall_loss_db, size=len(positions))
 
     distances = np.linspace(spec.reference_distance_m, spec.max_distance_m, spec.num_points)
     if spec.shadowing_sigma_db > 0:
@@ -378,14 +379,14 @@ def simulate_scene(spec: SceneSpec, seed: int) -> list[SceneSample]:
 
     # walls crossed up to each distance, as prefix sums over the sorted positions
     crossed = np.searchsorted(positions, distances, side="right")
-    brick = np.cumsum([0] + [material == "brick" for material in materials])[crossed]
+    brick = np.cumsum(np.concatenate(([0], is_brick)))[crossed]
     wood = crossed - brick
     inputs = {"distance": distances, "c_walls": brick, "w_walls": wood}
     x = predictor_columns(ModelVariant.MW, inputs.__getitem__, spec.reference_distance_m)
     true_pl = (
         spec.reference_loss_db * x[:, 0]
         + spec.path_loss_exponent * x[:, 1]
-        + np.cumsum([0.0] + losses)[crossed]
+        + np.cumsum(np.concatenate(([0.0], losses)))[crossed]
     )
     columns = (distances, brick, wood, true_pl, true_pl + noise)
     return [

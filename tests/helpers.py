@@ -9,6 +9,7 @@ gaps and injected retransmission duplicates.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -298,3 +299,8 @@ def mw_observations(
             )
         )
     return table_from_rows(rows), np.array(coeffs)
+
+
+def use_cpus(monkeypatch, n):
+    """Make ``os.sched_getaffinity`` report ``n`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))

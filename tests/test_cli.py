@@ -84,6 +84,13 @@ class TestDispatch:
     def test_missing_file_exits_1(self, capsys):
         assert main(["adr-sim", "--trace", "/nonexistent/trace.txt"]) == 1
 
+    @pytest.mark.parametrize("bw", ["1e-300", "100000", "7812.5", "1e9", "-125000"])
+    def test_bandwidth_outside_the_lora_set_exits_1(self, capsys, caplog, bw):
+        # 1e-300 Hz printed a time on air of 6.4e306 ms
+        assert main(["airtime", "--sf", "7", "--bw", bw, "--payload", "18"]) == 1
+        assert capsys.readouterr().out == ""
+        assert "bw_hz must be a LoRa bandwidth" in caplog.text
+
 
 class TestNonFiniteValues:
     """JSON has no NaN or infinity: a non-finite flag is a usage error, and a
@@ -172,6 +179,13 @@ class TestDutyCycleCommand:
         assert payload["total_airtime_ms_per_hour"] == pytest.approx(231.68, abs=1e-6)
         assert payload["duty_cycle_fraction"] == pytest.approx(231.68 / 3.6e6, rel=1e-9)
         assert payload["compliant"] is True
+
+    def test_entry_with_a_bandwidth_outside_the_lora_set_exits_1(self, capsys, caplog, tmp_path):
+        schedule = tmp_path / "schedule.jsonl"
+        schedule.write_text('{"sf": 7, "bw_hz": 1e-300, "payload_bytes": 18, "count": 5}\n')
+        assert main(["duty-cycle", "--schedule", str(schedule)]) == 1
+        assert capsys.readouterr().out == ""
+        assert "bw_hz must be a LoRa bandwidth" in caplog.text
 
     @pytest.mark.parametrize("line", ["5", '"sf7"', "null", "[7, 125000]"])
     def test_entry_that_is_not_an_object_exits_1(self, capsys, caplog, tmp_path, line):

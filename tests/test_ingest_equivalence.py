@@ -8,6 +8,10 @@ rows into typed buffers a block at a time with times as integer
 microseconds.  On any input both must give the same ``rows_read``, the same
 rejections with the same reasons in the same order, and columns of the same
 dtype and the same bytes.
+
+A file is read in byte ranges, one per usable CPU.  Read on one, two or
+three CPUs, with ranges allowed down to one byte, it must give what the
+file read as one stream gives, and the same log records.
 """
 
 from __future__ import annotations
@@ -16,7 +20,11 @@ import csv
 import io
 import logging
 import math
+import multiprocessing
+import os
 import random
+import signal
+import time
 from array import array
 from datetime import datetime
 from unittest import mock
@@ -34,6 +42,8 @@ from loraprop.records import (
     ObservationTable,
     parse_row,
 )
+
+from helpers import use_cpus
 
 log = logging.getLogger(__name__)
 
@@ -322,3 +332,231 @@ def test_finite_values_whose_sum_overflows_are_accepted():
     cells[CSV_COLUMNS.index("co2")] = cells[CSV_COLUMNS.index("humidity")] = "1e308"
     assert_same_parse(cells)
     assert parse_row(cells)[2:4] == (1e308, 1e308)
+
+
+# ---------------------------------------------------------------------------
+# Files read in byte ranges
+
+
+class _Collect(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.DEBUG)
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+def outcome(read) -> tuple:
+    """What ``read()`` gives as comparable values: its columns (dtype and
+    bytes), rejections and ``rows_read``, or the error it raises; and the
+    DEBUG and INFO records it logs."""
+    logger = logging.getLogger("loraprop.pipeline")
+    handler, level = _Collect(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        result = read()
+        got = (
+            result.rows_read,
+            [(r.line, r.reason) for r in result.rejections],
+            {name: (column.dtype.str, column.tobytes()) for name, column in result.records._columns.items()},
+        )
+    except Exception as exc:
+        got = (type(exc), str(exc))
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert multiprocessing.active_children() == []
+    return got, [(r.levelname, r.getMessage()) for r in handler.records]
+
+
+def read_as_stream(path) -> IngestResult:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        return ingest(handle)
+
+
+def ranges_read(path, cpus: int) -> tuple[tuple, list]:
+    """The outcome of ``ingest(path)`` on ``cpus`` CPUs with ranges down to
+    one byte, and the byte ranges the parent read itself."""
+    calls = []
+    read_range = pipeline._read_range
+
+    def spy(source, start, end):
+        if os.getpid() == parent:
+            calls.append((start, end))
+        return read_range(source, start, end)
+
+    parent = os.getpid()
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+            mock.patch.object(pipeline, "_MIN_RANGE_BYTES", 1), \
+            mock.patch.object(pipeline, "_read_range", spy):
+        return outcome(lambda: ingest(path)), calls
+
+
+def assert_ranges_match_one_stream(path) -> list[list]:
+    """Every CPU count gives the outcome of the file read as one stream;
+    returns the ranges the parent read at each CPU count."""
+    expected = outcome(lambda: read_as_stream(path))
+    calls = []
+    for cpus in (1, 2, 3):
+        got, parent_calls = ranges_read(path, cpus)
+        assert got == expected, cpus
+        calls.append(parent_calls)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("ranges") / "input.csv"
+
+
+def valid_rows(n: int, seed: int = 0) -> list[list[str]]:
+    return [random_row(random.Random(seed + i).choice, []) for i in range(n)]
+
+
+#: Bytes a hypothesis file may have inserted anywhere.
+STRAY_BYTES = [b'"', b"\n", b"\r", b"\r\n", b",", b"\xff", b"\xe2\x82", b"\x00", b"\xef\xbb\xbf"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=_rows,
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    bom=st.booleans(),
+    strays=st.lists(st.tuples(st.integers(0, 2**20), st.sampled_from(STRAY_BYTES)), max_size=3),
+)
+def test_files_read_in_ranges_match_one_stream(rows, newline, bom, strays, scratch_csv):
+    data = csv_text(rows).replace("\n", newline).encode("utf-8")
+    for position, piece in strays:
+        at = position % (len(data) + 1)
+        data = data[:at] + piece + data[at:]
+    scratch_csv.write_bytes(b"\xef\xbb\xbf" * bom + data)
+    assert_ranges_match_one_stream(scratch_csv)
+
+
+def test_bom_crlf_and_blank_lines(tmp_path):
+    rows = valid_rows(30)
+    for i in (5, 14, 26):  # rejections on either side of every boundary
+        rows[i][CSV_COLUMNS.index("rssi")] = "abc"
+    rows[3:3] = rows[10:10] = rows[20:20] = [None, None]
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + csv_text(rows).replace("\n", "\r\n").encode("utf-8"))
+    calls = assert_ranges_match_one_stream(path)
+    assert [len(c) for c in calls] == [1, 1, 1]
+    assert calls[2][0][1] is not None  # the parent read only the first of its ranges
+
+
+def test_byte_order_mark_is_skipped_at_the_start_of_the_file_only(tmp_path):
+    # every range starts at a line that begins with one; it rejects that row
+    lines = csv_text(valid_rows(30)).splitlines(keepends=True)
+    path = tmp_path / "marks.csv"
+    path.write_bytes("\ufeff".join(lines).encode("utf-8"))
+    assert_ranges_match_one_stream(path)
+    assert len(ingest(path).records) == 0
+
+
+def test_header_across_a_boundary(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text('"time' + "\n" * 2000 + '"' + csv_text(valid_rows(10))[4:], encoding="utf-8")
+    assert_ranges_match_one_stream(path)
+    with pytest.raises(InvalidDataError, match="^malformed header.*'time\\\\n"):
+        ingest(path)
+
+
+def test_cr_only_file_is_one_range(tmp_path):
+    path = tmp_path / "cr.csv"
+    path.write_bytes(csv_text(valid_rows(30)).replace("\n", "\r").encode("utf-8"))
+    assert assert_ranges_match_one_stream(path) == [[(0, None)]] * 3
+
+
+def test_oversized_field_as_a_range_s_last_record(tmp_path):
+    big = valid_rows(1, seed=99)[0]
+    big[1] = "d" * (csv.field_size_limit() + 10)
+    head, tail = csv_text(valid_rows(3)), csv_text([big] + valid_rows(5, seed=3))
+    tail = tail[tail.index("\n") + 1:]  # no second header
+    path = tmp_path / "oversized.csv"
+    path.write_bytes((head + tail).encode("utf-8"))
+    calls = assert_ranges_match_one_stream(path)
+    end_of_big = len(head.encode("utf-8")) + tail.encode("utf-8").index(b"\n") + 1
+    assert calls[1] == [(0, end_of_big)]
+    result = ingest(path)
+    assert (4, "oversized-field") in [(r.line, r.reason) for r in result.rejections]
+
+
+def test_quoted_field_across_a_boundary_reads_the_file_again(tmp_path):
+    spanning = valid_rows(1, seed=50)[0]
+    spanning[1] = "d\n" * 1200
+    rows = valid_rows(8) + [spanning] + valid_rows(12, seed=20)
+    path = tmp_path / "spanning.csv"
+    data = csv_text(rows).encode("utf-8")
+    path.write_bytes(data)
+    start = data.index(b'"d')
+    assert start < len(data) / 3 and data.index(b'\n"', start) > 2 * len(data) / 3
+    calls = assert_ranges_match_one_stream(path)
+    assert calls[0] == [(0, None)]
+    for parent_calls in calls[1:]:  # its first range, then the whole file
+        assert len(parent_calls) == 2 and parent_calls[1] == (0, None)
+
+
+class TestRangesOverProcesses:
+    """The fork helper as ingest uses it: errors end in the parent, and no
+    process is left behind."""
+
+    @pytest.fixture(autouse=True)
+    def bounded(self):
+        def expire(signum, frame):
+            raise TimeoutError("ingest still waits after 120 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture
+    def big_csv(self, tmp_path, monkeypatch):
+        path = tmp_path / "input.csv"
+        path.write_text(csv_text(valid_rows(200)), encoding="utf-8")
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(pipeline, "_MIN_RANGE_BYTES", 1)
+        return path
+
+    @staticmethod
+    def _in_child(monkeypatch, act):
+        """Make ``parse_row`` call ``act`` in a forked child, as itself in the parent."""
+        parent = os.getpid()
+
+        def parse(values):
+            if os.getpid() != parent:
+                act()
+            return parse_row(values)
+
+        monkeypatch.setattr(pipeline, "parse_row", parse)
+
+    def test_malformed_header_while_children_run_stops_them(self, big_csv, monkeypatch):
+        text = big_csv.read_text(encoding="utf-8")
+        big_csv.write_text("time,device" + text[text.index("\n"):], encoding="utf-8")
+        self._in_child(monkeypatch, lambda: time.sleep(100))
+        began = time.monotonic()
+        with pytest.raises(InvalidDataError, match="^malformed header"):
+            ingest(big_csv)
+        assert time.monotonic() - began < 60
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_dies_is_an_error_not_a_wait(self, big_csv, monkeypatch):
+        self._in_child(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(LorapropError, match=r"^ingest process \d+ ended without a result$"):
+            ingest(big_csv)
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_a_child_is_raised_by_the_parent(self, big_csv, monkeypatch):
+        def fail():
+            raise RuntimeError("read in a child")
+
+        self._in_child(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="^read in a child$"):
+            ingest(big_csv)
+        assert multiprocessing.active_children() == []

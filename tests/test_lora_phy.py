@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from loraprop.errors import InvalidConfigError
 from loraprop.lora_phy import (
+    LORA_BANDWIDTHS_HZ,
     RadioConfig,
     bit_rate,
     duty_cycle,
@@ -178,6 +179,9 @@ class TestValidation:
             dict(sf=13, bw_hz=125e3, payload_bytes=18),
             dict(sf=7, bw_hz=0.0, payload_bytes=18),
             dict(sf=7, bw_hz=-1.0, payload_bytes=18),
+            dict(sf=7, bw_hz=1e-300, payload_bytes=18),
+            dict(sf=7, bw_hz=100e3, payload_bytes=18),
+            dict(sf=7, bw_hz=float("nan"), payload_bytes=18),
             dict(sf=7, bw_hz=125e3, payload_bytes=0),
             dict(sf=7, bw_hz=125e3, payload_bytes=256),
             dict(sf=7, bw_hz=125e3, payload_bytes=18, cr_index=0),
@@ -187,3 +191,7 @@ class TestValidation:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InvalidConfigError):
             RadioConfig(**kwargs)
+
+    @pytest.mark.parametrize("bw_hz", LORA_BANDWIDTHS_HZ)
+    def test_every_lora_bandwidth_accepted(self, bw_hz):
+        assert symbol_duration(RadioConfig(sf=7, bw_hz=bw_hz, payload_bytes=18)) == 128 / bw_hz

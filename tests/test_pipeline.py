@@ -46,6 +46,7 @@ from helpers import (
     replace_columns,
     rows_of,
     synth_dataset,
+    use_cpus,
     write_reference_csv,
 )
 
@@ -536,10 +537,6 @@ def devices32(tmp_path_factory):
     path = tmp_path_factory.mktemp("devices32") / "devices32.csv"
     write_records_csv(csv_lines(table), path)
     return table, path
-
-
-def use_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 class TestParallelScreen:

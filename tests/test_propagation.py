@@ -6,9 +6,11 @@ from scipy import integrate, stats
 
 from loraprop.errors import InvalidConfigError, InvalidDataError
 from loraprop.propagation import (
+    WALL_TYPES,
     EnvVector,
     ModelVariant,
     PathLossModel,
+    SceneSample,
     SceneSpec,
     ShadowingSpec,
     WallCounts,
@@ -16,6 +18,7 @@ from loraprop.propagation import (
     model_from_dict,
     model_to_dict,
     predict_mw,
+    predictor_columns,
     predict_mw_ep,
     sample_shadowing,
     save_model,
@@ -232,7 +235,60 @@ class TestSampleShadowing:
             ShadowingSpec(sigma_db=0.0)
 
 
+def per_wall_simulate_scene(spec: SceneSpec, seed: int) -> tuple[list[SceneSample], int]:
+    """``simulate_scene`` as it was with one material and one loss draw per
+    wall, kept verbatim, and the number of walls it placed."""
+    rng = np.random.default_rng(seed)
+
+    positions: list[float] = []
+    pos = 0.0
+    while True:
+        pos += rng.uniform(*spec.wall_spacing_m)
+        if pos > spec.max_distance_m:
+            break
+        positions.append(pos)
+    materials = [WALL_TYPES[rng.integers(len(WALL_TYPES))] for _ in positions]
+    losses = [rng.uniform(*spec.wall_loss_db) for _ in positions]
+
+    distances = np.linspace(spec.reference_distance_m, spec.max_distance_m, spec.num_points)
+    if spec.shadowing_sigma_db > 0:
+        noise = rng.normal(0.0, spec.shadowing_sigma_db, size=spec.num_points)
+    else:
+        noise = np.zeros(spec.num_points)
+
+    # walls crossed up to each distance, as prefix sums over the sorted positions
+    crossed = np.searchsorted(positions, distances, side="right")
+    brick = np.cumsum([0] + [material == "brick" for material in materials])[crossed]
+    wood = crossed - brick
+    inputs = {"distance": distances, "c_walls": brick, "w_walls": wood}
+    x = predictor_columns(ModelVariant.MW, inputs.__getitem__, spec.reference_distance_m)
+    true_pl = (
+        spec.reference_loss_db * x[:, 0]
+        + spec.path_loss_exponent * x[:, 1]
+        + np.cumsum([0.0] + losses)[crossed]
+    )
+    columns = (distances, brick, wood, true_pl, true_pl + noise)
+    samples = [
+        SceneSample(d, WallCounts(b, w), pl, noisy)
+        for d, b, w, pl, noisy in zip(*(c.tolist() for c in columns))
+    ]
+    return samples, len(positions)
+
+
 class TestSimulateScene:
+    def test_draws_per_column_match_the_per_wall_loop(self):
+        # an odd wall count leaves half of a 32-bit draw buffered in the
+        # generator, which the shadowing draws after it must not see differently
+        parities = set()
+        for seed in range(6):
+            for max_distance_m, sigma in ((3.0, 9.0), (40.0, 9.0), (333.0, 0.0), (2e4, 4.0)):
+                spec = SceneSpec(max_distance_m=max_distance_m, num_points=57, shadowing_sigma_db=sigma)
+                expected, walls = per_wall_simulate_scene(spec, seed)
+                # float reprs round-trip exactly, and numpy 2 shows numpy scalar types
+                assert repr(simulate_scene(spec, seed)) == repr(expected)
+                parities.add(walls % 2)
+        assert parities == {0, 1}
+
     def test_reference_point_loss(self):
         spec = SceneSpec(max_distance_m=40.0, shadowing_sigma_db=0.0)
         samples = simulate_scene(spec, seed=8)
