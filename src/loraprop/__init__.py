@@ -31,15 +31,13 @@ from .link_budget import (  # noqa: E402,F401
 from .adr import AdrDecision, AdrState, adr_step, record_snr, snr_margin  # noqa: E402,F401
 from .propagation import (  # noqa: E402,F401
     ENV_FIELDS,
-    EnvVector,
     ModelVariant,
     PathLossModel,
     SceneSpec,
     ShadowingSpec,
     WallCounts,
     load_model,
-    predict_mw,
-    predict_mw_ep,
+    predict,
     sample_shadowing,
     save_model,
     shadowing_pdf,

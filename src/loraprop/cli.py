@@ -42,17 +42,7 @@ from .link_budget import (
 )
 from .lora_phy import RadioConfig, duty_cycle, payload_symbols, symbol_duration, time_on_air
 from .pipeline import ingest, run_pipeline
-from .propagation import (
-    EnvVector,
-    ModelVariant,
-    SceneSpec,
-    WallCounts,
-    load_model,
-    predict_mw,
-    predict_mw_ep,
-    save_model,
-    simulate_scene,
-)
+from .propagation import ENV_FIELDS, ModelVariant, SceneSpec, load_model, predict, save_model, simulate_scene
 
 log = logging.getLogger("loraprop")
 
@@ -226,29 +216,19 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if args.snr is not None:
         check_reception(None, args.snr)
     model = load_model(args.model)
-    walls = WallCounts(brick=args.brick, wood=args.wood)
-    if model.variant is ModelVariant.MW:
-        value = predict_mw(model, args.distance, walls)
-    else:
+    inputs = {"distance": args.distance, "c_walls": args.brick, "w_walls": args.wood}
+    if model.variant is ModelVariant.MW_EP:
         if args.env_json is None or args.freq is None or args.snr is None:
             raise LorapropError(
                 "the extended variant needs --freq, --env-json and --snr"
             )
-        env_raw = json.loads(args.env_json)
+        env = json.loads(args.env_json)
         try:
-            env = EnvVector(
-                temperature_c=float(env_raw["temperature"]),
-                humidity_pct=float(env_raw["humidity"]),
-                pressure_hpa=float(env_raw["pressure"]),
-                pm25_ugm3=float(env_raw["pm25"]),
-                co2_ppm=float(env_raw["co2"]),
-            )
-        except LorapropError:
-            raise
+            inputs |= {name: float(env[name]) for name in ENV_FIELDS}
         except (KeyError, TypeError, ValueError) as exc:
             raise LorapropError(f"bad --env-json: {exc}") from exc
-        value = predict_mw_ep(model, args.distance, walls, args.freq, env, args.snr)
-    return _finish(args, _args_config(args), {"path_loss_db": value})
+        inputs |= {"frequency": args.freq, "snr": args.snr}
+    return _finish(args, _args_config(args), {"path_loss_db": predict(model, inputs)})
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

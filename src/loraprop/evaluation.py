@@ -15,7 +15,7 @@ from . import fitting
 from .fitting import FitConfig, fit, fit_design, predictions  # noqa: F401 (perfbench traces evaluation.fit)
 from .metrics import EvalReport, evaluate_predictions
 from .pipeline import kfold
-from .propagation import PathLossModel, params_from_model
+from .propagation import PathLossModel
 from .records import ObservationTable
 
 
@@ -24,7 +24,7 @@ def evaluate_model(
 ) -> EvalReport:
     """Metrics of a fitted model on an observation table."""
     predicted = predictions(
-        params_from_model(model),
+        model.params,
         observations,
         model.variant,
         model.reference_distance_m,
@@ -81,7 +81,7 @@ def cross_validate(
     reports: list[FoldReport] = []
     for fold_index, sides in enumerate(index):  # sides: (train rows, validation rows)
         # to_model applies the model's own checks (a positive exponent) to each fold's fit
-        params = params_from_model(fit_design(x[sides[0]], y[sides[0]], variant, config).to_model())
+        params = np.array(fit_design(x[sides[0]], y[sides[0]], variant, config).to_model().params)
         scores = [evaluate_predictions(measured[i], x[i] @ params + fixed[i]) for i in sides]
         reports.append(FoldReport(fold_index, *scores))
     return CrossValReport(folds=tuple(reports))

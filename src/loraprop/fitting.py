@@ -22,7 +22,6 @@ from .propagation import (
     PathLossModel,
     check_params,
     fixed_term,
-    model_from_params,
     predictor_columns,
 )
 from .records import ObservationTable
@@ -91,11 +90,8 @@ class FitReport:
         return {name: float(v) for name, v in zip(self.param_names, self.params)}
 
     def to_model(self) -> PathLossModel:
-        return model_from_params(
-            self.variant,
-            self.params,
-            shadowing_sigma_db=self.shadowing_sigma_db,
-            reference_distance_m=self.reference_distance_m,
+        return PathLossModel(
+            self.variant, self.params, self.shadowing_sigma_db, self.reference_distance_m
         )
 
 

@@ -239,10 +239,10 @@ def _read_part(stream: Iterable[str], header: bool, boundary: bool) -> _Part:
             names = next(reader)
         except StopIteration:
             raise InvalidDataError("malformed header: empty input") from None
-        except csv.Error:
+        except csv.Error as exc:
             if boundary:
                 return _Part([], [], [], 0, 0, clean=False)
-            raise
+            raise InvalidDataError(f"malformed header: {exc}") from None
         if tuple(names) != CSV_COLUMNS:
             if boundary and _BOUNDARY[0] in "".join(names):
                 return _Part([], [], [], 0, 0, clean=False)
@@ -759,14 +759,11 @@ def flag_anomalies(
 @dataclass(frozen=True)
 class SplitSpec:
     test_fraction: float = 0.2
-    folds: int = 5
     seed: int = 42
 
     def __post_init__(self) -> None:
         if not 0.0 < self.test_fraction < 1.0:
             raise InvalidConfigError("test_fraction must lie in (0, 1)")
-        if self.folds < 2:
-            raise InvalidConfigError("folds must be >= 2")
 
 
 def split(records: ObservationTable, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:

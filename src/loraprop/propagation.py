@@ -8,7 +8,7 @@ evaluated separately so fitting can target the deterministic component and
 estimate the shadowing spread from residuals.
 
 The coefficient layout and the formula live here once: every prediction
-(the scalar predictors, the fitter's design matrix and the scene simulator)
+(the scalar :func:`predict`, the fitter's design matrix and the scene simulator)
 is built from :func:`predictor_columns` and :func:`fixed_term`.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -28,8 +28,7 @@ from .jsonio import read_json, write_json
 #: dB-to-natural-log conversion constant, 10 / ln 10.
 XI = 10.0 / math.log(10.0)
 
-#: Wall materials the multi-wall term distinguishes.  The mapping-based
-#: model keeps other materials possible without touching the predictors.
+#: Wall materials the multi-wall term distinguishes.
 WALL_TYPES = ("brick", "wood")
 
 #: Canonical ordering of the environmental covariates, used for coefficient
@@ -49,86 +48,10 @@ class WallCounts:
     brick: int = 0
     wood: int = 0
 
-    def __post_init__(self) -> None:
-        if self.brick < 0 or self.wood < 0:
-            raise InvalidConfigError("wall counts must be >= 0")
-
-
-@dataclass(frozen=True)
-class EnvVector:
-    """Environmental covariates attached to one observation."""
-
-    temperature_c: float
-    humidity_pct: float
-    pressure_hpa: float
-    pm25_ugm3: float
-    co2_ppm: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.humidity_pct <= 100.0:
-            raise InvalidConfigError(
-                f"humidity_pct must be in [0, 100], got {self.humidity_pct}"
-            )
-        # co2 >= 0 rather than > 0: the all-zero vector is the canonical way
-        # to switch the covariate block off when exercising the intercept.
-        if self.co2_ppm < 0:
-            raise InvalidConfigError(f"co2_ppm must be >= 0, got {self.co2_ppm}")
-        if self.pm25_ugm3 < 0:
-            raise InvalidConfigError(f"pm25_ugm3 must be >= 0, got {self.pm25_ugm3}")
-
-
-@dataclass(frozen=True)
-class PathLossModel:
-    """Coefficient set for either model variant.
-
-    ``intercept_db`` absorbs the loss at the reference distance; for the
-    extended variant it also absorbs whatever constant share the frequency
-    term contributes, because frequency enters in MHz.  Intercepts of the
-    two variants are therefore not comparable across unit conventions.
-    """
-
-    variant: ModelVariant
-    intercept_db: float
-    path_loss_exponent: float
-    wall_loss_db: Mapping[str, float]
-    env_coeffs: Mapping[str, float] = field(default_factory=dict)
-    snr_coeff: float | None = None
-    shadowing_sigma_db: float = 0.0
-    reference_distance_m: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.path_loss_exponent <= 0:
-            raise InvalidConfigError("path_loss_exponent must be positive")
-        if self.shadowing_sigma_db < 0:
-            raise InvalidConfigError("shadowing_sigma_db must be >= 0")
-        if self.reference_distance_m <= 0:
-            raise InvalidConfigError("reference_distance_m must be positive")
-        if self.variant is ModelVariant.MW and (self.env_coeffs or self.snr_coeff is not None):
-            raise InvalidConfigError(
-                "the structural variant takes no environmental or SNR coefficients"
-            )
-        unknown = set(self.env_coeffs) - set(ENV_FIELDS)
-        if unknown:
-            raise InvalidConfigError(f"unknown environmental coefficients: {sorted(unknown)}")
-
-
-@dataclass(frozen=True)
-class ShadowingSpec:
-    """dB-domain Gaussian shadowing: zero-mean by default, spread sigma."""
-
-    sigma_db: float
-    mean_db: float = 0.0
-
-    xi = XI
-
-    def __post_init__(self) -> None:
-        if self.sigma_db <= 0:
-            raise InvalidConfigError(f"sigma_db must be positive, got {self.sigma_db}")
-
 
 #: Coefficient order of each variant: intercept, exponent, one loss per wall
 #: material and, for the extended variant, one slope per covariate plus the
-#: SNR slope.  Predictor columns and fitted parameter vectors follow it.
+#: SNR slope.  Models, predictor columns and fitted vectors follow it.
 _STRUCTURAL_PARAMS = ("intercept_db", "path_loss_exponent") + tuple(
     f"wall_{material}_db" for material in WALL_TYPES
 )
@@ -151,35 +74,47 @@ def check_params(params, variant: ModelVariant) -> np.ndarray:
     return params
 
 
-def params_from_model(model: PathLossModel) -> np.ndarray:
-    """Coefficient vector of a model, in :data:`PARAM_NAMES` order."""
-    values = [model.intercept_db, model.path_loss_exponent]
-    values.extend(model.wall_loss_db.get(material, 0.0) for material in WALL_TYPES)
-    if model.variant is ModelVariant.MW_EP:
-        values.extend(model.env_coeffs.get(name, 0.0) for name in ENV_FIELDS)
-        values.append(model.snr_coeff or 0.0)
-    return np.array(values)
+@dataclass(frozen=True)
+class PathLossModel:
+    """Coefficient vector of either model variant, in :data:`PARAM_NAMES`
+    order, stored as a tuple of floats.
+
+    The intercept absorbs the loss at the reference distance; for the
+    extended variant it also absorbs whatever constant share the frequency
+    term contributes, because frequency enters in MHz.  Intercepts of the
+    two variants are therefore not comparable across unit conventions.
+    """
+
+    variant: ModelVariant
+    params: tuple[float, ...]
+    shadowing_sigma_db: float = 0.0
+    reference_distance_m: float = 1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", tuple(check_params(self.params, self.variant).tolist()))
+        if self.params[1] <= 0:
+            raise InvalidConfigError("path_loss_exponent must be positive")
+        if self.shadowing_sigma_db < 0:
+            raise InvalidConfigError("shadowing_sigma_db must be >= 0")
+        if self.reference_distance_m <= 0:
+            raise InvalidConfigError("reference_distance_m must be positive")
+
+    def params_by_name(self) -> dict[str, float]:
+        return dict(zip(PARAM_NAMES[self.variant], self.params))
 
 
-def model_from_params(
-    variant: ModelVariant,
-    params,
-    shadowing_sigma_db: float = 0.0,
-    reference_distance_m: float = 1.0,
-) -> PathLossModel:
-    """Inverse of :func:`params_from_model`."""
-    values = check_params(params, variant).tolist()
-    extended = variant is ModelVariant.MW_EP
-    return PathLossModel(
-        variant=variant,
-        intercept_db=values[0],
-        path_loss_exponent=values[1],
-        wall_loss_db=dict(zip(WALL_TYPES, values[2:4])),
-        env_coeffs=dict(zip(ENV_FIELDS, values[4:9])) if extended else {},
-        snr_coeff=values[9] if extended else None,
-        shadowing_sigma_db=shadowing_sigma_db,
-        reference_distance_m=reference_distance_m,
-    )
+@dataclass(frozen=True)
+class ShadowingSpec:
+    """dB-domain Gaussian shadowing: zero-mean by default, spread sigma."""
+
+    sigma_db: float
+    mean_db: float = 0.0
+
+    xi = XI
+
+    def __post_init__(self) -> None:
+        if self.sigma_db <= 0:
+            raise InvalidConfigError(f"sigma_db must be positive, got {self.sigma_db}")
 
 
 def _log10(values: np.ndarray) -> np.ndarray:
@@ -232,45 +167,34 @@ def fixed_term(variant: ModelVariant, column: Callable[[str], Any], rows: int) -
     return 20.0 * _log10(freq_mhz)
 
 
-def _predict_row(model, distance_m, walls, freq_mhz=0.0, env=None, snr_db=0.0) -> float:
-    """One-row form of the vectorised prediction ``x @ params + fixed``."""
-    row = dict(
-        distance=distance_m, c_walls=walls.brick, w_walls=walls.wood, frequency=freq_mhz, snr=snr_db
-    )
-    if env is not None:
-        values = (env.temperature_c, env.humidity_pct, env.pressure_hpa, env.pm25_ugm3, env.co2_ppm)
-        row.update(zip(ENV_FIELDS, values))
+def predict(model: PathLossModel, inputs: Mapping[str, float]) -> float:
+    """Deterministic path loss of one observation, in dB: the one-row form of
+    the vectorised ``x @ params + fixed``.  ``inputs`` maps the CSV column
+    names the variant reads: ``distance``, ``c_walls`` and ``w_walls``, and
+    for the extended variant also ``frequency``, the :data:`ENV_FIELDS` and
+    ``snr``."""
+
+    def value(name: str) -> float:
+        if name not in inputs:
+            raise InvalidConfigError(f"missing input: {name}")
+        return inputs[name]
+
+    if value("c_walls") < 0 or value("w_walls") < 0:
+        raise InvalidConfigError("wall counts must be >= 0")
+    if model.variant is ModelVariant.MW_EP:
+        if not 0.0 <= value("humidity") <= 100.0:
+            raise InvalidConfigError(f"humidity_pct must be in [0, 100], got {value('humidity')}")
+        # co2 >= 0 rather than > 0: all-zero covariates switch their block off
+        if value("co2") < 0:
+            raise InvalidConfigError(f"co2_ppm must be >= 0, got {value('co2')}")
+        if value("pm25") < 0:
+            raise InvalidConfigError(f"pm25_ugm3 must be >= 0, got {value('pm25')}")
 
     def column(name: str) -> list[float]:
-        return [row[name]]
+        return [value(name)]
 
     x = predictor_columns(model.variant, column, model.reference_distance_m)
-    return float((x @ params_from_model(model) + fixed_term(model.variant, column, 1))[0])
-
-
-def predict_mw(model: PathLossModel, distance_m: float, walls: WallCounts) -> float:
-    """Deterministic path loss of the structural variant, in dB."""
-    if model.variant is not ModelVariant.MW:
-        raise InvalidConfigError(f"expected an '{ModelVariant.MW.value}' model")
-    return _predict_row(model, distance_m, walls)
-
-
-def predict_mw_ep(
-    model: PathLossModel,
-    distance_m: float,
-    walls: WallCounts,
-    freq_mhz: float,
-    env: EnvVector,
-    snr_db: float,
-) -> float:
-    """Deterministic path loss of the extended variant, in dB.
-
-    Adds 20*log10(frequency in MHz), the linear covariate terms and the SNR
-    term on top of the structural part.
-    """
-    if model.variant is not ModelVariant.MW_EP:
-        raise InvalidConfigError(f"expected an '{ModelVariant.MW_EP.value}' model")
-    return _predict_row(model, distance_m, walls, freq_mhz, env, snr_db)
+    return float((x @ np.array(model.params) + fixed_term(model.variant, column, 1))[0])
 
 
 def shadowing_pdf(spec: ShadowingSpec, eps_linear):
@@ -397,34 +321,48 @@ def simulate_scene(spec: SceneSpec, seed: int) -> list[SceneSample]:
 
 def model_to_dict(model: PathLossModel) -> dict:
     """JSON-ready representation of a model."""
+    named = model.params_by_name()
     payload = {
         "variant": model.variant.value,
-        "intercept_db": model.intercept_db,
-        "path_loss_exponent": model.path_loss_exponent,
-        "wall_loss_db": dict(model.wall_loss_db),
+        "intercept_db": named["intercept_db"],
+        "path_loss_exponent": named["path_loss_exponent"],
+        "wall_loss_db": {material: named[f"wall_{material}_db"] for material in WALL_TYPES},
         "shadowing_sigma_db": model.shadowing_sigma_db,
         "reference_distance_m": model.reference_distance_m,
     }
     if model.variant is ModelVariant.MW_EP:
-        payload["env_coeffs"] = dict(model.env_coeffs)
-        payload["snr_coeff"] = model.snr_coeff
+        payload["env_coeffs"] = {name: named[f"env_{name}"] for name in ENV_FIELDS}
+        payload["snr_coeff"] = named["snr_coeff"]
     return payload
 
 
 def model_from_dict(payload: Mapping) -> PathLossModel:
+    """Inverse of :func:`model_to_dict`; a missing wall material or covariate
+    and a null ``snr_coeff`` read as 0."""
     try:
         variant = ModelVariant(payload["variant"])
+        walls = payload["wall_loss_db"]
+        env = payload.get("env_coeffs", {})
+        snr = payload.get("snr_coeff")
+        if variant is ModelVariant.MW and (env or snr is not None):
+            raise InvalidConfigError(
+                "the structural variant takes no environmental or SNR coefficients"
+            )
+        for what, given, known in (("wall materials", walls, WALL_TYPES),
+                                   ("environmental coefficients", env, ENV_FIELDS)):
+            unknown = set(given) - set(known)
+            if unknown:
+                raise InvalidConfigError(f"unknown {what}: {sorted(unknown)}")
+        named = {f"wall_{k}_db": v for k, v in walls.items()}
+        named |= {f"env_{k}": v for k, v in env.items()}
+        named |= {
+            "intercept_db": payload["intercept_db"],
+            "path_loss_exponent": payload["path_loss_exponent"],
+            "snr_coeff": 0.0 if snr is None else snr,
+        }
         return PathLossModel(
-            variant=variant,
-            intercept_db=float(payload["intercept_db"]),
-            path_loss_exponent=float(payload["path_loss_exponent"]),
-            wall_loss_db={k: float(v) for k, v in payload["wall_loss_db"].items()},
-            env_coeffs={k: float(v) for k, v in payload.get("env_coeffs", {}).items()},
-            snr_coeff=(
-                float(payload["snr_coeff"])
-                if payload.get("snr_coeff") is not None
-                else None
-            ),
+            variant,
+            tuple(float(named.get(name, 0.0)) for name in PARAM_NAMES[variant]),
             shadowing_sigma_db=float(payload.get("shadowing_sigma_db", 0.0)),
             reference_distance_m=float(payload.get("reference_distance_m", 1.0)),
         )

@@ -18,30 +18,15 @@ import numpy as np
 
 from loraprop.link_budget import DEFAULT_LINK_BUDGET, esp, noise_power
 from loraprop.lora_phy import RadioConfig, time_on_air
-from loraprop.propagation import (
-    EnvVector,
-    ModelVariant,
-    PathLossModel,
-    WallCounts,
-    predict_mw_ep,
-)
+from loraprop.propagation import ModelVariant, PathLossModel, predict
 from loraprop.records import _INT_COLUMNS, CSV_COLUMNS, ObservationTable
 
 #: Ground-truth extended model used by synthetic datasets (arbitrary but
 #: plausible magnitudes; negative covariate slopes like the fitted ones).
 TRUE_EP_MODEL = PathLossModel(
-    variant=ModelVariant.MW_EP,
-    intercept_db=6.0,
-    path_loss_exponent=3.1,
-    wall_loss_db={"brick": 8.0, "wood": 3.0},
-    env_coeffs={
-        "temperature": -0.006,
-        "humidity": -0.07,
-        "pressure": -0.012,
-        "pm25": -0.15,
-        "co2": -0.0025,
-    },
-    snr_coeff=-2.0,
+    ModelVariant.MW_EP,
+    # intercept, exponent, brick, wood, temperature, humidity, pressure, pm25, co2, snr
+    (6.0, 3.1, 8.0, 3.0, -0.006, -0.07, -0.012, -0.15, -0.0025, -2.0),
     shadowing_sigma_db=8.0,
 )
 
@@ -161,12 +146,6 @@ def record_keys(table: ObservationTable) -> set[tuple]:
     return set(table.rows(("device_id", "time", "f_count")))
 
 
-def _true_path_loss(model: PathLossModel, row: dict) -> float:
-    env = EnvVector(row["temperature"], row["humidity"], row["pressure"], row["pm25"], row["co2"])
-    walls = WallCounts(row["c_walls"], row["w_walls"])
-    return predict_mw_ep(model, row["distance"], walls, row["frequency"], env, row["snr"])
-
-
 def synth_dataset(
     rows_per_device: int = 2000,
     seed: int = 7,
@@ -215,7 +194,7 @@ def synth_dataset(
                 f_count=f_count,
                 p_count=i,
             )
-            true_pl = _true_path_loss(model, row)
+            true_pl = predict(model, row)
             exp_pl = true_pl + float(rng.normal(0.0, sigma_db)) if sigma_db > 0 else true_pl
             rssi = offset - exp_pl
             cfg = RadioConfig(sf=sf, bw_hz=125_000.0, payload_bytes=18, implicit_header=True)
@@ -232,7 +211,7 @@ def synth_dataset(
         dup_positions = rng.choice(rows_per_device, size=duplicates_per_device, replace=False)
         for position in sorted(int(p) for p in dup_positions):
             base = per_device[position]
-            retrans_pl = _true_path_loss(model, base) + (
+            retrans_pl = predict(model, base) + (
                 float(rng.normal(0.0, sigma_db)) if sigma_db > 0 else 0.0
             )
             rssi = offset - retrans_pl

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import loraprop
+from loraprop import pipeline
 from loraprop.cli import main
 from loraprop.pipeline import csv_lines, run_pipeline, write_records_csv
 from loraprop.propagation import ModelVariant, PathLossModel, model_to_dict, save_model
@@ -130,7 +131,7 @@ class TestNonFiniteValues:
     @staticmethod
     def _nan_model(path):
         # json.dumps writes NaN by default; this stands for a hand-edited file
-        model = PathLossModel(ModelVariant.MW, 31.3, 3.62, {"brick": 9.74, "wood": 2.64})
+        model = PathLossModel(ModelVariant.MW, (31.3, 3.62, 9.74, 2.64))
         path.write_text(json.dumps(model_to_dict(model) | {"intercept_db": float("nan")}))
         return path
 
@@ -269,24 +270,14 @@ class TestAdrSimCommand:
 
 
 EP_MODEL = PathLossModel(
-    variant=ModelVariant.MW_EP,
-    intercept_db=5.46,
-    path_loss_exponent=3.20,
-    wall_loss_db={"brick": 8.52, "wood": 2.98},
-    env_coeffs={"temperature": -0.005767, "humidity": -0.074299,
-                "pressure": -0.011567, "pm25": -0.153205, "co2": -0.002497},
-    snr_coeff=-1.982231,
+    ModelVariant.MW_EP,
+    (5.46, 3.20, 8.52, 2.98, -0.005767, -0.074299, -0.011567, -0.153205, -0.002497, -1.982231),
 )
 
 
 class TestPredictCommand:
     def test_structural_model(self, capsys, tmp_path):
-        model = PathLossModel(
-            variant=ModelVariant.MW,
-            intercept_db=31.30,
-            path_loss_exponent=3.62,
-            wall_loss_db={"brick": 9.74, "wood": 2.64},
-        )
+        model = PathLossModel(ModelVariant.MW, (31.30, 3.62, 9.74, 2.64))
         path = tmp_path / "mw.json"
         save_model(model, path)
         code, out = run(
@@ -313,6 +304,16 @@ class TestPredictCommand:
         )
         assert code == 0
         assert json.loads(out)["path_loss_db"] > 0
+
+    def test_unknown_wall_material_exits_1(self, capsys, caplog, tmp_path):
+        # the concrete loss was loaded, never used, and 77.24 printed with exit 0
+        model = PathLossModel(ModelVariant.MW, (31.30, 3.62, 9.74, 2.64))
+        path = tmp_path / "mw.json"
+        walls = {"brick": 9.74, "wood": 2.64, "concrete": 30.0}
+        path.write_text(json.dumps(model_to_dict(model) | {"wall_loss_db": walls}))
+        assert main(["predict", "--model", str(path), "--distance", "10", "--brick", "1"]) == 1
+        assert capsys.readouterr().out == ""
+        assert "unknown wall materials: ['concrete']" in caplog.text
 
     @pytest.mark.parametrize(
         "snr, reason",
@@ -563,6 +564,27 @@ class TestPipelineCommand:
         assert manifest["rejections_by_reason"] == {"oversized-field": 1}
         assert manifest["counts"]["rows_read"] == len(data.records)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("command", ["fit", "pipeline run"])
+    def test_header_field_over_the_csv_limit_exits_1(
+        self, capsys, caplog, tmp_path, monkeypatch, command, cpus
+    ):
+        # the csv module's error ended the command in a traceback; on two
+        # CPUs the header is a range of its own, which falls back to one range
+        raw = tmp_path / "h.csv"
+        raw.write_text('"' + "a" * 200_000 + '"\n' + "x\n" * 100)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(pipeline, "_MIN_RANGE_BYTES", 1)
+        out = tmp_path / "out"
+        if command == "fit":
+            argv = ["fit", "--variant", "mw", "--input", str(raw), "--out", str(out / "m.json")]
+        else:
+            argv = ["pipeline", "run", "--input", str(raw), "--out-dir", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
+        assert "malformed header: field larger than field limit (131072)" in caplog.text
+        assert not out.exists() or not any(out.iterdir())
+
     def test_missing_out_dir_is_domain_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("LORAPROP_OUT_DIR", raising=False)
         assert main(["pipeline", "run", "--input", "whatever.csv"]) == 1
@@ -613,7 +635,7 @@ class TestFitCommand:
         else:
             model = tmp_path / "model.json"
             save_model(
-                PathLossModel(ModelVariant.MW, 31.3, 3.62, {"brick": 9.74, "wood": 2.64}), model
+                PathLossModel(ModelVariant.MW, (31.3, 3.62, 9.74, 2.64)), model
             )
             argv = ["evaluate", "--model", str(model), "--input", str(near)]
         assert main(argv) == 1

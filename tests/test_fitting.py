@@ -13,15 +13,7 @@ from loraprop.fitting import (
     predictions,
     standard_errors,
 )
-from loraprop.propagation import (
-    EnvVector,
-    ModelVariant,
-    WallCounts,
-    model_from_params,
-    params_from_model,
-    predict_mw,
-    predict_mw_ep,
-)
+from loraprop.propagation import ModelVariant, PathLossModel, predict
 from loraprop.records import CSV_COLUMNS
 
 from helpers import (
@@ -127,8 +119,7 @@ class TestFitExactRecovery:
     def test_zero_noise_extended_scene_with_frequency_offsets(self):
         data = synth_dataset(rows_per_device=60, seed=9, sigma_db=0.0, duplicates_per_device=0)
         report = fit(data.clean, ModelVariant.MW_EP)
-        truth = params_from_model(TRUE_EP_MODEL)
-        np.testing.assert_allclose(report.params, truth, atol=1e-6)
+        np.testing.assert_allclose(report.params, TRUE_EP_MODEL.params, atol=1e-6)
 
     def test_agrees_with_one_shot_linear_solve(self):
         records, _ = mw_observations(n=400, seed=17, sigma_db=6.0)
@@ -224,36 +215,20 @@ class TestFitProperties:
 class TestPredictionCoherence:
     def test_matches_pointwise_model_evaluation(self):
         data = synth_dataset(rows_per_device=3, seed=2, duplicates_per_device=0)
-        params = params_from_model(TRUE_EP_MODEL)
-        vectorised = predictions(params, data.clean, ModelVariant.MW_EP)
+        vectorised = predictions(TRUE_EP_MODEL.params, data.clean, ModelVariant.MW_EP)
         for values, expected in zip(data.clean.rows(), vectorised):
-            r = dict(zip(CSV_COLUMNS, values))
-            env = EnvVector(
-                temperature_c=r["temperature"],
-                humidity_pct=r["humidity"],
-                pressure_hpa=r["pressure"],
-                pm25_ugm3=r["pm25"],
-                co2_ppm=r["co2"],
-            )
-            pointwise = predict_mw_ep(
-                TRUE_EP_MODEL,
-                r["distance"],
-                WallCounts(r["c_walls"], r["w_walls"]),
-                r["frequency"],
-                env,
-                r["snr"],
-            )
+            pointwise = predict(TRUE_EP_MODEL, dict(zip(CSV_COLUMNS, values)))
             assert pointwise == pytest.approx(float(expected), abs=1e-9)
 
 
 class TestOneFormula:
-    """The scalar predictors are one-row calls of the vectorised formula.
+    """The scalar predictor is a one-row call of the vectorised formula.
 
     Only single rows are compared: inside a larger batch, BLAS may sum a
     row's terms in another order and move its last bit.
     """
 
-    MW_MODEL = model_from_params(ModelVariant.MW, [31.3, 3.62, 9.74, 2.64])
+    MW_MODEL = PathLossModel(ModelVariant.MW, (31.3, 3.62, 9.74, 2.64))
 
     @staticmethod
     def random_row(rng):
@@ -272,23 +247,17 @@ class TestOneFormula:
 
     def test_predict_mw_equals_single_row_predictions(self):
         rng = np.random.default_rng(17)
-        params = params_from_model(self.MW_MODEL)
         for _ in range(300):
             r = self.random_row(rng)
-            scalar = predict_mw(self.MW_MODEL, r["distance"], WallCounts(r["c_walls"], r["w_walls"]))
-            assert scalar == predictions(params, make_table(**r), ModelVariant.MW)[0]
+            scalar = predict(self.MW_MODEL, r)
+            assert scalar == predictions(self.MW_MODEL.params, make_table(**r), ModelVariant.MW)[0]
 
     def test_predict_mw_ep_equals_single_row_predictions(self):
         rng = np.random.default_rng(18)
-        params = params_from_model(TRUE_EP_MODEL)
         for _ in range(300):
             r = self.random_row(rng)
-            env = EnvVector(r["temperature"], r["humidity"], r["pressure"], r["pm25"], r["co2"])
-            scalar = predict_mw_ep(
-                TRUE_EP_MODEL, r["distance"], WallCounts(r["c_walls"], r["w_walls"]),
-                r["frequency"], env, r["snr"],
-            )
-            assert scalar == predictions(params, make_table(**r), ModelVariant.MW_EP)[0]
+            scalar = predict(TRUE_EP_MODEL, r)
+            assert scalar == predictions(TRUE_EP_MODEL.params, make_table(**r), ModelVariant.MW_EP)[0]
 
     @pytest.mark.parametrize("variant", [ModelVariant.MW, ModelVariant.MW_EP])
     def test_design_matrix_uses_math_log10_exactly(self, variant):
@@ -311,13 +280,10 @@ class TestBelowReferenceDistance:
     """Below d0 the log-distance term is undefined: every path rejects it."""
 
     def test_scalar_paths_reject(self):
-        with pytest.raises(InvalidConfigError, match="below the reference distance"):
-            predict_mw(TestOneFormula.MW_MODEL, 0.5, WallCounts())
-        with pytest.raises(InvalidConfigError, match="below the reference distance"):
-            predict_mw_ep(
-                TRUE_EP_MODEL, 0.5, WallCounts(), 868.1,
-                EnvVector(21.0, 38.0, 323.0, 2.0, 550.0), 7.0,
-            )
+        row = TestOneFormula.random_row(np.random.default_rng(20)) | {"distance": 0.5}
+        for model in (TestOneFormula.MW_MODEL, TRUE_EP_MODEL):
+            with pytest.raises(InvalidConfigError, match="below the reference distance"):
+                predict(model, row)
 
     @pytest.mark.parametrize("variant", [ModelVariant.MW, ModelVariant.MW_EP])
     def test_design_matrix_rejects(self, variant):
@@ -361,10 +327,9 @@ class TestOffsets:
 
 class TestModelConversion:
     def test_params_round_trip(self):
-        params = params_from_model(TRUE_EP_MODEL)
-        rebuilt = model_from_params(
+        rebuilt = PathLossModel(
             ModelVariant.MW_EP,
-            params,
+            np.array(TRUE_EP_MODEL.params),
             shadowing_sigma_db=TRUE_EP_MODEL.shadowing_sigma_db,
         )
         assert rebuilt == TRUE_EP_MODEL
@@ -373,5 +338,5 @@ class TestModelConversion:
         records, truth = mw_observations(n=100, sigma_db=0.0)
         model = fit(records, ModelVariant.MW).to_model()
         assert model.variant is ModelVariant.MW
-        assert model.intercept_db == pytest.approx(truth[0], abs=1e-6)
-        assert model.wall_loss_db["brick"] == pytest.approx(truth[2], abs=1e-6)
+        assert model.params_by_name()["intercept_db"] == pytest.approx(truth[0], abs=1e-6)
+        assert model.params_by_name()["wall_brick_db"] == pytest.approx(truth[2], abs=1e-6)

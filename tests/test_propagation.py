@@ -1,38 +1,36 @@
 import math
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate, stats
 
 from loraprop.errors import InvalidConfigError, InvalidDataError
 from loraprop.propagation import (
+    ENV_FIELDS,
+    PARAM_NAMES,
     WALL_TYPES,
-    EnvVector,
     ModelVariant,
     PathLossModel,
     SceneSample,
     SceneSpec,
     ShadowingSpec,
     WallCounts,
+    fixed_term,
     load_model,
     model_from_dict,
     model_to_dict,
-    predict_mw,
+    predict,
     predictor_columns,
-    predict_mw_ep,
     sample_shadowing,
     save_model,
     shadowing_pdf,
     simulate_scene,
 )
 
-MW_MODEL = PathLossModel(
-    variant=ModelVariant.MW,
-    intercept_db=31.30,
-    path_loss_exponent=3.62,
-    wall_loss_db={"brick": 9.74, "wood": 2.64},
-    shadowing_sigma_db=10.58,
-)
+MW_MODEL = PathLossModel(ModelVariant.MW, (31.30, 3.62, 9.74, 2.64), shadowing_sigma_db=10.58)
 
 EP_COEFFS = dict(
     intercept_db=5.46,
@@ -47,67 +45,56 @@ EP_COEFFS = dict(
     snr=-1.982231,
 )
 
-EP_MODEL = PathLossModel(
-    variant=ModelVariant.MW_EP,
-    intercept_db=EP_COEFFS["intercept_db"],
-    path_loss_exponent=EP_COEFFS["path_loss_exponent"],
-    wall_loss_db={"brick": EP_COEFFS["brick"], "wood": EP_COEFFS["wood"]},
-    env_coeffs={
-        "temperature": EP_COEFFS["temperature"],
-        "humidity": EP_COEFFS["humidity"],
-        "pressure": EP_COEFFS["pressure"],
-        "pm25": EP_COEFFS["pm25"],
-        "co2": EP_COEFFS["co2"],
-    },
-    snr_coeff=EP_COEFFS["snr"],
-    shadowing_sigma_db=8.04,
-)
+EP_MODEL = PathLossModel(ModelVariant.MW_EP, tuple(EP_COEFFS.values()), shadowing_sigma_db=8.04)
 
-MEAN_ENV = EnvVector(
-    temperature_c=21.207,
-    humidity_pct=37.544,
-    pressure_hpa=323.321,
-    pm25_ugm3=1.982,
-    co2_ppm=553.934,
-)
+MEAN_ENV = dict(temperature=21.207, humidity=37.544, pressure=323.321, pm25=1.982, co2=553.934)
 
-ZERO_ENV = EnvVector(0.0, 0.0, 0.0, 0.0, 0.0)
+ZERO_ENV = dict.fromkeys(ENV_FIELDS, 0.0)
+
+
+def mw_inputs(distance, c_walls=0, w_walls=0):
+    return dict(distance=distance, c_walls=c_walls, w_walls=w_walls)
+
+
+def ep_inputs(distance, frequency, env, snr, c_walls=0, w_walls=0):
+    return mw_inputs(distance, c_walls, w_walls) | env | dict(frequency=frequency, snr=snr)
 
 
 class TestPredictMw:
     def test_ten_metres_no_walls(self):
-        assert predict_mw(MW_MODEL, 10.0, WallCounts()) == pytest.approx(67.50, abs=1e-9)
+        assert predict(MW_MODEL, mw_inputs(10.0)) == pytest.approx(67.50, abs=1e-9)
 
     def test_eight_metres_one_brick(self):
         expected = 31.30 + 36.2 * math.log10(8.0) + 9.74
-        assert predict_mw(MW_MODEL, 8.0, WallCounts(brick=1)) == pytest.approx(
+        assert predict(MW_MODEL, mw_inputs(8.0, c_walls=1)) == pytest.approx(
             expected, abs=1e-12
         )
-        assert predict_mw(MW_MODEL, 8.0, WallCounts(brick=1)) == pytest.approx(
+        assert predict(MW_MODEL, mw_inputs(8.0, c_walls=1)) == pytest.approx(
             73.73, abs=5e-3
         )
 
     def test_reference_distance_returns_intercept(self):
-        assert predict_mw(MW_MODEL, 1.0, WallCounts()) == pytest.approx(31.30)
+        assert predict(MW_MODEL, mw_inputs(1.0)) == pytest.approx(31.30)
 
     def test_distance_below_reference_rejected(self):
         with pytest.raises(InvalidConfigError):
-            predict_mw(MW_MODEL, 0.5, WallCounts())
+            predict(MW_MODEL, mw_inputs(0.5))
 
-    def test_wrong_variant_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            predict_mw(EP_MODEL, 10.0, WallCounts())
+    def test_extended_model_names_the_input_it_misses(self):
+        # an extended model reads the covariates, which structural inputs lack
+        with pytest.raises(InvalidConfigError, match="missing input: humidity"):
+            predict(EP_MODEL, mw_inputs(10.0))
 
     def test_monotone_in_distance_and_walls(self):
-        base = predict_mw(MW_MODEL, 10.0, WallCounts())
-        assert predict_mw(MW_MODEL, 11.0, WallCounts()) > base
-        assert predict_mw(MW_MODEL, 10.0, WallCounts(brick=1)) > base
-        assert predict_mw(MW_MODEL, 10.0, WallCounts(wood=1)) > base
+        base = predict(MW_MODEL, mw_inputs(10.0))
+        assert predict(MW_MODEL, mw_inputs(11.0)) > base
+        assert predict(MW_MODEL, mw_inputs(10.0, c_walls=1)) > base
+        assert predict(MW_MODEL, mw_inputs(10.0, w_walls=1)) > base
 
 
 class TestPredictMwEp:
     def test_neutral_inputs_return_intercept(self):
-        value = predict_mw_ep(EP_MODEL, 1.0, WallCounts(), 1.0, ZERO_ENV, 0.0)
+        value = predict(EP_MODEL, ep_inputs(1.0, 1.0, ZERO_ENV, 0.0))
         assert value == pytest.approx(5.46, abs=1e-12)
 
     def test_term_by_term_oracle_at_published_means(self):
@@ -125,40 +112,190 @@ class TestPredictMwEp:
             + (-0.002497) * 553.934
             + (-1.982231) * 7.419
         )
-        value = predict_mw_ep(EP_MODEL, 10.0, WallCounts(), 868.1, MEAN_ENV, 7.419)
+        value = predict(EP_MODEL, ep_inputs(10.0, 868.1, MEAN_ENV, 7.419))
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_snr_linearity(self):
-        lo = predict_mw_ep(EP_MODEL, 10.0, WallCounts(), 868.1, MEAN_ENV, 5.0)
-        hi = predict_mw_ep(EP_MODEL, 10.0, WallCounts(), 868.1, MEAN_ENV, 6.0)
+        lo = predict(EP_MODEL, ep_inputs(10.0, 868.1, MEAN_ENV, 5.0))
+        hi = predict(EP_MODEL, ep_inputs(10.0, 868.1, MEAN_ENV, 6.0))
         assert hi - lo == pytest.approx(EP_COEFFS["snr"], abs=1e-9)
 
     def test_env_finite_difference_slopes(self):
-        base = predict_mw_ep(EP_MODEL, 10.0, WallCounts(), 868.1, MEAN_ENV, 7.0)
-        bumped = {
-            "temperature": EnvVector(22.207, 37.544, 323.321, 1.982, 553.934),
-            "humidity": EnvVector(21.207, 38.544, 323.321, 1.982, 553.934),
-            "pressure": EnvVector(21.207, 37.544, 324.321, 1.982, 553.934),
-            "pm25": EnvVector(21.207, 37.544, 323.321, 2.982, 553.934),
-            "co2": EnvVector(21.207, 37.544, 323.321, 1.982, 554.934),
-        }
-        for name, env in bumped.items():
-            slope = predict_mw_ep(EP_MODEL, 10.0, WallCounts(), 868.1, env, 7.0) - base
+        base = predict(EP_MODEL, ep_inputs(10.0, 868.1, MEAN_ENV, 7.0))
+        for name in ENV_FIELDS:
+            env = MEAN_ENV | {name: MEAN_ENV[name] + 1.0}
+            slope = predict(EP_MODEL, ep_inputs(10.0, 868.1, env, 7.0)) - base
             assert slope == pytest.approx(EP_COEFFS[name], abs=1e-9)
 
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(InvalidConfigError):
-            predict_mw_ep(EP_MODEL, 10.0, WallCounts(), 0.0, MEAN_ENV, 7.0)
+            predict(EP_MODEL, ep_inputs(10.0, 0.0, MEAN_ENV, 7.0))
 
     def test_mw_variant_cannot_hold_env_terms(self):
-        with pytest.raises(InvalidConfigError):
-            PathLossModel(
-                variant=ModelVariant.MW,
-                intercept_db=40.0,
-                path_loss_exponent=3.5,
-                wall_loss_db={},
-                snr_coeff=-1.0,
+        with pytest.raises(InvalidDataError, match=r"shape \(5,\), expected \(4,\)"):
+            PathLossModel(ModelVariant.MW, (40.0, 3.5, 0.0, 0.0, -1.0))
+        with pytest.raises(InvalidConfigError, match="takes no environmental or SNR"):
+            model_from_dict(model_to_dict(MW_MODEL) | {"snr_coeff": -1.0})
+
+
+class TestPredictInputs:
+    """The checks the wall-count and covariate types made on predictor inputs."""
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("humidity", 120.0, "humidity_pct must be in [0, 100], got 120.0"),
+            ("pm25", -1.0, "pm25_ugm3 must be >= 0, got -1.0"),
+            ("co2", -5.0, "co2_ppm must be >= 0, got -5.0"),
+        ],
+    )
+    def test_covariate_checks(self, name, value, message):
+        inputs = ep_inputs(10.0, 868.1, MEAN_ENV | {name: value}, 7.0)
+        with pytest.raises(InvalidConfigError) as info:
+            predict(EP_MODEL, inputs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("walls", [dict(c_walls=-1), dict(w_walls=-1)])
+    @pytest.mark.parametrize("model", [MW_MODEL, EP_MODEL], ids=["mw", "mw-ep"])
+    def test_wall_count_checks(self, model, walls):
+        inputs = ep_inputs(10.0, 868.1, MEAN_ENV, 7.0) | walls
+        with pytest.raises(InvalidConfigError, match="wall counts must be >= 0"):
+            predict(model, inputs)
+
+    @pytest.mark.parametrize("name", ["distance", "frequency", "pressure", "snr"])
+    def test_missing_input_is_named(self, name):
+        inputs = ep_inputs(10.0, 868.1, MEAN_ENV, 7.0)
+        del inputs[name]
+        with pytest.raises(InvalidConfigError, match=f"missing input: {name}"):
+            predict(EP_MODEL, inputs)
+
+
+# ---------------------------------------------------------------------------
+# The scalar predictors as they were before ``predict``, kept verbatim as its
+# reference, with the named-field model and covariate vector they read.
+
+
+@dataclass(frozen=True)
+class EnvVector:
+    temperature_c: float
+    humidity_pct: float
+    pressure_hpa: float
+    pm25_ugm3: float
+    co2_ppm: float
+
+
+@dataclass(frozen=True)
+class NamedFieldModel:
+    variant: ModelVariant
+    intercept_db: float
+    path_loss_exponent: float
+    wall_loss_db: Mapping[str, float]
+    env_coeffs: Mapping[str, float] = field(default_factory=dict)
+    snr_coeff: float | None = None
+    shadowing_sigma_db: float = 0.0
+    reference_distance_m: float = 1.0
+
+
+def params_from_model(model: NamedFieldModel) -> np.ndarray:
+    """Coefficient vector of a model, in :data:`PARAM_NAMES` order."""
+    values = [model.intercept_db, model.path_loss_exponent]
+    values.extend(model.wall_loss_db.get(material, 0.0) for material in WALL_TYPES)
+    if model.variant is ModelVariant.MW_EP:
+        values.extend(model.env_coeffs.get(name, 0.0) for name in ENV_FIELDS)
+        values.append(model.snr_coeff or 0.0)
+    return np.array(values)
+
+
+def _predict_row(model, distance_m, walls, freq_mhz=0.0, env=None, snr_db=0.0) -> float:
+    """One-row form of the vectorised prediction ``x @ params + fixed``."""
+    row = dict(
+        distance=distance_m, c_walls=walls.brick, w_walls=walls.wood, frequency=freq_mhz, snr=snr_db
+    )
+    if env is not None:
+        values = (env.temperature_c, env.humidity_pct, env.pressure_hpa, env.pm25_ugm3, env.co2_ppm)
+        row.update(zip(ENV_FIELDS, values))
+
+    def column(name: str) -> list[float]:
+        return [row[name]]
+
+    x = predictor_columns(model.variant, column, model.reference_distance_m)
+    return float((x @ params_from_model(model) + fixed_term(model.variant, column, 1))[0])
+
+
+def predict_mw(model: NamedFieldModel, distance_m: float, walls: WallCounts) -> float:
+    """Deterministic path loss of the structural variant, in dB."""
+    if model.variant is not ModelVariant.MW:
+        raise InvalidConfigError(f"expected an '{ModelVariant.MW.value}' model")
+    return _predict_row(model, distance_m, walls)
+
+
+def predict_mw_ep(
+    model: NamedFieldModel,
+    distance_m: float,
+    walls: WallCounts,
+    freq_mhz: float,
+    env: EnvVector,
+    snr_db: float,
+) -> float:
+    """Deterministic path loss of the extended variant, in dB.
+
+    Adds 20*log10(frequency in MHz), the linear covariate terms and the SNR
+    term on top of the structural part.
+    """
+    if model.variant is not ModelVariant.MW_EP:
+        raise InvalidConfigError(f"expected an '{ModelVariant.MW_EP.value}' model")
+    return _predict_row(model, distance_m, walls, freq_mhz, env, snr_db)
+
+
+@st.composite
+def prediction_cases(draw):
+    """A model of either variant and one observation of its inputs."""
+    variant = draw(st.sampled_from(ModelVariant))
+    coefficient = st.floats(-100.0, 100.0)
+    params = [draw(coefficient), draw(st.floats(0.01, 8.0))]
+    params += [draw(coefficient) for _ in PARAM_NAMES[variant][2:]]
+    d0 = draw(st.floats(0.01, 100.0))
+    inputs = dict(
+        distance=draw(st.floats(d0, 1e5)),
+        c_walls=draw(st.integers(0, 40)),
+        w_walls=draw(st.integers(0, 40)),
+    )
+    if variant is ModelVariant.MW_EP:
+        inputs |= dict(
+            frequency=draw(st.floats(1.0, 6000.0)),
+            temperature=draw(st.floats(-40.0, 60.0)),
+            humidity=draw(st.floats(0.0, 100.0)),
+            pressure=draw(st.floats(0.0, 1100.0)),
+            pm25=draw(st.floats(0.0, 1000.0)),
+            co2=draw(st.floats(0.0, 1e4)),
+            snr=draw(st.floats(-32.0, 32.0)),
+        )
+    return variant, tuple(params), d0, inputs
+
+
+class TestPredictEquivalence:
+    @given(prediction_cases())
+    def test_predict_matches_the_named_field_predictors_exactly(self, case):
+        variant, params, d0, inputs = case
+        extended = variant is ModelVariant.MW_EP
+        reference_model = NamedFieldModel(
+            variant,
+            params[0],
+            params[1],
+            dict(zip(WALL_TYPES, params[2:4])),
+            dict(zip(ENV_FIELDS, params[4:9])) if extended else {},
+            params[9] if extended else None,
+            reference_distance_m=d0,
+        )
+        walls = WallCounts(inputs["c_walls"], inputs["w_walls"])
+        if extended:
+            env = EnvVector(*(inputs[name] for name in ENV_FIELDS))
+            expected = predict_mw_ep(
+                reference_model, inputs["distance"], walls, inputs["frequency"], env, inputs["snr"]
             )
+        else:
+            expected = predict_mw(reference_model, inputs["distance"], walls)
+        assert predict(PathLossModel(variant, params, reference_distance_m=d0), inputs) == expected
 
 
 class TestShadowingPdf:
@@ -393,14 +530,67 @@ class TestModelIO:
     def test_mw_round_trip_via_dict(self):
         assert model_from_dict(model_to_dict(MW_MODEL)) == MW_MODEL
 
-    def test_env_vector_invariants(self):
-        with pytest.raises(InvalidConfigError):
-            EnvVector(21.0, 120.0, 323.0, 2.0, 550.0)
-        with pytest.raises(InvalidConfigError):
-            EnvVector(21.0, 40.0, 323.0, -1.0, 550.0)
-        with pytest.raises(InvalidConfigError):
-            EnvVector(21.0, 40.0, 323.0, 2.0, -5.0)
+    def test_json_keys_name_each_coefficient(self):
+        assert model_to_dict(EP_MODEL) == {
+            "variant": "mw-ep",
+            "intercept_db": 5.46,
+            "path_loss_exponent": 3.20,
+            "wall_loss_db": {"brick": 8.52, "wood": 2.98},
+            "shadowing_sigma_db": 8.04,
+            "reference_distance_m": 1.0,
+            "env_coeffs": {"temperature": -0.005767, "humidity": -0.074299,
+                           "pressure": -0.011567, "pm25": -0.153205, "co2": -0.002497},
+            "snr_coeff": -1.982231,
+        }
 
-    def test_wall_counts_invariants(self):
-        with pytest.raises(InvalidConfigError):
-            WallCounts(brick=-1)
+    def test_params_by_name(self):
+        named = EP_MODEL.params_by_name()
+        assert list(named) == list(PARAM_NAMES[ModelVariant.MW_EP])
+        assert named["wall_wood_db"] == 2.98
+        assert named["env_co2"] == -0.002497
+        assert named["snr_coeff"] == -1.982231
+
+    def test_params_are_a_tuple_of_floats(self):
+        model = PathLossModel(ModelVariant.MW, np.array([31.3, 3.62, 9.74, 2.64]))
+        assert model.params == (31.3, 3.62, 9.74, 2.64)
+        assert all(type(value) is float for value in model.params)
+        assert model == PathLossModel(ModelVariant.MW, [31.3, 3.62, 9.74, 2.64])
+
+    def test_missing_entries_read_as_zero(self):
+        payload = model_to_dict(EP_MODEL)
+        payload["wall_loss_db"] = {"brick": 8.52}
+        payload["env_coeffs"] = {"co2": -0.002497}
+        payload["snr_coeff"] = None
+        named = model_from_dict(payload).params_by_name()
+        assert named["wall_wood_db"] == 0.0
+        assert named["env_temperature"] == 0.0
+        assert named["env_co2"] == -0.002497
+        assert named["snr_coeff"] == 0.0
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"wall_loss_db": {"brick": 9.74, "wood": 2.64, "concrete": 30.0}},
+             "unknown wall materials: ['concrete']"),
+            ({"env_coeffs": {"ozone": 1.0}}, "unknown environmental coefficients: ['ozone']"),
+        ],
+        ids=["wall-material", "covariate"],
+    )
+    def test_unknown_entry_rejected(self, entry, message):
+        # a concrete wall loaded and was never used by any prediction
+        with pytest.raises(InvalidConfigError) as info:
+            model_from_dict(model_to_dict(EP_MODEL) | entry)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"path_loss_exponent": 0.0}, "path_loss_exponent must be positive"),
+            ({"shadowing_sigma_db": -1.0}, "shadowing_sigma_db must be >= 0"),
+            ({"reference_distance_m": 0.0}, "reference_distance_m must be positive"),
+        ],
+    )
+    def test_model_checks(self, changes, message):
+        with pytest.raises(InvalidConfigError) as info:
+            model_from_dict(model_to_dict(MW_MODEL) | changes)
+        assert str(info.value) == message
