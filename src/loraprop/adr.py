@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, replace
 
 from .errors import InvalidConfigError, InvalidDataError
-from .link_budget import SfThreshold, snr_required
+from .link_budget import snr_required
 
 log = logging.getLogger(__name__)
 
@@ -66,22 +66,14 @@ def record_snr(state: AdrState, snr_db: float) -> AdrState:
     return replace(state, snr_history=history)
 
 
-def snr_margin(
-    state: AdrState, thresholds: dict[int, SfThreshold] | None = None
-) -> float:
+def snr_margin(state: AdrState) -> float:
     """Margin of the best recent SNR over the demodulation floor plus fade margin."""
     if not state.snr_history:
         raise InvalidDataError("snr_history is empty")
-    return (
-        max(state.snr_history)
-        - snr_required(state.current_sf, thresholds)
-        - state.fade_margin_db
-    )
+    return max(state.snr_history) - snr_required(state.current_sf) - state.fade_margin_db
 
 
-def adr_step(
-    state: AdrState, thresholds: dict[int, SfThreshold] | None = None
-) -> tuple[AdrState, AdrDecision]:
+def adr_step(state: AdrState) -> tuple[AdrState, AdrDecision]:
     """One adaptation decision: lower the SF on positive margin, raise power
     once the SF floor is reached, otherwise leave the link alone.
 
@@ -89,7 +81,7 @@ def adr_step(
     SF again is a policy choice this procedure does not take); the case is
     logged so operators can spot chronically weak links.
     """
-    margin = snr_margin(state, thresholds)
+    margin = snr_margin(state)
     if margin > 0 and state.current_sf > state.min_sf:
         new_state = replace(state, current_sf=state.current_sf - 1)
         return new_state, AdrDecision.LOWER_SF

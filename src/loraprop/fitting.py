@@ -77,7 +77,6 @@ class FitReport:
     """Outcome of one fit: coefficients, fit quality and residual spread."""
 
     variant: ModelVariant
-    param_names: tuple[str, ...]
     params: np.ndarray
     rss: float
     iterations: int
@@ -87,7 +86,7 @@ class FitReport:
     reference_distance_m: float
 
     def params_by_name(self) -> dict[str, float]:
-        return {name: float(v) for name, v in zip(self.param_names, self.params)}
+        return {name: float(v) for name, v in zip(PARAM_NAMES[self.variant], self.params)}
 
     def to_model(self) -> PathLossModel:
         return PathLossModel(
@@ -146,8 +145,7 @@ def fit_design(x: np.ndarray, y: np.ndarray, variant: ModelVariant, config: FitC
     RSS change or at the iteration cap (reported via ``converged``, not an
     error).  Underdetermined and rank-deficient designs are rejected up front.
     """
-    names = PARAM_NAMES[variant]
-    p = len(names)
+    p = len(PARAM_NAMES[variant])
     if len(x) < p + 1:
         raise FitError(f"underdetermined: {len(x)} observations for {p} coefficients")
     if np.linalg.matrix_rank(x) < p:
@@ -190,7 +188,6 @@ def fit_design(x: np.ndarray, y: np.ndarray, variant: ModelVariant, config: FitC
     sigma = float(np.std(residual))
     return FitReport(
         variant=variant,
-        param_names=names,
         params=alpha,
         rss=current_rss,
         iterations=iterations,

@@ -70,8 +70,7 @@ class SfThreshold:
     sensitivity_dbm: float
 
 
-#: Built-in 125 kHz thresholds; override via :func:`load_thresholds` when a
-#: chipset datasheet differs.
+#: Built-in 125 kHz thresholds.
 SF_THRESHOLDS: dict[int, SfThreshold] = {
     7: SfThreshold(7, -7.5, -123.0),
     8: SfThreshold(8, -10.0, -126.0),
@@ -123,52 +122,25 @@ def experimental_path_loss(params: LinkBudgetParams, rssi_dbm: float) -> float:
     return params.link_offset_db - rssi_dbm
 
 
-def receivable(
-    esp_dbm: float,
-    snr_db: float,
-    sf: int,
-    thresholds: dict[int, SfThreshold] | None = None,
-) -> bool:
+def receivable(esp_dbm: float, snr_db: float, sf: int) -> bool:
     """Whether a packet clears both the sensitivity and the SNR threshold.
 
     The two conditions are conjoined deliberately: each alone is necessary
     but not sufficient for successful demodulation.
     """
-    table = SF_THRESHOLDS if thresholds is None else thresholds
     try:
-        row = table[sf]
+        row = SF_THRESHOLDS[sf]
     except KeyError:
         raise InvalidConfigError(f"unknown spreading factor {sf}") from None
     return esp_dbm >= row.sensitivity_dbm and snr_db >= row.snr_req_db
 
 
-def snr_required(sf: int, thresholds: dict[int, SfThreshold] | None = None) -> float:
+def snr_required(sf: int) -> float:
     """Required demodulation SNR in dB for ``sf``."""
-    table = SF_THRESHOLDS if thresholds is None else thresholds
     try:
-        return table[sf].snr_req_db
+        return SF_THRESHOLDS[sf].snr_req_db
     except KeyError:
         raise InvalidConfigError(f"unknown spreading factor {sf}") from None
-
-
-def load_thresholds(path: str | Path) -> dict[int, SfThreshold]:
-    """Read an SF threshold table from a JSON file.
-
-    Expected shape: ``{"7": {"snr_req_db": -7.5, "sensitivity_dbm": -123}, ...}``.
-    """
-    raw = read_json(path)
-    table: dict[int, SfThreshold] = {}
-    try:
-        for key, row in raw.items():
-            sf = int(key)
-            table[sf] = SfThreshold(
-                sf=sf,
-                snr_req_db=float(row["snr_req_db"]),
-                sensitivity_dbm=float(row["sensitivity_dbm"]),
-            )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InvalidConfigError(f"invalid threshold file {path}: {exc}") from exc
-    return table
 
 
 def load_link_budget(path: str | Path) -> LinkBudgetParams:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidDataError, LorapropError
 from .jsonio import atomic_write, manifest, write_json
-from .link_budget import DEFAULT_LINK_BUDGET, LinkBudgetParams, esp, noise_power
+from .link_budget import DEFAULT_LINK_BUDGET, esp, noise_power
 from .metrics import pdr
 from .records import (
     COLUMN_DTYPES,
@@ -330,38 +330,27 @@ def _joined(parts: list[_Part]) -> IngestResult:
     return result
 
 
-@dataclass(frozen=True)
-class DerivedViolation:
-    index: int
-    column: str
-    expected: float
-    actual: float
+def audit_derived_columns(records: ObservationTable) -> int:
+    """Cross-check the derived columns against their defining identities
+    under :data:`DEFAULT_LINK_BUDGET`: the number of cells (``exp_pl``,
+    ``esp``, ``n_power``) off by 0.01 dB or more.
 
-
-def audit_derived_columns(
-    records: ObservationTable,
-    params: LinkBudgetParams = DEFAULT_LINK_BUDGET,
-    tolerance_db: float = 0.01,
-) -> list[DerivedViolation]:
-    """Cross-check the derived columns against their defining identities.
-
-    Violations are reported and logged, never repaired: a mismatch means the
+    Violations are counted and logged, never repaired: a mismatch means the
     exporting system disagrees with the documented derivation.
     """
-    violations: list[DerivedViolation] = []
-    offset = params.link_offset_db
+    violations = 0
+    offset = DEFAULT_LINK_BUDGET.link_offset_db
     rows = records.rows(("rssi", "snr", "exp_pl", "esp", "n_power"))
-    for i, (rssi, snr, exp_pl_db, esp_dbm, n_power_dbm) in enumerate(rows):
-        checks = (
-            ("exp_pl", offset - rssi, exp_pl_db),
-            ("esp", esp(rssi, snr), esp_dbm),
-            ("n_power", noise_power(rssi, snr), n_power_dbm),
-        )
-        for column, expected, actual in checks:
-            if abs(expected - actual) >= tolerance_db:
-                violations.append(DerivedViolation(i, column, expected, actual))
+    for rssi, snr, exp_pl_db, esp_dbm, n_power_dbm in rows:
+        for expected, actual in (
+            (offset - rssi, exp_pl_db),
+            (esp(rssi, snr), esp_dbm),
+            (noise_power(rssi, snr), n_power_dbm),
+        ):
+            if abs(expected - actual) >= 0.01:
+                violations += 1
     if violations:
-        log.warning("derived-column audit: %d violations", len(violations))
+        log.warning("derived-column audit: %d violations", violations)
     return violations
 
 
@@ -399,28 +388,17 @@ def dedup_retransmissions(records: ObservationTable, window_s: float = 2.0) -> O
     return records.take(order[keep])
 
 
-def filter_sf(
-    records: ObservationTable,
-    excluded: frozenset[int] | set[int] = frozenset({11, 12}),
-) -> ObservationTable:
-    """Remove rows whose spreading factor is in ``excluded``."""
-    return records.take(~np.isin(records["SF"], sorted(excluded)))
+#: Spreading factors the pipeline drops.
+EXCLUDED_SF = frozenset({11, 12})
+
+
+def filter_sf(records: ObservationTable) -> ObservationTable:
+    """Remove rows whose spreading factor is in :data:`EXCLUDED_SF`."""
+    return records.take(~np.isin(records["SF"], sorted(EXCLUDED_SF)))
 
 
 # ---------------------------------------------------------------------------
 # Feature scaling
-
-
-@dataclass(frozen=True)
-class FeatureScaler:
-    """Per-feature mean/spread captured from a reference subset."""
-
-    features: tuple[str, ...]
-    mean: np.ndarray
-    std: np.ndarray
-
-    def transform(self, raw: np.ndarray) -> np.ndarray:
-        return (np.asarray(raw, dtype=float) - self.mean) / self.std
 
 
 def feature_matrix(
@@ -439,9 +417,8 @@ def feature_matrix(
 
 def standardize(
     records: ObservationTable, features: Sequence[str] = FEATURE_FIELDS
-) -> tuple[np.ndarray, FeatureScaler]:
-    """Z-score the feature columns; returns the scaled matrix and the
-    transform parameters for reuse on held-out data.
+) -> np.ndarray:
+    """Z-score the feature columns: the N x F matrix ``(raw - mean) / std``.
 
     A constant feature is a ``zero-variance`` error; so is, under its own
     reason, a varying one whose spread is not finite and positive (a sum
@@ -459,8 +436,7 @@ def standardize(
     unscalable = [name for name, value in zip(features, std.tolist()) if not 0.0 < value < math.inf]
     if unscalable:
         raise InvalidDataError(f"feature(s) {unscalable} vary but their spread overflows or underflows")
-    scaler = FeatureScaler(features=tuple(features), mean=mean, std=std)
-    return scaler.transform(raw), scaler
+    return (raw - mean) / std
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +449,6 @@ class IsolationForestConfig:
     subsample_size: int = 256
     contamination: float = 0.01
     seed: int = 42
-    features: tuple[str, ...] = FEATURE_FIELDS
 
     def __post_init__(self) -> None:
         if not 0.0 < self.contamination < 0.5:
@@ -678,8 +653,8 @@ def _screen_device(rows: ObservationTable, device: str, config: IsolationForestC
     passed through, its constant features and the warnings to log about it
     as ``(format, args)`` pairs."""
     notes = []
-    varying = [name for name in config.features if rows[name].min() < rows[name].max()]
-    constant = [name for name in config.features if name not in varying]
+    varying = [name for name in FEATURE_FIELDS if rows[name].min() < rows[name].max()]
+    constant = [name for name in FEATURE_FIELDS if name not in varying]
     if constant:
         notes.append(("device %s has constant feature(s) %s; screening on the others", (device, constant)))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -690,7 +665,7 @@ def _screen_device(rows: ObservationTable, device: str, config: IsolationForestC
         notes.append(("device %s has feature(s) %s that cannot be standardised; screening on the others", (device, unscalable)))
     flags = None
     if varying:
-        scaled, _ = standardize(rows, varying)
+        scaled = standardize(rows, varying)
         flags = isolation_forest(scaled, config).flags
     return flags, constant, notes
 
@@ -856,9 +831,7 @@ def run_pipeline(
     seed: int = 42,
     contamination: float = 0.01,
     dedup_window_s: float = 2.0,
-    excluded_sf: frozenset[int] | set[int] = frozenset({11, 12}),
     test_fraction: float = 0.2,
-    link_budget: LinkBudgetParams = DEFAULT_LINK_BUDGET,
 ) -> PipelineResult:
     """Run every cleaning stage and write the cleaned/train/test CSVs plus a
     machine-readable manifest into ``out_dir``.
@@ -878,7 +851,7 @@ def run_pipeline(
         "rejected": len(ingested.rejections),
         "ingested": len(ingested.records),
     }
-    n_violations = len(audit_derived_columns(ingested.records, link_budget))
+    n_violations = audit_derived_columns(ingested.records)
     deduped = dedup_retransmissions(ingested.records, window_s=dedup_window_s)
     del ingested
 
@@ -893,7 +866,7 @@ def run_pipeline(
             "pdr": pdr(deduped["f_count"][idx].tolist()),
         }
     counts["after_dedup"] = len(deduped)
-    sf_filtered = filter_sf(deduped, excluded=excluded_sf)
+    sf_filtered = filter_sf(deduped)
     del deduped
 
     if_config = IsolationForestConfig(contamination=contamination, seed=seed)
@@ -915,9 +888,9 @@ def run_pipeline(
         "seed": seed,
         "contamination": contamination,
         "dedup_window_s": dedup_window_s,
-        "excluded_sf": sorted(excluded_sf),
+        "excluded_sf": sorted(EXCLUDED_SF),
         "test_fraction": test_fraction,
-        "features": list(if_config.features),
+        "features": list(FEATURE_FIELDS),
         "n_trees": if_config.n_trees,
         "subsample_size": if_config.subsample_size,
     }

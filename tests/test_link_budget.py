@@ -12,7 +12,6 @@ from loraprop.link_budget import (
     esp,
     experimental_path_loss,
     load_link_budget,
-    load_thresholds,
     noise_power,
     receivable,
     snr_required,
@@ -126,16 +125,6 @@ class TestThresholdTable:
         assert snr_required(7) == -7.5
         with pytest.raises(InvalidConfigError):
             snr_required(42)
-
-    def test_override_from_file(self, tmp_path):
-        path = tmp_path / "thresholds.json"
-        path.write_text(
-            json.dumps({"7": {"snr_req_db": -6.0, "sensitivity_dbm": -120.0}})
-        )
-        table = load_thresholds(path)
-        assert table[7].snr_req_db == -6.0
-        assert receivable(-119.0, -5.9, 7, thresholds=table) is True
-        assert receivable(-119.0, -6.5, 7, thresholds=table) is False
 
 
 class TestParamsIO:

@@ -37,7 +37,7 @@ from loraprop.pipeline import (
     standardize,
     write_records_csv,
 )
-from loraprop.records import CSV_COLUMNS, MAX_DEVICE_ID_CHARS
+from loraprop.records import CSV_COLUMNS, FEATURE_FIELDS, MAX_DEVICE_ID_CHARS
 
 from helpers import (
     concat,
@@ -182,11 +182,14 @@ class TestIngest:
 
 class TestDerivedAudit:
     def test_consistent_synthetic_data_passes(self, small_synth):
-        assert audit_derived_columns(small_synth.records) == []
+        assert audit_derived_columns(small_synth.records) == 0
 
-    def test_corrupted_column_flagged(self, caplog):
-        violations = audit_derived_columns(make_table(esp=0.0))
-        assert any(v.column == "esp" for v in violations)
+    def test_corrupted_column_flagged(self, small_synth, caplog):
+        records = small_synth.records.take(np.arange(6))
+        esp = records["esp"].copy()
+        esp[[1, 3, 4]] = 0.0
+        assert audit_derived_columns(replace_columns(records, esp=esp)) == 3
+        assert "derived-column audit: 3 violations" in caplog.text
 
 
 class TestDedup:
@@ -296,10 +299,6 @@ class TestFilterSf:
         kept = filter_sf(make_table(SF=[7, 11, 12]))
         assert kept["SF"].tolist() == [7]
 
-    def test_empty_exclusion_is_identity(self):
-        records = make_table(SF=[7, 11, 12])
-        assert rows_of(filter_sf(records, excluded=frozenset())) == rows_of(records)
-
     def test_idempotent(self, small_synth):
         once = filter_sf(small_synth.records)
         assert rows_of(filter_sf(once)) == rows_of(once)
@@ -307,23 +306,23 @@ class TestFilterSf:
 
 class TestStandardize:
     def test_zero_mean_unit_spread(self, small_synth):
-        scaled, scaler = standardize(small_synth.clean)
+        scaled = standardize(small_synth.clean)
         np.testing.assert_allclose(scaled.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(scaled.std(axis=0), 1.0, atol=1e-9)
 
     def test_shift_invariance(self):
         records = make_table(co2=[500.0 + i * 10 for i in range(10)])
         shifted = make_table(co2=[600.0 + i * 10 for i in range(10)])
-        a, _ = standardize(records, features=("co2",))
-        b, _ = standardize(shifted, features=("co2",))
+        a = standardize(records, features=("co2",))
+        b = standardize(shifted, features=("co2",))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_stored_transform_matches_batch(self, small_synth):
-        scaled, scaler = standardize(small_synth.clean)
+    def test_returns_raw_less_mean_over_spread(self, small_synth):
         from loraprop.pipeline import feature_matrix
 
         raw = feature_matrix(small_synth.clean)
-        np.testing.assert_allclose(scaler.transform(raw), scaled, atol=1e-12)
+        expected = (raw - raw.mean(axis=0)) / raw.std(axis=0)
+        np.testing.assert_array_equal(standardize(small_synth.clean), expected)
 
     def test_feature_whose_sum_overflows_is_rejected_by_name(self):
         records = make_table(co2=[500.0, 510.0, 520.0, 530.0, 540.0], temperature=[1.7e308, 1.7e308, 20.0, 21.0, 22.0])
@@ -481,8 +480,8 @@ class TestIsolationForest:
         assert "device dev1 has constant feature(s) ['pm25']" in caplog.text
         assert int(flags[mine].sum()) == round(0.05 * int(mine.sum()))
         # the device is screened as if pm25 were not among its features
-        varying = tuple(name for name in config.features if name != "pm25")
-        scaled, _ = standardize(flat.take(mine), varying)
+        varying = tuple(name for name in FEATURE_FIELDS if name != "pm25")
+        scaled = standardize(flat.take(mine), varying)
         np.testing.assert_array_equal(flags[mine], isolation_forest(scaled, config).flags)
         # and every other device as before
         unchanged, _ = flag_anomalies(clean, config)
@@ -504,8 +503,8 @@ class TestIsolationForest:
         flags, constant = flag_anomalies(odd, config)
         assert constant == {}
         assert "device dev1 has feature(s) ['pm25'] that cannot be standardised" in caplog.text
-        varying = tuple(name for name in config.features if name != "pm25")
-        scaled, _ = standardize(odd.take(mine), varying)
+        varying = tuple(name for name in FEATURE_FIELDS if name != "pm25")
+        scaled = standardize(odd.take(mine), varying)
         np.testing.assert_array_equal(flags[mine], isolation_forest(scaled, config).flags)
         unchanged, _ = flag_anomalies(clean, config)
         np.testing.assert_array_equal(flags[~mine], unchanged[~mine])
@@ -514,9 +513,9 @@ class TestIsolationForest:
         clean = small_synth.clean
         config = IsolationForestConfig(contamination=0.05, seed=42)
         mine = clean["device_id"] == "dev3"
-        frozen = {name: np.where(mine, 1.0, clean[name]) for name in config.features}
+        frozen = {name: np.where(mine, 1.0, clean[name]) for name in FEATURE_FIELDS}
         flags, constant = flag_anomalies(replace_columns(clean, **frozen), config)
-        assert constant == {"dev3": list(config.features)}
+        assert constant == {"dev3": list(FEATURE_FIELDS)}
         assert not flags[mine].any()
         assert int(flags[~mine].sum()) > 0
 
