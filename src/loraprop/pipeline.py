@@ -839,9 +839,6 @@ def run_pipeline(
     All randomness derives from ``seed``; rerunning with identical inputs
     produces byte-identical files.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     # each stage's input table is dropped once its output and counts exist,
     # so at most two tables are alive at a time
     ingested = ingest(input_path)
@@ -897,6 +894,8 @@ def run_pipeline(
 
     # each cleaned row is formatted once; train and test partition its lines
     lines = csv_lines(clean)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     outputs = {
         "cleaned": lines,
         "train": [lines[i] for i in train_index.tolist()],

@@ -583,7 +583,16 @@ class TestPipelineCommand:
         assert main(argv) == 1
         assert capsys.readouterr().out == ""
         assert "malformed header: field larger than field limit (131072)" in caplog.text
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+    def test_failed_run_leaves_no_out_dir(self, capsys, caplog, tmp_path):
+        # the directory was made before the input was read
+        raw = tmp_path / "h.csv"
+        raw.write_text("time,device_id\n")
+        out = tmp_path / "o"
+        assert main(["pipeline", "run", "--input", str(raw), "--out-dir", str(out)]) == 1
+        assert "malformed header" in caplog.text
+        assert not out.exists()
 
     def test_missing_out_dir_is_domain_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("LORAPROP_OUT_DIR", raising=False)
