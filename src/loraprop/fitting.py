@@ -162,7 +162,8 @@ def fit_design(x: np.ndarray, y: np.ndarray, variant: ModelVariant, config: FitC
     xtx = x.T @ x
     identity = np.eye(p)
     residual = y - x @ alpha
-    current_rss = float(residual @ residual)
+    # numpy's pairwise sum, not a BLAS dot, whose threads change the last bit
+    current_rss = float(np.sum(residual * residual))
     damping = config.damping_initial
     converged = False
     iterations = 0
@@ -172,7 +173,7 @@ def fit_design(x: np.ndarray, y: np.ndarray, variant: ModelVariant, config: FitC
         step = np.linalg.solve(xtx + damping * identity, x.T @ residual)
         candidate = alpha + step
         candidate_residual = y - x @ candidate
-        candidate_rss = float(candidate_residual @ candidate_residual)
+        candidate_rss = float(np.sum(candidate_residual * candidate_residual))
         if candidate_rss <= current_rss:
             relative_drop = (
                 (current_rss - candidate_rss) / current_rss if current_rss > 0 else 0.0

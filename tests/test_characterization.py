@@ -132,7 +132,7 @@ A7_CLI = {
     "mw-ep.model.json": "eeba8e6aaeb9e4b8bcf1eebacf9c95090b81db40863c108e0668d2efcdcd036f",
     "mw-ep.fit.json": "e426a1380970271c97cd1b813e38692f0b3d82dce48e2c224d3bb9735f1d1de7",
     "mw-ep.eval.json": "84b4bbfb9f3aed28467201ca1bd5ae48f409d0dbad1cd9ed6f0c7d09b2651c25",
-    "mw-ep.cv.json": "fe9619e93abfc713d1856e0363289612e516d0e0f51eb10c4e3d4e90d0c2d564",
+    "mw-ep.cv.json": "bd2af686639ea503e3622b3e168f32dc89ff58d7b0346a1eb5d8f7b45fa9d539",
 }
 
 
@@ -270,7 +270,7 @@ CLI_PINS = {
         "out/manifest.json": "68713ad1862997b3e8f1564a7559df3e37a386a23a1d494308056026963c993a",
     },
     "08 fit": {
-        "stdout": "4964a83a03fa17a8f9bbb993eb85a5eee5bb66dd7af44b492a155bb74b9a852c",
+        "stdout": "8b304a7e0783f1201a513f10147ab135e391358109c8e9afe2608d3e97e7fdc8",
         "manifest_log": None,
         "mw.json": "1a98c11230ea1d55363f5a81f70cd204d33dd53be4a8c949b4c66ea95a5a5336",
         "mw.manifest.json": "c51e8eaabecb54a04c41f15b8b5cc604f635c1a7122dd701780447b07d2f5c20",
@@ -279,7 +279,7 @@ CLI_PINS = {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "manifest_log": None,
         "ep.json": "df82f3070c142d53b0caddc91ef7eee5c1783377e549bddb3ec5c3be38885dbf",
-        "ep.fit.json": "ad9f16d1ab3d1bb8fa428e0074612d48b855d8a6429e19872ac01fb82bdf9f90",
+        "ep.fit.json": "85f017d9f62ce9532023e85670393c2750b517480de0415a93934dcd2ae0ac89",
         "ep.manifest.json": "ad38bf336ac616d015901c7b64b7129e6ab3fe5cf49cebe3b3f6ab6ab669c32b",
     },
     "10 predict": {
@@ -301,7 +301,7 @@ CLI_PINS = {
         "ep.eval.manifest.json": "655e923502e443264163925546c66529e5f73b0f533c5f998b2873efffb73f1f",
     },
     "14 cross-validate": {
-        "stdout": "56c070eba74152e70b85c83dd1b7ff4cbec7bda91e9249c3ff345e5fd947ede9",
+        "stdout": "8a0379c924dd76e7a60c61ff663fc492eea39eb9428fb21b90052e4370d068e5",
         "manifest_log": "e77941f90cef459bf0214e14ff55b43e9b75027960235da3e6260edeb7193cf7",
     },
     "15 cross-validate": {

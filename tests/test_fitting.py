@@ -1,8 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loraprop
 from loraprop.errors import FitError, InvalidConfigError, InvalidDataError
 from loraprop.fitting import (
     FitConfig,
@@ -13,6 +19,7 @@ from loraprop.fitting import (
     predictions,
     standard_errors,
 )
+from loraprop.pipeline import csv_lines, write_records_csv
 from loraprop.propagation import ModelVariant, PathLossModel, predict
 from loraprop.records import CSV_COLUMNS
 
@@ -340,3 +347,42 @@ class TestModelConversion:
         assert model.variant is ModelVariant.MW
         assert model.params_by_name()["intercept_db"] == pytest.approx(truth[0], abs=1e-6)
         assert model.params_by_name()["wall_brick_db"] == pytest.approx(truth[2], abs=1e-6)
+
+
+class TestBlasThreads:
+    def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS computes a dot product of more than 10,000 elements on
+        # several threads, in an order that changes its last bit: with the RSS
+        # taken that way, fit's rss and, through the loop's accept and stop
+        # tests, the cross-validation folds differed between the two runs
+        data = synth_dataset(rows_per_device=4000, seed=3, duplicates_per_device=0)
+        table = tmp_path / "table.csv"
+        write_records_csv(csv_lines(data.clean), table)
+        assert len(data.clean) >= 20_000
+        src = str(Path(loraprop.__file__).resolve().parents[1])
+        script = "import json, sys; from loraprop.cli import main; sys.exit(max(map(main, json.loads(sys.argv[1]))))"
+        reports = []
+        for threads in ("1", None):
+            out = tmp_path / f"threads-{threads}"
+            out.mkdir()
+            # relative output paths, so that the manifests can be compared too
+            commands = [
+                argv
+                for variant in ("mw", "mw-ep")
+                for argv in (
+                    ["fit", "--variant", variant, "--input", str(table),
+                     "--out", f"{variant}.model.json", "--report", f"{variant}.fit.json"],
+                    ["cross-validate", "--variant", variant, "--input", str(table), "--folds", "3",
+                     "--report", f"{variant}.cv.json"],
+                )
+            ]
+            env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                                  env=env, cwd=out, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            reports.append({path.name: path.read_bytes() for path in sorted(out.glob("*.json"))})
+        assert {f"{variant}.{kind}.json" for variant in ("mw", "mw-ep") for kind in ("fit", "cv")} <= reports[0].keys()
+        assert reports[0] == reports[1]
