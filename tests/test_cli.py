@@ -585,8 +585,7 @@ class TestPipelineCommand:
         assert "malformed header: field larger than field limit (131072)" in caplog.text
         assert not out.exists()
 
-    def test_failed_run_leaves_no_out_dir(self, capsys, caplog, tmp_path):
-        # the directory was made before the input was read
+    def test_failed_run_leaves_no_out_dir(self, caplog, tmp_path):
         raw = tmp_path / "h.csv"
         raw.write_text("time,device_id\n")
         out = tmp_path / "o"

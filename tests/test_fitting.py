@@ -352,9 +352,9 @@ class TestModelConversion:
 class TestBlasThreads:
     def test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # OpenBLAS computes a dot product of more than 10,000 elements on
-        # several threads, in an order that changes its last bit: with the RSS
-        # taken that way, fit's rss and, through the loop's accept and stop
-        # tests, the cross-validation folds differed between the two runs
+        # several threads, in an order that changes its last bit; neither the
+        # rss nor, through the loop's accept and stop tests, the coefficients
+        # may depend on it
         data = synth_dataset(rows_per_device=4000, seed=3, duplicates_per_device=0)
         table = tmp_path / "table.csv"
         write_records_csv(csv_lines(data.clean), table)
