@@ -28,14 +28,9 @@ from .errors import InvalidConfigError, InvalidDataError, LorapropError
 from .jsonio import atomic_write, manifest, write_json
 from .link_budget import DEFAULT_LINK_BUDGET, esp, noise_power
 from .metrics import pdr
-from .records import (
-    COLUMN_DTYPES,
-    CSV_COLUMNS,
-    FEATURE_FIELDS,
-    ObservationTable,
-    format_row,
-    parse_row,
-)
+from .propagation import XI
+from .records import COLUMN_DTYPES, CSV_COLUMNS, FEATURE_FIELDS, ObservationTable, parse_row
+from .records import format_row  # noqa: F401 (perfbench traces pipeline.format_row)
 
 log = logging.getLogger(__name__)
 
@@ -330,6 +325,13 @@ def _joined(parts: list[_Part]) -> IngestResult:
     return result
 
 
+#: Gap in dB from its defining identity at which a derived cell is a violation.
+_AUDIT_TOLERANCE_DB = 0.01
+#: Rows :func:`audit_derived_columns` checks at a time, so that its
+#: temporary arrays stay small whatever the table's size.
+_AUDIT_BLOCK = 4096
+
+
 def audit_derived_columns(records: ObservationTable) -> int:
     """Cross-check the derived columns against their defining identities
     under :data:`DEFAULT_LINK_BUDGET`: the number of cells (``exp_pl``,
@@ -338,19 +340,39 @@ def audit_derived_columns(records: ObservationTable) -> int:
     Violations are counted and logged, never repaired: a mismatch means the
     exporting system disagrees with the documented derivation.
     """
-    violations = 0
-    offset = DEFAULT_LINK_BUDGET.link_offset_db
-    rows = records.rows(("rssi", "snr", "exp_pl", "esp", "n_power"))
-    for rssi, snr, exp_pl_db, esp_dbm, n_power_dbm in rows:
-        for expected, actual in (
-            (offset - rssi, exp_pl_db),
-            (esp(rssi, snr), esp_dbm),
-            (noise_power(rssi, snr), n_power_dbm),
-        ):
-            if abs(expected - actual) >= 0.01:
-                violations += 1
+    columns = [records[name] for name in ("rssi", "snr", "exp_pl", "esp", "n_power")]
+    violations = sum(
+        _audit_block(*(column[start : start + _AUDIT_BLOCK] for column in columns))
+        for start in range(0, len(records), _AUDIT_BLOCK)
+    )
     if violations:
         log.warning("derived-column audit: %d violations", violations)
+    return violations
+
+
+def _audit_block(rssi, snr, exp_pl_db, esp_dbm, n_power_dbm) -> int:
+    """:func:`audit_derived_columns` of a block of rows, given as arrays."""
+    offset = DEFAULT_LINK_BUDGET.link_offset_db
+    violations = 0
+    with np.errstate(all="ignore"):
+        # 10*log10(1 + 10^(snr/10)), the link budget's excess over the noise,
+        # in a form that does not overflow for any snr
+        excess = np.maximum(snr, 0.0) + XI * np.log1p(10.0 ** (-0.1 * np.abs(snr)))
+        # numpy's power and log1p may differ from math's by a few ulps: a gap
+        # this close to the tolerance is decided by the scalar identity
+        slack = 1e-9 + 1e-12 * (np.abs(rssi) + np.abs(snr))
+        for expected, actual, identity in (
+            (offset - rssi, exp_pl_db, lambda rssi_dbm, snr_db: offset - rssi_dbm),
+            (rssi + snr - excess, esp_dbm, esp),
+            (rssi - excess, n_power_dbm, noise_power),
+        ):
+            gap = np.abs(expected - actual)
+            edge = np.abs(gap - _AUDIT_TOLERANCE_DB) <= slack
+            violations += int(np.count_nonzero((gap >= _AUDIT_TOLERANCE_DB) & ~edge))
+            violations += sum(
+                abs(identity(r, s) - a) >= _AUDIT_TOLERANCE_DB
+                for r, s, a in zip(rssi[edge].tolist(), snr[edge].tolist(), actual[edge].tolist())
+            )
     return violations
 
 
@@ -808,13 +830,56 @@ class PipelineResult:
         return self.clean.take(self.test_index)
 
 
+#: Rows :func:`csv_lines` formats at a time.  A block's cells are all held as
+#: Python strings at once, so the size is set for memory: larger blocks raise
+#: a run's peak memory without making it faster.
+_LINE_BLOCK = 512
+
+
+def _time_cells(times: np.ndarray) -> list[str]:
+    """``datetime.isoformat(sep=" ")`` of each time: microseconds only when
+    they are not 0."""
+    return [
+        text.replace("T", " ").removesuffix(".000000")
+        for text in np.datetime_as_string(times, unit="us").tolist()
+    ]
+
+
+def _id_cells(ids: np.ndarray) -> list[str]:
+    """Each id as the ``csv`` module writes it in a row, each distinct id
+    quoted once."""
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    quoted: list[str] = []
+    # a second, empty field: alone in a row, an empty id is written as '""'
+    csv.writer(SimpleNamespace(write=quoted.append), lineterminator="\n").writerows(
+        (value, "") for value in distinct.tolist()
+    )
+    cells = [line.removesuffix(",\n") for line in quoted]
+    return [cells[i] for i in inverse.tolist()]
+
+
+def _number_cells(values: np.ndarray) -> list[str]:
+    """``str`` of each value (a float's ``repr``, an int's digits), each
+    distinct bit pattern formatted once, so -0.0 and 0.0 stay apart."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * distinct.size > values.size:  # looking the texts up would cost more than it saves
+        return list(map(str, values.tolist()))
+    texts = list(map(str, distinct.view(values.dtype).tolist()))
+    return [texts[i] for i in inverse.tolist()]
+
+
 def csv_lines(records: ObservationTable) -> list[str]:
     """One ``\\n``-terminated CSV line per row, no header, in the canonical
-    column order and float formatting."""
+    column order and formatting: the time as ``datetime.isoformat(sep=" ")``,
+    the id as the ``csv`` module quotes it, floats as their ``repr`` and ints
+    as their digits.  Lines are built a block of rows at a time, each column
+    of a block formatted at once."""
     lines: list[str] = []
-    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows(
-        map(format_row, records.rows())
-    )
+    columns = [records[name] for name in CSV_COLUMNS]
+    for start in range(0, len(records), _LINE_BLOCK):
+        time, device_id, *numbers = (column[start : start + _LINE_BLOCK] for column in columns)
+        cells = zip(_time_cells(time), _id_cells(device_id), *map(_number_cells, numbers))
+        lines.extend([",".join(row) + "\n" for row in cells])
     return lines
 
 

@@ -42,7 +42,8 @@ PLACEMENTS = (
 _CHANNELS = (867.1, 867.3, 867.5, 867.7, 867.9, 868.1, 868.3, 868.5)
 _START = datetime(2024, 1, 1, 0, 0, 0)
 
-#: One syntactically valid row, keyed by CSV column name.
+#: One valid row, keyed by CSV column name.  Its derived columns meet the
+#: link-budget identities ``audit_derived_columns`` checks, to 1e-4 dB.
 DEFAULT_ROW = dict(
     time=_START,
     device_id="dev0",
@@ -62,8 +63,8 @@ DEFAULT_ROW = dict(
     c_walls=0,
     w_walls=0,
     exp_pl=92.26,
-    n_power=-83.0,
-    esp=-75.7,
+    n_power=-83.6389,
+    esp=-75.6389,
 )
 
 

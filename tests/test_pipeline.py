@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from loraprop import pipeline
 from loraprop.errors import InvalidDataError, LorapropError
 from loraprop.jsonio import write_json
+from loraprop.link_budget import DEFAULT_LINK_BUDGET, esp, noise_power
 from loraprop.pipeline import (
     IsolationForestConfig,
     SplitSpec,
@@ -53,7 +54,7 @@ from helpers import (
 HEADER = ",".join(CSV_COLUMNS)
 GOOD_ROW = (
     "2024-01-01 00:00:00,dev0,550.0,38.0,2.0,323.0,21.0,-75.0,8.0,7,868.1,"
-    "0,0,0.046336,10.0,0,0,92.26,-83.0,-75.7"
+    "0,0,0.046336,10.0,0,0,92.26,-83.6389,-75.6389"
 )
 
 
@@ -180,9 +181,101 @@ class TestIngest:
 
 
 
+def scalar_audit(table) -> int:
+    """The per-row loop ``audit_derived_columns`` replaced, kept as its reference."""
+    offset = DEFAULT_LINK_BUDGET.link_offset_db
+    violations = 0
+    for rssi, snr, exp_pl_db, esp_dbm, n_power_dbm in table.rows(("rssi", "snr", "exp_pl", "esp", "n_power")):
+        for expected, actual in (
+            (offset - rssi, exp_pl_db),
+            (esp(rssi, snr), esp_dbm),
+            (noise_power(rssi, snr), n_power_dbm),
+        ):
+            if abs(expected - actual) >= 0.01:
+                violations += 1
+    return violations
+
+
+def nudged(value: float, ulps: int) -> float:
+    """``value`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+def derived_cells(rssi: float, snr: float) -> dict[str, float]:
+    """The exact ``exp_pl``, ``esp`` and ``n_power`` of one row."""
+    offset = DEFAULT_LINK_BUDGET.link_offset_db
+    return {"exp_pl": offset - rssi, "esp": esp(rssi, snr), "n_power": noise_power(rssi, snr)}
+
+
+#: A derived cell: exact, 0.01 dB off its identity (either way) moved by a few
+#: ulps, or any float.
+_derived_cell = st.one_of(
+    st.just(("exact", 0.0, 0)),
+    st.tuples(st.just("edge"), st.sampled_from([-0.01, 0.01]), st.integers(-4, 4)),
+    st.tuples(st.just("any"), st.floats(-1e300, 1e300), st.just(0)),
+)
+
+
 class TestDerivedAudit:
     def test_consistent_synthetic_data_passes(self, small_synth):
         assert audit_derived_columns(small_synth.records) == 0
+
+    def test_default_rows_pass_and_each_corrupted_cell_counts_once(self):
+        assert audit_derived_columns(make_table(f_count=range(5))) == 0
+        assert audit_derived_columns(make_table(esp=[0.0, -75.6389, 0.0, 0.0, -75.6389])) == 3
+
+    @staticmethod
+    def edge_table():
+        """Rows whose derived cells sit 0.01 dB off their identities, moved by
+        -4..4 ulps, and how many of them the per-row loop counts."""
+        rows = [(-75.0, 8.0, ulps) for ulps in range(-4, 5)] + [(-120.25, -17.75, ulps) for ulps in range(-4, 5)]
+        cells = [derived_cells(rssi, snr) for rssi, snr, _ in rows]
+        table = make_table(
+            rssi=[rssi for rssi, _, _ in rows],
+            snr=[snr for _, snr, _ in rows],
+            **{name: [nudged(c[name] - 0.01, ulps) for c, (_, _, ulps) in zip(cells, rows)]
+               for name in ("exp_pl", "esp", "n_power")},
+        )
+        count = scalar_audit(table)
+        assert 0 < count < 3 * len(rows)  # the planted cells straddle the tolerance
+        return table, count
+
+    def test_cells_at_the_tolerance_are_counted_as_the_scalar_identities_count_them(self):
+        table, count = self.edge_table()
+        assert audit_derived_columns(table) == count
+
+    @pytest.mark.parametrize("error", [1e-13, -1e-13])
+    def test_numpy_rounding_apart_from_math_does_not_change_the_count(self, monkeypatch, error):
+        table, count = self.edge_table()
+        log1p = np.log1p
+        monkeypatch.setattr(np, "log1p", lambda x: log1p(x) * (1.0 + error))
+        assert audit_derived_columns(table) == count
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-200.0, 30.0) | st.floats(-1e300, 1e300) | st.sampled_from([1.7976931348623157e308, -1e308]),
+                st.floats(-32.0, 32.0) | st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1e300, -1e300]),
+                _derived_cell, _derived_cell, _derived_cell,
+            ),
+            min_size=1, max_size=20,
+        )
+    )
+    def test_count_equals_the_scalar_loop(self, rows):
+        columns: dict[str, list[float]] = {"rssi": [], "snr": [], "exp_pl": [], "esp": [], "n_power": []}
+        for rssi, snr, *plants in rows:
+            exact = derived_cells(rssi, snr)
+            columns["rssi"].append(rssi)
+            columns["snr"].append(snr)
+            for name, (kind, off, ulps) in zip(("exp_pl", "esp", "n_power"), plants):
+                columns[name].append(off if kind == "any" else nudged(exact[name] + off, ulps))
+        table = make_table(**columns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert audit_derived_columns(table) == scalar_audit(table)
 
     def test_corrupted_column_flagged(self, small_synth, caplog):
         records = small_synth.records.take(np.arange(6))

@@ -18,7 +18,7 @@ from helpers import DEFAULT_ROW, make_table, reference_format_row, rows_of
 
 GOOD_CELLS = [
     "2024-01-01 00:00:00", "dev0", "550.0", "38.0", "2.0", "323.0", "21.0", "-75.0", "8.0",
-    "7", "868.1", "0", "0", "0.046336", "10.0", "0", "0", "92.26", "-83.0", "-75.7",
+    "7", "868.1", "0", "0", "0.046336", "10.0", "0", "0", "92.26", "-83.6389", "-75.6389",
 ]
 
 

@@ -133,21 +133,26 @@ def test_cross_validate_builds_the_design_once_through_the_module_attributes(mon
     assert len(result.folds) == 5
     assert rows == {"design_matrix": [len(table)], "fixed_offsets": [len(table)]}
 
-def test_run_pipeline_formats_each_clean_row_once_through_the_module_attribute(
+
+def test_run_pipeline_formats_the_clean_table_once_and_writes_train_and_test_from_its_lines(
     monkeypatch, small_synth_csv, tmp_path
 ):
-    """``records.format_row.calls`` counts calls made through
-    ``pipeline.format_row``: one per cleaned row, since train and test are
-    written from the cleaned rows' lines."""
+    """``run_pipeline`` turns the clean table into lines with one
+    ``csv_lines`` call, and ``train.csv`` and ``test.csv`` are the
+    ``cleaned.csv`` lines of their rows, so each cleaned row is formatted once."""
     from loraprop import pipeline
 
     calls = []
-    format_row = pipeline.format_row
+    csv_lines = pipeline.csv_lines
 
-    def wrapper(values):
-        calls.append(values)
-        return format_row(values)
+    def wrapper(records):
+        calls.append(len(records))
+        return csv_lines(records)
 
-    monkeypatch.setattr(pipeline, "format_row", wrapper)
+    monkeypatch.setattr(pipeline, "csv_lines", wrapper)
     result = pipeline.run_pipeline(small_synth_csv, tmp_path, contamination=0.05)
-    assert len(calls) == result.manifest["counts"]["clean"] == len(result.clean)
+    assert calls == [result.manifest["counts"]["clean"]]
+    header, *cleaned = (tmp_path / "cleaned.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    for name, index in (("train", result.train_index), ("test", result.test_index)):
+        lines = (tmp_path / f"{name}.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines == [header, *(cleaned[i] for i in index.tolist())]
