@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InvalidConfigError, InvalidDataError
 from .jsonio import read_json
 from .propagation import XI
@@ -105,6 +107,13 @@ def _excess_over_noise_db(snr_db: float) -> float:
     if snr_db > 0:
         return snr_db + XI * math.log1p(10.0 ** (-0.1 * snr_db))
     return XI * math.log1p(10.0 ** (0.1 * snr_db))
+
+
+def excess_over_noise_db_array(snr_db: np.ndarray) -> np.ndarray:
+    """:func:`_excess_over_noise_db` of each SNR in an array, as
+    ``max(snr, 0) + XI*log1p(10^(-|snr|/10))``, which does not overflow for
+    any SNR.  It may differ from the scalar form by a few ulps."""
+    return np.maximum(snr_db, 0.0) + XI * np.log1p(10.0 ** (-0.1 * np.abs(snr_db)))
 
 
 def esp(rssi_dbm: float, snr_db: float) -> float:

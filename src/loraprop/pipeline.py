@@ -26,11 +26,10 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidDataError, LorapropError
 from .jsonio import atomic_write, manifest, write_json
-from .link_budget import DEFAULT_LINK_BUDGET, esp, noise_power
+from .link_budget import DEFAULT_LINK_BUDGET, esp, excess_over_noise_db_array, noise_power
 from .metrics import pdr
-from .propagation import XI
 from .records import COLUMN_DTYPES, CSV_COLUMNS, FEATURE_FIELDS, ObservationTable, parse_row
-from .records import format_row  # noqa: F401 (perfbench traces pipeline.format_row)
+from .records import format_row
 
 log = logging.getLogger(__name__)
 
@@ -355,11 +354,10 @@ def _audit_block(rssi, snr, exp_pl_db, esp_dbm, n_power_dbm) -> int:
     offset = DEFAULT_LINK_BUDGET.link_offset_db
     violations = 0
     with np.errstate(all="ignore"):
-        # 10*log10(1 + 10^(snr/10)), the link budget's excess over the noise,
-        # in a form that does not overflow for any snr
-        excess = np.maximum(snr, 0.0) + XI * np.log1p(10.0 ** (-0.1 * np.abs(snr)))
-        # numpy's power and log1p may differ from math's by a few ulps: a gap
-        # this close to the tolerance is decided by the scalar identity
+        excess = excess_over_noise_db_array(snr)
+        # the array excess may differ from the scalar one by a few ulps of the
+        # readings: a gap this close to the tolerance is decided by the scalar
+        # identity
         slack = 1e-9 + 1e-12 * (np.abs(rssi) + np.abs(snr))
         for expected, actual, identity in (
             (offset - rssi, exp_pl_db, lambda rssi_dbm, snr_db: offset - rssi_dbm),
@@ -868,18 +866,35 @@ def _number_cells(values: np.ndarray) -> list[str]:
     return [texts[i] for i in inverse.tolist()]
 
 
+def _row_line(values: Sequence) -> str:
+    """The CSV line of one row's typed values, formatted by :func:`format_row`
+    and written by a ``csv.writer``: the row-by-row form of a line."""
+    line: list[str] = []
+    csv.writer(SimpleNamespace(write=line.append), lineterminator="\n").writerow(format_row(values))
+    return line[0]
+
+
 def csv_lines(records: ObservationTable) -> list[str]:
     """One ``\\n``-terminated CSV line per row, no header, in the canonical
     column order and formatting: the time as ``datetime.isoformat(sep=" ")``,
     the id as the ``csv`` module quotes it, floats as their ``repr`` and ints
     as their digits.  Lines are built a block of rows at a time, each column
-    of a block formatted at once."""
+    of a block formatted at once.
+
+    The first line of each block is checked against :func:`_row_line`, so a
+    numpy or ``csv`` module that formats a cell differently is an error rather
+    than a silently different file.
+    """
     lines: list[str] = []
     columns = [records[name] for name in CSV_COLUMNS]
     for start in range(0, len(records), _LINE_BLOCK):
-        time, device_id, *numbers = (column[start : start + _LINE_BLOCK] for column in columns)
+        block = [column[start : start + _LINE_BLOCK] for column in columns]
+        time, device_id, *numbers = block
         cells = zip(_time_cells(time), _id_cells(device_id), *map(_number_cells, numbers))
         lines.extend([",".join(row) + "\n" for row in cells])
+        expected = _row_line([column[0].item() for column in block])
+        if lines[start] != expected:
+            raise RuntimeError(f"csv_lines wrote row {start} as {lines[start]!r}, format_row as {expected!r}")
     return lines
 
 

@@ -227,10 +227,11 @@ class TestDerivedAudit:
         assert audit_derived_columns(make_table(esp=[0.0, -75.6389, 0.0, 0.0, -75.6389])) == 3
 
     @staticmethod
-    def edge_table():
-        """Rows whose derived cells sit 0.01 dB off their identities, moved by
-        -4..4 ulps, and how many of them the per-row loop counts."""
-        rows = [(-75.0, 8.0, ulps) for ulps in range(-4, 5)] + [(-120.25, -17.75, ulps) for ulps in range(-4, 5)]
+    def edge_table(readings=((-75.0, 8.0), (-120.25, -17.75))):
+        """Rows of ``readings`` whose derived cells sit 0.01 dB off their
+        identities, moved by -4..4 ulps, and how many of them the per-row loop
+        counts."""
+        rows = [(rssi, snr, ulps) for rssi, snr in readings for ulps in range(-4, 5)]
         cells = [derived_cells(rssi, snr) for rssi, snr, _ in rows]
         table = make_table(
             rssi=[rssi for rssi, _, _ in rows],
@@ -251,6 +252,17 @@ class TestDerivedAudit:
         table, count = self.edge_table()
         log1p = np.log1p
         monkeypatch.setattr(np, "log1p", lambda x: log1p(x) * (1.0 + error))
+        assert audit_derived_columns(table) == count
+
+    @pytest.mark.parametrize("ulps", [1, -1])
+    def test_large_readings_an_ulp_apart_from_the_scalar_identity_are_rechecked(self, monkeypatch, ulps):
+        # at |rssi|, |snr| ~ 1e8 an ulp of the excess (~1.5e-8 dB) is wider
+        # than the absolute part of the recheck band
+        table, count = self.edge_table(((-1e8, 1e8), (-1.25e8, 0.75e8)))
+        excess = pipeline.excess_over_noise_db_array
+        monkeypatch.setattr(
+            pipeline, "excess_over_noise_db_array", lambda snr: excess(snr) + ulps * np.spacing(excess(snr))
+        )
         assert audit_derived_columns(table) == count
 
     @settings(max_examples=200, deadline=None)

@@ -3,8 +3,9 @@
 The reference, ``helpers.write_reference_csv``, formats each row with the
 per-column ``format_row`` (``isoformat(sep=" ")``, ``repr``, ``str``) and
 writes it through a ``csv.writer``.  ``csv_lines`` formats a block of rows
-at a time, each distinct value once.  On any table both must write the same
-bytes, whatever the locale: non-ASCII ids are written as UTF-8.
+at a time, each distinct value once, and checks the first line of each block
+against ``format_row``.  On any table both must write the same bytes,
+whatever the locale: non-ASCII ids are written as UTF-8.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from datetime import datetime
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from loraprop import pipeline
@@ -71,3 +73,19 @@ def test_lines_equal_the_row_by_row_writer(tmp_path_factory, pools, rows, seed, 
     write_records_csv(csv_lines(table), directory / "lines.csv")
     write_reference_csv(table, directory / "reference.csv")
     assert (directory / "lines.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+
+
+def test_first_line_of_each_block_is_checked_against_format_row(monkeypatch):
+    """``csv_lines`` formats one row per block with ``pipeline.format_row``
+    and refuses a block whose first line differs from it."""
+    table = _table({name: [DEFAULT_ROW[name]] for name in CSV_COLUMNS}, 2 * _BLOCK + 1, seed=0, spread=False)
+    checked = []
+    format_row = pipeline.format_row
+    monkeypatch.setattr(pipeline, "format_row", lambda values: checked.append(values) or format_row(values))
+    csv_lines(table)
+    assert len(checked) == 3
+
+    time_cells = pipeline._time_cells
+    monkeypatch.setattr(pipeline, "_time_cells", lambda times: [t + "Z" for t in time_cells(times)])
+    with pytest.raises(RuntimeError, match="row 0"):
+        csv_lines(table)
