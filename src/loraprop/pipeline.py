@@ -9,15 +9,12 @@ its seed, and each is idempotent on its own output.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 import os
-from array import array
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from itertools import chain, count
+from itertools import chain, islice
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Sequence, TextIO
@@ -28,8 +25,8 @@ from .errors import InvalidConfigError, InvalidDataError, LorapropError
 from .jsonio import atomic_write, manifest, write_json
 from .link_budget import DEFAULT_LINK_BUDGET, esp, excess_over_noise_db_array, noise_power
 from .metrics import pdr
-from .records import COLUMN_DTYPES, CSV_COLUMNS, FEATURE_FIELDS, ObservationTable, parse_row
-from .records import format_row
+from .records import COLUMN_DTYPES, CSV_COLUMNS, FEATURE_FIELDS, MAX_DEVICE_ID_CHARS, ObservationTable
+from .records import format_row, parse_row
 
 log = logging.getLogger(__name__)
 
@@ -133,195 +130,263 @@ def ingest(source: str | Path | TextIO) -> IngestResult:
     missing cells, unparseable tokens, non-finite numbers, range
     violations or bytes that are not UTF-8, and records the ``csv`` module
     cannot read (a field over its size limit), are rejected and logged
-    individually with a reason.  A file is read in byte ranges on the
-    usable CPUs (see :func:`_ingest_file`), a stream in one piece; the
-    result and the log do not depend on the number of CPUs.
+    individually with a reason.  Lines are parsed a block at a time (see
+    :func:`_read_block`) up to the first one holding a quote, and record by
+    record from there.
     """
     if isinstance(source, (str, Path)):
-        return _ingest_file(source)
-    return _joined([_read_part(source, header=True, boundary=False)])
+        # a byte that is not UTF-8 becomes a lone surrogate, which rejects its
+        # row; a byte-order mark is skipped
+        with open(source, encoding="utf-8-sig", errors="surrogateescape", newline="") as text:
+            return _read(text)
+    return _read(source)
 
 
-#: Parsed rows :func:`ingest` holds before moving them into its column buffers.
+#: Lines :func:`ingest` parses at a time.
 _INGEST_BLOCK = 4096
-#: The fewest bytes of a file per range: a file under twice this is read in one piece.
-_MIN_RANGE_BYTES = 1 << 20
-#: The record of the line fed to the reader after a range.  No decoded input
-#: holds a lone U+D800 (``surrogateescape`` makes only U+DC80..U+DCFF), so
-#: the line comes back as this record only if the range ends where a record does.
-_BOUNDARY = ["\ud800"]
-_EPOCH, _MICROSECOND = datetime(1970, 1, 1), timedelta(microseconds=1)
+#: What ``np.loadtxt`` reads a line as: the time and id cells as bytes, up to
+#: one longer than any a block takes, then the 18 numbers.
+_BLOCK_DTYPE = np.dtype([("time", "S27"), ("device_id", "S65"), ("values", "f8", (18,))])
+#: The ASCII bytes ``str.strip`` removes.
+_SPACE_BYTES = np.isin(np.arange(256), [9, 10, 11, 12, 13, 28, 29, 30, 31, 32])
+_VALUE = {name: k for k, name in enumerate(CSV_COLUMNS[2:])}
 
 
-@dataclass
-class _Part:
-    """The records of one byte range of a CSV file; line numbers count from
-    its own first record."""
+class _Ingest:
+    """What :func:`ingest` has read so far: the table's columns a piece at a
+    time, the rejections, the rows read and the records counted."""
 
-    columns: list[np.ndarray]  # one per CSV column, in order
-    rejections: list[Rejection]
-    notes: list[str]  # the message of each rejection, when DEBUG is logged
-    rows: int  # blank lines left out
-    records: int  # blank lines counted
-    clean: bool  # it ends where a record ends
+    def __init__(self) -> None:
+        self.pieces: list[list[np.ndarray]] = []
+        self.rejections: list[Rejection] = []
+        self.parsed: list[tuple] = []  # (line, typed row) not yet in a piece
+        self.rows = self.lines = 0
+        self.debug = log.isEnabledFor(logging.DEBUG)
 
-
-def _ingest_file(path: str | Path) -> IngestResult:
-    """Read a CSV file in byte ranges, one per worker (:func:`_workers`) and
-    at most one per ``_MIN_RANGE_BYTES``: the parent reads the first and a
-    forked child each other one.  A range starts right after a ``\\n``, which is
-    never part of a UTF-8 sequence and always ends a line; a file without
-    one, such as a CR-only file, is one range.  If a quoted field runs over
-    the end of a range, the parts are thrown away and the file is read
-    again as one range."""
-    size = os.path.getsize(path)
-    workers = _workers(size // _MIN_RANGE_BYTES)
-    starts = [0]
-    if workers > 1:
-        with open(path, "rb") as raw:
-            for k in range(1, workers):
-                raw.seek(size * k // workers)
-                while (piece := raw.readline(_MIN_RANGE_BYTES)) and not piece.endswith(b"\n"):
-                    pass
-                if starts[-1] < raw.tell() < size:
-                    starts.append(raw.tell())
-    ranges = list(zip(starts, starts[1:] + [None]))
-    parts = _fork_map(lambda bounds: _read_range(path, *bounds), ranges, "ingest")
-    if all(part.clean for part in parts):
-        return _joined(parts)
-    del parts
-    return _joined([_read_range(path, 0, None)])
-
-
-class _ByteRange(io.RawIOBase):
-    """The next ``size`` bytes of a binary file, as a raw stream."""
-
-    def __init__(self, handle, size: int) -> None:
-        self.handle, self.left = handle, size
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        got = self.handle.readinto(memoryview(buffer)[: self.left])
-        self.left -= got
-        return got
-
-
-def _read_range(path: str | Path, start: int, end: int | None) -> _Part:
-    """:func:`_read_part` of the bytes from ``start`` up to ``end`` (None:
-    the end of the file), the header first if ``start`` is 0."""
-    with open(path, "rb") as raw:
-        raw.seek(start)
-        source = raw if end is None else io.BufferedReader(_ByteRange(raw, end - start))
-        # a byte that is not UTF-8 becomes a lone surrogate, which rejects its row;
-        # a byte-order mark is skipped at the start of the file only
-        encoding = "utf-8" if start else "utf-8-sig"
-        with io.TextIOWrapper(source, encoding=encoding, errors="surrogateescape", newline="") as text:
-            return _read_part(text, header=not start, boundary=end is not None)
-
-
-def _read_part(stream: Iterable[str], header: bool, boundary: bool) -> _Part:
-    """Parse the records of ``stream``, checking the header first if
-    ``header``.  With ``boundary``, the part is clean only if a line of
-    :data:`_BOUNDARY` fed after the stream comes back as a record of its
-    own; a header that fails in a way that may involve that line leaves it
-    unclean, so that reading the file in one piece names the whole fault."""
-    reader = csv.reader(chain(stream, [_BOUNDARY[0] + "\n"]) if boundary else stream)
-    if header:
+    def take(self, reader, line: int) -> bool:
+        """Read the next record of ``reader`` as data line ``line`` through
+        ``csv`` and :func:`parse_row`; False at the end of the reader."""
         try:
-            names = next(reader)
+            cells = next(reader)
         except StopIteration:
-            raise InvalidDataError("malformed header: empty input") from None
-        except csv.Error as exc:
-            if boundary:
-                return _Part([], [], [], 0, 0, clean=False)
-            raise InvalidDataError(f"malformed header: {exc}") from None
-        if tuple(names) != CSV_COLUMNS:
-            if boundary and _BOUNDARY[0] in "".join(names):
-                return _Part([], [], [], 0, 0, clean=False)
-            raise InvalidDataError(f"malformed header: expected {list(CSV_COLUMNS)}, got {names}")
-    # one buffer per column, typed arrays for all but the ids (times as
-    # microseconds since the epoch); parsed rows wait in a bounded block,
-    # moved in column by column
-    buffers = [[] if d.kind == "U" else array("q" if d.kind == "M" else d.char)
-               for d in COLUMN_DTYPES.values()]
-    block: list[tuple] = []
-
-    def flush() -> None:
-        times, devices, *numbers = zip(*block)
-        buffers[0].fromlist([(when - _EPOCH) // _MICROSECOND for when in times])
-        buffers[1].extend(devices)
-        for buffer, column in zip(buffers[2:], numbers):
-            buffer.fromlist(list(column))
-        block.clear()
-
-    rejections: list[Rejection] = []
-    # the parent logs them once every part is read, in line order
-    notes: list[str] | None = [] if log.isEnabledFor(logging.DEBUG) else None
-    rows = 0
-    clean = not boundary
-    for line in count(1):
-        try:
-            row = next(reader)
-        except StopIteration:
-            break
+            return False
         except csv.Error as exc:
             # the reader drops the rest of the physical line and goes on with the next
-            rows += 1
-            reason = "oversized-field" if "field limit" in str(exc) else "bad-csv"
-            rejections.append(Rejection(line=line, reason=reason))
-            if notes is not None:
-                notes.append(str(exc))
-            continue
-        if not row:
-            continue
-        if row == _BOUNDARY:
-            clean = True
+            self.rows += 1
+            self.reject(line, "oversized-field" if "field limit" in str(exc) else "bad-csv", exc)
+            return True
+        if cells:
+            self.rows += 1
+            try:
+                self.parsed.append((line, parse_row(cells)))
+            except LorapropError as exc:
+                self.reject(line, str(exc).split(":", 1)[0], exc)
+        return True
+
+    def reject(self, line: int, reason: str, exc: Exception) -> None:
+        self.rejections.append(Rejection(line=line, reason=reason))
+        if self.debug:
+            log.debug("rejected row %d: %s", line, exc)
+
+    def add(self, columns: list[np.ndarray] | None = None, lines: np.ndarray | None = None) -> None:
+        """Move the parsed rows into a piece, in line order with the
+        ``columns`` of the rows at ``lines``."""
+        if self.parsed:
+            at, rows = zip(*self.parsed)
+            self.parsed = []
+            parsed = [np.array(column, dtype) for column, dtype in zip(zip(*rows), COLUMN_DTYPES.values())]
+            if columns is not None:
+                order = np.argsort(np.concatenate([lines, at]), kind="stable")
+                parsed = [np.concatenate(pair)[order] for pair in zip(columns, parsed)]
+            columns = parsed
+        if columns is not None and len(columns[0]):
+            self.pieces.append(columns)
+
+    def result(self) -> IngestResult:
+        columns = {}
+        for name, dtype in COLUMN_DTYPES.items():
+            # a column at a time, each piece's part dropped once it is joined
+            pieces = [piece.pop(0) for piece in self.pieces]
+            columns[name] = np.concatenate(pieces) if pieces else np.array([], dtype)
+        records = ObservationTable(columns)
+        result = IngestResult(records=records, rejections=self.rejections, rows_read=self.rows)
+        log.info(
+            "ingested %d rows, rejected %d (%.4f%%)",
+            len(records), len(self.rejections), 100.0 * result.rejection_rate,
+        )
+        return result
+
+
+def _read(stream: Iterable[str]) -> IngestResult:
+    """:func:`ingest` of the lines of ``stream``: the header, then blocks of
+    :data:`_INGEST_BLOCK` lines, each line one record, up to the first line
+    holding a quote; from that line on, the records of a ``csv`` reader.
+    Line numbers count records either way, as no earlier line holds a quote."""
+    reader = csv.reader(stream)
+    try:
+        names = next(reader)
+    except StopIteration:
+        raise InvalidDataError("malformed header: empty input") from None
+    except csv.Error as exc:
+        raise InvalidDataError(f"malformed header: {exc}") from None
+    if tuple(names) != CSV_COLUMNS:
+        raise InvalidDataError(f"malformed header: expected {list(CSV_COLUMNS)}, got {names}")
+    out = _Ingest()
+    while lines := list(islice(stream, _INGEST_BLOCK)):
+        read = _read_block(lines, out)
+        if read < len(lines):
+            reader = csv.reader(chain(lines[read:], stream))
+            while out.take(reader, out.lines + 1):
+                out.lines += 1
+                if len(out.parsed) == _INGEST_BLOCK:
+                    out.add()
+            out.add()
             break
-        rows += 1
+    return out.result()
+
+
+def _read_block(lines: list[str], out: _Ingest) -> int:
+    """Parse the lines up to the first one holding a quote into ``out``,
+    each line one record; the number of lines parsed.
+
+    The non-blank ASCII lines without a NUL go to ``np.loadtxt`` at once
+    (:func:`_load`), and the values it reads pass :func:`parse_row`'s checks
+    a column at a time (:func:`_checked`).  If numpy refuses a line, the
+    lines :func:`_plain_numbers` leaves out are set aside, and the rest are
+    read again by halves around any line numpy still refuses.  Every other
+    non-blank line goes through ``csv`` and :func:`parse_row`, the one source
+    of reasons.  The first row a block takes is parsed by :func:`parse_row`
+    too, and a difference is an error.
+    """
+    lengths = np.fromiter(map(len, lines), np.intp, len(lines))
+    text = "".join(lines)
+    if (quote := text.find('"')) >= 0:
+        n = int(np.searchsorted(np.cumsum(lengths), quote, side="right"))
+        lines, lengths, text = lines[:n], lengths[:n], text[: int(lengths[:n].sum())]
+    first, n = out.lines + 1, len(lines)
+    out.lines += n
+    plain = np.flatnonzero(lengths)
+    if not text.isascii() or "\0" in text:
+        plain = np.flatnonzero([line.isascii() and "\0" not in line and line != "" for line in lines])
+        text = "".join([lines[k] for k in plain.tolist()])
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    del text
+    ends = np.cumsum(lengths[plain])
+    starts = ends - lengths[plain]
+    # a line's own end: \n, \r\n or \r, or nothing at the end of the input
+    ending = np.isin(data[ends - 1], (10, 13)).astype(np.intp)
+    ending += (data[ends - 1] == 10) & (data[np.maximum(ends - 2, 0)] == 13) & (ends - starts >= 2)
+    width = ends - starts - ending
+    blank = np.zeros(n, dtype=bool)
+    blank[plain[width == 0]] = True
+    ok = (width > 0) & (ends - starts <= csv.field_size_limit())  # no cell over the csv module's limit
+    pieces = _load(lines, plain[ok], halves=False)
+    if not pieces and ok.any():
+        pieces = _load(lines, plain[ok & _plain_numbers(data, starts, width, ending)])
+    del data
+    taken = np.zeros(n, dtype=bool)
+    columns, rows = None, plain[:0]
+    if pieces:
+        rows, tables = (np.concatenate(part) if len(part) > 1 else part[0] for part in zip(*pieces))
+        columns, good = _checked(tables)
+        del pieces, tables
+        rows = rows[good]
+        taken[rows] = True
+        out.rows += rows.size
+    if rows.size:
+        got = tuple(column[0].item() for column in columns)
         try:
-            block.append(parse_row(row))
+            expected = parse_row(lines[rows[0]].rstrip("\r\n").split(","))
         except LorapropError as exc:
-            reason = str(exc).split(":", 1)[0]
-            rejections.append(Rejection(line=line, reason=reason))
-            if notes is not None:
-                notes.append(str(exc))
-            continue
-        if len(block) == _INGEST_BLOCK:
-            flush()
-    if block:
-        flush()
-    # exact-size copies, a column at a time, so no buffer's growth slack is retained
-    for k, dtype in enumerate(COLUMN_DTYPES.values()):
-        buffers[k] = np.array(buffers[k], dtype)
-    return _Part(buffers, rejections, notes or [], rows, line - 1, clean)
+            expected = exc
+        if repr(expected) != repr(got):
+            raise RuntimeError(f"ingest read line {first + rows[0]} as {got!r}, parse_row as {expected!r}")
+    for k in np.flatnonzero(~taken & ~blank).tolist():
+        out.take(csv.reader(lines[k : k + 1]), first + k)
+    out.add(columns, first + rows)
+    return n
 
 
-def _joined(parts: list[_Part]) -> IngestResult:
-    """The ingest result of a file's parts, in file order: line numbers
-    count on from part to part, and each rejection is logged at DEBUG."""
-    rejections: list[Rejection] = []
-    offset = rows = 0
-    for part in parts:
-        shifted = [Rejection(r.line + offset, r.reason) for r in part.rejections] if offset else part.rejections
-        for rejection, note in zip(shifted, part.notes):
-            log.debug("rejected row %d: %s", rejection.line, note)
-        rejections += shifted
-        offset += part.records
-        rows += part.rows
-    columns = {}
-    for name in CSV_COLUMNS:
-        # a column at a time, each part's copy dropped once it is joined
-        pieces = [part.columns.pop(0) for part in parts]
-        columns[name] = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-    records = ObservationTable(columns)
-    result = IngestResult(records=records, rejections=rejections, rows_read=rows)
-    log.info(
-        "ingested %d rows, rejected %d (%.4f%%)",
-        len(records), len(rejections), 100.0 * result.rejection_rate,
+def _load(lines: list[str], rows: np.ndarray, halves: bool = True) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(rows, table)`` pieces of ``np.loadtxt`` of the quote-free lines at
+    ``rows``, one table row per line: all of them, or with ``halves`` those
+    found by halving around the lines numpy refuses."""
+    if rows.size:
+        try:
+            table = np.loadtxt([lines[k] for k in rows.tolist()], _BLOCK_DTYPE, delimiter=",",
+                               comments=None, quotechar=None, ndmin=1)
+            if len(table) == rows.size:
+                return [(rows, table)]
+        except ValueError:
+            pass
+    if not halves or rows.size <= 1:
+        return []
+    return _load(lines, rows[: rows.size // 2]) + _load(lines, rows[rows.size // 2 :])
+
+
+def _plain_numbers(data: np.ndarray, starts: np.ndarray, width: np.ndarray, ending: np.ndarray) -> np.ndarray:
+    """Which lines, given as the ``data`` bytes from each start, ``width``
+    bytes and an end of ``ending`` bytes, hold 20 cells, no line break inside
+    and 18 number cells of digits, ``+-.,eE`` and ``/`` only: those that
+    numpy and ``float`` are likely to read alike."""
+    commas = np.append(np.flatnonzero(data == ord(",")), data.size)  # one past the end, so never empty
+    before = np.searchsorted(commas, starts)
+    low = np.flatnonzero(data <= 13)
+    breaks = np.diff(np.searchsorted(low[np.isin(data[low], (10, 13))], starts + width + ending), prepend=0)
+    plain = (np.searchsorted(commas, starts + width) - before == 19) & (breaks == ending)
+    # the number cells run from after the second comma to the line's end
+    bounds = np.column_stack([
+        np.where(plain, commas[np.minimum(before + 1, commas.size - 1)] + 1, starts),
+        np.where(plain, starts + width, starts),
+    ]).ravel()
+    other = ((data < ord("+")) | (data > ord("9"))) & ((data | 32) != ord("e"))
+    plain &= ~np.logical_or.reduceat(other, bounds[: bounds.size - (bounds[-1] == data.size)])[::2]
+    # ",," holds an empty cell, and so does a line that ends in ","
+    plain[np.searchsorted(starts, commas[1:][np.diff(commas) == 1], side="right") - 1] = False
+    plain[data[starts + width - 1] == ord(",")] = False
+    return plain
+
+
+def _checked(table: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The columns of the rows of a :func:`_load` table that pass every
+    :func:`parse_row` check, and the mask of those rows.  A time passes only
+    in the form ``YYYY-MM-DD[ T]HH:MM:SS[.ffffff]``, and an id only if
+    ``str.strip`` leaves it as it is."""
+    time = np.ascontiguousarray(table["time"]).view(np.uint8).reshape(-1, 27)
+    digit = (time >= ord("0")) & (time <= ord("9"))
+    value = time[:, :26].astype(np.int32) - ord("0")
+    year, month, day, hour, minute, second, micro = (
+        value[:, a:b] @ 10 ** np.arange(b - a - 1, -1, -1, dtype=np.int32)
+        for a, b in ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19), (20, 26))
     )
-    return result
+    fraction = (time[:, 19] == ord(".")) & digit[:, 20:26].all(axis=1) & (time[:, 26] == 0)
+    good = (
+        digit[:, [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]].all(axis=1)
+        & (time[:, [4, 7, 13, 16]] == np.frombuffer(b"--::", np.uint8)).all(axis=1)
+        & np.isin(time[:, 10], (ord(" "), ord("T"))) & ((time[:, 19] == 0) | fraction)
+        & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour < 24) & (minute < 60) & (second < 60)
+    )
+    months = np.where(good, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
+    days = months.astype("datetime64[D]")
+    good &= day <= (months + 1).astype("datetime64[D]") - days
+    micro = ((hour * 60 + minute) * 60 + second).astype(np.int64) * 10**6 + np.where(fraction, micro, 0)
+    times = (days + (day - 1)).astype("datetime64[us]") + micro
+    chars = np.ascontiguousarray(table["device_id"]).view(np.uint8).reshape(-1, 65)
+    size = np.count_nonzero(chars, axis=1)  # the line holds no NUL
+    good &= (size >= 1) & (size <= MAX_DEVICE_ID_CHARS) & ~_SPACE_BYTES[chars[:, 0]]
+    good &= ~_SPACE_BYTES[chars[np.arange(size.size), np.maximum(size - 1, 0)]]
+    values = table["values"]
+    whole = values[:, [_VALUE[name] for name in ("SF", "f_count", "p_count", "c_walls", "w_walls")]]
+    good &= np.isfinite(values).all(axis=1) & (values[:, _VALUE["SF"]] >= 7) & (values[:, _VALUE["SF"]] <= 12)
+    good &= ((np.trunc(whole) == whole) & (whole >= -(2.0**63)) & (whole < 2.0**63)).all(axis=1)
+    good &= (values[:, _VALUE["distance"]] > 0) & (values[:, _VALUE["frequency"]] > 0)
+    good &= (values[:, [_VALUE["c_walls"], _VALUE["w_walls"]]] >= 0).all(axis=1)
+    # ASCII bytes widened to UCS-4 code points are the ids as numpy str
+    width = max(1, int(size[good].max(initial=0)))
+    ids = chars[good, :width].astype(np.uint32).view(f"U{width}").ravel()
+    values = values[good]
+    numbers = [values[:, k].astype(dtype, copy=False) for k, dtype in enumerate(list(COLUMN_DTYPES.values())[2:])]
+    return [times[good], ids, *numbers], good
 
 
 #: Gap in dB from its defining identity at which a derived cell is a violation.

@@ -275,6 +275,10 @@ class SceneSample:
     noisy_path_loss_db: float
 
 
+#: Wall gaps :func:`simulate_scene` draws at a time.
+_WALL_BLOCK = 1 << 16
+
+
 def simulate_scene(spec: SceneSpec, seed: int) -> list[SceneSample]:
     """Evaluate the structural model along a distance sweep through a random
     wall layout, with shadowing added on top of the deterministic loss.
@@ -283,14 +287,27 @@ def simulate_scene(spec: SceneSpec, seed: int) -> list[SceneSample]:
     shadowing), so a seed pins the whole scene.
     """
     rng = np.random.default_rng(seed)
-
-    positions: list[float] = []
-    pos = 0.0
+    bits = rng.bit_generator
+    start = bits.state
+    # each wall is the last one's position plus a uniform gap, up to the first
+    # past the end: gaps are drawn in blocks and summed on in order, as ``+=``
+    # sums them, and the generator is left one draw past the last wall
+    low = spec.wall_spacing_m[0]
+    blocks, pos, used = [], 0.0, 0
     while True:
-        pos += rng.uniform(*spec.wall_spacing_m)
-        if pos > spec.max_distance_m:
+        gaps = rng.uniform(*spec.wall_spacing_m, size=min(_WALL_BLOCK, int((spec.max_distance_m - pos) / low) + 1))
+        walls = np.cumsum(np.concatenate(([pos], gaps)))[1:]
+        inside = int(np.searchsorted(walls, spec.max_distance_m, side="right"))
+        blocks.append(walls[:inside])
+        used += inside
+        if inside < walls.size:
+            used += 1  # the gap that passed the end
             break
-        positions.append(pos)
+        pos = walls[-1]
+    positions = np.concatenate(blocks)
+    bits.state = start
+    bits.advance(used)
+    bits.state = {**bits.state, "has_uint32": start["has_uint32"], "uinteger": start["uinteger"]}
     # one call per column draws what one call per wall would, in the same order
     is_brick = rng.integers(len(WALL_TYPES), size=len(positions)) == WALL_TYPES.index("brick")
     losses = rng.uniform(*spec.wall_loss_db, size=len(positions))

@@ -140,35 +140,6 @@ def parse_row(values: list[str]) -> tuple:
     :data:`MAX_DEVICE_ID_CHARS` or holds a NUL; an SF outside 7..12, a distance or
     frequency <= 0 and a negative wall count too) or ``non-finite``.
     """
-    # fast path: a row that converts whole and passes every check at once;
-    # any other row takes the per-cell checks, the one source of reasons
-    try:
-        when = datetime.fromisoformat(values[0])
-        (co2, humidity, pm25, pressure, temperature, rssi, snr, sf, frequency, f_count, p_count,
-         toa, distance, c_walls, w_walls, exp_pl, n_power, esp) = numbers = [*map(float, values[2:])]
-    except (ValueError, IndexError):
-        return _parse_row_checked(values)
-    device = values[1].strip()
-    if (
-        # a lone surrogate is a byte that was not UTF-8, in the time cell too;
-        # a time whose date is not ``yyyy-mm-dd`` before a 'T' or a space is checked per cell
-        values[0].isascii() and values[0][10:11] in ("T", " ")
-        and (device.isascii() or not _SURROGATE.search(device))
-        and when.tzinfo is None and 0 < len(device) <= MAX_DEVICE_ID_CHARS and "\0" not in device
-        and math.isfinite(sum(numbers)) and sf.is_integer() and 7 <= sf <= 12
-        and f_count.is_integer() and -(2**63) <= f_count < 2**63
-        and p_count.is_integer() and -(2**63) <= p_count < 2**63
-        and c_walls.is_integer() and 0 <= c_walls < 2**63
-        and w_walls.is_integer() and 0 <= w_walls < 2**63 and distance > 0 and frequency > 0
-    ):
-        return (when, device, co2, humidity, pm25, pressure, temperature, rssi, snr, int(sf),
-                frequency, int(f_count), int(p_count), toa, distance, int(c_walls),
-                int(w_walls), exp_pl, n_power, esp)
-    return _parse_row_checked(values)
-
-
-def _parse_row_checked(values: list[str]) -> tuple:
-    """:func:`parse_row` one cell at a time, raising on the first fault."""
     if any(not value.isascii() and _SURROGATE.search(value) for value in values):
         raise InvalidDataError("bad-encoding: a byte that is not UTF-8")
     if len(values) != len(CSV_COLUMNS):

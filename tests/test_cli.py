@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import loraprop
-from loraprop import pipeline
 from loraprop.cli import main
 from loraprop.pipeline import csv_lines, run_pipeline, write_records_csv
 from loraprop.propagation import ModelVariant, PathLossModel, model_to_dict, save_model
@@ -569,12 +568,10 @@ class TestPipelineCommand:
     def test_header_field_over_the_csv_limit_exits_1(
         self, capsys, caplog, tmp_path, monkeypatch, command, cpus
     ):
-        # the csv module's error ended the command in a traceback; on two
-        # CPUs the header is a range of its own, which falls back to one range
+        # the csv module's error ended the command in a traceback
         raw = tmp_path / "h.csv"
         raw.write_text('"' + "a" * 200_000 + '"\n' + "x\n" * 100)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(pipeline, "_MIN_RANGE_BYTES", 1)
         out = tmp_path / "out"
         if command == "fit":
             argv = ["fit", "--variant", "mw", "--input", str(raw), "--out", str(out / "m.json")]

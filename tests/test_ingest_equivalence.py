@@ -1,17 +1,14 @@
 """Ingest against the row-by-row code it replaced.
 
-The reference below is the per-cell ``parse_row`` and the ingest loop that
-appended each parsed row to its column buffers and converted the list of
-``datetime``s with numpy, kept verbatim.  The current ``parse_row`` takes a
-fast path for rows that convert and check whole, and ingest moves parsed
-rows into typed buffers a block at a time with times as integer
-microseconds.  On any input both must give the same ``rows_read``, the same
-rejections with the same reasons in the same order, and columns of the same
-dtype and the same bytes.
-
-A file is read in byte ranges, one per usable CPU.  Read on one, two or
-three CPUs, with ranges allowed down to one byte, it must give what the
-file read as one stream gives, and the same log records.
+Two references are kept verbatim below.  The per-cell ``parse_row`` and
+the ingest loop that appended each parsed row to its column buffers pin the
+values of a row.  The record-by-record reader, a ``csv`` reader with
+``parse_row`` on each record, pins rejections, line numbers and log
+records.  Ingest now parses a block of lines at a time with ``np.loadtxt``
+and checks whole columns, leaving every other line to ``csv`` and
+``parse_row``.  On any input it must give the same ``rows_read``, the same
+rejections with the same reasons in the same order, columns of the same
+dtype and the same bytes, and the same log records, on one CPU or two.
 """
 
 from __future__ import annotations
@@ -23,18 +20,19 @@ import math
 import multiprocessing
 import os
 import random
-import signal
-import time
+import warnings
 from array import array
 from datetime import datetime
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loraprop import pipeline
 from loraprop.errors import InvalidDataError, LorapropError
 from loraprop.pipeline import IngestResult, Rejection, ingest
+from loraprop import records
 from loraprop.records import (
     COLUMN_DTYPES,
     CSV_COLUMNS,
@@ -144,6 +142,48 @@ def reference_ingest(text: str) -> IngestResult:
     return IngestResult(records=records, rejections=rejections, rows_read=rows)
 
 
+def reference_read(text: str) -> tuple:
+    """The record-by-record reader of ``text``: what :func:`outcome` gives
+    for it."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        names = next(reader)
+    except StopIteration:
+        return (InvalidDataError, "malformed header: empty input"), []
+    except csv.Error as exc:
+        return (InvalidDataError, f"malformed header: {exc}"), []
+    if tuple(names) != CSV_COLUMNS:
+        return (InvalidDataError, f"malformed header: expected {list(CSV_COLUMNS)}, got {names}"), []
+    parsed, rejections, logged = [], [], []
+    rows = line = 0
+    while True:
+        line += 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            rows += 1
+            rejections.append((line, "oversized-field" if "field limit" in str(exc) else "bad-csv"))
+            logged.append(("DEBUG", f"rejected row {line}: {exc}"))
+            continue
+        if not row:
+            continue
+        rows += 1
+        try:
+            parsed.append(records.parse_row(row))
+        except LorapropError as exc:
+            rejections.append((line, str(exc).split(":", 1)[0]))
+            logged.append(("DEBUG", f"rejected row {line}: {exc}"))
+    columns = [np.array(column, dtype) for column, dtype in
+               zip(zip(*parsed), COLUMN_DTYPES.values())] if parsed else [[]] * len(CSV_COLUMNS)
+    table = ObservationTable(dict(zip(CSV_COLUMNS, columns)))
+    share = 100.0 * len(rejections) / rows if rows else 0.0
+    logged.append(("INFO", f"ingested {len(table)} rows, rejected {len(rejections)} ({share:.4f}%)"))
+    got = (rows, rejections, {name: (column.dtype.str, column.tobytes()) for name, column in table._columns.items()})
+    return got, logged
+
+
 # ---------------------------------------------------------------------------
 # Inputs
 
@@ -164,7 +204,7 @@ FLOATS = ["550.0", "38.0", "-75.0", "8.0", "0.046336", "-83.0", "92.26", "0", "1
 #: Cells any column may be replaced with.
 ODD_CELLS = [
     "", " ", "　", "\x1c", "\t",
-    "1_0", "١٢", "nan", "-inf", "inf", "9.0", "1e3", "-0.0", "7.5", "1.5", "abc",
+    "1_0", "١٢", "nan", "-inf", "inf", "9.0", "1e3", "-0.0", "7.5", "1.5", "abc", "1.2.3", "-", "1e",
     str(2**63), str(-(2**63)), str(2**63 - 1), "1e308", "-1e308", "6", "13", "0", "-1",
     "T", "20240101T000036", "2024-W01-1", ".5", " 2024-01-01 00:00:00 ",
     "　2024-01-01 00:00:00", "2024-01-01 00:00:00\x1c", "2024-13-01 00:00:00",
@@ -303,6 +343,13 @@ def test_files_longer_than_one_block():
     assert_same_ingest(csv_text(rows))
 
 
+def one_row_file(cells: list[str], at: int, rows: int = 40) -> str:
+    """A file of valid rows with ``cells`` as data row ``at``."""
+    file_rows = valid_rows(rows)
+    file_rows[at - 1] = cells
+    return csv_text(file_rows)
+
+
 @pytest.mark.parametrize(
     "cell, column",
     [
@@ -319,12 +366,33 @@ def test_files_longer_than_one_block():
         ("2024-1-1 0:00:00", "time"),
         ("d" * (MAX_DEVICE_ID_CHARS + 1), "device_id"),
         ("0", "frequency"),
+        ("1_0", "co2"),
+        ("1_0", "SF"),
+        ("١٢", "SF"),
+        (" 1.5 ", "pm25"),
+        ("+5", "snr"),
+        (".5", "toa"),
+        ("nan", "temperature"),
+        ("1.2.3", "pressure"),
+        ("e5", "humidity"),
+        ("0000-01-01 00:00:00", "time"),
+        ("2024-01-01 00:00:00.000000", "time"),
+        ("2024-03-05T12:34:56.123456", "time"),
+        ("2024-02-29 23:59:59", "time"),
+        ("2023-02-29 00:00:00", "time"),
+        ("2024-01-01 00:00:60", "time"),
+        (" dev ", "device_id"),
+        ("\x1fdev", "device_id"),
     ],
 )
-def test_cells_the_fast_path_must_refuse(cell, column):
+@pytest.mark.parametrize("at", [1, 2, 40])
+def test_cells_at_the_edge_of_the_block_reader(cell, column, at):
+    # each cell, as the first row of a block, a later one or the last, gives
+    # what the per-cell reference gives
     cells = [valid_cell(name, lambda options: options[0]) for name in CSV_COLUMNS]
     cells[CSV_COLUMNS.index(column)] = cell
     assert_same_parse(cells)
+    assert_same_ingest(one_row_file(cells, at))
 
 
 def test_finite_values_whose_sum_overflows_are_accepted():
@@ -332,10 +400,31 @@ def test_finite_values_whose_sum_overflows_are_accepted():
     cells[CSV_COLUMNS.index("co2")] = cells[CSV_COLUMNS.index("humidity")] = "1e308"
     assert_same_parse(cells)
     assert parse_row(cells)[2:4] == (1e308, 1e308)
+    assert ingest(io.StringIO(one_row_file(cells, 3), newline="")).records["co2"][2] == 1e308
+
+
+def test_each_block_s_first_row_is_checked_against_parse_row(monkeypatch):
+    calls = []
+
+    def spy(cells):
+        calls.append(cells)
+        return parse_row(cells)
+
+    monkeypatch.setattr(pipeline, "parse_row", spy)
+    monkeypatch.setattr(pipeline, "_INGEST_BLOCK", 3)
+    rows = [[valid_cell(name, lambda options: options[0]) for name in CSV_COLUMNS] for _ in range(10)]
+    for k, row in enumerate(rows):
+        row[CSV_COLUMNS.index("f_count")] = str(k)
+    ingest(io.StringIO(csv_text(rows), newline=""))
+    assert calls == [rows[0], rows[3], rows[6], rows[9]]
+
+    monkeypatch.setattr(pipeline, "parse_row", lambda cells: parse_row(cells)[:-1] + (0.0,))
+    with pytest.raises(RuntimeError, match="^ingest read line 1 as"):
+        ingest(io.StringIO(csv_text(rows), newline=""))
 
 
 # ---------------------------------------------------------------------------
-# Files read in byte ranges
+# Files
 
 
 class _Collect(logging.Handler):
@@ -348,15 +437,17 @@ class _Collect(logging.Handler):
 
 
 def outcome(read) -> tuple:
-    """What ``read()`` gives as comparable values: its columns (dtype and
-    bytes), rejections and ``rows_read``, or the error it raises; and the
-    DEBUG and INFO records it logs."""
+    """What ``read()`` gives as comparable values: ``rows_read``, the
+    rejections and the columns (dtype and bytes), or the error it raises;
+    and the DEBUG and INFO records it logs."""
     logger = logging.getLogger("loraprop.pipeline")
     handler, level = _Collect(), logger.level
     logger.addHandler(handler)
     logger.setLevel(logging.DEBUG)
     try:
-        result = read()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns of a block it was given no line of
+            result = read()
         got = (
             result.rows_read,
             [(r.line, r.reason) for r in result.rejections],
@@ -371,48 +462,24 @@ def outcome(read) -> tuple:
     return got, [(r.levelname, r.getMessage()) for r in handler.records]
 
 
-def read_as_stream(path) -> IngestResult:
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
-        return ingest(handle)
-
-
-def ranges_read(path, cpus: int) -> tuple[tuple, list]:
-    """The outcome of ``ingest(path)`` on ``cpus`` CPUs with ranges down to
-    one byte, and the byte ranges the parent read itself."""
-    calls = []
-    read_range = pipeline._read_range
-
-    def spy(source, start, end):
-        if os.getpid() == parent:
-            calls.append((start, end))
-        return read_range(source, start, end)
-
-    parent = os.getpid()
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
-            mock.patch.object(pipeline, "_MIN_RANGE_BYTES", 1), \
-            mock.patch.object(pipeline, "_read_range", spy):
-        return outcome(lambda: ingest(path)), calls
-
-
-def assert_ranges_match_one_stream(path) -> list[list]:
-    """Every CPU count gives the outcome of the file read as one stream;
-    returns the ranges the parent read at each CPU count."""
-    expected = outcome(lambda: read_as_stream(path))
-    calls = []
-    for cpus in (1, 2, 3):
-        got, parent_calls = ranges_read(path, cpus)
-        assert got == expected, cpus
-        calls.append(parent_calls)
-    return calls
-
-
-@pytest.fixture(scope="module")
-def scratch_csv(tmp_path_factory):
-    return tmp_path_factory.mktemp("ranges") / "input.csv"
+def assert_file_matches_the_reference(path, block: int = pipeline._INGEST_BLOCK) -> tuple:
+    """``ingest(path)`` on one and on two CPUs, in blocks of ``block``
+    lines, gives what the record-by-record reader gives; returns that."""
+    expected = reference_read(path.read_bytes().decode("utf-8-sig", "surrogateescape"))
+    for cpus in (1, 2):
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+                mock.patch.object(pipeline, "_INGEST_BLOCK", block):
+            assert outcome(lambda: ingest(path)) == expected, cpus
+    return expected
 
 
 def valid_rows(n: int, seed: int = 0) -> list[list[str]]:
     return [random_row(random.Random(seed + i).choice, []) for i in range(n)]
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("files") / "input.csv"
 
 
 #: Bytes a hypothesis file may have inserted anywhere.
@@ -425,14 +492,31 @@ STRAY_BYTES = [b'"', b"\n", b"\r", b"\r\n", b",", b"\xff", b"\xe2\x82", b"\x00",
     newline=st.sampled_from(["\n", "\r\n", "\r"]),
     bom=st.booleans(),
     strays=st.lists(st.tuples(st.integers(0, 2**20), st.sampled_from(STRAY_BYTES)), max_size=3),
+    block=st.sampled_from([1, 2, 3, 7, pipeline._INGEST_BLOCK]),
 )
-def test_files_read_in_ranges_match_one_stream(rows, newline, bom, strays, scratch_csv):
+def test_files_match_the_record_by_record_reader(rows, newline, bom, strays, block, scratch_csv):
     data = csv_text(rows).replace("\n", newline).encode("utf-8")
     for position, piece in strays:
         at = position % (len(data) + 1)
         data = data[:at] + piece + data[at:]
     scratch_csv.write_bytes(b"\xef\xbb\xbf" * bom + data)
-    assert_ranges_match_one_stream(scratch_csv)
+    assert_file_matches_the_reference(scratch_csv, block)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    faults=st.lists(
+        st.tuples(st.integers(0, 299), st.sampled_from(range(len(ODD_CELLS))), st.integers(0, len(CSV_COLUMNS) - 1)),
+        max_size=12,
+    ),
+    block=st.sampled_from([16, 50, 64, 128]),
+)
+def test_faults_in_random_blocks_match_the_record_by_record_reader(faults, block, scratch_csv):
+    rows = valid_rows(300, seed=7)
+    for row, cell, column in faults:
+        rows[row][column] = ODD_CELLS[cell]
+    scratch_csv.write_text(csv_text(rows), encoding="utf-8")
+    assert_file_matches_the_reference(scratch_csv, block)
 
 
 def test_bom_crlf_and_blank_lines(tmp_path):
@@ -442,121 +526,56 @@ def test_bom_crlf_and_blank_lines(tmp_path):
     rows[3:3] = rows[10:10] = rows[20:20] = [None, None]
     path = tmp_path / "crlf.csv"
     path.write_bytes(b"\xef\xbb\xbf" + csv_text(rows).replace("\n", "\r\n").encode("utf-8"))
-    calls = assert_ranges_match_one_stream(path)
-    assert [len(c) for c in calls] == [1, 1, 1]
-    assert calls[2][0][1] is not None  # the parent read only the first of its ranges
+    got, logged = assert_file_matches_the_reference(path, block=8)
+    assert got[:2] == (30, [(8, "bad-rssi"), (19, "bad-rssi"), (33, "bad-rssi")])
+    assert [message.split(":")[0] for level, message in logged if level == "DEBUG"] == [
+        "rejected row 8", "rejected row 19", "rejected row 33"
+    ]
 
 
 def test_byte_order_mark_is_skipped_at_the_start_of_the_file_only(tmp_path):
-    # every range starts at a line that begins with one; it rejects that row
+    # every line after the header begins with one; it rejects that row
     lines = csv_text(valid_rows(30)).splitlines(keepends=True)
     path = tmp_path / "marks.csv"
     path.write_bytes("\ufeff".join(lines).encode("utf-8"))
-    assert_ranges_match_one_stream(path)
+    assert_file_matches_the_reference(path, block=7)
     assert len(ingest(path).records) == 0
 
 
-def test_header_across_a_boundary(tmp_path):
+def test_malformed_header(tmp_path):
     path = tmp_path / "header.csv"
     path.write_text('"time' + "\n" * 2000 + '"' + csv_text(valid_rows(10))[4:], encoding="utf-8")
-    assert_ranges_match_one_stream(path)
+    assert_file_matches_the_reference(path)
     with pytest.raises(InvalidDataError, match="^malformed header.*'time\\\\n"):
         ingest(path)
 
 
-def test_cr_only_file_is_one_range(tmp_path):
+def test_cr_only_file(tmp_path):
     path = tmp_path / "cr.csv"
     path.write_bytes(csv_text(valid_rows(30)).replace("\n", "\r").encode("utf-8"))
-    assert assert_ranges_match_one_stream(path) == [[(0, None)]] * 3
+    got, _ = assert_file_matches_the_reference(path, block=7)
+    assert got[:2] == (30, [])
 
 
-def test_oversized_field_as_a_range_s_last_record(tmp_path):
+@pytest.mark.parametrize("column", ["device_id", "co2"])
+def test_oversized_field(tmp_path, column):
+    # a number of 200,000 zeros is 0.0 to numpy, and a field over the limit to csv
     big = valid_rows(1, seed=99)[0]
-    big[1] = "d" * (csv.field_size_limit() + 10)
-    head, tail = csv_text(valid_rows(3)), csv_text([big] + valid_rows(5, seed=3))
-    tail = tail[tail.index("\n") + 1:]  # no second header
+    big[CSV_COLUMNS.index(column)] = ("d" if column == "device_id" else "0") * (csv.field_size_limit() + 10)
     path = tmp_path / "oversized.csv"
-    path.write_bytes((head + tail).encode("utf-8"))
-    calls = assert_ranges_match_one_stream(path)
-    end_of_big = len(head.encode("utf-8")) + tail.encode("utf-8").index(b"\n") + 1
-    assert calls[1] == [(0, end_of_big)]
-    result = ingest(path)
-    assert (4, "oversized-field") in [(r.line, r.reason) for r in result.rejections]
+    path.write_text(csv_text(valid_rows(3) + [big] + valid_rows(5, seed=3)), encoding="utf-8")
+    got, _ = assert_file_matches_the_reference(path, block=2)
+    assert got[:2] == (9, [(4, "oversized-field")])
 
 
-def test_quoted_field_across_a_boundary_reads_the_file_again(tmp_path):
+@pytest.mark.parametrize("block", [64, pipeline._INGEST_BLOCK])
+def test_quoted_field_across_a_block_boundary(tmp_path, block):
     spanning = valid_rows(1, seed=50)[0]
     spanning[1] = "d\n" * 1200
     rows = valid_rows(8) + [spanning] + valid_rows(12, seed=20)
+    rows[3][CSV_COLUMNS.index("co2")] = rows[15][CSV_COLUMNS.index("co2")] = "abc"
     path = tmp_path / "spanning.csv"
-    data = csv_text(rows).encode("utf-8")
-    path.write_bytes(data)
-    start = data.index(b'"d')
-    assert start < len(data) / 3 and data.index(b'\n"', start) > 2 * len(data) / 3
-    calls = assert_ranges_match_one_stream(path)
-    assert calls[0] == [(0, None)]
-    for parent_calls in calls[1:]:  # its first range, then the whole file
-        assert len(parent_calls) == 2 and parent_calls[1] == (0, None)
-
-
-class TestRangesOverProcesses:
-    """The fork helper as ingest uses it: errors end in the parent, and no
-    process is left behind."""
-
-    @pytest.fixture(autouse=True)
-    def bounded(self):
-        def expire(signum, frame):
-            raise TimeoutError("ingest still waits after 120 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(120)
-        try:
-            yield
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-
-    @pytest.fixture
-    def big_csv(self, tmp_path, monkeypatch):
-        path = tmp_path / "input.csv"
-        path.write_text(csv_text(valid_rows(200)), encoding="utf-8")
-        use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(pipeline, "_MIN_RANGE_BYTES", 1)
-        return path
-
-    @staticmethod
-    def _in_child(monkeypatch, act):
-        """Make ``parse_row`` call ``act`` in a forked child, as itself in the parent."""
-        parent = os.getpid()
-
-        def parse(values):
-            if os.getpid() != parent:
-                act()
-            return parse_row(values)
-
-        monkeypatch.setattr(pipeline, "parse_row", parse)
-
-    def test_malformed_header_while_children_run_stops_them(self, big_csv, monkeypatch):
-        text = big_csv.read_text(encoding="utf-8")
-        big_csv.write_text("time,device" + text[text.index("\n"):], encoding="utf-8")
-        self._in_child(monkeypatch, lambda: time.sleep(100))
-        began = time.monotonic()
-        with pytest.raises(InvalidDataError, match="^malformed header"):
-            ingest(big_csv)
-        assert time.monotonic() - began < 60
-        assert multiprocessing.active_children() == []
-
-    def test_child_that_dies_is_an_error_not_a_wait(self, big_csv, monkeypatch):
-        self._in_child(monkeypatch, lambda: os._exit(3))
-        with pytest.raises(LorapropError, match=r"^ingest process \d+ ended without a result$"):
-            ingest(big_csv)
-        assert multiprocessing.active_children() == []
-
-    def test_error_in_a_child_is_raised_by_the_parent(self, big_csv, monkeypatch):
-        def fail():
-            raise RuntimeError("read in a child")
-
-        self._in_child(monkeypatch, fail)
-        with pytest.raises(RuntimeError, match="^read in a child$"):
-            ingest(big_csv)
-        assert multiprocessing.active_children() == []
+    path.write_text(csv_text(rows), encoding="utf-8")
+    got, _ = assert_file_matches_the_reference(path, block)
+    # lines count records: the field's 1,200 line breaks do not count
+    assert got[:2] == (21, [(4, "bad-co2"), (9, "bad-device_id"), (16, "bad-co2")])

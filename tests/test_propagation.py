@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, stats
 
+from loraprop import propagation
 from loraprop.errors import InvalidConfigError, InvalidDataError
 from loraprop.propagation import (
     ENV_FIELDS,
@@ -425,6 +426,27 @@ class TestSimulateScene:
                 assert repr(simulate_scene(spec, seed)) == repr(expected)
                 parities.add(walls % 2)
         assert parities == {0, 1}
+
+    @pytest.mark.parametrize("block", [1, 2, 7, propagation._WALL_BLOCK])
+    @pytest.mark.parametrize("spacing", [(4.0, 10.0), (5.0, 5.0), (0.5, 0.75)])
+    def test_walls_drawn_in_blocks_match_the_per_wall_loop(self, monkeypatch, spacing, block):
+        # the positions are summed on across blocks, and the shadowing draws
+        # after the walls see the generator one draw past the last wall
+        monkeypatch.setattr(propagation, "_WALL_BLOCK", block)
+        for seed in range(4):
+            for max_distance_m in (3.0, 5.0, 61.0, 400.0):
+                spec = SceneSpec(max_distance_m=max_distance_m, num_points=23, wall_spacing_m=spacing)
+                expected, _ = per_wall_simulate_scene(spec, seed)
+                assert repr(simulate_scene(spec, seed)) == repr(expected)
+
+    def test_a_scene_of_half_a_million_walls(self):
+        # pinned from the per-wall loop, which took seconds for it
+        samples = simulate_scene(SceneSpec(max_distance_m=4e6, num_points=3), seed=1)
+        assert samples == [
+            SceneSample(1.0, WallCounts(0, 0), 40.0, 31.17379545138881),
+            SceneSample(2000000.5, WallCounts(143389, 142449), 2430551.9538017763, 2430538.0486750044),
+            SceneSample(4000000.0, WallCounts(286295, 285119), 4858018.045073908, 4858012.298893782),
+        ]
 
     def test_reference_point_loss(self):
         spec = SceneSpec(max_distance_m=40.0, shadowing_sigma_db=0.0)
