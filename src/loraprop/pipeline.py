@@ -130,16 +130,42 @@ def ingest(source: str | Path | TextIO) -> IngestResult:
     missing cells, unparseable tokens, non-finite numbers, range
     violations or bytes that are not UTF-8, and records the ``csv`` module
     cannot read (a field over its size limit), are rejected and logged
-    individually with a reason.  Lines are parsed a block at a time (see
-    :func:`_read_block`) up to the first one holding a quote, and record by
-    record from there.
+    individually with a reason.  Lines are parsed :data:`_INGEST_BLOCK` at a
+    time, each line one record (see :func:`_read_block`), up to the first
+    one holding a quote; from that line on, a ``csv`` reader's records are
+    parsed one by one.  Line numbers count records either way, as no earlier
+    line holds a quote.
     """
     if isinstance(source, (str, Path)):
         # a byte that is not UTF-8 becomes a lone surrogate, which rejects its
         # row; a byte-order mark is skipped
         with open(source, encoding="utf-8-sig", errors="surrogateescape", newline="") as text:
-            return _read(text)
-    return _read(source)
+            return ingest(text)
+    reader = csv.reader(source)
+    try:
+        names = next(reader)
+    except StopIteration:
+        raise InvalidDataError("malformed header: empty input") from None
+    except csv.Error as exc:
+        raise InvalidDataError(f"malformed header: {exc}") from None
+    if tuple(names) != CSV_COLUMNS:
+        raise InvalidDataError(f"malformed header: expected {list(CSV_COLUMNS)}, got {names}")
+    out = _Ingest()
+    while lines := list(islice(source, _INGEST_BLOCK)):
+        if (read := _read_block(lines, out)) < len(lines):
+            reader = csv.reader(chain(lines[read:], source))
+            while out.take(reader, out.lines + 1):
+                out.lines += 1
+                if len(out.parsed) == _INGEST_BLOCK:
+                    out.add()
+            break
+    out.add()
+    # a column at a time, each piece's part dropped once it is joined
+    columns = {name: np.concatenate([piece.pop(0) for piece in out.pieces]) for name in CSV_COLUMNS}
+    result = IngestResult(records=ObservationTable(columns), rejections=out.rejections, rows_read=out.rows)
+    log.info("ingested %d rows, rejected %d (%.4f%%)",
+             len(result.records), len(result.rejections), 100.0 * result.rejection_rate)
+    return result
 
 
 #: Lines :func:`ingest` parses at a time.
@@ -153,40 +179,32 @@ _VALUE = {name: k for k, name in enumerate(CSV_COLUMNS[2:])}
 
 
 class _Ingest:
-    """What :func:`ingest` has read so far: the table's columns a piece at a
-    time, the rejections, the rows read and the records counted."""
+    """What :func:`ingest` has read: pieces of the table's columns, the
+    rejections, the rows read, the records counted, and the rows parsed one
+    at a time that no piece holds yet, as ``(line, typed row)``."""
 
     def __init__(self) -> None:
-        self.pieces: list[list[np.ndarray]] = []
-        self.rejections: list[Rejection] = []
-        self.parsed: list[tuple] = []  # (line, typed row) not yet in a piece
-        self.rows = self.lines = 0
-        self.debug = log.isEnabledFor(logging.DEBUG)
+        self.pieces = [[np.array([], dtype) for dtype in COLUMN_DTYPES.values()]]  # of an empty table
+        self.rejections, self.parsed, self.rows, self.lines = [], [], 0, 0
 
     def take(self, reader, line: int) -> bool:
         """Read the next record of ``reader`` as data line ``line`` through
         ``csv`` and :func:`parse_row`; False at the end of the reader."""
         try:
-            cells = next(reader)
+            if not (cells := next(reader)):
+                return True
+            self.parsed.append((line, parse_row(cells)))
         except StopIteration:
             return False
-        except csv.Error as exc:
-            # the reader drops the rest of the physical line and goes on with the next
-            self.rows += 1
-            self.reject(line, "oversized-field" if "field limit" in str(exc) else "bad-csv", exc)
-            return True
-        if cells:
-            self.rows += 1
-            try:
-                self.parsed.append((line, parse_row(cells)))
-            except LorapropError as exc:
-                self.reject(line, str(exc).split(":", 1)[0], exc)
-        return True
-
-    def reject(self, line: int, reason: str, exc: Exception) -> None:
-        self.rejections.append(Rejection(line=line, reason=reason))
-        if self.debug:
+        except (csv.Error, LorapropError) as exc:
+            # a csv reader drops the rest of a line it cannot read and goes on with the next
+            reason = str(exc).split(":", 1)[0]
+            if isinstance(exc, csv.Error):
+                reason = "oversized-field" if "field limit" in reason else "bad-csv"
+            self.rejections.append(Rejection(line=line, reason=reason))
             log.debug("rejected row %d: %s", line, exc)
+        self.rows += 1
+        return True
 
     def add(self, columns: list[np.ndarray] | None = None, lines: np.ndarray | None = None) -> None:
         """Move the parsed rows into a piece, in line order with the
@@ -202,61 +220,17 @@ class _Ingest:
         if columns is not None and len(columns[0]):
             self.pieces.append(columns)
 
-    def result(self) -> IngestResult:
-        columns = {}
-        for name, dtype in COLUMN_DTYPES.items():
-            # a column at a time, each piece's part dropped once it is joined
-            pieces = [piece.pop(0) for piece in self.pieces]
-            columns[name] = np.concatenate(pieces) if pieces else np.array([], dtype)
-        records = ObservationTable(columns)
-        result = IngestResult(records=records, rejections=self.rejections, rows_read=self.rows)
-        log.info(
-            "ingested %d rows, rejected %d (%.4f%%)",
-            len(records), len(self.rejections), 100.0 * result.rejection_rate,
-        )
-        return result
-
-
-def _read(stream: Iterable[str]) -> IngestResult:
-    """:func:`ingest` of the lines of ``stream``: the header, then blocks of
-    :data:`_INGEST_BLOCK` lines, each line one record, up to the first line
-    holding a quote; from that line on, the records of a ``csv`` reader.
-    Line numbers count records either way, as no earlier line holds a quote."""
-    reader = csv.reader(stream)
-    try:
-        names = next(reader)
-    except StopIteration:
-        raise InvalidDataError("malformed header: empty input") from None
-    except csv.Error as exc:
-        raise InvalidDataError(f"malformed header: {exc}") from None
-    if tuple(names) != CSV_COLUMNS:
-        raise InvalidDataError(f"malformed header: expected {list(CSV_COLUMNS)}, got {names}")
-    out = _Ingest()
-    while lines := list(islice(stream, _INGEST_BLOCK)):
-        read = _read_block(lines, out)
-        if read < len(lines):
-            reader = csv.reader(chain(lines[read:], stream))
-            while out.take(reader, out.lines + 1):
-                out.lines += 1
-                if len(out.parsed) == _INGEST_BLOCK:
-                    out.add()
-            out.add()
-            break
-    return out.result()
-
 
 def _read_block(lines: list[str], out: _Ingest) -> int:
-    """Parse the lines up to the first one holding a quote into ``out``,
-    each line one record; the number of lines parsed.
+    """Parse the lines up to the first one holding a quote into ``out``, each
+    line one record; the number of lines parsed.
 
     The non-blank ASCII lines without a NUL go to ``np.loadtxt`` at once
-    (:func:`_load`), and the values it reads pass :func:`parse_row`'s checks
-    a column at a time (:func:`_checked`).  If numpy refuses a line, the
-    lines :func:`_plain_numbers` leaves out are set aside, and the rest are
-    read again by halves around any line numpy still refuses.  Every other
-    non-blank line goes through ``csv`` and :func:`parse_row`, the one source
-    of reasons.  The first row a block takes is parsed by :func:`parse_row`
-    too, and a difference is an error.
+    (:func:`_load`); if it refuses one, the lines :func:`_plain_numbers`
+    leaves out are set aside and the rest read by halves around any it still
+    refuses.  The rows that pass every check (:func:`_checked`) are taken,
+    the first also parsed by :func:`parse_row`, a difference being an error.
+    Every other line goes through ``csv`` and :func:`parse_row`.
     """
     lengths = np.fromiter(map(len, lines), np.intp, len(lines))
     text = "".join(lines)
@@ -272,26 +246,17 @@ def _read_block(lines: list[str], out: _Ingest) -> int:
     data = np.frombuffer(text.encode("ascii"), np.uint8)
     del text
     ends = np.cumsum(lengths[plain])
-    starts = ends - lengths[plain]
-    # a line's own end: \n, \r\n or \r, or nothing at the end of the input
-    ending = np.isin(data[ends - 1], (10, 13)).astype(np.intp)
-    ending += (data[ends - 1] == 10) & (data[np.maximum(ends - 2, 0)] == 13) & (ends - starts >= 2)
-    width = ends - starts - ending
-    blank = np.zeros(n, dtype=bool)
-    blank[plain[width == 0]] = True
-    ok = (width > 0) & (ends - starts <= csv.field_size_limit())  # no cell over the csv module's limit
+    # a row is 20 cells and 19 commas, and no cell may be over the csv module's limit
+    ok = (lengths[plain] >= 39) & (lengths[plain] <= csv.field_size_limit())
     pieces = _load(lines, plain[ok], halves=False)
     if not pieces and ok.any():
-        pieces = _load(lines, plain[ok & _plain_numbers(data, starts, width, ending)])
+        pieces = _load(lines, plain[ok & _plain_numbers(data, ends - lengths[plain], ends)])
     del data
-    taken = np.zeros(n, dtype=bool)
     columns, rows = None, plain[:0]
     if pieces:
-        rows, tables = (np.concatenate(part) if len(part) > 1 else part[0] for part in zip(*pieces))
-        columns, good = _checked(tables)
-        del pieces, tables
+        rows, table = (np.concatenate(part) if len(part) > 1 else part[0] for part in zip(*pieces))
+        columns, good = _checked(table)
         rows = rows[good]
-        taken[rows] = True
         out.rows += rows.size
     if rows.size:
         got = tuple(column[0].item() for column in columns)
@@ -301,7 +266,7 @@ def _read_block(lines: list[str], out: _Ingest) -> int:
             expected = exc
         if repr(expected) != repr(got):
             raise RuntimeError(f"ingest read line {first + rows[0]} as {got!r}, parse_row as {expected!r}")
-    for k in np.flatnonzero(~taken & ~blank).tolist():
+    for k in np.setdiff1d(np.arange(n), rows).tolist():
         out.take(csv.reader(lines[k : k + 1]), first + k)
     out.add(columns, first + rows)
     return n
@@ -309,7 +274,7 @@ def _read_block(lines: list[str], out: _Ingest) -> int:
 
 def _load(lines: list[str], rows: np.ndarray, halves: bool = True) -> list[tuple[np.ndarray, np.ndarray]]:
     """``(rows, table)`` pieces of ``np.loadtxt`` of the quote-free lines at
-    ``rows``, one table row per line: all of them, or with ``halves`` those
+    ``rows``, a table row per line: all of them, or with ``halves`` those
     found by halving around the lines numpy refuses."""
     if rows.size:
         try:
@@ -324,21 +289,22 @@ def _load(lines: list[str], rows: np.ndarray, halves: bool = True) -> list[tuple
     return _load(lines, rows[: rows.size // 2]) + _load(lines, rows[rows.size // 2 :])
 
 
-def _plain_numbers(data: np.ndarray, starts: np.ndarray, width: np.ndarray, ending: np.ndarray) -> np.ndarray:
-    """Which lines, given as the ``data`` bytes from each start, ``width``
-    bytes and an end of ``ending`` bytes, hold 20 cells, no line break inside
-    and 18 number cells of digits, ``+-.,eE`` and ``/`` only: those that
-    numpy and ``float`` are likely to read alike."""
+def _plain_numbers(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Which lines, the ``data`` bytes from each start to each end, hold 20
+    cells, no line break but their own end and 18 number cells of digits and
+    ``+,-./eE`` only: those numpy and ``float`` likely read alike."""
+    # a line's own end: \n, \r\n or \r, or nothing at the end of the input
+    ending = np.isin(data[ends - 1], (10, 13)).astype(np.intp)
+    ending += (data[ends - 1] == 10) & (data[np.maximum(ends - 2, 0)] == 13) & (ends - starts >= 2)
+    width = ends - starts - ending
     commas = np.append(np.flatnonzero(data == ord(",")), data.size)  # one past the end, so never empty
     before = np.searchsorted(commas, starts)
     low = np.flatnonzero(data <= 13)
-    breaks = np.diff(np.searchsorted(low[np.isin(data[low], (10, 13))], starts + width + ending), prepend=0)
+    breaks = np.diff(np.searchsorted(low[np.isin(data[low], (10, 13))], ends), prepend=0)
     plain = (np.searchsorted(commas, starts + width) - before == 19) & (breaks == ending)
     # the number cells run from after the second comma to the line's end
-    bounds = np.column_stack([
-        np.where(plain, commas[np.minimum(before + 1, commas.size - 1)] + 1, starts),
-        np.where(plain, starts + width, starts),
-    ]).ravel()
+    cells = np.where(plain, commas[np.minimum(before + 1, commas.size - 1)] + 1, starts)
+    bounds = np.column_stack([cells, np.where(plain, starts + width, starts)]).ravel()
     other = ((data < ord("+")) | (data > ord("9"))) & ((data | 32) != ord("e"))
     plain &= ~np.logical_or.reduceat(other, bounds[: bounds.size - (bounds[-1] == data.size)])[::2]
     # ",," holds an empty cell, and so does a line that ends in ","
@@ -370,22 +336,21 @@ def _checked(table: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     days = months.astype("datetime64[D]")
     good &= day <= (months + 1).astype("datetime64[D]") - days
     micro = ((hour * 60 + minute) * 60 + second).astype(np.int64) * 10**6 + np.where(fraction, micro, 0)
-    times = (days + (day - 1)).astype("datetime64[us]") + micro
     chars = np.ascontiguousarray(table["device_id"]).view(np.uint8).reshape(-1, 65)
     size = np.count_nonzero(chars, axis=1)  # the line holds no NUL
     good &= (size >= 1) & (size <= MAX_DEVICE_ID_CHARS) & ~_SPACE_BYTES[chars[:, 0]]
     good &= ~_SPACE_BYTES[chars[np.arange(size.size), np.maximum(size - 1, 0)]]
     values = table["values"]
     whole = values[:, [_VALUE[name] for name in ("SF", "f_count", "p_count", "c_walls", "w_walls")]]
-    good &= np.isfinite(values).all(axis=1) & (values[:, _VALUE["SF"]] >= 7) & (values[:, _VALUE["SF"]] <= 12)
-    good &= ((np.trunc(whole) == whole) & (whole >= -(2.0**63)) & (whole < 2.0**63)).all(axis=1)
-    good &= (values[:, _VALUE["distance"]] > 0) & (values[:, _VALUE["frequency"]] > 0)
-    good &= (values[:, [_VALUE["c_walls"], _VALUE["w_walls"]]] >= 0).all(axis=1)
+    good &= np.isfinite(values).all(axis=1) & ((np.trunc(whole) == whole) & (whole < 2.0**63)).all(axis=1)
+    good &= (whole[:, 0] >= 7) & (whole[:, 0] <= 12) & (whole[:, 1:3] >= -(2.0**63)).all(axis=1)
+    good &= (whole[:, 3:] >= 0).all(axis=1) & (values[:, [_VALUE["distance"], _VALUE["frequency"]]] > 0).all(axis=1)
     # ASCII bytes widened to UCS-4 code points are the ids as numpy str
     width = max(1, int(size[good].max(initial=0)))
     ids = chars[good, :width].astype(np.uint32).view(f"U{width}").ravel()
     values = values[good]
     numbers = [values[:, k].astype(dtype, copy=False) for k, dtype in enumerate(list(COLUMN_DTYPES.values())[2:])]
+    times = (days + (day - 1)).astype("datetime64[us]") + micro
     return [times[good], ids, *numbers], good
 
 

@@ -287,27 +287,19 @@ def simulate_scene(spec: SceneSpec, seed: int) -> list[SceneSample]:
     shadowing), so a seed pins the whole scene.
     """
     rng = np.random.default_rng(seed)
-    bits = rng.bit_generator
-    start = bits.state
-    # each wall is the last one's position plus a uniform gap, up to the first
-    # past the end: gaps are drawn in blocks and summed on in order, as ``+=``
-    # sums them, and the generator is left one draw past the last wall
-    low = spec.wall_spacing_m[0]
-    blocks, pos, used = [], 0.0, 0
-    while True:
-        gaps = rng.uniform(*spec.wall_spacing_m, size=min(_WALL_BLOCK, int((spec.max_distance_m - pos) / low) + 1))
-        walls = np.cumsum(np.concatenate(([pos], gaps)))[1:]
-        inside = int(np.searchsorted(walls, spec.max_distance_m, side="right"))
-        blocks.append(walls[:inside])
-        used += inside
-        if inside < walls.size:
-            used += 1  # the gap that passed the end
-            break
-        pos = walls[-1]
-    positions = np.concatenate(blocks)
-    bits.state = start
-    bits.advance(used)
-    bits.state = {**bits.state, "has_uint32": start["has_uint32"], "uinteger": start["uinteger"]}
+    start = rng.bit_generator.state
+    # walls at uniform gaps up to the first past the end: the gaps are drawn in
+    # blocks and summed on in order, as ``+=`` sums them, and the generator is
+    # then left one draw past the last wall (a fresh one holds no half draw)
+    low, high = spec.wall_spacing_m
+    blocks = [np.zeros(1)]
+    while blocks[-1][-1] <= spec.max_distance_m:
+        size = min(_WALL_BLOCK, int((spec.max_distance_m - blocks[-1][-1]) / low) + 1)
+        blocks.append(np.cumsum(np.concatenate((blocks[-1][-1:], rng.uniform(low, high, size=size))))[1:])
+    walls = np.concatenate(blocks[1:])
+    positions = walls[: np.searchsorted(walls, spec.max_distance_m, side="right")]
+    rng.bit_generator.state = start
+    rng.bit_generator.advance(positions.size + 1)
     # one call per column draws what one call per wall would, in the same order
     is_brick = rng.integers(len(WALL_TYPES), size=len(positions)) == WALL_TYPES.index("brick")
     losses = rng.uniform(*spec.wall_loss_db, size=len(positions))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from datetime import datetime
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -61,8 +61,6 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 #: A date in a form ``datetime.fromisoformat`` or ``yyyy-m-d`` reads, then the
 #: end of the cell or one of the two date/time separators the schema allows.
 _DATE_THEN_SEPARATOR = re.compile(r"\d{4}(?:-\d\d?-\d\d?|\d{4}|-?W\d\d(?:-?\d)?)(?:\Z|[T ])")
-#: Rows :meth:`ObservationTable.rows` converts to Python values at a time.
-_ROW_BLOCK = 4096
 
 _SF, _FREQUENCY, _DISTANCE, _C_WALLS, _W_WALLS = map(
     CSV_COLUMNS.index, ("SF", "frequency", "distance", "c_walls", "w_walls")
@@ -102,14 +100,6 @@ class ObservationTable:
     def take(self, index) -> ObservationTable:
         """The rows selected by an index array or a boolean mask, in that order."""
         return ObservationTable({name: c[index] for name, c in self._columns.items()})
-
-    def rows(self, columns: Sequence[str] = CSV_COLUMNS) -> Iterator[tuple]:
-        """Rows as tuples of Python values (``datetime``, ``str``, ``int``,
-        ``float``) of ``columns``, converted a block of rows at a time so a
-        large table is never held as Python objects all at once."""
-        arrays = [self._columns[name] for name in columns]
-        for start in range(0, len(self), _ROW_BLOCK):
-            yield from zip(*(a[start : start + _ROW_BLOCK].tolist() for a in arrays))
 
 
 def _parse_time(text: str) -> datetime:

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -97,9 +98,18 @@ def concat(*tables: ObservationTable) -> ObservationTable:
     )
 
 
+def table_rows(table: ObservationTable, columns: Sequence[str] = CSV_COLUMNS) -> Iterator[tuple]:
+    """Rows as tuples of Python values (``datetime``, ``str``, ``int``,
+    ``float``) of ``columns``, converted a block of 4,096 rows at a time so a
+    large table is never held as Python objects all at once."""
+    arrays = [table[name] for name in columns]
+    for start in range(0, len(table), 4096):
+        yield from zip(*(a[start : start + 4096].tolist() for a in arrays))
+
+
 def rows_of(table: ObservationTable) -> list[tuple]:
     """Every row as a tuple of Python values, for exact comparisons."""
-    return list(table.rows())
+    return list(table_rows(table))
 
 
 @dataclass
@@ -139,12 +149,12 @@ def write_reference_csv(table: ObservationTable, path: Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in table.rows():
+        for row in table_rows(table):
             writer.writerow(reference_format_row(row))
 
 
 def record_keys(table: ObservationTable) -> set[tuple]:
-    return set(table.rows(("device_id", "time", "f_count")))
+    return set(table_rows(table, ("device_id", "time", "f_count")))
 
 
 def synth_dataset(

@@ -30,6 +30,7 @@ from helpers import (
     mw_observations,
     replace_columns,
     synth_dataset,
+    table_rows,
 )
 
 
@@ -143,7 +144,7 @@ class TestFitExactRecovery:
         y = np.array(
             [
                 pl - 20.0 * math.log10(f)
-                for pl, f in data.clean.rows(("exp_pl", "frequency"))
+                for pl, f in table_rows(data.clean, ("exp_pl", "frequency"))
             ]
         )
         direct, *_ = np.linalg.lstsq(x, y, rcond=None)
@@ -223,7 +224,7 @@ class TestPredictionCoherence:
     def test_matches_pointwise_model_evaluation(self):
         data = synth_dataset(rows_per_device=3, seed=2, duplicates_per_device=0)
         vectorised = predictions(TRUE_EP_MODEL.params, data.clean, ModelVariant.MW_EP)
-        for values, expected in zip(data.clean.rows(), vectorised):
+        for values, expected in zip(table_rows(data.clean), vectorised):
             pointwise = predict(TRUE_EP_MODEL, dict(zip(CSV_COLUMNS, values)))
             assert pointwise == pytest.approx(float(expected), abs=1e-9)
 

@@ -412,9 +412,7 @@ def test_each_block_s_first_row_is_checked_against_parse_row(monkeypatch):
 
     monkeypatch.setattr(pipeline, "parse_row", spy)
     monkeypatch.setattr(pipeline, "_INGEST_BLOCK", 3)
-    rows = [[valid_cell(name, lambda options: options[0]) for name in CSV_COLUMNS] for _ in range(10)]
-    for k, row in enumerate(rows):
-        row[CSV_COLUMNS.index("f_count")] = str(k)
+    rows = plain_rows(10)
     ingest(io.StringIO(csv_text(rows), newline=""))
     assert calls == [rows[0], rows[3], rows[6], rows[9]]
 
@@ -475,6 +473,15 @@ def assert_file_matches_the_reference(path, block: int = pipeline._INGEST_BLOCK)
 
 def valid_rows(n: int, seed: int = 0) -> list[list[str]]:
     return [random_row(random.Random(seed + i).choice, []) for i in range(n)]
+
+
+def plain_rows(n: int) -> list[list[str]]:
+    """Valid rows the block reader takes itself: the first value of each
+    column, with the frame counter counting up."""
+    rows = [[valid_cell(name, lambda options: options[0]) for name in CSV_COLUMNS] for _ in range(n)]
+    for k, row in enumerate(rows):
+        row[CSV_COLUMNS.index("f_count")] = str(k)
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -560,12 +567,33 @@ def test_cr_only_file(tmp_path):
 @pytest.mark.parametrize("column", ["device_id", "co2"])
 def test_oversized_field(tmp_path, column):
     # a number of 200,000 zeros is 0.0 to numpy, and a field over the limit to csv
-    big = valid_rows(1, seed=99)[0]
+    big = plain_rows(1)[0]
     big[CSV_COLUMNS.index(column)] = ("d" if column == "device_id" else "0") * (csv.field_size_limit() + 10)
     path = tmp_path / "oversized.csv"
     path.write_text(csv_text(valid_rows(3) + [big] + valid_rows(5, seed=3)), encoding="utf-8")
     got, _ = assert_file_matches_the_reference(path, block=2)
     assert got[:2] == (9, [(4, "oversized-field")])
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_valid_lines_are_parsed_a_block_at_a_time(tmp_path, monkeypatch, newline):
+    # parse_row sees only the first row of each block, blank lines and line
+    # ends of every kind included
+    calls = []
+
+    def spy(cells):
+        calls.append(cells)
+        return parse_row(cells)
+
+    rows = plain_rows(20)
+    rows[5:5] = rows[12:12] = [None]
+    path = tmp_path / "plain.csv"
+    path.write_bytes(csv_text(rows).replace("\n", newline).encode("utf-8"))
+    expected = assert_file_matches_the_reference(path, block=8)
+    monkeypatch.setattr(pipeline, "parse_row", spy)
+    monkeypatch.setattr(pipeline, "_INGEST_BLOCK", 8)
+    assert outcome(lambda: ingest(path)) == expected
+    assert calls == [rows[0], rows[8], rows[16]]
 
 
 @pytest.mark.parametrize("block", [64, pipeline._INGEST_BLOCK])

@@ -47,6 +47,7 @@ from helpers import (
     replace_columns,
     rows_of,
     synth_dataset,
+    table_rows,
     use_cpus,
     write_reference_csv,
 )
@@ -185,7 +186,7 @@ def scalar_audit(table) -> int:
     """The per-row loop ``audit_derived_columns`` replaced, kept as its reference."""
     offset = DEFAULT_LINK_BUDGET.link_offset_db
     violations = 0
-    for rssi, snr, exp_pl_db, esp_dbm, n_power_dbm in table.rows(("rssi", "snr", "exp_pl", "esp", "n_power")):
+    for rssi, snr, exp_pl_db, esp_dbm, n_power_dbm in table_rows(table, ("rssi", "snr", "exp_pl", "esp", "n_power")):
         for expected, actual in (
             (offset - rssi, exp_pl_db),
             (esp(rssi, snr), esp_dbm),

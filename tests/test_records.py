@@ -14,7 +14,7 @@ from loraprop.records import (
     parse_row,
 )
 
-from helpers import DEFAULT_ROW, make_table, reference_format_row, rows_of
+from helpers import DEFAULT_ROW, make_table, reference_format_row, rows_of, table_rows
 
 GOOD_CELLS = [
     "2024-01-01 00:00:00", "dev0", "550.0", "38.0", "2.0", "323.0", "21.0", "-75.0", "8.0",
@@ -45,7 +45,7 @@ class TestObservationTable:
 
     def test_rows_cross_block_boundaries(self):
         table = make_table(f_count=range(10_000))
-        assert [r[CSV_COLUMNS.index("f_count")] for r in table.rows()] == list(range(10_000))
+        assert [r[CSV_COLUMNS.index("f_count")] for r in table_rows(table)] == list(range(10_000))
 
     def test_take_by_index_and_mask(self):
         table = make_table(f_count=range(5))
