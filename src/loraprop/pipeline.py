@@ -200,7 +200,7 @@ class _Ingest:
             # a csv reader drops the rest of a line it cannot read and goes on with the next
             reason = str(exc).split(":", 1)[0]
             if isinstance(exc, csv.Error):
-                reason = "oversized-field" if "field limit" in reason else "bad-csv"
+                reason = "oversized-field" if "field limit" in str(exc) else "bad-csv"
             self.rejections.append(Rejection(line=line, reason=reason))
             log.debug("rejected row %d: %s", line, exc)
         self.rows += 1
@@ -225,8 +225,8 @@ def _read_block(lines: list[str], out: _Ingest) -> int:
     """Parse the lines up to the first one holding a quote into ``out``, each
     line one record; the number of lines parsed.
 
-    The non-blank ASCII lines without a NUL go to ``np.loadtxt`` at once
-    (:func:`_load`); if it refuses one, the lines :func:`_plain_numbers`
+    The ASCII lines without a NUL long enough to hold a row go to
+    ``np.loadtxt`` at once (:func:`_load`); if it refuses one, the lines :func:`_plain_numbers`
     leaves out are set aside and the rest read by halves around any it still
     refuses.  The rows that pass every check (:func:`_checked`) are taken,
     the first also parsed by :func:`parse_row`, a difference being an error.
@@ -335,7 +335,7 @@ def _checked(table: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     months = np.where(good, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
     days = months.astype("datetime64[D]")
     good &= day <= (months + 1).astype("datetime64[D]") - days
-    micro = ((hour * 60 + minute) * 60 + second).astype(np.int64) * 10**6 + np.where(fraction, micro, 0)
+    of_day = ((hour * 60 + minute) * 60 + second).astype(np.int64) * 10**6 + np.where(fraction, micro, 0)
     chars = np.ascontiguousarray(table["device_id"]).view(np.uint8).reshape(-1, 65)
     size = np.count_nonzero(chars, axis=1)  # the line holds no NUL
     good &= (size >= 1) & (size <= MAX_DEVICE_ID_CHARS) & ~_SPACE_BYTES[chars[:, 0]]
@@ -349,8 +349,8 @@ def _checked(table: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     width = max(1, int(size[good].max(initial=0)))
     ids = chars[good, :width].astype(np.uint32).view(f"U{width}").ravel()
     values = values[good]
-    numbers = [values[:, k].astype(dtype, copy=False) for k, dtype in enumerate(list(COLUMN_DTYPES.values())[2:])]
-    times = (days + (day - 1)).astype("datetime64[us]") + micro
+    numbers = [values[:, k].astype(dtype) for k, dtype in enumerate(list(COLUMN_DTYPES.values())[2:])]
+    times = (days + (day - 1)).astype("datetime64[us]") + of_day
     return [times[good], ids, *numbers], good
 
 
