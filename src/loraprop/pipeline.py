@@ -170,8 +170,7 @@ def ingest(source: str | Path | TextIO) -> IngestResult:
 
 #: Lines :func:`ingest` parses at a time.
 _INGEST_BLOCK = 4096
-#: What ``np.loadtxt`` reads a line as: the time and id cells as bytes, up to
-#: one longer than any a block takes, then the 18 numbers.
+#: A line as ``np.loadtxt`` reads it: time and id as bytes, one longer than a block takes, and 18 numbers.
 _BLOCK_DTYPE = np.dtype([("time", "S27"), ("device_id", "S65"), ("values", "f8", (18,))])
 #: The ASCII bytes ``str.strip`` removes.
 _SPACE_BYTES = np.isin(np.arange(256), [9, 10, 11, 12, 13, 28, 29, 30, 31, 32])
@@ -320,7 +319,8 @@ def _checked(table: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     ``str.strip`` leaves it as it is."""
     time = np.ascontiguousarray(table["time"]).view(np.uint8).reshape(-1, 27)
     digit = (time >= ord("0")) & (time <= ord("9"))
-    value = time[:, :26].astype(np.int32) - ord("0")
+    value = time[:, :26].astype(np.int16)
+    value -= ord("0")
     year, month, day, hour, minute, second, micro = (
         value[:, a:b] @ 10 ** np.arange(b - a - 1, -1, -1, dtype=np.int32)
         for a, b in ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19), (20, 26))
@@ -348,8 +348,8 @@ def _checked(table: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     # ASCII bytes widened to UCS-4 code points are the ids as numpy str
     width = max(1, int(size[good].max(initial=0)))
     ids = chars[good, :width].astype(np.uint32).view(f"U{width}").ravel()
-    values = values[good]
-    numbers = [values[:, k].astype(dtype) for k, dtype in enumerate(list(COLUMN_DTYPES.values())[2:])]
+    dtypes = list(COLUMN_DTYPES.values())[2:]
+    numbers = [column[good].astype(dtype, copy=False) for column, dtype in zip(values.T, dtypes)]
     times = (days + (day - 1)).astype("datetime64[us]") + of_day
     return [times[good], ids, *numbers], good
 
