@@ -140,32 +140,8 @@ def ingest(source: str | Path | TextIO) -> IngestResult:
         # a byte that is not UTF-8 becomes a lone surrogate, which rejects its
         # row; a byte-order mark is skipped
         with open(source, encoding="utf-8-sig", errors="surrogateescape", newline="") as text:
-            return ingest(text)
-    reader = csv.reader(source)
-    try:
-        names = next(reader)
-    except StopIteration:
-        raise InvalidDataError("malformed header: empty input") from None
-    except csv.Error as exc:
-        raise InvalidDataError(f"malformed header: {exc}") from None
-    if tuple(names) != CSV_COLUMNS:
-        raise InvalidDataError(f"malformed header: expected {list(CSV_COLUMNS)}, got {names}")
-    out = _Ingest()
-    while lines := list(islice(source, _INGEST_BLOCK)):
-        if (read := _read_block(lines, out)) < len(lines):
-            reader = csv.reader(chain(lines[read:], source))
-            while out.take(reader, out.lines + 1):
-                out.lines += 1
-                if len(out.parsed) == _INGEST_BLOCK:
-                    out.add()
-            break
-    out.add()
-    # a column at a time, each piece's part dropped once it is joined
-    columns = {name: np.concatenate([piece.pop(0) for piece in out.pieces]) for name in CSV_COLUMNS}
-    result = IngestResult(records=ObservationTable(columns), rejections=out.rejections, rows_read=out.rows)
-    log.info("ingested %d rows, rejected %d (%.4f%%)",
-             len(result.records), len(result.rejections), 100.0 * result.rejection_rate)
-    return result
+            return _Ingest().read(text)
+    return _Ingest().read(source)
 
 
 #: Lines :func:`ingest` parses at a time.
@@ -173,18 +149,44 @@ _INGEST_BLOCK = 4096
 #: A line as ``np.loadtxt`` reads it: time and id as bytes, one longer than a block takes, and 18 numbers.
 _BLOCK_DTYPE = np.dtype([("time", "S27"), ("device_id", "S65"), ("values", "f8", (18,))])
 #: The ASCII bytes ``str.strip`` removes.
-_SPACE_BYTES = np.isin(np.arange(256), [9, 10, 11, 12, 13, 28, 29, 30, 31, 32])
+_SPACE_BYTES = np.bincount([9, 10, 11, 12, 13, 28, 29, 30, 31, 32], minlength=256).astype(bool)
 _VALUE = {name: k for k, name in enumerate(CSV_COLUMNS[2:])}
 
 
 class _Ingest:
-    """What :func:`ingest` has read: pieces of the table's columns, the
-    rejections, the rows read, the records counted, and the rows parsed one
-    at a time that no piece holds yet, as ``(line, typed row)``."""
+    """An :func:`ingest` run: pieces of the table's columns, the rejections, the rows read, the
+    records counted, and the rows parsed one at a time that no piece holds yet, as ``(line, row)``."""
 
     def __init__(self) -> None:
         self.pieces = [[np.array([], dtype) for dtype in COLUMN_DTYPES.values()]]  # of an empty table
         self.rejections, self.parsed, self.rows, self.lines = [], [], 0, 0
+
+    def read(self, source: Iterable[str]) -> IngestResult:
+        """:func:`ingest` of the lines of a text stream."""
+        reader = csv.reader(source)
+        try:
+            names = next(reader)
+        except StopIteration:
+            raise InvalidDataError("malformed header: empty input") from None
+        except csv.Error as exc:
+            raise InvalidDataError(f"malformed header: {exc}") from None
+        if tuple(names) != CSV_COLUMNS:
+            raise InvalidDataError(f"malformed header: expected {list(CSV_COLUMNS)}, got {names}")
+        while lines := list(islice(source, _INGEST_BLOCK)):
+            if (read := _read_block(lines, self)) < len(lines):
+                reader = csv.reader(chain(lines[read:], source))
+                while self.take(reader, self.lines + 1):
+                    self.lines += 1
+                    if len(self.parsed) == _INGEST_BLOCK:
+                        self.add()
+                break
+        self.add()
+        # a column at a time, each piece's part dropped once it is joined
+        columns = {name: np.concatenate([piece.pop(0) for piece in self.pieces]) for name in CSV_COLUMNS}
+        result = IngestResult(records=ObservationTable(columns), rejections=self.rejections, rows_read=self.rows)
+        log.info("ingested %d rows, rejected %d (%.4f%%)",
+                 len(result.records), len(result.rejections), 100.0 * result.rejection_rate)
+        return result
 
     def take(self, reader, line: int) -> bool:
         """Read the next record of ``reader`` as data line ``line`` through
@@ -222,15 +224,13 @@ class _Ingest:
 
 def _read_block(lines: list[str], out: _Ingest) -> int:
     """Parse the lines up to the first one holding a quote into ``out``, each
-    line one record; the number of lines parsed.
-
-    The ASCII lines without a NUL long enough to hold a row go to
-    ``np.loadtxt`` at once (:func:`_load`); if it refuses one, the lines :func:`_plain_numbers`
-    leaves out are set aside and the rest read by halves around any it still
-    refuses.  The rows that pass every check (:func:`_checked`) are taken,
-    the first also parsed by :func:`parse_row`, a difference being an error.
-    Every other line goes through ``csv`` and :func:`parse_row`.
-    """
+    line one record; the number of lines parsed.  The ASCII lines without a
+    NUL long enough to hold a row go to ``np.loadtxt`` at once (:func:`_load`);
+    if it refuses one, the lines :func:`_plain_numbers` leaves out are set
+    aside and the rest read by halves around any it still refuses.  The rows
+    that pass every check (:func:`_checked`) are taken, the first also parsed
+    by :func:`parse_row`, a difference being an error.  Every other line goes
+    through ``csv`` and :func:`parse_row`."""
     lengths = np.fromiter(map(len, lines), np.intp, len(lines))
     text = "".join(lines)
     if (quote := text.find('"')) >= 0:
@@ -293,13 +293,13 @@ def _plain_numbers(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np
     cells, no line break but their own end and 18 number cells of digits and
     ``+,-./eE`` only: those numpy and ``float`` likely read alike."""
     # a line's own end: \n, \r\n or \r, or nothing at the end of the input
-    ending = np.isin(data[ends - 1], (10, 13)).astype(np.intp)
+    ending = ((data[ends - 1] == 10) | (data[ends - 1] == 13)).astype(np.intp)
     ending += (data[ends - 1] == 10) & (data[np.maximum(ends - 2, 0)] == 13) & (ends - starts >= 2)
     width = ends - starts - ending
     commas = np.append(np.flatnonzero(data == ord(",")), data.size)  # one past the end, so never empty
     before = np.searchsorted(commas, starts)
     low = np.flatnonzero(data <= 13)
-    breaks = np.diff(np.searchsorted(low[np.isin(data[low], (10, 13))], ends), prepend=0)
+    breaks = np.diff(np.searchsorted(low[(data[low] == 10) | (data[low] == 13)], ends), prepend=0)
     plain = (np.searchsorted(commas, starts + width) - before == 19) & (breaks == ending)
     # the number cells run from after the second comma to the line's end
     cells = np.where(plain, commas[np.minimum(before + 1, commas.size - 1)] + 1, starts)
@@ -329,7 +329,7 @@ def _checked(table: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     good = (
         digit[:, [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]].all(axis=1)
         & (time[:, [4, 7, 13, 16]] == np.frombuffer(b"--::", np.uint8)).all(axis=1)
-        & np.isin(time[:, 10], (ord(" "), ord("T"))) & ((time[:, 19] == 0) | fraction)
+        & ((time[:, 10] == ord(" ")) | (time[:, 10] == ord("T"))) & ((time[:, 19] == 0) | fraction)
         & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour < 24) & (minute < 60) & (second < 60)
     )
     months = np.where(good, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
