@@ -265,7 +265,7 @@ def _read_block(lines: list[str], out: _Ingest) -> int:
             expected = exc
         if repr(expected) != repr(got):
             raise RuntimeError(f"ingest read line {first + rows[0]} as {got!r}, parse_row as {expected!r}")
-    for k in np.setdiff1d(np.arange(n), rows).tolist():
+    for k in np.flatnonzero(np.bincount(rows, minlength=n) == 0).tolist():
         out.take(csv.reader(lines[k : k + 1]), first + k)
     out.add(columns, first + rows)
     return n
