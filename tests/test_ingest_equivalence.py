@@ -381,7 +381,11 @@ def one_row_file(cells: list[str], at: int, rows: int = 40) -> str:
         ("2024-02-29 23:59:59", "time"),
         ("2023-02-29 00:00:00", "time"),
         ("2024-01-01 00:00:60", "time"),
+        ("2024-01-01 00:00:00.1234567", "time"),
+        ("2024-01-01 00:00:00.123456+01:00", "time"),
+        ("-9.3e18", "f_count"),
         (" dev ", "device_id"),
+        ("dev ", "device_id"),
         ("\x1fdev", "device_id"),
     ],
 )
@@ -594,6 +598,16 @@ def test_valid_lines_are_parsed_a_block_at_a_time(tmp_path, monkeypatch, newline
     monkeypatch.setattr(pipeline, "_INGEST_BLOCK", 8)
     assert outcome(lambda: ingest(path)) == expected
     assert calls == [rows[0], rows[8], rows[16]]
+
+
+@pytest.mark.parametrize("separator", ["T", " ", "X", "_"])
+def test_date_and_time_separator(tmp_path, separator):
+    rows = plain_rows(10)
+    rows[0][0] = rows[4][0] = f"2024-01-01{separator}00:00:00"
+    path = tmp_path / "separator.csv"
+    path.write_text(csv_text(rows), encoding="utf-8")
+    got, _ = assert_file_matches_the_reference(path, block=4)
+    assert got[1] == ([] if separator in "T " else [(1, "bad-time"), (5, "bad-time")])
 
 
 @pytest.mark.parametrize("block", [64, pipeline._INGEST_BLOCK])
