@@ -9,11 +9,15 @@ its seed, and each is idempotent on its own output.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import os
-from collections import Counter
+import stat
+from collections import Counter, deque
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from types import SimpleNamespace
@@ -50,25 +54,48 @@ def _workers(most: int) -> int:
 
 
 def _in_child(conn, task, share) -> None:
-    """Body of a forked process: send ``task(share)``, or the exception that
-    stopped it, back to the parent."""
+    """Body of a forked process: send each value ``task(share)`` gives and
+    then the end of them, or the exception that stopped it, to the parent."""
     try:
-        reply = ("ok", task(share))
+        for value in task(share):
+            conn.send(("ok", value))
+        reply = ("end", None)
     except BaseException as exc:  # the parent re-raises it
         reply = ("error", exc)
     conn.send(reply)
     conn.close()
 
 
-def _fork_map(task, shares: list, what: str) -> list:
-    """``[task(share) for share in shares]``: the parent runs the first share
-    and a child forked for each other one runs that, from the memory it
-    inherits.  A child's exception is raised again in the parent, and a child
-    that dies without a result is a :class:`LorapropError`; on any error the
-    children are stopped, and the parent waits for every child before it
-    returns or raises.  With one share no process is started."""
+def _received(child, receive, what: str):
+    """The values ``child`` sends, up to the mark of their end: an exception
+    it sends is raised again, and a child that ends before the mark is a
+    :class:`LorapropError`."""
+    while True:
+        try:
+            status, value = receive.recv()
+        except EOFError:
+            raise LorapropError(f"{what} process {child.pid} ended without a result") from None
+        if status == "error":
+            raise value
+        if status == "end":
+            return
+        yield value
+
+
+@contextmanager
+def _fork_map(task, shares: list, what: str):
+    """The values of ``task(share)`` for each share, an iterator per share:
+    the parent runs the first share and a child forked for each other one
+    runs that, from the memory it inherits, and sends each value as it is
+    made, so the parent can take one value of each share at a time.  On
+    leaving the block, the values still unread are read and dropped; on an
+    error the children are stopped.  Either way the parent waits for every
+    child.  A child's exception is raised again in the parent, and a child
+    that dies without a result is a :class:`LorapropError`.  With one share
+    no process is started."""
     if len(shares) == 1:
-        return [task(shares[0])]
+        yield [iter(task(shares[0]))]
+        return
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
@@ -80,15 +107,10 @@ def _fork_map(task, shares: list, what: str) -> list:
             child.start()
             children.append((child, receive))
             send.close()  # so a child that dies leaves the parent an EOFError, not a wait
-        results = [task(shares[0])]
-        for child, receive in children:
-            try:
-                status, reply = receive.recv()
-            except EOFError:
-                raise LorapropError(f"{what} process {child.pid} ended without a result") from None
-            if status == "error":
-                raise reply
-            results.append(reply)
+        values = [iter(task(shares[0]))] + [_received(child, receive, what) for child, receive in children]
+        yield values
+        for rest in values[1:]:
+            deque(rest, maxlen=0)  # so that no child waits to send
     except BaseException:
         for child, _ in children:
             child.terminate()
@@ -97,7 +119,6 @@ def _fork_map(task, shares: list, what: str) -> list:
         for child, receive in children:
             child.join()
             receive.close()
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -134,18 +155,19 @@ def ingest(source: str | Path | TextIO) -> IngestResult:
     time, each line one record (see :func:`_read_block`), up to the first
     one holding a quote; from that line on, a ``csv`` reader's records are
     parsed one by one.  Line numbers count records either way, as no earlier
-    line holds a quote.
+    line holds a quote.  A large file is read in byte ranges on the usable
+    CPUs (see :func:`_ingest_file`); the result and the log do not depend on
+    the number of CPUs.
     """
     if isinstance(source, (str, Path)):
-        # a byte that is not UTF-8 becomes a lone surrogate, which rejects its
-        # row; a byte-order mark is skipped
-        with open(source, encoding="utf-8-sig", errors="surrogateescape", newline="") as text:
-            return _Ingest().read(text)
+        return _ingest_file(source)
     return _Ingest().read(source)
 
 
 #: Lines :func:`ingest` parses at a time.
 _INGEST_BLOCK = 4096
+#: The fewest bytes of a file per range: a file under twice this is read as one stream.
+_MIN_RANGE_BYTES = 1 << 20
 #: A line as ``np.loadtxt`` reads it: time and id as bytes, one longer than a block takes, and 18 numbers.
 _BLOCK_DTYPE = np.dtype([("time", "S27"), ("device_id", "S65"), ("values", "f8", (18,))])
 #: The ASCII bytes ``str.strip`` removes.
@@ -153,40 +175,164 @@ _SPACE_BYTES = np.bincount([9, 10, 11, 12, 13, 28, 29, 30, 31, 32], minlength=25
 _VALUE = {name: k for k, name in enumerate(CSV_COLUMNS[2:])}
 
 
+def _ingest_file(path: str | Path) -> IngestResult:
+    """:func:`ingest` of a file.  A regular file is read in the byte ranges
+    of :func:`_ranges`: the parent checks the header line and reads the
+    first range, and a forked child reads each other one
+    (:func:`_fork_map`), each range a block at a time.  The file is read as
+    one stream instead if it has one range, if its header line holds a
+    quote or if any range meets one."""
+    ranges = _ranges(path)
+    if len(ranges) > 1:
+        with _range_text(path, *ranges[0]) as text:
+            header = text.readline()
+            if '"' not in header:
+                _check_header(csv.reader([header]))
+                with _fork_map(partial(_read_range, path, text), ranges, "ingest") as parts:
+                    if (result := _joined(parts)) is not None:
+                        return result
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as text:
+        return _Ingest().read(text)
+
+
+def _ranges(path: str | Path) -> list[tuple[int, int]]:
+    """The byte ranges ``(start, end)`` of a file, one per worker
+    (:func:`_workers`) and per :data:`_MIN_RANGE_BYTES`: range ``k`` of ``n``
+    starts right after the first ``\\n`` at or after byte ``size * k / n``.
+    That is always a line start and a UTF-8 character boundary, and never
+    inside a ``\\r\\n``; a file without a ``\\n``, such as a CR-only file, or
+    anything but a regular file, such as a FIFO, is one range."""
+    info = os.stat(path)
+    workers = _workers(info.st_size // _MIN_RANGE_BYTES) if stat.S_ISREG(info.st_mode) else 1
+    starts = [0]
+    if workers > 1:
+        with open(path, "rb") as raw:
+            for k in range(1, workers):
+                raw.seek(info.st_size * k // workers)
+                while (piece := raw.readline(1 << 16)) and not piece.endswith(b"\n"):
+                    pass
+                if starts[-1] < raw.tell() < info.st_size:
+                    starts.append(raw.tell())
+    return list(zip(starts, starts[1:] + [info.st_size]))
+
+
+class _ByteRange(io.RawIOBase):
+    """The next ``size`` bytes of a binary file, as a raw stream that closes
+    the file with itself."""
+
+    def __init__(self, handle, size: int) -> None:
+        self.handle, self.left = handle, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        got = self.handle.readinto(memoryview(buffer)[: self.left])
+        self.left -= got
+        return got
+
+    def close(self) -> None:
+        self.handle.close()
+        super().close()
+
+
+def _range_text(path: str | Path, start: int, end: int) -> TextIO:
+    """The bytes of a file from ``start`` up to ``end`` as text.  A byte
+    that is not UTF-8 becomes a lone surrogate, which rejects its row, and a
+    byte-order mark is skipped at the start of the file only."""
+    raw = open(path, "rb")
+    raw.seek(start)
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(raw, end - start)), encoding="utf-8" if start else "utf-8-sig",
+                            errors="surrogateescape", newline="")
+
+
+def _read_range(path: str | Path, first: TextIO, bounds: tuple[int, int]):
+    """The part (:meth:`_Ingest.part`) of the lines of the byte range
+    ``(start, end)`` of a file, read a block at a time up to the first one
+    holding a quote; ``first`` is the text of the first range, its header
+    line read."""
+    with first if bounds[0] == 0 else _range_text(path, *bounds) as text:
+        out = _Ingest()
+        quoted = out.blocks(text) is not None
+    return out.part(quoted)
+
+
+def _check_header(reader) -> None:
+    """Check that the first record of a ``csv`` reader is the canonical header."""
+    try:
+        names = next(reader)
+    except StopIteration:
+        raise InvalidDataError("malformed header: empty input") from None
+    except csv.Error as exc:
+        raise InvalidDataError(f"malformed header: {exc}") from None
+    if tuple(names) != CSV_COLUMNS:
+        raise InvalidDataError(f"malformed header: expected {list(CSV_COLUMNS)}, got {names}")
+
+
+def _joined(parts: list) -> IngestResult | None:
+    """The ingest result of the parts of a file (:meth:`_Ingest.part`), in
+    file order, or None if one of them met a quote.  Line numbers count on
+    from part to part; each rejection is logged at DEBUG in line order, then
+    the counts at INFO.  Each column is joined in turn, each part's pieces
+    dropped once they are joined."""
+    heads = [next(part) for part in parts]
+    if any(quoted for quoted, *_ in heads):
+        return None
+    rejections: list[Rejection] = []
+    rows = offset = 0
+    for _, part_rows, lines, part_rejections, notes in heads:
+        for rejection, note in zip(part_rejections, notes):
+            rejections.append(Rejection(rejection.line + offset, rejection.reason))
+            log.debug("rejected row %d: %s", rejections[-1].line, note)
+        rows += part_rows
+        offset += lines
+    del heads
+    columns = {name: np.concatenate([piece for part in parts for piece in next(part)]) for name in CSV_COLUMNS}
+    result = IngestResult(records=ObservationTable(columns), rejections=rejections, rows_read=rows)
+    log.info("ingested %d rows, rejected %d (%.4f%%)",
+             len(result.records), len(result.rejections), 100.0 * result.rejection_rate)
+    return result
+
+
 class _Ingest:
-    """An :func:`ingest` run: pieces of the table's columns, the rejections, the rows read, the
-    records counted, and the rows parsed one at a time that no piece holds yet, as ``(line, row)``."""
+    """An :func:`ingest` run over lines: pieces of the table's columns, the
+    rejections and the message of each, the rows read, the lines counted,
+    and the rows parsed one at a time that no piece holds yet, as
+    ``(line, row)``."""
 
     def __init__(self) -> None:
         self.pieces = [[np.array([], dtype) for dtype in COLUMN_DTYPES.values()]]  # of an empty table
-        self.rejections, self.parsed, self.rows, self.lines = [], [], 0, 0
+        self.rejections, self.notes, self.parsed, self.rows, self.lines = [], [], [], 0, 0
 
     def read(self, source: Iterable[str]) -> IngestResult:
         """:func:`ingest` of the lines of a text stream."""
-        reader = csv.reader(source)
-        try:
-            names = next(reader)
-        except StopIteration:
-            raise InvalidDataError("malformed header: empty input") from None
-        except csv.Error as exc:
-            raise InvalidDataError(f"malformed header: {exc}") from None
-        if tuple(names) != CSV_COLUMNS:
-            raise InvalidDataError(f"malformed header: expected {list(CSV_COLUMNS)}, got {names}")
+        _check_header(csv.reader(source))
+        if (rest := self.blocks(source)) is not None:
+            reader = csv.reader(chain(rest, source))
+            while self.take(reader, self.lines + 1):
+                self.lines += 1
+                if len(self.parsed) == _INGEST_BLOCK:
+                    self.add()
+        return _joined([self.part(quoted=False)])
+
+    def blocks(self, source: Iterable[str]) -> list[str] | None:
+        """Parse the lines of ``source`` a block at a time
+        (:func:`_read_block`) up to the first one holding a quote: the lines
+        of its block from that one on, or None if no line holds one."""
         while lines := list(islice(source, _INGEST_BLOCK)):
             if (read := _read_block(lines, self)) < len(lines):
-                reader = csv.reader(chain(lines[read:], source))
-                while self.take(reader, self.lines + 1):
-                    self.lines += 1
-                    if len(self.parsed) == _INGEST_BLOCK:
-                        self.add()
-                break
-        self.add()
-        # a column at a time, each piece's part dropped once it is joined
-        columns = {name: np.concatenate([piece.pop(0) for piece in self.pieces]) for name in CSV_COLUMNS}
-        result = IngestResult(records=ObservationTable(columns), rejections=self.rejections, rows_read=self.rows)
-        log.info("ingested %d rows, rejected %d (%.4f%%)",
-                 len(result.records), len(result.rejections), 100.0 * result.rejection_rate)
-        return result
+                return lines[read:]
+        return None
+
+    def part(self, quoted: bool):
+        """What :func:`_joined` takes of this run: ``(quoted, rows read,
+        lines, rejections, messages)``, then, unless ``quoted``, the pieces
+        of each column in turn, each dropped from the run as it is given."""
+        yield quoted, self.rows, self.lines, self.rejections, self.notes
+        if not quoted:
+            self.add()
+            for _ in CSV_COLUMNS:
+                yield [piece.pop(0) for piece in self.pieces]
 
     def take(self, reader, line: int) -> bool:
         """Read the next record of ``reader`` as data line ``line`` through
@@ -203,7 +349,7 @@ class _Ingest:
             if isinstance(exc, csv.Error):
                 reason = "oversized-field" if "field limit" in str(exc) else "bad-csv"
             self.rejections.append(Rejection(line=line, reason=reason))
-            log.debug("rejected row %d: %s", line, exc)
+            self.notes.append(str(exc))
         self.rows += 1
         return True
 
@@ -241,16 +387,15 @@ def _read_block(lines: list[str], out: _Ingest) -> int:
     plain = np.flatnonzero(lengths)
     if not text.isascii() or "\0" in text:
         plain = np.flatnonzero([line.isascii() and "\0" not in line and line != "" for line in lines])
-        text = "".join([lines[k] for k in plain.tolist()])
-    data = np.frombuffer(text.encode("ascii"), np.uint8)
     del text
-    ends = np.cumsum(lengths[plain])
     # a row is 20 cells and 19 commas, and no cell may be over the csv module's limit
     ok = (lengths[plain] >= 39) & (lengths[plain] <= csv.field_size_limit())
     pieces = _load(lines, plain[ok], halves=False)
     if not pieces and ok.any():
+        data = np.frombuffer("".join([lines[k] for k in plain.tolist()]).encode("ascii"), np.uint8)
+        ends = np.cumsum(lengths[plain])
         pieces = _load(lines, plain[ok & _plain_numbers(data, ends - lengths[plain], ends)])
-    del data
+        del data
     columns, rows = None, plain[:0]
     if pieces:
         rows, table = (np.concatenate(part) if len(part) > 1 else part[0] for part in zip(*pieces))
@@ -741,8 +886,8 @@ def _screen_devices(records: ObservationTable, devices: list, config: IsolationF
     """:func:`_screen_device` results by device, the devices spread over the
     workers (:func:`_fork_map`)."""
     shares = _shares(devices, _workers(len(devices)), config.subsample_size)
-    results = _fork_map(lambda share: _screen_share(records, share, config), shares, "anomaly screening")
-    return dict(zip((device for device, _ in chain.from_iterable(shares)), chain.from_iterable(results)))
+    with _fork_map(lambda share: _screen_share(records, share, config), shares, "anomaly screening") as results:
+        return dict(zip((device for device, _ in chain.from_iterable(shares)), chain.from_iterable(results)))
 
 
 def flag_anomalies(

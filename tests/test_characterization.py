@@ -16,6 +16,7 @@ paths, because ``manifest.json`` records the paths it was given.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
 import shutil
 from contextlib import contextmanager
@@ -24,12 +25,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from loraprop import pipeline
 from loraprop.cli import main
 from loraprop.fitting import fit
 from loraprop.pipeline import csv_lines, ingest, run_pipeline, write_records_csv
 from loraprop.propagation import ModelVariant
 
-from helpers import replace_columns, synth_dataset
+from helpers import replace_columns, synth_dataset, use_cpus
 
 PIPELINE_FILES = ("cleaned.csv", "train.csv", "test.csv", "manifest.json")
 
@@ -179,6 +181,28 @@ def test_a7_cli_outputs_pinned(a7_run, capsys):
         for argv in commands:
             assert main(argv) == 0
     assert _digests(cli, A7_CLI) == A7_CLI
+
+
+def test_a7_model_commands_do_not_depend_on_the_cpus(a7_run, monkeypatch):
+    # in ranges of 64 KiB, the 1 MB train file is read in one range per CPU
+    monkeypatch.setattr(pipeline, "_MIN_RANGE_BYTES", 1 << 16)
+    written = []
+    (a7_run / "cpus").mkdir()
+    with _cwd(a7_run):
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            assert len(pipeline._ranges("out/train.csv")) == cpus
+            for variant in ("mw", "mw-ep"):
+                assert main(["fit", "--variant", variant, "--input", "out/train.csv",
+                             "--out", f"cpus/{variant}.model.json", "--report", f"cpus/{variant}.fit.json"]) == 0
+                assert main(["cross-validate", "--variant", variant, "--input", "out/train.csv",
+                             "--folds", "5", "--seed", "42", "--report", f"cpus/{variant}.cv.json"]) == 0
+            assert multiprocessing.active_children() == []
+            written.append({path.name: path.read_bytes() for path in sorted(Path("cpus").iterdir())})
+    assert written[0] == written[1] == written[2]
+    assert len(written[0]) == 10  # per variant: a model, two reports and two manifests
+    pinned = {name: digest for name, digest in A7_CLI.items() if ".eval." not in name}
+    assert _digests(a7_run / "cpus", pinned) == pinned
 
 
 #: Every subcommand, run in order from one working directory with relative

@@ -6,9 +6,11 @@ values of a row.  The record-by-record reader, a ``csv`` reader with
 ``parse_row`` on each record, pins rejections, line numbers and log
 records.  Ingest now parses a block of lines at a time with ``np.loadtxt``
 and checks whole columns, leaving every other line to ``csv`` and
-``parse_row``.  On any input it must give the same ``rows_read``, the same
-rejections with the same reasons in the same order, columns of the same
-dtype and the same bytes, and the same log records, on one CPU or two.
+``parse_row``, and reads a large file in byte ranges on forked processes.
+On any input it must give the same ``rows_read``, the same rejections with
+the same reasons in the same order, columns of the same dtype and the same
+bytes, and the same log records, on one CPU, two or three, as one stream or
+in byte ranges.
 """
 
 from __future__ import annotations
@@ -20,8 +22,11 @@ import math
 import multiprocessing
 import os
 import random
+import signal
+import threading
 import warnings
 from array import array
+from contextlib import contextmanager
 from datetime import datetime
 from unittest import mock
 
@@ -464,14 +469,20 @@ def outcome(read) -> tuple:
     return got, [(r.levelname, r.getMessage()) for r in handler.records]
 
 
+#: ``(CPUs, bytes per range)`` a file is read with: as one stream on one or two
+#: CPUs, and in byte ranges on two and three.
+READS = [(1, pipeline._MIN_RANGE_BYTES), (2, pipeline._MIN_RANGE_BYTES), (2, 1), (3, 1)]
+
+
 def assert_file_matches_the_reference(path, block: int = pipeline._INGEST_BLOCK) -> tuple:
-    """``ingest(path)`` on one and on two CPUs, in blocks of ``block``
+    """``ingest(path)`` in each way of :data:`READS`, in blocks of ``block``
     lines, gives what the record-by-record reader gives; returns that."""
     expected = reference_read(path.read_bytes().decode("utf-8-sig", "surrogateescape"))
-    for cpus in (1, 2):
+    for cpus, range_bytes in READS:
         with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
-                mock.patch.object(pipeline, "_INGEST_BLOCK", block):
-            assert outcome(lambda: ingest(path)) == expected, cpus
+                mock.patch.object(pipeline, "_INGEST_BLOCK", block), \
+                mock.patch.object(pipeline, "_MIN_RANGE_BYTES", range_bytes):
+            assert outcome(lambda: ingest(path)) == expected, (cpus, range_bytes)
     return expected
 
 
@@ -566,6 +577,8 @@ def test_cr_only_file(tmp_path):
     path.write_bytes(csv_text(valid_rows(30)).replace("\n", "\r").encode("utf-8"))
     got, _ = assert_file_matches_the_reference(path, block=7)
     assert got[:2] == (30, [])
+    # without a \n there is no range boundary: the file is one range
+    assert range_lines(path, 3) == [0]
 
 
 @pytest.mark.parametrize("column", ["device_id", "co2"])
@@ -621,3 +634,186 @@ def test_quoted_field_across_a_block_boundary(tmp_path, block):
     got, _ = assert_file_matches_the_reference(path, block)
     # lines count records: the field's 1,200 line breaks do not count
     assert got[:2] == (21, [(4, "bad-co2"), (9, "bad-device_id"), (16, "bad-co2")])
+
+
+# ---------------------------------------------------------------------------
+# Byte ranges
+
+
+@contextmanager
+def in_ranges(cpus: int):
+    """Read any file of two bytes or more in byte ranges, on ``cpus`` CPUs."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+            mock.patch.object(pipeline, "_MIN_RANGE_BYTES", 1):
+        yield
+
+
+def range_lines(path, cpus: int) -> list[int]:
+    """The data line each byte range of ``path`` starts at on ``cpus`` CPUs,
+    0 for the header, in a file whose lines end in ``\\n``."""
+    with in_ranges(cpus):
+        ranges = pipeline._ranges(path)
+    data = path.read_bytes()
+    return [data[:start].count(b"\n") for start, _ in ranges]
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """The number of shares of each :func:`pipeline._fork_map` call and of
+    one-stream reads of a file, as ``{"forked": [...], "streams": n}``."""
+    calls = {"forked": [], "streams": 0}
+    forked, read = pipeline._fork_map, pipeline._Ingest.read
+
+    def spy_fork_map(task, shares, what):
+        calls["forked"].append(len(shares))
+        return forked(task, shares, what)
+
+    def spy_read(self, source):
+        calls["streams"] += 1
+        return read(self, source)
+
+    monkeypatch.setattr(pipeline, "_fork_map", spy_fork_map)
+    monkeypatch.setattr(pipeline._Ingest, "read", spy_read)
+    return calls
+
+
+def test_rejections_on_both_sides_of_each_range_boundary(tmp_path, spied):
+    path = tmp_path / "boundaries.csv"
+    rows = plain_rows(60)
+    path.write_text(csv_text(rows), encoding="utf-8")
+    _, second, third = range_lines(path, 3)
+    rssi = CSV_COLUMNS.index("rssi")
+    for line in (second - 1, second, third - 1, third):
+        rows[line - 1][rssi] = rows[line - 1][rssi].replace("5", "x", 1)  # same length: the ranges stay
+    path.write_text(csv_text(rows), encoding="utf-8")
+    assert range_lines(path, 3) == [0, second, third]
+    got, logged = assert_file_matches_the_reference(path)
+    lines = [second - 1, second, third - 1, third]
+    assert got[:2] == (60, [(line, "bad-rssi") for line in lines])
+    assert [message.split(":")[0] for level, message in logged if level == "DEBUG"] == [
+        f"rejected row {line}" for line in lines
+    ]
+    assert logged[-1] == ("INFO", "ingested 56 rows, rejected 4 (6.6667%)")
+    # one read in ranges on each of 2 and 3 CPUs, and none as one stream
+    assert spied == {"forked": [2, 3], "streams": 2}
+
+
+@pytest.fixture
+def bounded():
+    """A read that waits on a child for ever fails the test instead."""
+    def expire(signum, frame):
+        raise TimeoutError("ingest still waits after 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("line", [1498, 3], ids=["last range", "first range"])
+def test_quote_in_one_range_only_reads_the_file_again(tmp_path, spied, bounded, line):
+    # a range of 500 rows sends more column bytes than a pipe holds, so a
+    # child whose columns the parent left unread would never end
+    path = tmp_path / "quote.csv"
+    rows = plain_rows(1500)
+    rows[line - 1][1] = 'd"v'
+    rows[20][CSV_COLUMNS.index("co2")] = "abc"
+    path.write_text(csv_text(rows), encoding="utf-8")
+    assert (range_lines(path, 3)[-1] < line) == (line == 1498)
+    got, logged = assert_file_matches_the_reference(path)
+    assert got[:2] == (1500, [(21, "bad-co2")])
+    assert [level for level, _ in logged] == ["DEBUG", "INFO"]
+    # every read in ranges is read again as one stream
+    assert spied == {"forked": [2, 3], "streams": 4}
+
+
+def test_header_holding_a_quote_is_read_as_one_stream(tmp_path, spied):
+    path = tmp_path / "quoted-header.csv"
+    text = csv_text(plain_rows(30))
+    path.write_text('"time"' + text[len("time"):], encoding="utf-8")
+    got, _ = assert_file_matches_the_reference(path)
+    assert got[:2] == (30, [])
+    assert spied == {"forked": [], "streams": 4}
+
+
+@pytest.mark.parametrize("end", ["\n", ""])
+def test_body_of_one_line(tmp_path, end):
+    path = tmp_path / "one.csv"
+    path.write_text(csv_text(plain_rows(1))[:-1] + end, encoding="utf-8")
+    # on three CPUs the second range starts at the line, the third would start at the end
+    assert range_lines(path, 3) == [0, 1]
+    got, _ = assert_file_matches_the_reference(path)
+    assert got[:2] == (1, [])
+
+
+def test_fifo_is_read_as_one_stream(tmp_path, spied):
+    data = csv_text(valid_rows(30)).encode("utf-8")
+    expected = reference_read(data.decode("utf-8"))
+    fifo = tmp_path / "input.fifo"
+    os.mkfifo(fifo)
+    for cpus in (2, 3):
+        # the daemonic writer cannot keep the tests from ending if ingest never opens the FIFO
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        with in_ranges(cpus):
+            assert outcome(lambda: ingest(fifo)) == expected
+        writer.join()
+    assert spied == {"forked": [], "streams": 2}
+
+
+@pytest.mark.usefixtures("bounded")
+class TestRangeProcesses:
+    """The fork error paths of a file read in byte ranges: no error is lost
+    and no process is left behind."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "ranges.csv"
+        path.write_text(csv_text(plain_rows(50)), encoding="utf-8")
+        return path
+
+    @staticmethod
+    def _on_read(monkeypatch, act, in_parent: bool = False):
+        """Make each block read call ``act`` in a forked child (or, with
+        ``in_parent``, in the parent) before it reads."""
+        parent, read_block = os.getpid(), pipeline._read_block
+
+        def spy(lines, out):
+            if (os.getpid() == parent) == in_parent:
+                act()
+            return read_block(lines, out)
+
+        monkeypatch.setattr(pipeline, "_read_block", spy)
+
+    def test_child_that_dies_is_an_error_not_a_wait(self, path, monkeypatch):
+        self._on_read(monkeypatch, lambda: os._exit(3))
+        with in_ranges(2), pytest.raises(LorapropError, match=r"^ingest process \d+ ended without a result$"):
+            ingest(path)
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_a_child_is_raised_by_the_parent(self, path, monkeypatch):
+        def fail():
+            raise InvalidDataError("bad-child: read in a child")
+
+        self._on_read(monkeypatch, fail)
+        with in_ranges(3), pytest.raises(InvalidDataError, match="^bad-child: read in a child$"):
+            ingest(path)
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_the_parent_stops_the_children(self, path, monkeypatch):
+        def fail():
+            raise InvalidDataError("bad-parent")
+
+        self._on_read(monkeypatch, fail, in_parent=True)
+        with in_ranges(3), pytest.raises(InvalidDataError, match="^bad-parent$"):
+            ingest(path)
+        assert multiprocessing.active_children() == []
+
+    def test_daemonic_process_reads_one_stream(self, path):
+        # a pool worker is daemonic, and a daemonic process may not start one
+        with in_ranges(2), multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply(pipeline._ranges, (path,))
+        assert got == [(0, path.stat().st_size)]
