@@ -127,7 +127,8 @@ def _fork_map(task, shares: list, what: str):
 
 @dataclass(frozen=True)
 class Rejection:
-    """One dropped input row: 1-based data line number plus a reason tag."""
+    """One dropped input row: its 1-based data line number, counting the
+    physical lines after the header, plus a reason tag."""
 
     line: int
     reason: str
@@ -147,26 +148,25 @@ class IngestResult:
 def ingest(source: str | Path | TextIO) -> IngestResult:
     """Parse a CSV export into an observation table, dropping anything malformed.
 
-    The header must match the canonical column list exactly.  Rows with
-    missing cells, unparseable tokens, non-finite numbers, range
-    violations or bytes that are not UTF-8, and records the ``csv`` module
-    cannot read (a field over its size limit), are rejected and logged
-    individually with a reason.  Lines are parsed :data:`_INGEST_BLOCK` at a
-    time, each line one record (see :func:`_read_block`), up to the first
-    one holding a quote; from that line on, a ``csv`` reader's records are
-    parsed one by one.  Line numbers count records either way, as no earlier
-    line holds a quote.  A large file is read in byte ranges on the usable
-    CPUs (see :func:`_ingest_file`); the result and the log do not depend on
-    the number of CPUs.
+    Each physical line is one record, and the first must be the canonical
+    header, exactly.  Rows with missing cells, unparseable tokens,
+    non-finite numbers, range violations or bytes that are not UTF-8, lines
+    the ``csv`` module cannot read (a field over its size limit) and lines
+    that leave a quote open are rejected and logged individually with a
+    reason; line numbers count physical lines.  Lines are parsed
+    :data:`_INGEST_BLOCK` at a time (see :func:`_read_block`).  A large file
+    is read in byte ranges on the usable CPUs (see :func:`_ingest_file`); the
+    result and the log do not depend on the number of CPUs.
     """
     if isinstance(source, (str, Path)):
         return _ingest_file(source)
-    return _Ingest().read(source)
+    _check_header(next(source, ""))
+    return _joined([_Ingest(source).part()])
 
 
 #: Lines :func:`ingest` parses at a time.
 _INGEST_BLOCK = 4096
-#: The fewest bytes of a file per range: a file under twice this is read as one stream.
+#: The fewest bytes of a file per range: a file under twice this is read as one range.
 _MIN_RANGE_BYTES = 1 << 20
 #: A line as ``np.loadtxt`` reads it: time and id as bytes, one longer than a block takes, and 18 numbers.
 _BLOCK_DTYPE = np.dtype([("time", "S27"), ("device_id", "S65"), ("values", "f8", (18,))])
@@ -176,23 +176,16 @@ _VALUE = {name: k for k, name in enumerate(CSV_COLUMNS[2:])}
 
 
 def _ingest_file(path: str | Path) -> IngestResult:
-    """:func:`ingest` of a file.  A regular file is read in the byte ranges
-    of :func:`_ranges`: the parent checks the header line and reads the
-    first range, and a forked child reads each other one
-    (:func:`_fork_map`), each range a block at a time.  The file is read as
-    one stream instead if it has one range, if its header line holds a
-    quote or if any range meets one."""
+    """:func:`ingest` of a file, in the byte ranges of :func:`_ranges`: the
+    parent checks the header line and reads the first range, and a forked
+    child reads each other one (:func:`_fork_map`), each range a block at a
+    time.  With one range no process is started."""
     ranges = _ranges(path)
-    if len(ranges) > 1:
-        with _range_text(path, *ranges[0]) as text:
-            header = text.readline()
-            if '"' not in header:
-                _check_header(csv.reader([header]))
-                with _fork_map(partial(_read_range, path, text), ranges, "ingest") as parts:
-                    if (result := _joined(parts)) is not None:
-                        return result
-    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as text:
-        return _Ingest().read(text)
+    ranges[-1] = (ranges[-1][0], None)  # the last range runs to the end, which a FIFO's size does not give
+    with _range_text(path, *ranges[0]) as text:
+        _check_header(next(text, ""))
+        with _fork_map(partial(_read_range, path, text), ranges, "ingest") as parts:
+            return _joined(parts)
 
 
 def _ranges(path: str | Path) -> list[tuple[int, int]]:
@@ -236,51 +229,61 @@ class _ByteRange(io.RawIOBase):
         super().close()
 
 
-def _range_text(path: str | Path, start: int, end: int) -> TextIO:
-    """The bytes of a file from ``start`` up to ``end`` as text.  A byte
-    that is not UTF-8 becomes a lone surrogate, which rejects its row, and a
-    byte-order mark is skipped at the start of the file only."""
+def _range_text(path: str | Path, start: int, end: int | None) -> TextIO:
+    """The bytes of a file from ``start`` up to ``end``, or to its end for
+    None, as text.  A byte that is not UTF-8 becomes a lone surrogate, which
+    rejects its row, and a byte-order mark is skipped at the start of the
+    file only."""
     raw = open(path, "rb")
-    raw.seek(start)
-    return io.TextIOWrapper(io.BufferedReader(_ByteRange(raw, end - start)), encoding="utf-8" if start else "utf-8-sig",
-                            errors="surrogateescape", newline="")
+    if start:
+        raw.seek(start)
+    if end is not None:
+        raw = io.BufferedReader(_ByteRange(raw, end - start))
+    return io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig", errors="surrogateescape", newline="")
 
 
-def _read_range(path: str | Path, first: TextIO, bounds: tuple[int, int]):
+def _read_range(path: str | Path, first: TextIO, bounds: tuple[int, int | None]):
     """The part (:meth:`_Ingest.part`) of the lines of the byte range
-    ``(start, end)`` of a file, read a block at a time up to the first one
-    holding a quote; ``first`` is the text of the first range, its header
-    line read."""
+    ``(start, end)`` of a file; ``first`` is the text of the first range,
+    its header line read."""
     with first if bounds[0] == 0 else _range_text(path, *bounds) as text:
-        out = _Ingest()
-        quoted = out.blocks(text) is not None
-    return out.part(quoted)
+        out = _Ingest(text, bounds[0])
+    return out.part()
 
 
-def _check_header(reader) -> None:
-    """Check that the first record of a ``csv`` reader is the canonical header."""
+def _cells(line: str) -> list[str]:
+    """The cells of one physical line as a ``csv`` reader reads them; a
+    quote opened on the line that does not close on it is a
+    :class:`csv.Error`."""
+    reader = csv.reader([line, ""])  # an open quote runs on into the empty line
+    cells = next(reader)
+    if reader.line_num > 1:
+        raise csv.Error(f"quote not closed on its line, in {cells[-1]!r}")
+    return cells
+
+
+def _check_header(line: str) -> None:
+    """Check that the first line of the input is the canonical header."""
+    if not line:
+        raise InvalidDataError("malformed header: empty input")
     try:
-        names = next(reader)
-    except StopIteration:
-        raise InvalidDataError("malformed header: empty input") from None
+        names = _cells(line)
     except csv.Error as exc:
         raise InvalidDataError(f"malformed header: {exc}") from None
     if tuple(names) != CSV_COLUMNS:
         raise InvalidDataError(f"malformed header: expected {list(CSV_COLUMNS)}, got {names}")
 
 
-def _joined(parts: list) -> IngestResult | None:
-    """The ingest result of the parts of a file (:meth:`_Ingest.part`), in
-    file order, or None if one of them met a quote.  Line numbers count on
-    from part to part; each rejection is logged at DEBUG in line order, then
-    the counts at INFO.  Each column is joined in turn, each part's pieces
-    dropped once they are joined."""
+def _joined(parts: list) -> IngestResult:
+    """The ingest result of the parts of the input (:meth:`_Ingest.part`),
+    in input order.  Line numbers count on from part to part; each
+    rejection is logged at DEBUG in line order, then the counts at INFO.
+    Each column is joined in turn, each part's pieces dropped once they are
+    joined."""
     heads = [next(part) for part in parts]
-    if any(quoted for quoted, *_ in heads):
-        return None
     rejections: list[Rejection] = []
     rows = offset = 0
-    for _, part_rows, lines, part_rejections, notes in heads:
+    for part_rows, lines, part_rejections, notes in heads:
         for rejection, note in zip(part_rejections, notes):
             rejections.append(Rejection(rejection.line + offset, rejection.reason))
             log.debug("rejected row %d: %s", rejections[-1].line, note)
@@ -295,98 +298,60 @@ def _joined(parts: list) -> IngestResult | None:
 
 
 class _Ingest:
-    """An :func:`ingest` run over lines: pieces of the table's columns, the
-    rejections and the message of each, the rows read, the lines counted,
-    and the rows parsed one at a time that no piece holds yet, as
-    ``(line, row)``."""
+    """An :func:`ingest` run over the lines of a stream, or of the byte range
+    from byte ``start`` of a file, read a block at a time
+    (:func:`_read_block`): pieces of the table's columns, the rejections and
+    the message of each, the rows read and the lines counted."""
 
-    def __init__(self) -> None:
+    def __init__(self, lines: Iterable[str], start: int = 0) -> None:
         self.pieces = [[np.array([], dtype) for dtype in COLUMN_DTYPES.values()]]  # of an empty table
-        self.rejections, self.notes, self.parsed, self.rows, self.lines = [], [], [], 0, 0
+        self.rejections, self.notes, self.rows, self.lines, self.start = [], [], 0, 0, start
+        while block := list(islice(lines, _INGEST_BLOCK)):
+            _read_block(block, self)
 
-    def read(self, source: Iterable[str]) -> IngestResult:
-        """:func:`ingest` of the lines of a text stream."""
-        _check_header(csv.reader(source))
-        if (rest := self.blocks(source)) is not None:
-            reader = csv.reader(chain(rest, source))
-            while self.take(reader, self.lines + 1):
-                self.lines += 1
-                if len(self.parsed) == _INGEST_BLOCK:
-                    self.add()
-        return _joined([self.part(quoted=False)])
+    def part(self):
+        """What :func:`_joined` takes of this run: ``(rows read, lines,
+        rejections, messages)``, then the pieces of each column in turn,
+        each dropped from the run as it is given."""
+        yield self.rows, self.lines, self.rejections, self.notes
+        for _ in CSV_COLUMNS:
+            yield [piece.pop(0) for piece in self.pieces]
 
-    def blocks(self, source: Iterable[str]) -> list[str] | None:
-        """Parse the lines of ``source`` a block at a time
-        (:func:`_read_block`) up to the first one holding a quote: the lines
-        of its block from that one on, or None if no line holds one."""
-        while lines := list(islice(source, _INGEST_BLOCK)):
-            if (read := _read_block(lines, self)) < len(lines):
-                return lines[read:]
-        return None
-
-    def part(self, quoted: bool):
-        """What :func:`_joined` takes of this run: ``(quoted, rows read,
-        lines, rejections, messages)``, then, unless ``quoted``, the pieces
-        of each column in turn, each dropped from the run as it is given."""
-        yield quoted, self.rows, self.lines, self.rejections, self.notes
-        if not quoted:
-            self.add()
-            for _ in CSV_COLUMNS:
-                yield [piece.pop(0) for piece in self.pieces]
-
-    def take(self, reader, line: int) -> bool:
-        """Read the next record of ``reader`` as data line ``line`` through
-        ``csv`` and :func:`parse_row`; False at the end of the reader."""
+    def take(self, line: str, number: int) -> tuple | None:
+        """The values of ``line``, data line ``number``, read as one record
+        through ``csv`` and :func:`parse_row`; None for a blank line, and for
+        a rejected one, which is counted and kept with its reason."""
         try:
-            if not (cells := next(reader)):
-                return True
-            self.parsed.append((line, parse_row(cells)))
-        except StopIteration:
-            return False
+            if not (cells := _cells(line)):
+                return None
+            values = parse_row(cells)
         except (csv.Error, LorapropError) as exc:
-            # a csv reader drops the rest of a line it cannot read and goes on with the next
             reason = str(exc).split(":", 1)[0]
             if isinstance(exc, csv.Error):
-                reason = "oversized-field" if "field limit" in str(exc) else "bad-csv"
-            self.rejections.append(Rejection(line=line, reason=reason))
+                reason = "oversized-field" if str(exc).startswith("field larger than field limit") else "bad-csv"
+            self.rejections.append(Rejection(line=number, reason=reason))
             self.notes.append(str(exc))
+            values = None
         self.rows += 1
-        return True
-
-    def add(self, columns: list[np.ndarray] | None = None, lines: np.ndarray | None = None) -> None:
-        """Move the parsed rows into a piece, in line order with the
-        ``columns`` of the rows at ``lines``."""
-        if self.parsed:
-            at, rows = zip(*self.parsed)
-            self.parsed = []
-            parsed = [np.array(column, dtype) for column, dtype in zip(zip(*rows), COLUMN_DTYPES.values())]
-            if columns is not None:
-                order = np.argsort(np.concatenate([lines, at]), kind="stable")
-                parsed = [np.concatenate(pair)[order] for pair in zip(columns, parsed)]
-            columns = parsed
-        if columns is not None and len(columns[0]):
-            self.pieces.append(columns)
+        return values
 
 
-def _read_block(lines: list[str], out: _Ingest) -> int:
-    """Parse the lines up to the first one holding a quote into ``out``, each
-    line one record; the number of lines parsed.  The ASCII lines without a
-    NUL long enough to hold a row go to ``np.loadtxt`` at once (:func:`_load`);
-    if it refuses one, the lines :func:`_plain_numbers` leaves out are set
-    aside and the rest read by halves around any it still refuses.  The rows
-    that pass every check (:func:`_checked`) are taken, the first also parsed
-    by :func:`parse_row`, a difference being an error.  Every other line goes
-    through ``csv`` and :func:`parse_row`."""
+def _read_block(lines: list[str], out: _Ingest) -> None:
+    """Parse the lines into ``out``, each line one record.  The ASCII lines
+    without a NUL or a quote long enough to hold a row go to ``np.loadtxt``
+    at once (:func:`_load`); if it refuses one, the lines
+    :func:`_plain_numbers` leaves out are set aside and the rest read by
+    halves around any it still refuses.  The rows that pass every check
+    (:func:`_checked`) are taken, the first also parsed by
+    :func:`parse_row`, a difference being an error.  Every other line goes
+    through ``csv`` and :func:`parse_row` (:meth:`_Ingest.take`)."""
     lengths = np.fromiter(map(len, lines), np.intp, len(lines))
     text = "".join(lines)
-    if (quote := text.find('"')) >= 0:
-        n = int(np.searchsorted(np.cumsum(lengths), quote, side="right"))
-        lines, lengths, text = lines[:n], lengths[:n], text[: int(lengths[:n].sum())]
     first, n = out.lines + 1, len(lines)
     out.lines += n
     plain = np.flatnonzero(lengths)
-    if not text.isascii() or "\0" in text:
-        plain = np.flatnonzero([line.isascii() and "\0" not in line and line != "" for line in lines])
+    if not text.isascii() or "\0" in text or '"' in text:
+        plain = np.flatnonzero([line.isascii() and "\0" not in line and '"' not in line and line != "" for line in lines])
     del text
     # a row is 20 cells and 19 commas, and no cell may be over the csv module's limit
     ok = (lengths[plain] >= 39) & (lengths[plain] <= csv.field_size_limit())
@@ -409,11 +374,19 @@ def _read_block(lines: list[str], out: _Ingest) -> int:
         except LorapropError as exc:
             expected = exc
         if repr(expected) != repr(got):
-            raise RuntimeError(f"ingest read line {first + rows[0]} as {got!r}, parse_row as {expected!r}")
-    for k in np.flatnonzero(np.bincount(rows, minlength=n) == 0).tolist():
-        out.take(csv.reader(lines[k : k + 1]), first + k)
-    out.add(columns, first + rows)
-    return n
+            where = f" of the byte range from {out.start}" if out.start else ""
+            raise RuntimeError(f"ingest read line {first + rows[0]}{where} as {got!r}, parse_row as {expected!r}")
+    taken = [(first + k, values) for k in np.flatnonzero(np.bincount(rows, minlength=n) == 0).tolist()
+             if (values := out.take(lines[k], first + k)) is not None]
+    if taken:
+        at, rest = zip(*taken)
+        parsed = [np.array(column, dtype) for column, dtype in zip(zip(*rest), COLUMN_DTYPES.values())]
+        if columns is not None:
+            order = np.argsort(np.concatenate([first + rows, at]), kind="stable")
+            parsed = [np.concatenate(pair)[order] for pair in zip(columns, parsed)]
+        columns = parsed
+    if columns is not None and len(columns[0]):
+        out.pieces.append(columns)
 
 
 def _load(lines: list[str], rows: np.ndarray, halves: bool = True) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -127,8 +127,9 @@ def parse_row(values: list[str]) -> tuple:
     first message token: ``bad-encoding`` (a cell holds a lone surrogate: a
     byte that was not UTF-8), ``wrong-field-count``, ``missing-value``,
     ``bad-<column>`` (a ``device_id`` also when it is longer than
-    :data:`MAX_DEVICE_ID_CHARS` or holds a NUL; an SF outside 7..12, a distance or
-    frequency <= 0 and a negative wall count too) or ``non-finite``.
+    :data:`MAX_DEVICE_ID_CHARS` or holds a NUL, a CR or an LF; an SF outside
+    7..12, a distance or frequency <= 0 and a negative wall count too) or
+    ``non-finite``.
     """
     if any(not value.isascii() and _SURROGATE.search(value) for value in values):
         raise InvalidDataError("bad-encoding: a byte that is not UTF-8")
@@ -148,6 +149,8 @@ def parse_row(values: list[str]) -> tuple:
             # trailing NULs, which would make "dev\0" the device "dev"
             if len(text) > MAX_DEVICE_ID_CHARS or "\0" in text:
                 raise InvalidDataError(f"bad-device_id: over {MAX_DEVICE_ID_CHARS} chars or a NUL")
+            if "\r" in text or "\n" in text:  # a CSV line would break in two
+                raise InvalidDataError("bad-device_id: holds a CR or an LF")
             typed.append(text)
         else:
             try:

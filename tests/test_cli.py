@@ -1,20 +1,25 @@
+import csv
 import hashlib
 import json
+import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import loraprop
+from loraprop import pipeline
 from loraprop.cli import main
 from loraprop.pipeline import csv_lines, run_pipeline, write_records_csv
 from loraprop.propagation import ModelVariant, PathLossModel, model_to_dict, save_model
 from loraprop.records import CSV_COLUMNS
 
-from helpers import concat, make_table, replace_columns, synth_dataset
+from helpers import concat, make_table, replace_columns, synth_dataset, use_cpus
 
 SUBCOMMANDS = [
     "airtime",
@@ -593,6 +598,105 @@ class TestPipelineCommand:
     def test_missing_out_dir_is_domain_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("LORAPROP_OUT_DIR", raising=False)
         assert main(["pipeline", "run", "--input", "whatever.csv"]) == 1
+
+
+@pytest.fixture(scope="module")
+def small_raw():
+    """The bytes of a valid 40-row CSV, 8 rows from each of five devices."""
+    lines = csv_lines(synth_dataset(rows_per_device=8, seed=2, duplicates_per_device=0).records)
+    return (",".join(CSV_COLUMNS) + "\n" + "".join(lines)).encode("utf-8")
+
+
+def run_on_bytes(data: bytes, tmp_path, capsys, caplog) -> tuple[int, dict | None]:
+    """``pipeline run`` on a file of ``data``: the exit code and the
+    manifest's counts with its rejections by reason as ``reasons``, or None
+    when it wrote none.  No traceback may be printed or logged, and exit
+    code 1 comes with one logged error."""
+    raw, out = tmp_path / "mutated.csv", tmp_path / "out"
+    raw.write_bytes(data)
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    caplog.clear()
+    code = main(["pipeline", "run", "--input", str(raw), "--out-dir", str(out), "--contamination", "0.05"])
+    assert code in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err + caplog.text
+    if code == 1:
+        assert [record.levelname for record in caplog.records if record.levelname == "ERROR"] == ["ERROR"]
+        return code, None
+    manifest = json.loads((out / "manifest.json").read_text())
+    return code, manifest["counts"] | {"reasons": manifest["rejections_by_reason"]}
+
+
+#: What a mutation inserts: a quote (most often), a NUL, a byte-order mark,
+#: bytes that are not UTF-8, line ends and a comma, or random bytes.
+_PIECES = st.sampled_from([b'"'] * 4 + [b"\x00", b"\xef\xbb\xbf", b"\xff", b"\xe2\x82", b"\r", b"\n", b","]) \
+    | st.binary(min_size=1, max_size=3)
+#: ``(kind, position, piece)``: insert the piece, open a quote at the start
+#: of the next cell, insert a cell over the csv module's limit, start the
+#: file with a byte-order mark, or end every line with a CR only.
+_MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(["insert"] * 4 + ["quote"] * 2 + ["huge", "bom", "cr"]), st.integers(0, 2**16), _PIECES),
+    min_size=1, max_size=3,
+)
+
+
+class TestMutatedInput:
+    """Whatever bytes it reads, ``pipeline run`` ends in a result or a
+    domain error, and each physical line is one record."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutations=_MUTATIONS)
+    def test_mutated_bytes_end_in_a_result_or_a_domain_error(self, capsys, caplog, tmp_path, small_raw, mutations):
+        data = small_raw
+        for kind, position, piece in mutations:
+            at = position % (len(data) + 1)
+            if kind == "quote":
+                at, piece = data.find(b",", at) + 1, b'"'
+            elif kind == "huge":
+                piece = b"0" * (csv.field_size_limit() + 1)
+            if kind == "bom":
+                data = b"\xef\xbb\xbf" + data
+            elif kind == "cr":
+                data = data.replace(b"\r\n", b"\n").replace(b"\n", b"\r")
+            else:
+                data = data[:at] + piece + data[at:]
+        code, counts = run_on_bytes(data, tmp_path, capsys, caplog)
+        if code == 0:
+            assert counts["rows_read"] == counts["ingested"] + counts["rejected"]
+            # every line after the header that is not empty is one row read
+            assert counts["rows_read"] == sum(1 for line in data.splitlines()[1:] if line)
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(line=st.integers(1, 40), cell=st.integers(0, len(CSV_COLUMNS) - 1))
+    def test_a_stray_quote_costs_exactly_one_row(self, capsys, caplog, tmp_path, small_raw, line, cell):
+        lines = small_raw.splitlines(keepends=True)
+        cells = lines[line].split(b",")
+        cells[cell] = b'"' + cells[cell]  # it opens a quote that does not close on the line
+        lines[line] = b",".join(cells)
+        code, counts = run_on_bytes(b"".join(lines), tmp_path, capsys, caplog)
+        assert code == 0
+        assert (counts["rows_read"], counts["ingested"], counts["reasons"]) == (40, 39, {"bad-csv": 1})
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one range", "two ranges"])
+    def test_quote_before_a_row_rejects_that_row_only(self, capsys, caplog, tmp_path, monkeypatch, cpus):
+        # a stray quote once made the rest of the file one record: 4 rows read, 3 ingested
+        data = synth_dataset(rows_per_device=40, seed=2, duplicates_per_device=0)
+        raw = tmp_path / "raw.csv"
+        write_records_csv(csv_lines(data.records), raw)
+        lines = raw.read_text().splitlines(keepends=True)
+        lines[4] = '"' + lines[4]
+        raw.write_text("".join(lines))
+        use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(pipeline, "_MIN_RANGE_BYTES", 1)
+        assert len(pipeline._ranges(raw)) == cpus
+        caplog.set_level(logging.DEBUG, logger="loraprop.pipeline")
+        out = tmp_path / "out"
+        assert main(["pipeline", "run", "--input", str(raw), "--out-dir", str(out), "--contamination", "0.05"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["counts"]["rows_read"] == 200
+        assert manifest["counts"]["ingested"] == 199
+        assert manifest["rejections_by_reason"] == {"bad-csv": 1}
+        assert "rejected row 4: quote not closed on its line" in caplog.text
 
 
 class TestFitCommand:

@@ -1,16 +1,19 @@
 """Ingest against the row-by-row code it replaced.
 
-Two references are kept verbatim below.  The per-cell ``parse_row`` and
-the ingest loop that appended each parsed row to its column buffers pin the
-values of a row.  The record-by-record reader, a ``csv`` reader with
-``parse_row`` on each record, pins rejections, line numbers and log
-records.  Ingest now parses a block of lines at a time with ``np.loadtxt``
-and checks whole columns, leaving every other line to ``csv`` and
-``parse_row``, and reads a large file in byte ranges on forked processes.
-On any input it must give the same ``rows_read``, the same rejections with
-the same reasons in the same order, columns of the same dtype and the same
-bytes, and the same log records, on one CPU, two or three, as one stream or
-in byte ranges.
+Three references are kept below.  The per-cell ``parse_row`` and the
+ingest loop that appended each parsed row to its column buffers pin the
+values of a row.  The per-line reader, a ``csv`` reader and ``parse_row``
+on each physical line, with a line that leaves a quote open rejected, pins
+rejections, line numbers and log records.  The record-by-record reader, one
+``csv`` reader over the whole text, is what ingest read before each line
+became one record; where every line closes its quotes the two readers
+agree, so the change is confined to records that span lines.  Ingest parses
+a block of lines at a time with ``np.loadtxt`` and checks whole columns,
+leaving every other line to ``csv`` and ``parse_row``, and reads a large
+file in byte ranges on forked processes.  On any input it must give the
+same ``rows_read``, the same rejections with the same reasons in the same
+order, columns of the same dtype and the same bytes, and the same log
+records, on one CPU, two or three, as one range or several.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 import multiprocessing
 import os
 import random
+import re
 import signal
 import threading
 import warnings
@@ -32,7 +36,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from loraprop import pipeline
 from loraprop.errors import InvalidDataError, LorapropError
@@ -120,17 +124,58 @@ def reference_parse_row(values: list[str]) -> tuple:
     return tuple(typed)
 
 
+def physical_lines(text: str) -> list[str]:
+    """The lines of ``text``, each with its end: ``\\n``, ``\\r\\n`` or ``\\r``."""
+    return re.findall(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+\Z", text)
+
+
+def quote_closes(line: str) -> bool:
+    """Whether each quote that opens a field of ``line`` closes on it, as the
+    ``csv`` module's default dialect reads quotes: a quote opens a field only
+    as its first character, and in a quoted field two quotes stand for one
+    and a single one closes it."""
+    quoted, field_start, k = False, True, 0
+    while k < len(line):
+        char = line[k]
+        if quoted and char == '"' and line[k + 1 : k + 2] == '"':
+            k += 1
+        elif char == '"' and (quoted or field_start):
+            quoted = not quoted
+        field_start = char == "," and not quoted
+        k += 1
+    return not quoted
+
+
+def line_cells(line: str) -> list[str]:
+    """The cells of one physical line, read by a ``csv`` reader of its own;
+    a quote that does not close on the line is a :class:`csv.Error`."""
+    cells = next(csv.reader([line]), [])
+    if not quote_closes(line):
+        raise csv.Error(f"quote not closed on its line, in {cells[-1]!r}")
+    return cells
+
+
+def csv_reason(exc: csv.Error) -> str:
+    """The reason tag of a line ``csv`` refuses."""
+    return "oversized-field" if str(exc).startswith("field larger than field limit") else "bad-csv"
+
+
 def reference_ingest(text: str) -> IngestResult:
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader)
-    assert tuple(header) == CSV_COLUMNS
+    lines = physical_lines(text)
+    assert tuple(line_cells(lines[0])) == CSV_COLUMNS
     # one buffer per column, typed arrays for the numeric ones, which the
     # table then takes without a copy: no row outlives its parse as objects
     buffers = [[] if d.kind in "MU" else array(d.char) for d in COLUMN_DTYPES.values()]
     appends = [buffer.append for buffer in buffers]
     rejections: list[Rejection] = []
     rows = 0
-    for line, row in enumerate(reader, start=1):
+    for line, text_line in enumerate(lines[1:], start=1):
+        try:
+            row = line_cells(text_line)
+        except csv.Error as exc:
+            rows += 1
+            rejections.append(Rejection(line=line, reason=csv_reason(exc)))
+            continue
         if not row:
             continue
         rows += 1
@@ -147,30 +192,23 @@ def reference_ingest(text: str) -> IngestResult:
     return IngestResult(records=records, rejections=rejections, rows_read=rows)
 
 
-def reference_read(text: str) -> tuple:
-    """The record-by-record reader of ``text``: what :func:`outcome` gives
-    for it."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        names = next(reader)
-    except StopIteration:
+def _read(header: list[str] | csv.Error | None, numbered) -> tuple:
+    """What :func:`outcome` gives for a text whose first record reads as
+    ``header`` (None if there is none, the error if ``csv`` refuses it) and
+    whose other records are ``numbered`` as ``(line, cells or csv.Error)``."""
+    if header is None:
         return (InvalidDataError, "malformed header: empty input"), []
-    except csv.Error as exc:
-        return (InvalidDataError, f"malformed header: {exc}"), []
-    if tuple(names) != CSV_COLUMNS:
-        return (InvalidDataError, f"malformed header: expected {list(CSV_COLUMNS)}, got {names}"), []
+    if isinstance(header, csv.Error):
+        return (InvalidDataError, f"malformed header: {header}"), []
+    if tuple(header) != CSV_COLUMNS:
+        return (InvalidDataError, f"malformed header: expected {list(CSV_COLUMNS)}, got {header}"), []
     parsed, rejections, logged = [], [], []
-    rows = line = 0
-    while True:
-        line += 1
-        try:
-            row = next(reader)
-        except StopIteration:
-            break
-        except csv.Error as exc:
+    rows = 0
+    for line, row in numbered:
+        if isinstance(row, csv.Error):
             rows += 1
-            rejections.append((line, "oversized-field" if "field limit" in str(exc) else "bad-csv"))
-            logged.append(("DEBUG", f"rejected row {line}: {exc}"))
+            rejections.append((line, csv_reason(row)))
+            logged.append(("DEBUG", f"rejected row {line}: {row}"))
             continue
         if not row:
             continue
@@ -189,8 +227,51 @@ def reference_read(text: str) -> tuple:
     return got, logged
 
 
+def _cells_or_error(line: str) -> list[str] | csv.Error:
+    try:
+        return line_cells(line)
+    except csv.Error as exc:
+        return exc
+
+
+def reference_read(text: str) -> tuple:
+    """The per-line reader of ``text``, each physical line one record
+    (:func:`line_cells`): what :func:`outcome` gives for it."""
+    lines = physical_lines(text)
+    header = _cells_or_error(lines[0]) if lines else None
+    return _read(header, ((line, _cells_or_error(cells)) for line, cells in enumerate(lines[1:], start=1)))
+
+
+def record_read(text: str) -> tuple:
+    """The record-by-record reader of ``text``, one ``csv`` reader over all
+    of it, whose records may span lines and whose line numbers count
+    records: what ingest gave before each line became one record."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        header = None
+    except csv.Error as exc:
+        header = exc
+
+    def numbered():
+        line = 0
+        while True:
+            line += 1
+            try:
+                yield line, next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                yield line, exc
+
+    return _read(header, numbered())
+
+
 # ---------------------------------------------------------------------------
 # Inputs
+
+HEADER_LINE = ",".join(CSV_COLUMNS) + "\n"
 
 VALID = {
     "time": ["2024-01-01 00:00:00", "2024-03-05T12:34:56.789", "2024-01-01 00:00:00.25",
@@ -267,9 +348,9 @@ def random_row(pick, faults: list[tuple[int, int, int]]) -> list[str] | None:
     return cells
 
 
-def csv_text(rows: list[list[str] | None]) -> str:
+def csv_text(rows: list[list[str] | None], quoting: int = csv.QUOTE_MINIMAL) -> str:
     out = io.StringIO(newline="")
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n", quoting=quoting)
     writer.writerow(CSV_COLUMNS)
     for row in rows:
         if row is None:
@@ -476,7 +557,7 @@ READS = [(1, pipeline._MIN_RANGE_BYTES), (2, pipeline._MIN_RANGE_BYTES), (2, 1),
 
 def assert_file_matches_the_reference(path, block: int = pipeline._INGEST_BLOCK) -> tuple:
     """``ingest(path)`` in each way of :data:`READS`, in blocks of ``block``
-    lines, gives what the record-by-record reader gives; returns that."""
+    lines, gives what the per-line reader gives; returns that."""
     expected = reference_read(path.read_bytes().decode("utf-8-sig", "surrogateescape"))
     for cpus, range_bytes in READS:
         with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
@@ -516,7 +597,7 @@ STRAY_BYTES = [b'"', b"\n", b"\r", b"\r\n", b",", b"\xff", b"\xe2\x82", b"\x00",
     strays=st.lists(st.tuples(st.integers(0, 2**20), st.sampled_from(STRAY_BYTES)), max_size=3),
     block=st.sampled_from([1, 2, 3, 7, pipeline._INGEST_BLOCK]),
 )
-def test_files_match_the_record_by_record_reader(rows, newline, bom, strays, block, scratch_csv):
+def test_files_match_the_per_line_reader(rows, newline, bom, strays, block, scratch_csv):
     data = csv_text(rows).replace("\n", newline).encode("utf-8")
     for position, piece in strays:
         at = position % (len(data) + 1)
@@ -533,12 +614,55 @@ def test_files_match_the_record_by_record_reader(rows, newline, bom, strays, blo
     ),
     block=st.sampled_from([16, 50, 64, 128]),
 )
-def test_faults_in_random_blocks_match_the_record_by_record_reader(faults, block, scratch_csv):
+def test_faults_in_random_blocks_match_the_per_line_reader(faults, block, scratch_csv):
     rows = plain_rows(300)
     for row, cell, column in faults:
         rows[row][column] = ODD_CELLS[cell]
     scratch_csv.write_text(csv_text(rows), encoding="utf-8")
     assert_file_matches_the_reference(scratch_csv, block)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=_rows,
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+    strays=st.lists(st.tuples(st.integers(0, 2**20), st.sampled_from(STRAY_BYTES)), max_size=2),
+)
+def test_the_two_readers_agree_where_every_line_closes_its_quotes(rows, newline, quoting, strays):
+    # where no record spans lines, reading each line as a record changes nothing
+    text = csv_text(rows, quoting).replace("\n", newline)
+    for position, piece in strays:
+        at = position % (len(text) + 1)
+        text = text[:at] + piece.decode("utf-8", "surrogateescape") + text[at:]
+    assume(all(map(quote_closes, physical_lines(text))))
+    assert reference_read(text) == record_read(text)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ('a,"b"\n', True), ('a,"b""c"\n', True), ('a,b"c\n', True), ('a,"b"c"\n', True), ("\n", True),
+        ('a,"b\n', False), ('a,"b""\n', False), ('a,"b', False), ('"\r\n', False), ('a, "b",c\n', True),
+    ],
+)
+def test_a_quote_that_does_not_close_on_its_line(text, expected):
+    assert quote_closes(text) is expected
+    if expected:
+        assert reference_read(HEADER_LINE + text) == record_read(HEADER_LINE + text)
+    else:
+        with pytest.raises(csv.Error, match="^quote not closed on its line"):
+            line_cells(text)
+
+
+def test_quote_left_open_is_bad_csv_whatever_the_line_holds(tmp_path):
+    lines = csv_text(plain_rows(3)).splitlines(keepends=True)
+    lines[2] = lines[2].replace(",dev0,", ',"field limit,')
+    path = tmp_path / "open.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    got, logged = assert_file_matches_the_reference(path)
+    assert got[:2] == (3, [(2, "bad-csv")])
+    assert logged[0][1].startswith("rejected row 2: quote not closed on its line, in 'field limit,")
 
 
 def test_bom_crlf_and_blank_lines(tmp_path):
@@ -632,8 +756,10 @@ def test_quoted_field_across_a_block_boundary(tmp_path, block):
     path = tmp_path / "spanning.csv"
     path.write_text(csv_text(rows), encoding="utf-8")
     got, _ = assert_file_matches_the_reference(path, block)
-    # lines count records: the field's 1,200 line breaks do not count
-    assert got[:2] == (21, [(4, "bad-co2"), (9, "bad-device_id"), (16, "bad-co2")])
+    # each line is one record: the lines that open and close the quote leave
+    # it open, and the 1,199 between them are one cell each
+    assert got[:2] == (1221, [(4, "bad-co2"), (9, "bad-csv")] + [(line, "wrong-field-count") for line in range(10, 1209)]
+                       + [(1209, "bad-csv"), (1216, "bad-co2")])
 
 
 # ---------------------------------------------------------------------------
@@ -659,21 +785,20 @@ def range_lines(path, cpus: int) -> list[int]:
 
 @pytest.fixture
 def spied(monkeypatch):
-    """The number of shares of each :func:`pipeline._fork_map` call and of
-    one-stream reads of a file, as ``{"forked": [...], "streams": n}``."""
+    """The number of shares of each :func:`pipeline._fork_map` call that
+    forks, and the number of calls that read a file as one range, as
+    ``{"forked": [...], "streams": n}``."""
     calls = {"forked": [], "streams": 0}
-    forked, read = pipeline._fork_map, pipeline._Ingest.read
+    forked = pipeline._fork_map
 
     def spy_fork_map(task, shares, what):
-        calls["forked"].append(len(shares))
+        if len(shares) == 1:
+            calls["streams"] += 1
+        else:
+            calls["forked"].append(len(shares))
         return forked(task, shares, what)
 
-    def spy_read(self, source):
-        calls["streams"] += 1
-        return read(self, source)
-
     monkeypatch.setattr(pipeline, "_fork_map", spy_fork_map)
-    monkeypatch.setattr(pipeline._Ingest, "read", spy_read)
     return calls
 
 
@@ -714,29 +839,32 @@ def bounded():
 
 
 @pytest.mark.parametrize("line", [1498, 3], ids=["last range", "first range"])
-def test_quote_in_one_range_only_reads_the_file_again(tmp_path, spied, bounded, line):
+def test_quoted_lines_are_read_in_their_range(tmp_path, spied, bounded, line):
     # a range of 500 rows sends more column bytes than a pipe holds, so a
     # child whose columns the parent left unread would never end
     path = tmp_path / "quote.csv"
     rows = plain_rows(1500)
-    rows[line - 1][1] = 'd"v'
+    rows[line - 1][1] = 'd"v'  # written as "d""v"
     rows[20][CSV_COLUMNS.index("co2")] = "abc"
-    path.write_text(csv_text(rows), encoding="utf-8")
+    lines = csv_text(rows).splitlines(keepends=True)
+    lines[line + 2] = '"' + lines[line + 2]  # a stray quote that does not close, two lines on
+    path.write_text("".join(lines), encoding="utf-8")
     assert (range_lines(path, 3)[-1] < line) == (line == 1498)
     got, logged = assert_file_matches_the_reference(path)
-    assert got[:2] == (1500, [(21, "bad-co2")])
-    assert [level for level, _ in logged] == ["DEBUG", "INFO"]
-    # every read in ranges is read again as one stream
-    assert spied == {"forked": [2, 3], "streams": 4}
+    assert got[:2] == (1500, sorted([(21, "bad-co2"), (line + 2, "bad-csv")]))
+    assert 'd"v' in np.frombuffer(got[2]["device_id"][1], got[2]["device_id"][0]).tolist()
+    assert [level for level, _ in logged] == ["DEBUG", "DEBUG", "INFO"]
+    # every read in ranges stays in ranges
+    assert spied == {"forked": [2, 3], "streams": 2}
 
 
-def test_header_holding_a_quote_is_read_as_one_stream(tmp_path, spied):
+def test_quoted_header_is_read_in_its_range(tmp_path, spied):
     path = tmp_path / "quoted-header.csv"
-    text = csv_text(plain_rows(30))
-    path.write_text('"time"' + text[len("time"):], encoding="utf-8")
+    path.write_text(csv_text(plain_rows(30), csv.QUOTE_ALL), encoding="utf-8")
+    assert path.read_text().startswith('"time","device_id",')
     got, _ = assert_file_matches_the_reference(path)
     assert got[:2] == (30, [])
-    assert spied == {"forked": [], "streams": 4}
+    assert spied == {"forked": [2, 3], "streams": 2}
 
 
 @pytest.mark.parametrize("end", ["\n", ""])
@@ -810,6 +938,15 @@ class TestRangeProcesses:
         self._on_read(monkeypatch, fail, in_parent=True)
         with in_ranges(3), pytest.raises(InvalidDataError, match="^bad-parent$"):
             ingest(path)
+        assert multiprocessing.active_children() == []
+
+    def test_difference_in_a_child_names_the_line_and_its_range(self, path, monkeypatch):
+        # parse_row differs from the block reader in the child only
+        self._on_read(monkeypatch, lambda: setattr(pipeline, "parse_row", lambda cells: parse_row(cells)[:-1] + (0.0,)))
+        with in_ranges(2):
+            start = pipeline._ranges(path)[1][0]
+            with pytest.raises(RuntimeError, match=rf"^ingest read line 1 of the byte range from {start} as "):
+                ingest(path)
         assert multiprocessing.active_children() == []
 
     def test_daemonic_process_reads_one_stream(self, path):

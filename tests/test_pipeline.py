@@ -152,6 +152,14 @@ class TestIngest:
         assert not result.rejections
         assert rows_of(result.records) == rows_of(table)
 
+    def test_device_id_holding_a_carriage_return_is_rejected(self):
+        # a stream that splits lines at "\n" only keeps a "\r" in a quoted id
+        text = "\n".join([HEADER, GOOD_ROW, GOOD_ROW.replace("dev0", '"de\rv"'), GOOD_ROW, ""])
+        result = ingest(io.StringIO(text, newline="\n"))
+        assert result.rows_read == 3
+        assert [(r.line, r.reason) for r in result.rejections] == [(2, "bad-device_id")]
+        assert result.records["device_id"].tolist() == ["dev0", "dev0"]
+
     def test_bytes_that_are_not_utf8_reject_their_rows_only(self, tmp_path):
         rows = [
             GOOD_ROW,

@@ -96,6 +96,10 @@ class TestParseRow:
             (with_cell("device_id", "d" * (MAX_DEVICE_ID_CHARS + 1)), "bad-device_id"),
             (with_cell("device_id", "dev\0"), "bad-device_id"),
             (with_cell("device_id", "d\0ev"), "bad-device_id"),
+            # csv_lines would write either across two lines
+            (with_cell("device_id", "a\rb"), "bad-device_id"),
+            (with_cell("device_id", "a\nb"), "bad-device_id"),
+            (with_cell("device_id", "a\r\nb"), "bad-device_id"),
             (with_cell("c_walls", "-1"), "bad-c_walls"),
         ],
     )
