@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 from .errors import InvalidConfigError, InvalidDataError
 from .link_budget import snr_required
+from .records import COLUMN_RANGES
 
 log = logging.getLogger(__name__)
 
@@ -41,10 +42,9 @@ class AdrState:
     history_capacity: int = 20
 
     def __post_init__(self) -> None:
-        if not self.min_sf <= self.current_sf <= 12:
-            raise InvalidConfigError(
-                f"current_sf must be in {self.min_sf}..12, got {self.current_sf}"
-            )
+        _, high = COLUMN_RANGES["SF"]
+        if not self.min_sf <= self.current_sf <= high:
+            raise InvalidConfigError(f"current_sf must be in {self.min_sf}..{high}, got {self.current_sf}")
         if self.current_power_dbm > self.max_power_dbm:
             raise InvalidConfigError(
                 f"current power {self.current_power_dbm} exceeds max {self.max_power_dbm}"

@@ -33,7 +33,6 @@ from .fitting import FitConfig, fit
 from .jsonio import atomic_write, manifest, read_json, to_json, write_json
 from .link_budget import (
     DEFAULT_LINK_BUDGET,
-    check_reception,
     esp,
     experimental_path_loss,
     load_link_budget,
@@ -43,6 +42,7 @@ from .link_budget import (
 from .lora_phy import RadioConfig, duty_cycle, payload_symbols, symbol_duration, time_on_air
 from .pipeline import ingest, run_pipeline
 from .propagation import ENV_FIELDS, ModelVariant, SceneSpec, load_model, predict, save_model, simulate_scene
+from .records import check_range
 
 log = logging.getLogger("loraprop")
 
@@ -97,7 +97,7 @@ def non_negative_int(text: str) -> int:
 
 
 def finite_float(text: str) -> float:
-    """``float`` of a flag value or a trace line, refusing NaN and infinities."""
+    """``float`` of a flag value, a trace line or a schedule count, refusing NaN and infinities."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
@@ -140,7 +140,7 @@ def cmd_duty_cycle(args: argparse.Namespace) -> int:
                 continue
             try:
                 entry = json.loads(line)
-                count = float(entry.pop("count"))
+                count = finite_float(entry.pop("count"))
                 schedule.append((RadioConfig(**entry), count))
             except LorapropError:
                 raise
@@ -161,7 +161,8 @@ def cmd_duty_cycle(args: argparse.Namespace) -> int:
 
 
 def cmd_link_budget(args: argparse.Namespace) -> int:
-    check_reception(args.rssi, args.snr)
+    check_range("rssi", args.rssi)
+    check_range("snr", args.snr)
     params = load_link_budget(args.params) if args.params else DEFAULT_LINK_BUDGET
     payload = {
         "esp_dbm": esp(args.rssi, args.snr),
@@ -188,9 +189,7 @@ def cmd_adr_sim(args: argparse.Namespace) -> int:
     )
     with open(args.trace, encoding="utf-8") as handle:
         try:
-            values = [finite_float(line) for line in map(str.strip, handle) if line]
-            for snr in values:
-                check_reception(None, snr)
+            values = [check_range("snr", finite_float(line)) for line in map(str.strip, handle) if line]
         except ValueError as exc:
             raise LorapropError(f"bad SNR trace {args.trace}: {exc}") from exc
     for index, snr in enumerate(values):
@@ -214,7 +213,7 @@ def cmd_adr_sim(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     if args.snr is not None:
-        check_reception(None, args.snr)
+        check_range("snr", args.snr)
     model = load_model(args.model)
     inputs = {"distance": args.distance, "c_walls": args.brick, "w_walls": args.wood}
     if model.variant is ModelVariant.MW_EP:

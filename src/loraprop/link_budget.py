@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidDataError
+from .errors import InvalidConfigError
 from .jsonio import read_json
 from .propagation import XI
 
@@ -32,6 +32,10 @@ class LinkBudgetParams:
     rx_antenna_height_m: float
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below, and infinity most of them
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise InvalidConfigError(f"{name} must be finite, got {value}")
         if self.tx_cable_loss_db < 0 or self.rx_cable_loss_db < 0:
             raise InvalidConfigError("cable losses must be >= 0")
         if self.tx_antenna_height_m <= 0 or self.rx_antenna_height_m <= 0:
@@ -81,25 +85,6 @@ SF_THRESHOLDS: dict[int, SfThreshold] = {
     11: SfThreshold(11, -17.5, -134.5),
     12: SfThreshold(12, -20.0, -137.0),
 }
-
-
-#: Readings one reception can give: an RSSI in dBm from far below any LoRa
-#: receiver's sensitivity (-137 dBm at SF12) up to more than a front end
-#: survives, and an SNR in dB within the signed quarter-dB byte a LoRa radio
-#: reports it in.
-RSSI_RANGE_DBM = (-200.0, 30.0)
-SNR_RANGE_DB = (-32.0, 32.0)
-
-
-def check_reception(rssi_dbm: float | None, snr_db: float | None) -> None:
-    """Refuse an RSSI or SNR outside :data:`RSSI_RANGE_DBM` or :data:`SNR_RANGE_DB`;
-    a reading given as ``None`` is not checked."""
-    for name, value, (low, high), unit in (
-        ("rssi", rssi_dbm, RSSI_RANGE_DBM, "dBm"),
-        ("snr", snr_db, SNR_RANGE_DB, "dB"),
-    ):
-        if value is not None and not low <= value <= high:
-            raise InvalidDataError(f"{name} {value!r} {unit} is outside the physical range [{low}, {high}] {unit}")
 
 
 def _excess_over_noise_db(snr_db: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidConfigError
+from .records import COLUMN_RANGES
 
 MS_PER_HOUR = 3_600_000.0
 
@@ -44,8 +45,9 @@ class RadioConfig:
     low_dr_opt: bool = False
 
     def __post_init__(self) -> None:
-        if not 7 <= self.sf <= 12:
-            raise InvalidConfigError(f"sf must be in 7..12, got {self.sf}")
+        low, high = COLUMN_RANGES["SF"]
+        if not low <= self.sf <= high:
+            raise InvalidConfigError(f"sf must be in {low}..{high}, got {self.sf}")
         if self.bw_hz not in LORA_BANDWIDTHS_HZ:
             raise InvalidConfigError(
                 f"bw_hz must be a LoRa bandwidth"

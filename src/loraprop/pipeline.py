@@ -29,7 +29,7 @@ from .errors import InvalidConfigError, InvalidDataError, LorapropError
 from .jsonio import atomic_write, manifest, write_json
 from .link_budget import DEFAULT_LINK_BUDGET, esp, excess_over_noise_db_array, noise_power
 from .metrics import pdr
-from .records import COLUMN_DTYPES, CSV_COLUMNS, FEATURE_FIELDS, MAX_DEVICE_ID_CHARS, ObservationTable
+from .records import COLUMN_DTYPES, COLUMN_RANGES, CSV_COLUMNS, FEATURE_FIELDS, MAX_DEVICE_ID_CHARS, ObservationTable
 from .records import format_row, parse_row
 
 log = logging.getLogger(__name__)
@@ -173,6 +173,9 @@ _BLOCK_DTYPE = np.dtype([("time", "S27"), ("device_id", "S65"), ("values", "f8",
 #: The ASCII bytes ``str.strip`` removes.
 _SPACE_BYTES = np.bincount([9, 10, 11, 12, 13, 28, 29, 30, 31, 32], minlength=256).astype(bool)
 _VALUE = {name: k for k, name in enumerate(CSV_COLUMNS[2:])}
+#: Each number column's bounds: its :data:`COLUMN_RANGES` interval, else any finite value.
+_LOW, _HIGH = np.array([COLUMN_RANGES.get(name, (-np.finfo(float).max, np.finfo(float).max))
+                        for name in CSV_COLUMNS[2:]]).T
 
 
 def _ingest_file(path: str | Path) -> IngestResult:
@@ -460,9 +463,8 @@ def _checked(table: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     good &= ~_SPACE_BYTES[chars[np.arange(size.size), np.maximum(size - 1, 0)]]
     values = table["values"]
     whole = values[:, [_VALUE[name] for name in ("SF", "f_count", "p_count", "c_walls", "w_walls")]]
-    good &= np.isfinite(values).all(axis=1) & ((np.trunc(whole) == whole) & (whole < 2.0**63)).all(axis=1)
-    good &= (whole[:, 0] >= 7) & (whole[:, 0] <= 12) & (whole[:, 1:3] >= -(2.0**63)).all(axis=1)
-    good &= (whole[:, 3:] >= 0).all(axis=1) & (values[:, [_VALUE["distance"], _VALUE["frequency"]]] > 0).all(axis=1)
+    good &= ((values >= _LOW) & (values <= _HIGH)).all(axis=1)  # NaN and infinities too
+    good &= ((np.trunc(whole) == whole) & (whole < 2.0**63) & (whole >= -(2.0**63))).all(axis=1)
     # ASCII bytes widened to UCS-4 code points are the ids as numpy str
     width = max(1, int(size[good].max(initial=0)))
     ids = chars[good, :width].astype(np.uint32).view(f"U{width}").ravel()

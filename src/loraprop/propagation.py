@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidDataError
 from .jsonio import read_json, write_json
+from .records import check_range
 
 #: dB-to-natural-log conversion constant, 10 / ln 10.
 XI = 10.0 / math.log(10.0)
@@ -172,26 +173,13 @@ def predict(model: PathLossModel, inputs: Mapping[str, float]) -> float:
     the vectorised ``x @ params + fixed``.  ``inputs`` maps the CSV column
     names the variant reads: ``distance``, ``c_walls`` and ``w_walls``, and
     for the extended variant also ``frequency``, the :data:`ENV_FIELDS` and
-    ``snr``."""
-
-    def value(name: str) -> float:
-        if name not in inputs:
-            raise InvalidConfigError(f"missing input: {name}")
-        return inputs[name]
-
-    if value("c_walls") < 0 or value("w_walls") < 0:
-        raise InvalidConfigError("wall counts must be >= 0")
-    if model.variant is ModelVariant.MW_EP:
-        if not 0.0 <= value("humidity") <= 100.0:
-            raise InvalidConfigError(f"humidity_pct must be in [0, 100], got {value('humidity')}")
-        # co2 >= 0 rather than > 0: all-zero covariates switch their block off
-        if value("co2") < 0:
-            raise InvalidConfigError(f"co2_ppm must be >= 0, got {value('co2')}")
-        if value("pm25") < 0:
-            raise InvalidConfigError(f"pm25_ugm3 must be >= 0, got {value('pm25')}")
+    ``snr``.  Each value it reads must lie in its column's
+    :data:`~loraprop.records.COLUMN_RANGES` interval."""
 
     def column(name: str) -> list[float]:
-        return [value(name)]
+        if name not in inputs:
+            raise InvalidConfigError(f"missing input: {name}")
+        return [check_range(name, inputs[name])]
 
     x = predictor_columns(model.variant, column, model.reference_distance_m)
     return float((x @ np.array(model.params) + fixed_term(model.variant, column, 1))[0])

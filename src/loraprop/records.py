@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from datetime import datetime
 from typing import Any, Mapping, Sequence
 
@@ -62,9 +63,35 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 #: end of the cell or one of the two date/time separators the schema allows.
 _DATE_THEN_SEPARATOR = re.compile(r"\d{4}(?:-\d\d?-\d\d?|\d{4}|-?W\d\d(?:-?\d)?)(?:\Z|[T ])")
 
-_SF, _FREQUENCY, _DISTANCE, _C_WALLS, _W_WALLS = map(
-    CSV_COLUMNS.index, ("SF", "frequency", "distance", "c_walls", "w_walls")
-)
+_MAX = sys.float_info.max
+#: The closed interval of each column whose values a quantity's definition or
+#: the radio bounds, in check order; units m, MHz (the SX127x band), ppm, %,
+#: ug/m3, hPa, degC, dBm and dB.  Temperature and pressure need only be
+#: finite; their intervals say so of a value given outside a CSV row too.
+COLUMN_RANGES = {
+    "SF": (7, 12),
+    "distance": (math.ulp(0.0), _MAX),
+    "c_walls": (0, _MAX),
+    "w_walls": (0, _MAX),
+    "frequency": (137.0, 1020.0),
+    "co2": (0.0, 1e6),
+    "humidity": (0.0, 100.0),
+    "pm25": (0.0, _MAX),
+    "pressure": (-_MAX, _MAX),
+    "temperature": (-_MAX, _MAX),
+    "rssi": (-200.0, 30.0),
+    "snr": (-32.0, 32.0),
+}
+_RANGED = [(CSV_COLUMNS.index(name), name) for name in COLUMN_RANGES]
+
+
+def check_range(column: str, value: float) -> float:
+    """``value`` if it lies in its column's :data:`COLUMN_RANGES` interval;
+    otherwise, NaN included, an :class:`InvalidDataError` tagged ``bad-<column>``."""
+    low, high = COLUMN_RANGES[column]
+    if not low <= value <= high:
+        raise InvalidDataError(f"bad-{column}: {value} outside [{low}, {high}]")
+    return value
 
 
 class ObservationTable:
@@ -127,9 +154,9 @@ def parse_row(values: list[str]) -> tuple:
     first message token: ``bad-encoding`` (a cell holds a lone surrogate: a
     byte that was not UTF-8), ``wrong-field-count``, ``missing-value``,
     ``bad-<column>`` (a ``device_id`` also when it is longer than
-    :data:`MAX_DEVICE_ID_CHARS` or holds a NUL, a CR or an LF; an SF outside
-    7..12, a distance or frequency <= 0 and a negative wall count too) or
-    ``non-finite``.
+    :data:`MAX_DEVICE_ID_CHARS` or holds a NUL, a CR or an LF; a value
+    outside its :data:`COLUMN_RANGES` interval too, checked after every
+    cell in the table's order) or ``non-finite``.
     """
     if any(not value.isascii() and _SURROGATE.search(value) for value in values):
         raise InvalidDataError("bad-encoding: a byte that is not UTF-8")
@@ -167,15 +194,8 @@ def parse_row(values: list[str]) -> tuple:
                 typed.append(int(value))
             else:
                 typed.append(value)
-    if not 7 <= typed[_SF] <= 12:
-        raise InvalidDataError(f"bad-SF: {typed[_SF]} outside 7..12")
-    if typed[_DISTANCE] <= 0:
-        raise InvalidDataError(f"bad-distance: {typed[_DISTANCE]} is not positive")
-    for walls in (_C_WALLS, _W_WALLS):
-        if typed[walls] < 0:
-            raise InvalidDataError(f"bad-{CSV_COLUMNS[walls]}: {typed[walls]} is negative")
-    if typed[_FREQUENCY] <= 0:
-        raise InvalidDataError(f"bad-frequency: {typed[_FREQUENCY]} is not positive")
+    for k, column in _RANGED:
+        check_range(column, typed[k])
     return tuple(typed)
 
 

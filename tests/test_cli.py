@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import shutil
 import subprocess
@@ -15,7 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import loraprop
 from loraprop import pipeline
 from loraprop.cli import main
-from loraprop.pipeline import csv_lines, run_pipeline, write_records_csv
+from loraprop.link_budget import DEFAULT_LINK_BUDGET
+from loraprop.pipeline import csv_lines, ingest, run_pipeline, write_records_csv
 from loraprop.propagation import ModelVariant, PathLossModel, model_to_dict, save_model
 from loraprop.records import CSV_COLUMNS
 
@@ -192,6 +195,16 @@ class TestDutyCycleCommand:
         assert capsys.readouterr().out == ""
         assert "bw_hz must be a LoRa bandwidth" in caplog.text
 
+    @pytest.mark.parametrize("count", ["NaN", "Infinity"])
+    def test_non_finite_count_names_the_entry(self, capsys, caplog, tmp_path, count):
+        # a NaN count exited 1 with "result holds a non-finite number"
+        schedule = tmp_path / "schedule.jsonl"
+        schedule.write_text('{"sf": 7, "bw_hz": 125000, "payload_bytes": 18, "count": 5}\n'
+                            f'{{"sf": 7, "bw_hz": 125000, "payload_bytes": 18, "count": {count}}}\n')
+        assert main(["duty-cycle", "--schedule", str(schedule)]) == 1
+        assert capsys.readouterr().out == ""
+        assert "bad schedule entry at line 2: not a finite number" in caplog.text
+
     @pytest.mark.parametrize("line", ["5", '"sf7"', "null", "[7, 125000]"])
     def test_entry_that_is_not_an_object_exits_1(self, capsys, caplog, tmp_path, line):
         # a scalar line raised AttributeError with a traceback
@@ -226,11 +239,11 @@ class TestLinkBudgetCommand:
     @pytest.mark.parametrize(
         "rssi, snr, reason",
         [
-            ("1e308", "3", "rssi 1e+308 dBm is outside the physical range [-200.0, 30.0] dBm"),
-            ("-200.5", "0", "rssi -200.5 dBm is outside"),
-            ("30.5", "0", "rssi 30.5 dBm is outside"),
-            ("-73", "-1e300", "snr -1e+300 dB is outside the physical range [-32.0, 32.0] dB"),
-            ("-73", "32.25", "snr 32.25 dB is outside"),
+            ("1e308", "3", "bad-rssi: 1e+308 outside [-200.0, 30.0]"),
+            ("-200.5", "0", "bad-rssi: -200.5 outside"),
+            ("30.5", "0", "bad-rssi: 30.5 outside"),
+            ("-73", "-1e300", "bad-snr: -1e+300 outside [-32.0, 32.0]"),
+            ("-73", "32.25", "bad-snr: 32.25 outside"),
         ],
     )
     def test_reading_outside_its_physical_range_exits_1(self, capsys, caplog, rssi, snr, reason):
@@ -238,6 +251,17 @@ class TestLinkBudgetCommand:
         assert main(["link-budget", f"--rssi={rssi}", f"--snr={snr}"]) == 1
         assert capsys.readouterr().out == ""
         assert reason in caplog.text
+
+
+    @pytest.mark.parametrize("field", ["tx_power_dbm", "tx_antenna_height_m"])
+    def test_non_finite_params_field_is_named(self, capsys, caplog, tmp_path, field):
+        # NaN power exited 1 with "result holds a non-finite number", and a NaN
+        # antenna height passed the "<= 0" check
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(dataclasses.asdict(DEFAULT_LINK_BUDGET) | {field: math.nan}))
+        assert main(["link-budget", "--rssi", "-73", "--snr", "0", "--params", str(params)]) == 1
+        assert capsys.readouterr().out == ""
+        assert f"{field} must be finite, got nan" in caplog.text
 
 
 class TestAdrSimCommand:
@@ -258,8 +282,8 @@ class TestAdrSimCommand:
     @pytest.mark.parametrize(
         "snr, reason",
         [
-            ("1e308", "snr 1e+308 dB is outside the physical range [-32.0, 32.0] dB"),
-            ("-32.5", "snr -32.5 dB is outside"),
+            ("1e308", "bad-snr: 1e+308 outside [-32.0, 32.0]"),
+            ("-32.5", "bad-snr: -32.5 outside"),
         ],
     )
     def test_snr_outside_its_physical_range_exits_1_before_any_output(
@@ -322,8 +346,8 @@ class TestPredictCommand:
     @pytest.mark.parametrize(
         "snr, reason",
         [
-            ("1e300", "snr 1e+300 dB is outside the physical range [-32.0, 32.0] dB"),
-            ("32.5", "snr 32.5 dB is outside"),
+            ("1e300", "bad-snr: 1e+300 outside [-32.0, 32.0]"),
+            ("32.5", "bad-snr: 32.5 outside"),
         ],
     )
     def test_snr_outside_its_physical_range_exits_1(self, capsys, caplog, tmp_path, snr, reason):
@@ -333,6 +357,28 @@ class TestPredictCommand:
         env = '{"temperature": 21, "humidity": 38, "pressure": 323, "pm25": 2, "co2": 550}'
         assert main(["predict", "--model", str(path), "--distance", "10", "--freq", "868.1",
                      "--env-json", env, f"--snr={snr}"]) == 1
+        assert capsys.readouterr().out == ""
+        assert reason in caplog.text
+
+
+    @pytest.mark.parametrize(
+        "flags, env, reason",
+        [
+            ([], {"co2": 1e300}, "bad-co2: 1e+300 outside [0.0, 1000000.0]"),
+            ([], {"humidity": 120}, "bad-humidity: 120.0 outside [0.0, 100.0]"),
+            ([], {"temperature": math.inf}, "bad-temperature: inf outside"),
+            (["--freq", "1e300"], {}, "bad-frequency: 1e+300 outside [137.0, 1020.0]"),
+        ],
+        ids=["co2-1e300", "humidity-120", "temperature-Infinity", "freq-1e300"],
+    )
+    def test_input_outside_its_column_range_exits_1(self, capsys, caplog, tmp_path, flags, env, reason):
+        # co2 1e300 printed a path loss of -2.5e+297 and --freq 1e300 one of
+        # 6074.968, both with exit 0
+        path = tmp_path / "ep.json"
+        save_model(EP_MODEL, path)
+        env = json.dumps({"temperature": 21, "humidity": 38, "pressure": 323, "pm25": 2, "co2": 550} | env)
+        assert main(["predict", "--model", str(path), "--distance", "10", "--freq", "868.1",
+                     "--env-json", env, "--snr", "7.4", *flags]) == 1
         assert capsys.readouterr().out == ""
         assert reason in caplog.text
 
@@ -428,6 +474,19 @@ class TestPipelineCommand:
         assert main(argv) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["rejections_by_reason"] == {"bad-time": 1}
+        assert manifest["counts"]["ingested"] == len(data.records) - 1
+
+    def test_humidity_outside_its_range_is_rejected(self, capsys, tmp_path):
+        # a humidity of 120 % was ingested and screened
+        data = synth_dataset(rows_per_device=60, seed=2, duplicates_per_device=0)
+        humidity = data.records["humidity"].copy()
+        humidity[5] = 120.0
+        raw = tmp_path / "raw.csv"
+        write_records_csv(csv_lines(replace_columns(data.records, humidity=humidity)), raw)
+        out = tmp_path / "out"
+        assert main(["pipeline", "run", "--input", str(raw), "--out-dir", str(out), "--contamination", "0.05"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["rejections_by_reason"] == {"bad-humidity": 1}
         assert manifest["counts"]["ingested"] == len(data.records) - 1
 
     def test_date_and_time_separated_by_another_character_is_bad_time(self, capsys, tmp_path):
@@ -761,6 +820,22 @@ class TestFitCommand:
         ]
         assert main(argv) == 0
         assert json.loads(report.read_text())["n_observations"] == len(records)
+
+    def test_co2_outside_its_range_is_rejected_at_ingest_and_the_fit_runs(self, capsys, tmp_path):
+        # one co2 of 1e160 in 300 rows was ingested, and the mw-ep fit then
+        # exited 1 as rank-deficient
+        records = synth_dataset(rows_per_device=60, seed=4, duplicates_per_device=0).clean
+        records = records.take(np.arange(300))
+        co2 = records["co2"].copy()
+        co2[150] = 1e160
+        path = tmp_path / "co2.csv"
+        write_records_csv(csv_lines(replace_columns(records, co2=co2)), path)
+        assert [(r.line, r.reason) for r in ingest(path).rejections] == [(151, "bad-co2")]
+        report = tmp_path / "fit.json"
+        argv = ["fit", "--variant", "mw-ep", "--input", str(path), "--out", str(tmp_path / "m.json"),
+                "--report", str(report)]
+        assert main(argv) == 0
+        assert json.loads(report.read_text())["n_observations"] == 299
 
     @pytest.mark.parametrize(
         "config, reason",

@@ -55,13 +55,28 @@ from helpers import use_cpus
 log = logging.getLogger(__name__)
 
 _INT_COLUMNS = frozenset({"SF", "f_count", "p_count", "c_walls", "w_walls"})
-_SF, _FREQUENCY, _DISTANCE, _C_WALLS, _W_WALLS = map(
-    CSV_COLUMNS.index, ("SF", "frequency", "distance", "c_walls", "w_walls")
-)
+_MAX = 1.7976931348623157e308
+#: Each ranged column's closed interval, in check order, written out here
+#: and not read from ``records.COLUMN_RANGES``.
+RANGES = [
+    ("SF", 7, 12),
+    ("distance", 5e-324, _MAX),
+    ("c_walls", 0, _MAX),
+    ("w_walls", 0, _MAX),
+    ("frequency", 137.0, 1020.0),
+    ("co2", 0.0, 1e6),
+    ("humidity", 0.0, 100.0),
+    ("pm25", 0.0, _MAX),
+    ("pressure", -_MAX, _MAX),
+    ("temperature", -_MAX, _MAX),
+    ("rssi", -200.0, 30.0),
+    ("snr", -32.0, 32.0),
+]
 
 
 # ---------------------------------------------------------------------------
-# Reference: the per-row code, verbatim
+# Reference: the per-row code, verbatim but for the range checks, which
+# follow :data:`RANGES`
 
 
 def _parse_time(text: str) -> datetime:
@@ -111,16 +126,10 @@ def reference_parse_row(values: list[str]) -> tuple:
                 typed.append(int(value))
             else:
                 typed.append(value)
-    if not 7 <= typed[_SF] <= 12:
-        raise InvalidDataError(f"bad-SF: {typed[_SF]} outside 7..12")
-    if typed[_DISTANCE] <= 0:
-        raise InvalidDataError(f"bad-distance: {typed[_DISTANCE]} is not positive")
-    if typed[_C_WALLS] < 0:
-        raise InvalidDataError(f"bad-c_walls: {typed[_C_WALLS]} is negative")
-    if typed[_W_WALLS] < 0:
-        raise InvalidDataError(f"bad-w_walls: {typed[_W_WALLS]} is negative")
-    if typed[_FREQUENCY] <= 0:
-        raise InvalidDataError(f"bad-frequency: {typed[_FREQUENCY]} is not positive")
+    for column, low, high in RANGES:
+        value = typed[CSV_COLUMNS.index(column)]
+        if not low <= value <= high:
+            raise InvalidDataError(f"bad-{column}: {value} outside [{low}, {high}]")
     return tuple(typed)
 
 
@@ -278,13 +287,19 @@ VALID = {
              "2024-1-1 0:00:00", "20240101T000036", "2024-W01-1", "2023-12-31 23:59:59"],
     "device_id": ["dev0", "dev1", " dev2 ", "d" * MAX_DEVICE_ID_CHARS, "ünï"],
     "SF": ["7", "8", "9", "10", "11", "12", "12.0"],
-    "frequency": ["868.1", "867.3", "1e-3"],
+    "frequency": ["868.1", "867.3", "137", "1020.0"],
     "f_count": ["0", "1", "65535", "70000", "-3"],
     "p_count": ["0", "7", "65535"],
     "distance": ["10.0", "0.5", "37", "1e2"],
     "c_walls": ["0", "1", "2"],
     "w_walls": ["0", "3", "5"],
+    "co2": ["550.0", "360", "2200.5", "0", "1e6", "-0.0"],
+    "humidity": ["38.0", "5", "95.25", "0", "100"],
+    "pm25": ["2.0", "0", "1e3", "-0.0", "0.046336"],
+    "rssi": ["-75.0", "-123.5", "-200", "30", "-0.0"],
+    "snr": ["8.0", "-24.25", "19", "-32", "32", "0"],
 }
+#: Values of a column without a range but finiteness.
 FLOATS = ["550.0", "38.0", "-75.0", "8.0", "0.046336", "-83.0", "92.26", "0", "1e3", "-0.0"]
 
 #: Cells any column may be replaced with.
@@ -297,6 +312,13 @@ ODD_CELLS = [
     "2024-01-01 00:00:00+02:00", "2024-01-01T00:00:00Z", "2024-01-01 00:00:00,5",
     "d" * MAX_DEVICE_ID_CHARS, "d" * (MAX_DEVICE_ID_CHARS + 1), "dev\0", "d\0ev", "\0",
 ]
+
+
+def ends(low: float, high: float) -> list[str]:
+    """Cells of each end of a closed interval and of its float neighbour outside."""
+    return [repr(low), repr(math.nextafter(low, -math.inf)), repr(high), repr(math.nextafter(high, math.inf))]
+
+
 #: Values at the edges of each column's checks.
 EDGES = {
     "time": ["2024-01-01 00:00:00+00:00", "2024-01-01T00:00:00-05:30", "2024-01-01 00:00:00Z",
@@ -305,15 +327,20 @@ EDGES = {
     "device_id": ["d" * MAX_DEVICE_ID_CHARS, "d" * (MAX_DEVICE_ID_CHARS + 1),
                   " " + "d" * MAX_DEVICE_ID_CHARS + " ", "dev\0", "\0dev", "　", "dev 1"],
     "SF": ["7.5", "8.25", "11.9", "9.000001", "6", "13", "6.999999", "12.000001", "1.2e1"],
-    "frequency": ["0", "-0.0", "-868.1", "5e-324", "1e308"],
-    "distance": ["0", "-0.0", "-1", "5e-324", "1e308"],
+    "frequency": ["0", "-0.0", "-868.1", "5e-324", "1e308", *ends(137.0, 1020.0)],
+    "distance": ["0", "-0.0", "-1", "5e-324", "1e308", *ends(5e-324, _MAX)],
     "f_count": [str(2**63), str(-(2**63)), str(-(2**63) - 2**11), str(2**63 - 1),
                 "9.2233720368547748e18", "-9.3e18", "1.5", "-1"],
     "p_count": [str(2**63), str(-(2**63)), "9.2233720368547748e18", "0.5"],
     "c_walls": ["-1", "-0.0", "0.5", "-1e-300", str(2**63), "9.2233720368547748e18"],
     "w_walls": ["-1", "-0.0", "0.5", "-1e-300", str(2**63), "9.2233720368547748e18"],
+    "co2": ["-0.0", "1e308", *ends(0.0, 1e6)],
+    "humidity": ["-0.0", "1e308", *ends(0.0, 100.0)],
+    "pm25": ["-0.0", "-1", *ends(0.0, _MAX)],
+    "rssi": ["-0.0", "1e308", *ends(-200.0, 30.0)],
+    "snr": ["-0.0", "-1e308", *ends(-32.0, 32.0)],
 }
-FLOAT_EDGES = ["1e308", "-1e308", "5e-324", "nan", "inf", "1_000.5"]
+FLOAT_EDGES = ["1e308", "-1e308", "5e-324", "nan", "inf", "1_000.5", *ends(-_MAX, _MAX)]
 #: Ways a cell's own text can be padded.
 PADDINGS = [(" ", ""), ("", " "), ("　", "　"), ("\x1c", ""), ("", "\x1c"), ("\t", "\n")]
 
@@ -486,11 +513,12 @@ def test_cells_at_the_edge_of_the_block_reader(cell, column, at):
 
 
 def test_finite_values_whose_sum_overflows_are_accepted():
+    # pressure and temperature are bounded only by finiteness
     cells = [valid_cell(name, lambda options: options[0]) for name in CSV_COLUMNS]
-    cells[CSV_COLUMNS.index("co2")] = cells[CSV_COLUMNS.index("humidity")] = "1e308"
+    cells[CSV_COLUMNS.index("pressure")] = cells[CSV_COLUMNS.index("temperature")] = "1e308"
     assert_same_parse(cells)
-    assert parse_row(cells)[2:4] == (1e308, 1e308)
-    assert ingest(io.StringIO(one_row_file(cells, 3), newline="")).records["co2"][2] == 1e308
+    assert parse_row(cells)[5:7] == (1e308, 1e308)
+    assert ingest(io.StringIO(one_row_file(cells, 3), newline="")).records["pressure"][2] == 1e308
 
 
 def test_each_block_s_first_row_is_checked_against_parse_row(monkeypatch):
@@ -735,6 +763,21 @@ def test_valid_lines_are_parsed_a_block_at_a_time(tmp_path, monkeypatch, newline
     monkeypatch.setattr(pipeline, "_INGEST_BLOCK", 8)
     assert outcome(lambda: ingest(path)) == expected
     assert calls == [rows[0], rows[8], rows[16]]
+
+
+def test_every_edge_value_matches_the_references(tmp_path):
+    # each edge of every column's checks, one per row, read by parse_row and
+    # by the block reader on 1, 2 and 3 CPUs
+    rows = []
+    for k, column in enumerate(CSV_COLUMNS):
+        for cell in EDGES.get(column, FLOAT_EDGES):
+            rows.append(plain_rows(1)[0])
+            rows[-1][k] = cell
+            assert_same_parse(rows[-1])
+    path = tmp_path / "edges.csv"
+    path.write_text(csv_text(rows), encoding="utf-8")
+    got, _ = assert_file_matches_the_reference(path, block=16)
+    assert 0 < len(got[1]) < len(rows)
 
 
 @pytest.mark.parametrize("separator", ["T", " ", "X", "_"])

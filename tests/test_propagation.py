@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -83,7 +84,7 @@ class TestPredictMw:
 
     def test_extended_model_names_the_input_it_misses(self):
         # an extended model reads the covariates, which structural inputs lack
-        with pytest.raises(InvalidConfigError, match="missing input: humidity"):
+        with pytest.raises(InvalidConfigError, match="missing input: temperature"):
             predict(EP_MODEL, mw_inputs(10.0))
 
     def test_monotone_in_distance_and_walls(self):
@@ -95,8 +96,9 @@ class TestPredictMw:
 
 class TestPredictMwEp:
     def test_neutral_inputs_return_intercept(self):
-        value = predict(EP_MODEL, ep_inputs(1.0, 1.0, ZERO_ENV, 0.0))
-        assert value == pytest.approx(5.46, abs=1e-12)
+        # 1 MHz would zero the frequency term, but it is outside the radio's band
+        value = predict(EP_MODEL, ep_inputs(1.0, 868.1, ZERO_ENV, 0.0))
+        assert value - 20.0 * math.log10(868.1) == pytest.approx(5.46, abs=1e-12)
 
     def test_term_by_term_oracle_at_published_means(self):
         # independent spreadsheet-style evaluation, one term per line
@@ -128,9 +130,10 @@ class TestPredictMwEp:
             slope = predict(EP_MODEL, ep_inputs(10.0, 868.1, env, 7.0)) - base
             assert slope == pytest.approx(EP_COEFFS[name], abs=1e-9)
 
-    def test_nonpositive_frequency_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            predict(EP_MODEL, ep_inputs(10.0, 0.0, MEAN_ENV, 7.0))
+    @pytest.mark.parametrize("frequency", [0.0, 136.9, 1020.5, 1e300])
+    def test_frequency_outside_its_range_rejected(self, frequency):
+        with pytest.raises(InvalidDataError, match=re.escape(f"bad-frequency: {frequency} outside [137.0, 1020.0]")):
+            predict(EP_MODEL, ep_inputs(10.0, frequency, MEAN_ENV, 7.0))
 
     def test_mw_variant_cannot_hold_env_terms(self):
         with pytest.raises(InvalidDataError, match=r"shape \(5,\), expected \(4,\)"):
@@ -140,19 +143,22 @@ class TestPredictMwEp:
 
 
 class TestPredictInputs:
-    """The checks the wall-count and covariate types made on predictor inputs."""
+    """Each input is checked against its column's range, as ingest checks a row."""
 
     @pytest.mark.parametrize(
         "name, value, message",
         [
-            ("humidity", 120.0, "humidity_pct must be in [0, 100], got 120.0"),
-            ("pm25", -1.0, "pm25_ugm3 must be >= 0, got -1.0"),
-            ("co2", -5.0, "co2_ppm must be >= 0, got -5.0"),
+            ("humidity", 120.0, "bad-humidity: 120.0 outside [0.0, 100.0]"),
+            ("pm25", -1.0, "bad-pm25: -1.0 outside [0.0, 1.7976931348623157e+308]"),
+            ("co2", -5.0, "bad-co2: -5.0 outside [0.0, 1000000.0]"),
+            ("co2", 1e300, "bad-co2: 1e+300 outside [0.0, 1000000.0]"),
+            ("temperature", math.inf, "bad-temperature: inf outside [-1.7976931348623157e+308, 1.7976931348623157e+308]"),
+            ("pressure", math.nan, "bad-pressure: nan outside [-1.7976931348623157e+308, 1.7976931348623157e+308]"),
         ],
     )
     def test_covariate_checks(self, name, value, message):
         inputs = ep_inputs(10.0, 868.1, MEAN_ENV | {name: value}, 7.0)
-        with pytest.raises(InvalidConfigError) as info:
+        with pytest.raises(InvalidDataError) as info:
             predict(EP_MODEL, inputs)
         assert str(info.value) == message
 
@@ -160,7 +166,8 @@ class TestPredictInputs:
     @pytest.mark.parametrize("model", [MW_MODEL, EP_MODEL], ids=["mw", "mw-ep"])
     def test_wall_count_checks(self, model, walls):
         inputs = ep_inputs(10.0, 868.1, MEAN_ENV, 7.0) | walls
-        with pytest.raises(InvalidConfigError, match="wall counts must be >= 0"):
+        (name,) = walls
+        with pytest.raises(InvalidDataError, match=f"^bad-{name}: -1 outside \\[0, "):
             predict(model, inputs)
 
     @pytest.mark.parametrize("name", ["distance", "frequency", "pressure", "snr"])
@@ -263,7 +270,7 @@ def prediction_cases(draw):
     )
     if variant is ModelVariant.MW_EP:
         inputs |= dict(
-            frequency=draw(st.floats(1.0, 6000.0)),
+            frequency=draw(st.floats(137.0, 1020.0)),
             temperature=draw(st.floats(-40.0, 60.0)),
             humidity=draw(st.floats(0.0, 100.0)),
             pressure=draw(st.floats(0.0, 1100.0)),

@@ -1,4 +1,8 @@
+import math
+import re
+import sys
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +11,11 @@ from hypothesis import example, given, strategies as st
 from loraprop.errors import InvalidDataError
 from loraprop.records import (
     _INT_COLUMNS,
+    COLUMN_RANGES,
     CSV_COLUMNS,
     MAX_DEVICE_ID_CHARS,
     ObservationTable,
+    check_range,
     format_row,
     parse_row,
 )
@@ -101,6 +107,15 @@ class TestParseRow:
             (with_cell("device_id", "a\nb"), "bad-device_id"),
             (with_cell("device_id", "a\r\nb"), "bad-device_id"),
             (with_cell("c_walls", "-1"), "bad-c_walls"),
+            # each of these was ingested before the range table
+            (with_cell("humidity", "120"), "bad-humidity"),
+            (with_cell("co2", "1e160"), "bad-co2"),
+            (with_cell("co2", "-5"), "bad-co2"),
+            (with_cell("pm25", "-0.5"), "bad-pm25"),
+            (with_cell("rssi", "31"), "bad-rssi"),
+            (with_cell("snr", "92.26"), "bad-snr"),
+            (with_cell("frequency", "1e-3"), "bad-frequency"),
+            (with_cell("frequency", "2400"), "bad-frequency"),
         ],
     )
     def test_data_faults_raise_invalid_data_error(self, cells, reason):
@@ -145,6 +160,30 @@ class TestParseRow:
                      "20240101T000000", "2024-01-01"):
             assert parse_row(with_cell("time", text))[0] == datetime(2024, 1, 1)
         assert parse_row(with_cell("time", "2024-01-01 00:00:00.25"))[0].microsecond == 250000
+
+
+class TestColumnRanges:
+    def test_readme_table_equals_column_ranges(self):
+        # the README's table of column ranges, row for row and in order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        bound = {"max": sys.float_info.max, "-max": -sys.float_info.max}
+        rows = re.findall(r"^\| `(\w+)` \| (\S+) \| (\S+) \|", readme, re.MULTILINE)
+        assert [(name, bound.get(low) or float(low), bound.get(high) or float(high))
+                for name, low, high in rows] == [(name, *interval) for name, interval in COLUMN_RANGES.items()]
+
+    def test_checks_start_in_the_order_of_the_old_range_checks(self):
+        # a row refused before the table existed keeps its tag
+        assert list(COLUMN_RANGES)[:5] == ["SF", "distance", "c_walls", "w_walls", "frequency"]
+        assert set(COLUMN_RANGES) <= set(CSV_COLUMNS)
+
+    @pytest.mark.parametrize("column", list(COLUMN_RANGES))
+    def test_each_end_is_inside_and_its_neighbour_outside(self, column):
+        low, high = COLUMN_RANGES[column]
+        check_range(column, low)
+        check_range(column, high)
+        for value in (math.nextafter(low, -math.inf), math.nextafter(high, math.inf), math.nan):
+            with pytest.raises(InvalidDataError, match=f"^{re.escape(f'bad-{column}: {value} outside [{low}, {high}]')}$"):
+                check_range(column, value)
 
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e-7, 1.7976931348623157e308, 0.1)
