@@ -42,7 +42,9 @@ class AdrState:
     history_capacity: int = 20
 
     def __post_init__(self) -> None:
-        _, high = COLUMN_RANGES["SF"]
+        low, high = COLUMN_RANGES["SF"]
+        if not low <= self.min_sf <= high:
+            raise InvalidConfigError(f"min_sf must be in {low}..{high}, got {self.min_sf}")
         if not self.min_sf <= self.current_sf <= high:
             raise InvalidConfigError(f"current_sf must be in {self.min_sf}..{high}, got {self.current_sf}")
         if self.current_power_dbm > self.max_power_dbm:

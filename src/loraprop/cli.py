@@ -212,21 +212,22 @@ def cmd_adr_sim(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    if args.snr is not None:
-        check_range("snr", args.snr)
     model = load_model(args.model)
-    inputs = {"distance": args.distance, "c_walls": args.brick, "w_walls": args.wood}
-    if model.variant is ModelVariant.MW_EP:
-        if args.env_json is None or args.freq is None or args.snr is None:
-            raise LorapropError(
-                "the extended variant needs --freq, --env-json and --snr"
-            )
-        env = json.loads(args.env_json)
+    extended = model.variant is ModelVariant.MW_EP
+    if extended and (args.env_json is None or args.freq is None or args.snr is None):
+        raise LorapropError("the extended variant needs --freq, --env-json and --snr")
+    # every reading given is checked, also those the structural variant does not use
+    given = {"frequency": args.freq, "snr": args.snr}
+    if args.env_json is not None:
         try:
-            inputs |= {name: float(env[name]) for name in ENV_FIELDS}
-        except (KeyError, TypeError, ValueError) as exc:
+            env = json.loads(args.env_json)
+            if not isinstance(env, dict):
+                raise TypeError("not a JSON object")
+            given |= {name: float(env[name]) for name in ENV_FIELDS if extended or name in env}
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise LorapropError(f"bad --env-json: {exc}") from exc
-        inputs |= {"frequency": args.freq, "snr": args.snr}
+    inputs = {"distance": args.distance, "c_walls": args.brick, "w_walls": args.wood}
+    inputs |= {name: check_range(name, value) for name, value in given.items() if value is not None}
     return _finish(args, _args_config(args), {"path_loss_db": predict(model, inputs)})
 
 

@@ -761,12 +761,6 @@ class IsolationForestModel:
         return 2.0 ** (-self.path_lengths(matrix) / normaliser)
 
 
-@dataclass(frozen=True)
-class AnomalyResult:
-    flags: np.ndarray
-    scores: np.ndarray
-
-
 def fit_isolation_forest(
     matrix: np.ndarray, config: IsolationForestConfig
 ) -> IsolationForestModel:
@@ -793,21 +787,21 @@ def fit_isolation_forest(
 
 def isolation_forest(
     matrix: np.ndarray, config: IsolationForestConfig
-) -> AnomalyResult:
-    """Score every row and flag exactly ``round(contamination * N)`` of them.
+) -> np.ndarray:
+    """The flag mask of the rows: exactly ``round(contamination * N)`` of them,
+    those the forest scores highest, are flagged.
 
     The cutoff is an exact score quantile (ties broken by row order), which
     keeps the flagged count reproducible run-to-run.
     """
-    model = fit_isolation_forest(matrix, config)
-    scores = model.scores(matrix)
+    scores = fit_isolation_forest(matrix, config).scores(matrix)
     n = scores.size
     k = int(round(config.contamination * n))
     flags = np.zeros(n, dtype=bool)
     if k > 0:
         order = np.argsort(-scores, kind="stable")
         flags[order[:k]] = True
-    return AnomalyResult(flags=flags, scores=scores)
+    return flags
 
 
 def _rows_by_device(records: ObservationTable) -> list[tuple[str, np.ndarray]]:
@@ -836,13 +830,8 @@ def _screen_device(rows: ObservationTable, device: str, config: IsolationForestC
     flags = None
     if varying:
         scaled = standardize(rows, varying)
-        flags = isolation_forest(scaled, config).flags
+        flags = isolation_forest(scaled, config)
     return flags, constant, notes
-
-
-def _screen_share(records: ObservationTable, share: list, config: IsolationForestConfig) -> list:
-    """:func:`_screen_device` over each ``(device, row indices)`` of a share."""
-    return [_screen_device(records.take(idx), device, config) for device, idx in share]
 
 
 def _shares(devices: list, workers: int, subsample_size: int) -> list[list]:
@@ -857,14 +846,6 @@ def _shares(devices: list, workers: int, subsample_size: int) -> list[list]:
     return shares
 
 
-def _screen_devices(records: ObservationTable, devices: list, config: IsolationForestConfig) -> dict:
-    """:func:`_screen_device` results by device, the devices spread over the
-    workers (:func:`_fork_map`)."""
-    shares = _shares(devices, _workers(len(devices)), config.subsample_size)
-    with _fork_map(lambda share: _screen_share(records, share, config), shares, "anomaly screening") as results:
-        return dict(zip((device for device, _ in chain.from_iterable(shares)), chain.from_iterable(results)))
-
-
 def flag_anomalies(
     records: ObservationTable, config: IsolationForestConfig
 ) -> tuple[np.ndarray, dict[str, list[str]]]:
@@ -876,13 +857,17 @@ def flag_anomalies(
     non-constant features only; one with fewer than two rows or no varying
     feature is passed through unflagged, and one whose spread is not finite
     and positive (a sum overflows or squares underflow) is left out the same way.
-    Devices are screened in parallel (see :func:`_screen_devices`); flags
-    and warnings do not depend on the number of CPUs.
+    Devices are spread over the workers (:func:`_fork_map`); flags and
+    warnings do not depend on the number of CPUs.
     """
     flags = np.zeros(len(records), dtype=bool)
     constant: dict[str, list[str]] = {}
     devices = _rows_by_device(records)
-    results = _screen_devices(records, [(device, idx) for device, idx in devices if idx.size >= 2], config)
+    screened = [(device, idx) for device, idx in devices if idx.size >= 2]
+    shares = _shares(screened, _workers(len(screened)), config.subsample_size)
+    with _fork_map(lambda share: [_screen_device(records.take(idx), device, config) for device, idx in share],
+                   shares, "anomaly screening") as values:
+        results = dict(zip((device for device, _ in chain.from_iterable(shares)), chain.from_iterable(values)))
     for device, idx in devices:
         if idx.size < 2:
             log.warning("device %s has %d record(s); skipping anomaly screen", device, idx.size)
@@ -959,23 +944,12 @@ def kfold(
 
 @dataclass
 class PipelineResult:
-    """The cleaned table and the sorted row indices of its train/test split.
-
-    ``train`` and ``test`` are selected from ``clean`` each time they are read.
-    """
+    """The cleaned table and the sorted row indices of its train/test split."""
 
     clean: ObservationTable
     train_index: np.ndarray
     test_index: np.ndarray
     manifest: dict
-
-    @property
-    def train(self) -> ObservationTable:
-        return self.clean.take(self.train_index)
-
-    @property
-    def test(self) -> ObservationTable:
-        return self.clean.take(self.test_index)
 
 
 #: Rows :func:`csv_lines` formats at a time.  A block's cells are all held as

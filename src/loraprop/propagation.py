@@ -244,7 +244,7 @@ class SceneSpec:
         lo, hi = self.wall_spacing_m
         if not 0 < lo <= hi:
             raise InvalidConfigError("wall_spacing_m must satisfy 0 < low <= high")
-        # written so that NaN fails it too: the wall loop would never end
+        # written so that NaN fails it too: the wall draw has no size for it
         if not self.max_distance_m / lo <= MAX_SCENE_WALLS:
             raise InvalidConfigError(
                 f"{self.max_distance_m / lo:g} walls at the minimum wall spacing"
@@ -263,10 +263,6 @@ class SceneSample:
     noisy_path_loss_db: float
 
 
-#: Wall gaps :func:`simulate_scene` draws at a time.
-_WALL_BLOCK = 1 << 16
-
-
 def simulate_scene(spec: SceneSpec, seed: int) -> list[SceneSample]:
     """Evaluate the structural model along a distance sweep through a random
     wall layout, with shadowing added on top of the deterministic loss.
@@ -276,15 +272,11 @@ def simulate_scene(spec: SceneSpec, seed: int) -> list[SceneSample]:
     """
     rng = np.random.default_rng(seed)
     start = rng.bit_generator.state
-    # walls at uniform gaps up to the first past the end: the gaps are drawn in
-    # blocks and summed on in order, as ``+=`` sums them, and the generator is
-    # then left one draw past the last wall (a fresh one holds no half draw)
+    # int(max / low) + 1 gaps of at least ``low`` reach past the end; they are
+    # summed in order, as ``+=`` sums them, and the generator is then left one
+    # draw past the last wall (a fresh one holds no half draw)
     low, high = spec.wall_spacing_m
-    blocks = [np.zeros(1)]
-    while blocks[-1][-1] <= spec.max_distance_m:
-        size = min(_WALL_BLOCK, int((spec.max_distance_m - blocks[-1][-1]) / low) + 1)
-        blocks.append(np.cumsum(np.concatenate((blocks[-1][-1:], rng.uniform(low, high, size=size))))[1:])
-    walls = np.concatenate(blocks[1:])
+    walls = np.cumsum(rng.uniform(low, high, size=int(spec.max_distance_m / low) + 1))
     positions = walls[: np.searchsorted(walls, spec.max_distance_m, side="right")]
     rng.bit_generator.state = start
     rng.bit_generator.advance(positions.size + 1)

@@ -192,8 +192,8 @@ def test_a7_pipeline_determinism(tmp_path, a7_corpus):
         # and the single-matrix operation obeys the same exact-count contract
         rng = np.random.default_rng(0)
         matrix = rng.normal(size=(10_000, 7))
-        result = isolation_forest(matrix, IsolationForestConfig(contamination=0.01, seed=1))
-        assert int(result.flags.sum()) == 100
+        flags = isolation_forest(matrix, IsolationForestConfig(contamination=0.01, seed=1))
+        assert int(flags.sum()) == 100
 
     verdict("A7 pipeline determinism + exact counts", body)
 
@@ -235,15 +235,16 @@ def test_a8_paper_scale_reproduction(tmp_path):
         for device, info in result.manifest["per_device"].items():
             assert 0.87 <= info["pdr"] <= 0.93
 
-        mw_report = fit(result.train, ModelVariant.MW)
+        train, test = result.clean.take(result.train_index), result.clean.take(result.test_index)
+        mw_report = fit(train, ModelVariant.MW)
         mw_model = mw_report.to_model()
-        mw_eval = evaluate_model(mw_model, result.test)
+        mw_eval = evaluate_model(mw_model, test)
         assert 10.0 <= mw_eval.rmse_db <= 11.2
         assert 0.66 <= mw_eval.r2 <= 0.72
 
-        ep_report = fit(result.train, ModelVariant.MW_EP)
+        ep_report = fit(train, ModelVariant.MW_EP)
         ep_model = ep_report.to_model()
-        ep_eval = evaluate_model(ep_model, result.test)
+        ep_eval = evaluate_model(ep_model, test)
         assert 7.5 <= ep_eval.rmse_db <= 8.6
         assert 0.79 <= ep_eval.r2 <= 0.85
 
@@ -268,12 +269,13 @@ def test_a9_published_cross_validation_stability(tmp_path):
         result = run_pipeline(_load_published(), out, seed=42, contamination=0.01)
 
         all_shares = daily_distribution(result.clean)
-        train_shares = daily_distribution(result.train)
+        train = result.clean.take(result.train_index)
+        train_shares = daily_distribution(train)
         for day, share in all_shares.items():
             assert abs(train_shares.get(day, 0.0) - share) < 2.0
 
         for variant in (ModelVariant.MW, ModelVariant.MW_EP):
-            cv = cross_validate(result.train, variant, folds=5, seed=42)
+            cv = cross_validate(train, variant, folds=5, seed=42)
             fold_rmse = [f.validation.rmse_db for f in cv.folds]
             assert float(np.std(fold_rmse)) < 0.2
 

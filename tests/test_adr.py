@@ -105,6 +105,12 @@ class TestHistoryWindow:
         with pytest.raises(InvalidConfigError):
             state(history=range(30), history_capacity=20)
 
+    @pytest.mark.parametrize("sf, min_sf", [(5, 5), (12, 6), (12, 13)])
+    def test_min_sf_outside_the_sf_range_rejected(self, sf, min_sf):
+        # min_sf 5 with sf 5 passed and failed at the first frame in snr_required
+        with pytest.raises(InvalidConfigError, match=f"min_sf must be in 7..12, got {min_sf}"):
+            state(sf=sf, min_sf=min_sf)
+
 
 class TestClampInvariants:
     def test_random_walk_respects_clamps(self):

@@ -296,6 +296,17 @@ class TestAdrSimCommand:
         assert capsys.readouterr().out == ""
         assert reason in caplog.text
 
+    @pytest.mark.parametrize("flags", [["--sf", "5", "--min-sf", "5"], ["--min-sf", "13"]])
+    def test_min_sf_outside_the_sf_range_exits_1_before_any_output(self, capsys, caplog, tmp_path, flags):
+        # --sf 5 --min-sf 5 failed at the first frame with "unknown spreading
+        # factor 5", and --min-sf 13 read "current_sf must be in 13..12"
+        trace = tmp_path / "trace.txt"
+        trace.write_text("10.0\n")
+        assert main(["adr-sim", "--trace", str(trace), *flags]) == 1
+        assert capsys.readouterr().out == ""
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"min_sf must be in 7..12, got {flags[-1]}"]
+
 
 EP_MODEL = PathLossModel(
     ModelVariant.MW_EP,
@@ -381,6 +392,36 @@ class TestPredictCommand:
                      "--env-json", env, "--snr", "7.4", *flags]) == 1
         assert capsys.readouterr().out == ""
         assert reason in caplog.text
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--freq", "1e300", "--env-json", '{"co2": 1e300}'], "bad-frequency: 1e+300 outside [137.0, 1020.0]"),
+            (["--env-json", '{"co2": 1e300}'], "bad-co2: 1e+300 outside [0.0, 1000000.0]"),
+            (["--env-json", "not json"], "bad --env-json: Expecting value"),
+            (["--env-json", "[550]"], "bad --env-json: not a JSON object"),
+            (["--env-json", '{"co2": 1%s}' % ("0" * 400)], "bad --env-json: int too large"),
+            (["--snr", "32.5"], "bad-snr: 32.5 outside [-32.0, 32.0]"),
+        ],
+        ids=["freq-and-co2-1e300", "co2-1e300", "not-json", "not-an-object", "co2-overflows", "snr-32.5"],
+    )
+    def test_structural_model_checks_every_reading_it_is_given(self, capsys, caplog, tmp_path, flags, reason):
+        # the structural variant ignored --freq and --env-json unread: the
+        # first two cases and "not json" printed 67.5 with exit 0
+        path = tmp_path / "mw.json"
+        save_model(PathLossModel(ModelVariant.MW, (31.30, 3.62, 9.74, 2.64)), path)
+        assert main(["predict", "--model", str(path), "--distance", "10", *flags]) == 1
+        assert capsys.readouterr().out == ""
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith(reason)
+
+    def test_structural_model_takes_in_range_readings(self, capsys, tmp_path):
+        path = tmp_path / "mw.json"
+        save_model(PathLossModel(ModelVariant.MW, (31.30, 3.62, 9.74, 2.64)), path)
+        code, out = run(capsys, "predict", "--model", str(path), "--distance", "10", "--freq", "868.1",
+                        "--snr", "3", "--env-json", '{"co2": 550, "humidity": 38}')
+        assert code == 0
+        assert json.loads(out)["path_loss_db"] == pytest.approx(67.50, abs=1e-9)
 
 
 class TestSimulateCommand:

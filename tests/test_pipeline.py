@@ -476,9 +476,9 @@ class TestIsolationForest:
         config = IsolationForestConfig(
             n_trees=2, subsample_size=41, contamination=1 / 41, seed=12
         )
-        result = isolation_forest(matrix, config)
-        assert result.flags.sum() == 1
-        assert result.flags[-1]
+        flags = isolation_forest(matrix, config)
+        assert flags.sum() == 1
+        assert flags[-1]
 
     def test_brute_force_path_length_oracle(self):
         """Recompute every score by walking the two trees by hand."""
@@ -524,24 +524,22 @@ class TestIsolationForest:
     def test_exact_quantile_count(self):
         rng = np.random.default_rng(5)
         matrix = rng.normal(size=(300, 3))
-        result = isolation_forest(matrix, IsolationForestConfig(contamination=0.01))
-        assert result.flags.sum() == round(0.01 * 300)
+        flags = isolation_forest(matrix, IsolationForestConfig(contamination=0.01))
+        assert flags.sum() == round(0.01 * 300)
 
     def test_fraction_matches_contamination_within_one_over_n(self):
         rng = np.random.default_rng(6)
         for n in (97, 200, 1001):
             matrix = rng.normal(size=(n, 2))
-            result = isolation_forest(matrix, IsolationForestConfig(contamination=0.05))
-            assert abs(result.flags.sum() / n - 0.05) <= 1.0 / n
+            flags = isolation_forest(matrix, IsolationForestConfig(contamination=0.05))
+            assert abs(flags.sum() / n - 0.05) <= 1.0 / n
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(7)
         matrix = rng.normal(size=(500, 4))
         config = IsolationForestConfig(seed=42)
-        a = isolation_forest(matrix, config)
-        b = isolation_forest(matrix, config)
-        np.testing.assert_array_equal(a.flags, b.flags)
-        np.testing.assert_array_equal(a.scores, b.scores)
+        np.testing.assert_array_equal(isolation_forest(matrix, config), isolation_forest(matrix, config))
+        np.testing.assert_array_equal(*(fit_isolation_forest(matrix, config).scores(matrix) for _ in range(2)))
 
     def test_matrix_without_columns_rejected(self):
         with pytest.raises(InvalidDataError, match="non-empty"):
@@ -596,7 +594,7 @@ class TestIsolationForest:
         # the device is screened as if pm25 were not among its features
         varying = tuple(name for name in FEATURE_FIELDS if name != "pm25")
         scaled = standardize(flat.take(mine), varying)
-        np.testing.assert_array_equal(flags[mine], isolation_forest(scaled, config).flags)
+        np.testing.assert_array_equal(flags[mine], isolation_forest(scaled, config))
         # and every other device as before
         unchanged, _ = flag_anomalies(clean, config)
         np.testing.assert_array_equal(flags[~mine], unchanged[~mine])
@@ -619,7 +617,7 @@ class TestIsolationForest:
         assert "device dev1 has feature(s) ['pm25'] that cannot be standardised" in caplog.text
         varying = tuple(name for name in FEATURE_FIELDS if name != "pm25")
         scaled = standardize(odd.take(mine), varying)
-        np.testing.assert_array_equal(flags[mine], isolation_forest(scaled, config).flags)
+        np.testing.assert_array_equal(flags[mine], isolation_forest(scaled, config))
         unchanged, _ = flag_anomalies(clean, config)
         np.testing.assert_array_equal(flags[~mine], unchanged[~mine])
 
@@ -859,20 +857,21 @@ class TestRunPipeline:
 
     def test_outputs_equal_tables_written_row_by_row(self, small_synth_csv, tmp_path):
         result = run_pipeline(small_synth_csv, tmp_path / "out", seed=42, contamination=0.05)
-        tables = {"cleaned": result.clean, "train": result.train, "test": result.test}
+        train, test = result.clean.take(result.train_index), result.clean.take(result.test_index)
+        tables = {"cleaned": result.clean, "train": train, "test": test}
         for name, table in tables.items():
             write_reference_csv(table, tmp_path / f"{name}.reference.csv")
             written = (tmp_path / "out" / f"{name}.csv").read_bytes()
             assert written == (tmp_path / f"{name}.reference.csv").read_bytes()
-        assert record_keys(result.train) | record_keys(result.test) == record_keys(result.clean)
-        assert not (record_keys(result.train) & record_keys(result.test))
+        assert record_keys(train) | record_keys(test) == record_keys(result.clean)
+        assert not (record_keys(train) & record_keys(test))
 
     def test_train_and_test_are_the_split_rows_of_clean(self, small_synth_csv, tmp_path):
         result = run_pipeline(small_synth_csv, tmp_path / "out", seed=42, contamination=0.05)
         want = split(result.clean, SplitSpec(test_fraction=0.2, seed=42))
         assert all(np.array_equal(got, index) for got, index in zip((result.train_index, result.test_index), want))
-        assert rows_of(result.train) == rows_of(result.clean.take(want[0]))
-        assert rows_of(result.test) == rows_of(result.clean.take(want[1]))
+        for name, index in zip(("train", "test"), want):
+            assert rows_of(ingest(tmp_path / "out" / f"{name}.csv").records) == rows_of(result.clean.take(index))
 
     def test_peak_memory_is_a_small_multiple_of_the_ingested_table(self, a7_corpus, tmp_path):
         # each stage's input table is dropped once its output exists; holding

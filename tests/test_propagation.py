@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, stats
 
-from loraprop import propagation
 from loraprop.errors import InvalidConfigError, InvalidDataError
 from loraprop.propagation import (
     ENV_FIELDS,
@@ -434,12 +433,10 @@ class TestSimulateScene:
                 parities.add(walls % 2)
         assert parities == {0, 1}
 
-    @pytest.mark.parametrize("block", [1, 2, 7, propagation._WALL_BLOCK])
     @pytest.mark.parametrize("spacing", [(4.0, 10.0), (5.0, 5.0), (0.5, 0.75)])
-    def test_walls_drawn_in_blocks_match_the_per_wall_loop(self, monkeypatch, spacing, block):
-        # the positions are summed on across blocks, and the shadowing draws
-        # after the walls see the generator one draw past the last wall
-        monkeypatch.setattr(propagation, "_WALL_BLOCK", block)
+    def test_walls_drawn_at_once_match_the_per_wall_loop(self, spacing):
+        # the positions are summed in order, and the shadowing draws after the
+        # walls see the generator one draw past the last wall
         for seed in range(4):
             for max_distance_m in (3.0, 5.0, 61.0, 400.0):
                 spec = SceneSpec(max_distance_m=max_distance_m, num_points=23, wall_spacing_m=spacing)
