@@ -47,6 +47,19 @@ class AdrState:
             raise InvalidConfigError(f"min_sf must be in {low}..{high}, got {self.min_sf}")
         if not self.min_sf <= self.current_sf <= high:
             raise InvalidConfigError(f"current_sf must be in {self.min_sf}..{high}, got {self.current_sf}")
+        # powers lie in the package's dBm interval, a fade margin within the
+        # width of the SNR interval and a power step within that of the dBm one
+        dbm_low, dbm_high = COLUMN_RANGES["rssi"]
+        snr_low, snr_high = COLUMN_RANGES["snr"]
+        for name, low, high in (
+            ("current_power_dbm", dbm_low, dbm_high),
+            ("max_power_dbm", dbm_low, dbm_high),
+            ("fade_margin_db", 0.0, snr_high - snr_low),
+        ):
+            if not low <= getattr(self, name) <= high:
+                raise InvalidConfigError(f"{name} must be in [{low}, {high}], got {getattr(self, name)}")
+        if not 0 < self.power_step_db <= dbm_high - dbm_low:
+            raise InvalidConfigError(f"power_step_db must be in (0, {dbm_high - dbm_low}], got {self.power_step_db}")
         if self.current_power_dbm > self.max_power_dbm:
             raise InvalidConfigError(
                 f"current power {self.current_power_dbm} exceeds max {self.max_power_dbm}"

@@ -240,13 +240,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         path_loss_exponent=args.exponent,
         shadowing_sigma_db=args.sigma,
     )
-    samples = simulate_scene(spec, args.seed)
+    scene = simulate_scene(spec, args.seed)
+    crossed = scene["c_walls"] + scene["w_walls"]
+    rows = zip(*(c.tolist() for c in (scene["distance"], scene["true_pl"], scene["noisy_pl"], crossed)))
     lines = ["distance,true_pl,noisy_pl,walls_crossed"]
-    for s in samples:
-        crossed = s.walls.brick + s.walls.wood
-        lines.append(
-            f"{s.distance_m!r},{s.true_path_loss_db!r},{s.noisy_path_loss_db!r},{crossed}"
-        )
+    lines += (f"{d!r},{pl!r},{noisy!r},{walls}" for d, pl, noisy, walls in rows)
     text = "\n".join(lines) + "\n"
     if args.out:
         with atomic_write(args.out) as handle:

@@ -100,10 +100,6 @@ def payload_symbols(cfg: RadioConfig) -> int:
     header = 1 if cfg.implicit_header else 0
     de = 1 if cfg.low_dr_opt else 0
     denominator = 4 * (cfg.sf - 2 * de)
-    if denominator <= 0:
-        raise InvalidConfigError(
-            f"sf - 2*DE must be positive, got sf={cfg.sf} DE={de}"
-        )
     numerator = 8 * cfg.payload_bytes - 4 * cfg.sf + 28 + 16 * crc - 20 * header
     ceil_blocks = -(-numerator // denominator)
     return 8 + max(ceil_blocks * (cfg.cr_index + 4), 0)

@@ -140,10 +140,6 @@ class IngestResult:
     rejections: list[Rejection]
     rows_read: int
 
-    @property
-    def rejection_rate(self) -> float:
-        return len(self.rejections) / self.rows_read if self.rows_read else 0.0
-
 
 def ingest(source: str | Path | TextIO) -> IngestResult:
     """Parse a CSV export into an observation table, dropping anything malformed.
@@ -296,7 +292,7 @@ def _joined(parts: list) -> IngestResult:
     columns = {name: np.concatenate([piece for part in parts for piece in next(part)]) for name in CSV_COLUMNS}
     result = IngestResult(records=ObservationTable(columns), rejections=rejections, rows_read=rows)
     log.info("ingested %d rows, rejected %d (%.4f%%)",
-             len(result.records), len(result.rejections), 100.0 * result.rejection_rate)
+             len(result.records), len(rejections), 100.0 * (len(rejections) / rows) if rows else 0.0)
     return result
 
 

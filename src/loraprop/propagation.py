@@ -42,14 +42,6 @@ class ModelVariant(str, enum.Enum):
     MW_EP = "mw-ep"
 
 
-@dataclass(frozen=True)
-class WallCounts:
-    """Number of walls of each material crossed by the direct path."""
-
-    brick: int = 0
-    wood: int = 0
-
-
 #: Coefficient order of each variant: intercept, exponent, one loss per wall
 #: material and, for the extended variant, one slope per covariate plus the
 #: SNR slope.  Models, predictor columns and fitted vectors follow it.
@@ -255,19 +247,13 @@ class SceneSpec:
             raise InvalidConfigError("wall_loss_db low bound exceeds high bound")
 
 
-@dataclass(frozen=True)
-class SceneSample:
-    distance_m: float
-    walls: WallCounts
-    true_path_loss_db: float
-    noisy_path_loss_db: float
-
-
-def simulate_scene(spec: SceneSpec, seed: int) -> list[SceneSample]:
+def simulate_scene(spec: SceneSpec, seed: int) -> dict[str, np.ndarray]:
     """Evaluate the structural model along a distance sweep through a random
     wall layout, with shadowing added on top of the deterministic loss.
 
-    Draw order is fixed (wall positions, materials, losses, then the per-point
+    Returns one array per column: ``distance``, the brick and wood walls
+    crossed (``c_walls``, ``w_walls``), ``true_pl`` and ``noisy_pl``.  Draw
+    order is fixed (wall positions, materials, losses, then the per-point
     shadowing), so a seed pins the whole scene.
     """
     rng = np.random.default_rng(seed)
@@ -301,11 +287,7 @@ def simulate_scene(spec: SceneSpec, seed: int) -> list[SceneSample]:
         + spec.path_loss_exponent * x[:, 1]
         + np.cumsum(np.concatenate(([0.0], losses)))[crossed]
     )
-    columns = (distances, brick, wood, true_pl, true_pl + noise)
-    return [
-        SceneSample(d, WallCounts(b, w), pl, noisy)
-        for d, b, w, pl, noisy in zip(*(c.tolist() for c in columns))
-    ]
+    return inputs | {"true_pl": true_pl, "noisy_pl": true_pl + noise}
 
 
 def model_to_dict(model: PathLossModel) -> dict:

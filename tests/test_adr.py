@@ -105,6 +105,29 @@ class TestHistoryWindow:
         with pytest.raises(InvalidConfigError):
             state(history=range(30), history_capacity=20)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # each of these was accepted and replayed as a margin or power of 1e+300
+            ({"power": -1e300, "max_power_dbm": 1e300}, "current_power_dbm must be in [-200.0, 30.0], got -1e+300"),
+            ({"power": 14.0, "max_power_dbm": 1e300}, "max_power_dbm must be in [-200.0, 30.0], got 1e+300"),
+            ({"fade_margin_db": 1e300}, "fade_margin_db must be in [0.0, 64.0], got 1e+300"),
+            ({"fade_margin_db": -1e300}, "fade_margin_db must be in [0.0, 64.0], got -1e+300"),
+            ({"fade_margin_db": -0.5}, "fade_margin_db must be in [0.0, 64.0], got -0.5"),
+            ({"power_step_db": -5.0}, "power_step_db must be in (0, 230.0], got -5.0"),
+            ({"power_step_db": 0.0}, "power_step_db must be in (0, 230.0], got 0.0"),
+            ({"power_step_db": 230.5}, "power_step_db must be in (0, 230.0], got 230.5"),
+        ],
+    )
+    def test_power_margin_and_step_outside_their_intervals_rejected(self, fields, message):
+        with pytest.raises(InvalidConfigError) as info:
+            state(**fields)
+        assert str(info.value) == message
+
+    def test_interval_ends_accepted(self):
+        state(power=-200.0, max_power_dbm=30.0, fade_margin_db=64.0, power_step_db=230.0)
+        state(power=-200.0, max_power_dbm=-200.0, fade_margin_db=0.0, power_step_db=5e-324)
+
     @pytest.mark.parametrize("sf, min_sf", [(5, 5), (12, 6), (12, 13)])
     def test_min_sf_outside_the_sf_range_rejected(self, sf, min_sf):
         # min_sf 5 with sf 5 passed and failed at the first frame in snr_required

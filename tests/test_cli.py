@@ -307,6 +307,24 @@ class TestAdrSimCommand:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == [f"min_sf must be in 7..12, got {flags[-1]}"]
 
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--sf", "7", "--power=-1e300", "--max-power=1e300"],
+             "current_power_dbm must be in [-200.0, 30.0], got -1e+300"),
+            (["--fade-margin=1e300"], "fade_margin_db must be in [0.0, 64.0], got 1e+300"),
+            (["--fade-margin=-1e300"], "fade_margin_db must be in [0.0, 64.0], got -1e+300"),
+            (["--power-step=-5"], "power_step_db must be in (0, 230.0], got -5.0"),
+        ],
+    )
+    def test_absurd_power_margin_or_step_exits_1_before_any_output(self, capsys, caplog, tmp_path, flags, error):
+        # each exited 0, printing a power or margin of +-1e+300 or stepping by -5 dB
+        trace = tmp_path / "trace.txt"
+        trace.write_text("10.0\n-5\n3\n")
+        assert main(["adr-sim", "--trace", str(trace), *flags]) == 1
+        assert capsys.readouterr().out == ""
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [error]
+
 
 EP_MODEL = PathLossModel(
     ModelVariant.MW_EP,

@@ -15,10 +15,8 @@ from loraprop.propagation import (
     WALL_TYPES,
     ModelVariant,
     PathLossModel,
-    SceneSample,
     SceneSpec,
     ShadowingSpec,
-    WallCounts,
     fixed_term,
     load_model,
     model_from_dict,
@@ -214,10 +212,10 @@ def params_from_model(model: NamedFieldModel) -> np.ndarray:
 
 
 def _predict_row(model, distance_m, walls, freq_mhz=0.0, env=None, snr_db=0.0) -> float:
-    """One-row form of the vectorised prediction ``x @ params + fixed``."""
-    row = dict(
-        distance=distance_m, c_walls=walls.brick, w_walls=walls.wood, frequency=freq_mhz, snr=snr_db
-    )
+    """One-row form of the vectorised prediction ``x @ params + fixed``;
+    ``walls`` holds the brick and wood counts, in that order."""
+    brick, wood = walls
+    row = dict(distance=distance_m, c_walls=brick, w_walls=wood, frequency=freq_mhz, snr=snr_db)
     if env is not None:
         values = (env.temperature_c, env.humidity_pct, env.pressure_hpa, env.pm25_ugm3, env.co2_ppm)
         row.update(zip(ENV_FIELDS, values))
@@ -229,7 +227,7 @@ def _predict_row(model, distance_m, walls, freq_mhz=0.0, env=None, snr_db=0.0) -
     return float((x @ params_from_model(model) + fixed_term(model.variant, column, 1))[0])
 
 
-def predict_mw(model: NamedFieldModel, distance_m: float, walls: WallCounts) -> float:
+def predict_mw(model: NamedFieldModel, distance_m: float, walls: tuple[int, int]) -> float:
     """Deterministic path loss of the structural variant, in dB."""
     if model.variant is not ModelVariant.MW:
         raise InvalidConfigError(f"expected an '{ModelVariant.MW.value}' model")
@@ -239,7 +237,7 @@ def predict_mw(model: NamedFieldModel, distance_m: float, walls: WallCounts) -> 
 def predict_mw_ep(
     model: NamedFieldModel,
     distance_m: float,
-    walls: WallCounts,
+    walls: tuple[int, int],
     freq_mhz: float,
     env: EnvVector,
     snr_db: float,
@@ -294,7 +292,7 @@ class TestPredictEquivalence:
             params[9] if extended else None,
             reference_distance_m=d0,
         )
-        walls = WallCounts(inputs["c_walls"], inputs["w_walls"])
+        walls = (inputs["c_walls"], inputs["w_walls"])
         if extended:
             env = EnvVector(*(inputs[name] for name in ENV_FIELDS))
             expected = predict_mw_ep(
@@ -379,9 +377,10 @@ class TestSampleShadowing:
             ShadowingSpec(sigma_db=0.0)
 
 
-def per_wall_simulate_scene(spec: SceneSpec, seed: int) -> tuple[list[SceneSample], int]:
+def per_wall_simulate_scene(spec: SceneSpec, seed: int) -> tuple[dict[str, np.ndarray], int]:
     """``simulate_scene`` as it was with one material and one loss draw per
-    wall, kept verbatim, and the number of walls it placed."""
+    wall, kept verbatim but for returning its columns, and the number of
+    walls it placed."""
     rng = np.random.default_rng(seed)
 
     positions: list[float] = []
@@ -411,12 +410,14 @@ def per_wall_simulate_scene(spec: SceneSpec, seed: int) -> tuple[list[SceneSampl
         + spec.path_loss_exponent * x[:, 1]
         + np.cumsum([0.0] + losses)[crossed]
     )
-    columns = (distances, brick, wood, true_pl, true_pl + noise)
-    samples = [
-        SceneSample(d, WallCounts(b, w), pl, noisy)
-        for d, b, w, pl, noisy in zip(*(c.tolist() for c in columns))
-    ]
-    return samples, len(positions)
+    return inputs | {"true_pl": true_pl, "noisy_pl": true_pl + noise}, len(positions)
+
+
+def assert_same_columns(got: dict[str, np.ndarray], expected: dict[str, np.ndarray]) -> None:
+    """The same column names in the same order, each of the same dtype and bytes."""
+    assert list(got) == list(expected)
+    for name, column in expected.items():
+        assert (got[name].dtype, got[name].tobytes()) == (column.dtype, column.tobytes()), name
 
 
 class TestSimulateScene:
@@ -428,8 +429,7 @@ class TestSimulateScene:
             for max_distance_m, sigma in ((3.0, 9.0), (40.0, 9.0), (333.0, 0.0), (2e4, 4.0)):
                 spec = SceneSpec(max_distance_m=max_distance_m, num_points=57, shadowing_sigma_db=sigma)
                 expected, walls = per_wall_simulate_scene(spec, seed)
-                # float reprs round-trip exactly, and numpy 2 shows numpy scalar types
-                assert repr(simulate_scene(spec, seed)) == repr(expected)
+                assert_same_columns(simulate_scene(spec, seed), expected)
                 parities.add(walls % 2)
         assert parities == {0, 1}
 
@@ -441,30 +441,31 @@ class TestSimulateScene:
             for max_distance_m in (3.0, 5.0, 61.0, 400.0):
                 spec = SceneSpec(max_distance_m=max_distance_m, num_points=23, wall_spacing_m=spacing)
                 expected, _ = per_wall_simulate_scene(spec, seed)
-                assert repr(simulate_scene(spec, seed)) == repr(expected)
+                assert_same_columns(simulate_scene(spec, seed), expected)
 
     def test_a_scene_of_half_a_million_walls(self):
         # pinned from the per-wall loop, which took seconds for it
-        samples = simulate_scene(SceneSpec(max_distance_m=4e6, num_points=3), seed=1)
-        assert samples == [
-            SceneSample(1.0, WallCounts(0, 0), 40.0, 31.17379545138881),
-            SceneSample(2000000.5, WallCounts(143389, 142449), 2430551.9538017763, 2430538.0486750044),
-            SceneSample(4000000.0, WallCounts(286295, 285119), 4858018.045073908, 4858012.298893782),
-        ]
+        scene = simulate_scene(SceneSpec(max_distance_m=4e6, num_points=3), seed=1)
+        assert_same_columns(scene, {
+            "distance": np.array([1.0, 2000000.5, 4000000.0]),
+            "c_walls": np.array([0, 143389, 286295], dtype=np.int64),
+            "w_walls": np.array([0, 142449, 285119], dtype=np.int64),
+            "true_pl": np.array([40.0, 2430551.9538017763, 4858018.045073908]),
+            "noisy_pl": np.array([31.17379545138881, 2430538.0486750044, 4858012.298893782]),
+        })
 
     def test_reference_point_loss(self):
         spec = SceneSpec(max_distance_m=40.0, shadowing_sigma_db=0.0)
-        samples = simulate_scene(spec, seed=8)
-        first = samples[0]
-        assert first.distance_m == pytest.approx(1.0)
+        scene = simulate_scene(spec, seed=8)
+        assert scene["distance"][0] == pytest.approx(1.0)
         # wall spacings start at 4 m, so nothing obstructs the reference point
-        assert first.walls == WallCounts()
-        assert first.true_path_loss_db == pytest.approx(40.0)
+        assert scene["c_walls"][0] == scene["w_walls"][0] == 0
+        assert scene["true_pl"][0] == pytest.approx(40.0)
 
     def test_zero_sigma_noisy_equals_true(self):
         spec = SceneSpec(max_distance_m=30.0, shadowing_sigma_db=0.0)
-        for s in simulate_scene(spec, seed=3):
-            assert s.noisy_path_loss_db == s.true_path_loss_db
+        scene = simulate_scene(spec, seed=3)
+        assert scene["noisy_pl"].tobytes() == scene["true_pl"].tobytes()
 
     def test_slope_without_walls(self):
         spec = SceneSpec(
@@ -474,25 +475,24 @@ class TestSimulateScene:
             path_loss_exponent=4.0,
             wall_spacing_m=(1000.0, 1001.0),
         )
-        samples = simulate_scene(spec, seed=0)
-        assert samples[-1].distance_m == pytest.approx(10.0)
-        drop = samples[-1].true_path_loss_db - samples[0].true_path_loss_db
+        scene = simulate_scene(spec, seed=0)
+        assert scene["distance"][-1] == pytest.approx(10.0)
+        drop = scene["true_pl"][-1] - scene["true_pl"][0]
         assert drop == pytest.approx(10.0 * 4.0, abs=1e-9)
 
     def test_deterministic_per_seed(self):
         spec = SceneSpec(max_distance_m=40.0)
-        assert simulate_scene(spec, seed=21) == simulate_scene(spec, seed=21)
+        assert_same_columns(simulate_scene(spec, seed=21), simulate_scene(spec, seed=21))
 
     def test_true_loss_monotone_along_sweep(self):
-        samples = simulate_scene(SceneSpec(max_distance_m=50.0, shadowing_sigma_db=0.0), seed=4)
-        losses = [s.true_path_loss_db for s in samples]
-        assert all(b >= a for a, b in zip(losses, losses[1:]))
+        scene = simulate_scene(SceneSpec(max_distance_m=50.0, shadowing_sigma_db=0.0), seed=4)
+        assert np.all(np.diff(scene["true_pl"]) >= 0)
 
     def test_wall_counts_accumulate(self):
-        samples = simulate_scene(SceneSpec(max_distance_m=60.0, shadowing_sigma_db=0.0), seed=12)
-        totals = [s.walls.brick + s.walls.wood for s in samples]
+        scene = simulate_scene(SceneSpec(max_distance_m=60.0, shadowing_sigma_db=0.0), seed=12)
+        totals = scene["c_walls"] + scene["w_walls"]
         assert totals[-1] >= 5  # 60 m of U(4,10) spacing crosses several walls
-        assert all(b >= a for a, b in zip(totals, totals[1:]))
+        assert np.all(np.diff(totals) >= 0)
 
     def test_invalid_scene_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -529,21 +529,24 @@ class TestSimulateScene:
         distances = np.linspace(d0, spec.max_distance_m, spec.num_points)
         noise = rng.normal(0.0, spec.shadowing_sigma_db, size=spec.num_points)
 
-        samples = simulate_scene(spec, seed)
-        for sample, d, eps in zip(samples, distances, noise):
-            crossed = [i for i, p in enumerate(positions) if p <= d]
-            true_pl = (
-                spec.reference_loss_db
-                + 10.0 * spec.path_loss_exponent * math.log10(d / d0)
-                + sum(losses[i] for i in crossed)
-            )
-            assert sample.distance_m == d
-            assert sample.walls == WallCounts(
-                brick=sum(materials[i] == "brick" for i in crossed),
-                wood=sum(materials[i] == "wood" for i in crossed),
-            )
-            assert sample.true_path_loss_db == pytest.approx(true_pl, rel=1e-14)
-            assert sample.noisy_path_loss_db == pytest.approx(true_pl + eps, rel=1e-14)
+        scene = simulate_scene(spec, seed)
+        crossed = [[i for i, p in enumerate(positions) if p <= d] for d in distances]
+        true_pl = [
+            spec.reference_loss_db
+            + 10.0 * spec.path_loss_exponent * math.log10(d / d0)
+            + sum(losses[i] for i in walls)
+            for d, walls in zip(distances, crossed)
+        ]
+        expected = {
+            "distance": distances,
+            "c_walls": np.array([sum(materials[i] == "brick" for i in walls) for walls in crossed], dtype=np.int64),
+            "w_walls": np.array([sum(materials[i] == "wood" for i in walls) for walls in crossed], dtype=np.int64),
+        }
+        exact = {name: scene[name] for name in expected}
+        assert_same_columns(exact, expected)
+        assert list(scene) == list(expected) + ["true_pl", "noisy_pl"]
+        assert scene["true_pl"] == pytest.approx(true_pl, rel=1e-14)
+        assert scene["noisy_pl"] == pytest.approx(np.array(true_pl) + noise, rel=1e-14)
 
 
 class TestModelIO:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -72,11 +73,13 @@ def test_extractor_argument_exists(module_name, attribute, extractor):
 
 def test_benchmark_library_calls_run(tmp_path):
     """What ``perfbench/checks.py`` and ``perfbench/worker.py`` call outside
-    the CLI: ``ingest(path).records`` with a length, and the mw-ep fit and
-    its standard errors on that table."""
+    the CLI: ``ingest(path).records`` with a length, and the mw-ep fit, its
+    named parameters, which ``fit --report`` writes too, and its standard
+    errors on that table."""
+    from loraprop.cli import main
     from loraprop.fitting import fit, standard_errors
     from loraprop.pipeline import csv_lines, ingest, write_records_csv
-    from loraprop.propagation import ModelVariant
+    from loraprop.propagation import PARAM_NAMES, ModelVariant
 
     from helpers import synth_dataset
 
@@ -85,6 +88,11 @@ def test_benchmark_library_calls_run(tmp_path):
     records = ingest(path).records
     assert len(records) == 30
     report = fit(records, ModelVariant.MW_EP)
+    params = report.params_by_name()
+    assert list(params) == list(PARAM_NAMES[ModelVariant.MW_EP])
+    argv = ["fit", "--variant", "mw-ep", "--input", str(path), "--out", str(tmp_path / "model.json")]
+    assert main([*argv, "--report", str(tmp_path / "report.json")]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["params"] == params
     errors = standard_errors(report, records)
     assert errors.shape == report.params.shape
     assert np.all(np.isfinite(errors))
