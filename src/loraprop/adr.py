@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass, replace
 
 from .errors import InvalidConfigError, InvalidDataError
 from .link_budget import snr_required
-from .records import COLUMN_RANGES
+from .records import COLUMN_RANGES, check_setting
 
 log = logging.getLogger(__name__)
 
@@ -43,29 +44,21 @@ class AdrState:
 
     def __post_init__(self) -> None:
         low, high = COLUMN_RANGES["SF"]
-        if not low <= self.min_sf <= high:
-            raise InvalidConfigError(f"min_sf must be in {low}..{high}, got {self.min_sf}")
-        if not self.min_sf <= self.current_sf <= high:
-            raise InvalidConfigError(f"current_sf must be in {self.min_sf}..{high}, got {self.current_sf}")
+        check_setting("min_sf", self.min_sf, low, high)
+        check_setting("current_sf", self.current_sf, self.min_sf, high)
         # powers lie in the package's dBm interval, a fade margin within the
         # width of the SNR interval and a power step within that of the dBm one
         dbm_low, dbm_high = COLUMN_RANGES["rssi"]
         snr_low, snr_high = COLUMN_RANGES["snr"]
-        for name, low, high in (
-            ("current_power_dbm", dbm_low, dbm_high),
-            ("max_power_dbm", dbm_low, dbm_high),
-            ("fade_margin_db", 0.0, snr_high - snr_low),
-        ):
-            if not low <= getattr(self, name) <= high:
-                raise InvalidConfigError(f"{name} must be in [{low}, {high}], got {getattr(self, name)}")
-        if not 0 < self.power_step_db <= dbm_high - dbm_low:
-            raise InvalidConfigError(f"power_step_db must be in (0, {dbm_high - dbm_low}], got {self.power_step_db}")
+        check_setting("current_power_dbm", self.current_power_dbm, dbm_low, dbm_high)
+        check_setting("max_power_dbm", self.max_power_dbm, dbm_low, dbm_high)
+        check_setting("fade_margin_db", self.fade_margin_db, 0.0, snr_high - snr_low)
+        check_setting("power_step_db", self.power_step_db, 0.0, dbm_high - dbm_low, "(]")
+        check_setting("history_capacity", self.history_capacity, 1, math.inf, "[)")
         if self.current_power_dbm > self.max_power_dbm:
             raise InvalidConfigError(
                 f"current power {self.current_power_dbm} exceeds max {self.max_power_dbm}"
             )
-        if self.history_capacity < 1:
-            raise InvalidConfigError("history_capacity must be >= 1")
         if len(self.snr_history) > self.history_capacity:
             raise InvalidConfigError(
                 f"history length {len(self.snr_history)} exceeds capacity "

@@ -22,6 +22,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -97,7 +98,7 @@ def non_negative_int(text: str) -> int:
 
 
 def finite_float(text: str) -> float:
-    """``float`` of a flag value, a trace line or a schedule count, refusing NaN and infinities."""
+    """``float`` of a flag value or a trace line, refusing NaN and infinities."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
@@ -140,7 +141,7 @@ def cmd_duty_cycle(args: argparse.Namespace) -> int:
                 continue
             try:
                 entry = json.loads(line)
-                count = finite_float(entry.pop("count"))
+                count = entry.pop("count")
                 schedule.append((RadioConfig(**entry), count))
             except LorapropError:
                 raise
@@ -231,6 +232,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return _finish(args, _args_config(args), {"path_loss_db": predict(model, inputs)})
 
 
+#: Scene points ``simulate`` formats and writes at a time.
+_SCENE_BLOCK = 4096
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = SceneSpec(
         max_distance_m=args.max_distance,
@@ -241,16 +246,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         shadowing_sigma_db=args.sigma,
     )
     scene = simulate_scene(spec, args.seed)
-    crossed = scene["c_walls"] + scene["w_walls"]
-    rows = zip(*(c.tolist() for c in (scene["distance"], scene["true_pl"], scene["noisy_pl"], crossed)))
-    lines = ["distance,true_pl,noisy_pl,walls_crossed"]
-    lines += (f"{d!r},{pl!r},{noisy!r},{walls}" for d, pl, noisy, walls in rows)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with atomic_write(args.out) as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    columns = (scene["distance"], scene["true_pl"], scene["noisy_pl"], scene["c_walls"] + scene["w_walls"])
+    with atomic_write(args.out) if args.out else nullcontext(sys.stdout) as handle:
+        handle.write("distance,true_pl,noisy_pl,walls_crossed\n")
+        for start in range(0, spec.num_points, _SCENE_BLOCK):
+            rows = zip(*(c[start : start + _SCENE_BLOCK].tolist() for c in columns))
+            handle.write("".join(f"{d!r},{pl!r},{noisy!r},{walls}\n" for d, pl, noisy, walls in rows))
     return _finish(args, _args_config(args))
 
 
@@ -282,12 +283,8 @@ def _fit_config_from_file(path: str | None) -> FitConfig:
         return FitConfig()
     raw = read_json(path)
     try:
-        if "initial_params" in raw and raw["initial_params"] is not None:
-            raw["initial_params"] = tuple(float(v) for v in raw["initial_params"])
         return FitConfig(**raw)
-    except LorapropError:
-        raise
-    except (TypeError, ValueError, AttributeError) as exc:
+    except TypeError as exc:
         raise LorapropError(f"invalid fit config {path}: {exc}") from exc
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, InvalidConfigError, InvalidDataError
+from .errors import FitError, InvalidDataError
 from .propagation import (
     ENV_FIELDS,
     PARAM_NAMES,
@@ -24,7 +24,7 @@ from .propagation import (
     fixed_term,
     predictor_columns,
 )
-from .records import ObservationTable
+from .records import ObservationTable, check_setting
 
 #: Structural starting point: the simulation presets (40 dB reference loss,
 #: exponent 3.5, 9 dB brick, 3 dB wood); covariate coefficients start at zero
@@ -51,25 +51,14 @@ class FitConfig:
     reference_distance_m: float = 1.0
 
     def __post_init__(self) -> None:
-        # NaN passes every comparison below, and infinity most of them
-        numbers = {name: value for name, value in vars(self).items() if name != "initial_params"}
-        initial = () if self.initial_params is None else self.initial_params
-        numbers |= {f"initial_params[{k}]": value for k, value in enumerate(initial)}
-        for name, value in numbers.items():
-            if not math.isfinite(value):
-                raise InvalidConfigError(f"{name} must be finite, got {value}")
-        if self.max_iterations < 1:
-            raise InvalidConfigError("max_iterations must be >= 1")
-        if self.rss_tolerance <= 0:
-            raise InvalidConfigError("rss_tolerance must be positive")
-        if self.damping_initial <= 0:
-            raise InvalidConfigError("damping_initial must be positive")
-        if self.damping_up <= 1.0:
-            raise InvalidConfigError("damping_up must exceed 1")
-        if not 0.0 < self.damping_down < 1.0:
-            raise InvalidConfigError("damping_down must lie in (0, 1)")
-        if self.reference_distance_m <= 0:
-            raise InvalidConfigError("reference_distance_m must be positive")
+        for k, value in enumerate(self.initial_params or ()):
+            check_setting(f"initial_params[{k}]", value, -math.inf, math.inf, "()")
+        check_setting("max_iterations", self.max_iterations, 1, math.inf, "[)")
+        check_setting("rss_tolerance", self.rss_tolerance, 0.0, math.inf, "()")
+        check_setting("damping_initial", self.damping_initial, 0.0, math.inf, "()")
+        check_setting("damping_up", self.damping_up, 1.0, math.inf, "()")
+        check_setting("damping_down", self.damping_down, 0.0, 1.0, "()")
+        check_setting("reference_distance_m", self.reference_distance_m, 0.0, math.inf, "()")
 
 
 @dataclass(frozen=True)

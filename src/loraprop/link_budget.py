@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InvalidConfigError
 from .jsonio import read_json
 from .propagation import XI
+from .records import check_range, check_setting
 
 
 @dataclass(frozen=True)
@@ -32,14 +33,12 @@ class LinkBudgetParams:
     rx_antenna_height_m: float
 
     def __post_init__(self) -> None:
-        # NaN passes every comparison below, and infinity most of them
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise InvalidConfigError(f"{name} must be finite, got {value}")
-        if self.tx_cable_loss_db < 0 or self.rx_cable_loss_db < 0:
-            raise InvalidConfigError("cable losses must be >= 0")
-        if self.tx_antenna_height_m <= 0 or self.rx_antenna_height_m <= 0:
-            raise InvalidConfigError("antenna heights must be positive")
+        for name in ("tx_power_dbm", "tx_antenna_gain_dbi", "rx_antenna_gain_dbi"):
+            check_setting(name, getattr(self, name), -math.inf, math.inf, "()")
+        for name in ("tx_cable_loss_db", "rx_cable_loss_db"):
+            check_setting(name, getattr(self, name), 0.0, math.inf, "[)")
+        for name in ("tx_antenna_height_m", "rx_antenna_height_m"):
+            check_setting(name, getattr(self, name), 0.0, math.inf, "()")
 
     @property
     def link_offset_db(self) -> float:
@@ -71,20 +70,25 @@ DEFAULT_LINK_BUDGET = LinkBudgetParams(
 class SfThreshold:
     """Demodulation limits for one spreading factor."""
 
-    sf: int
     snr_req_db: float
     sensitivity_dbm: float
 
 
-#: Built-in 125 kHz thresholds.
+#: Built-in 125 kHz thresholds, by spreading factor.
 SF_THRESHOLDS: dict[int, SfThreshold] = {
-    7: SfThreshold(7, -7.5, -123.0),
-    8: SfThreshold(8, -10.0, -126.0),
-    9: SfThreshold(9, -12.5, -129.0),
-    10: SfThreshold(10, -15.0, -132.0),
-    11: SfThreshold(11, -17.5, -134.5),
-    12: SfThreshold(12, -20.0, -137.0),
+    7: SfThreshold(-7.5, -123.0),
+    8: SfThreshold(-10.0, -126.0),
+    9: SfThreshold(-12.5, -129.0),
+    10: SfThreshold(-15.0, -132.0),
+    11: SfThreshold(-17.5, -134.5),
+    12: SfThreshold(-20.0, -137.0),
 }
+
+
+def _threshold(sf: int) -> SfThreshold:
+    """The thresholds of ``sf``, once :func:`~loraprop.records.check_range`
+    has found it in the SF range."""
+    return SF_THRESHOLDS[check_range("SF", sf)]
 
 
 def _excess_over_noise_db(snr_db: float) -> float:
@@ -122,27 +126,19 @@ def receivable(esp_dbm: float, snr_db: float, sf: int) -> bool:
     The two conditions are conjoined deliberately: each alone is necessary
     but not sufficient for successful demodulation.
     """
-    try:
-        row = SF_THRESHOLDS[sf]
-    except KeyError:
-        raise InvalidConfigError(f"unknown spreading factor {sf}") from None
+    row = _threshold(sf)
     return esp_dbm >= row.sensitivity_dbm and snr_db >= row.snr_req_db
 
 
 def snr_required(sf: int) -> float:
     """Required demodulation SNR in dB for ``sf``."""
-    try:
-        return SF_THRESHOLDS[sf].snr_req_db
-    except KeyError:
-        raise InvalidConfigError(f"unknown spreading factor {sf}") from None
+    return _threshold(sf).snr_req_db
 
 
 def load_link_budget(path: str | Path) -> LinkBudgetParams:
     """Read link-budget parameters from a JSON file keyed by field name."""
     raw = read_json(path)
     try:
-        return LinkBudgetParams(**{k: float(v) for k, v in raw.items()})
-    except InvalidConfigError:
-        raise
-    except (TypeError, ValueError, AttributeError) as exc:
+        return LinkBudgetParams(**raw)
+    except TypeError as exc:
         raise InvalidConfigError(f"invalid link-budget file {path}: {exc}") from exc

@@ -8,10 +8,11 @@ call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidConfigError
-from .records import COLUMN_RANGES
+from .records import COLUMN_RANGES, check_setting
 
 MS_PER_HOUR = 3_600_000.0
 
@@ -45,24 +46,19 @@ class RadioConfig:
     low_dr_opt: bool = False
 
     def __post_init__(self) -> None:
-        low, high = COLUMN_RANGES["SF"]
-        if not low <= self.sf <= high:
-            raise InvalidConfigError(f"sf must be in {low}..{high}, got {self.sf}")
+        check_setting("sf", self.sf, *COLUMN_RANGES["SF"])
         if self.bw_hz not in LORA_BANDWIDTHS_HZ:
             raise InvalidConfigError(
                 f"bw_hz must be a LoRa bandwidth"
                 f" ({', '.join(f'{bw:g}' for bw in LORA_BANDWIDTHS_HZ)} Hz), got {self.bw_hz}"
             )
-        if not 1 <= self.cr_index <= 4:
-            raise InvalidConfigError(f"cr_index must be in 1..4, got {self.cr_index}")
-        if not 1 <= self.payload_bytes <= 255:
-            raise InvalidConfigError(
-                f"payload_bytes must be in 1..255, got {self.payload_bytes}"
-            )
-        if self.preamble_symbols < 0:
-            raise InvalidConfigError(
-                f"preamble_symbols must be >= 0, got {self.preamble_symbols}"
-            )
+        check_setting("cr_index", self.cr_index, 1, 4)
+        check_setting("payload_bytes", self.payload_bytes, 1, 255)
+        # the radio's preamble length register is 16 bits wide
+        check_setting("preamble_symbols", self.preamble_symbols, 0, 65535)
+        for name in ("crc_on", "implicit_header", "low_dr_opt"):
+            if not isinstance(getattr(self, name), bool):
+                raise InvalidConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -121,16 +117,12 @@ def duty_cycle(
     The regulatory limit is a parameter because EU868 sub-bands carry either
     a 1% or a 0.1% cap.
     """
-    if limit <= 0:
-        raise InvalidConfigError(f"duty-cycle limit must be positive, got {limit}")
+    check_setting("limit", limit, 0.0, math.inf, "()")
     total_ms = 0.0
     per_sf: dict[int, float] = {}
     violations: list[int] = []
     for index, (cfg, count) in enumerate(schedule):
-        if count < 0:
-            raise InvalidConfigError(
-                f"transmission count must be >= 0, got {count} at entry {index}"
-            )
+        check_setting(f"count of entry {index}", count, 0.0, math.inf, "[)")
         airtime_ms = time_on_air(cfg) * 1e3 * count
         total_ms += airtime_ms
         per_sf[cfg.sf] = per_sf.get(cfg.sf, 0.0) + airtime_ms

@@ -30,7 +30,7 @@ from .jsonio import atomic_write, manifest, write_json
 from .link_budget import DEFAULT_LINK_BUDGET, esp, excess_over_noise_db_array, noise_power
 from .metrics import pdr
 from .records import COLUMN_DTYPES, COLUMN_RANGES, CSV_COLUMNS, FEATURE_FIELDS, MAX_DEVICE_ID_CHARS, ObservationTable
-from .records import format_row, parse_row
+from .records import check_setting, format_row, parse_row
 
 log = logging.getLogger(__name__)
 
@@ -617,12 +617,9 @@ class IsolationForestConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.contamination < 0.5:
-            raise InvalidConfigError("contamination must lie in (0, 0.5)")
-        if self.n_trees < 1:
-            raise InvalidConfigError("n_trees must be >= 1")
-        if self.subsample_size < 2:
-            raise InvalidConfigError("subsample_size must be >= 2")
+        check_setting("contamination", self.contamination, 0.0, 0.5, "()")
+        check_setting("n_trees", self.n_trees, 1, math.inf, "[)")
+        check_setting("subsample_size", self.subsample_size, 2, math.inf, "[)")
 
 
 @dataclass(frozen=True)
@@ -888,8 +885,7 @@ class SplitSpec:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.test_fraction < 1.0:
-            raise InvalidConfigError("test_fraction must lie in (0, 1)")
+        check_setting("test_fraction", self.test_fraction, 0.0, 1.0, "()")
 
 
 def split(records: ObservationTable, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:

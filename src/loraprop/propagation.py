@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidDataError
 from .jsonio import read_json, write_json
-from .records import check_range
+from .records import check_range, check_setting
 
 #: dB-to-natural-log conversion constant, 10 / ln 10.
 XI = 10.0 / math.log(10.0)
@@ -84,13 +84,12 @@ class PathLossModel:
     reference_distance_m: float = 1.0
 
     def __post_init__(self) -> None:
+        # each value is checked before check_params makes floats of them
+        for name, value in zip(PARAM_NAMES[self.variant], self.params):
+            check_setting(name, value, 0.0 if name == "path_loss_exponent" else -math.inf, math.inf, "()")
         object.__setattr__(self, "params", tuple(check_params(self.params, self.variant).tolist()))
-        if self.params[1] <= 0:
-            raise InvalidConfigError("path_loss_exponent must be positive")
-        if self.shadowing_sigma_db < 0:
-            raise InvalidConfigError("shadowing_sigma_db must be >= 0")
-        if self.reference_distance_m <= 0:
-            raise InvalidConfigError("reference_distance_m must be positive")
+        check_setting("shadowing_sigma_db", self.shadowing_sigma_db, 0.0, math.inf, "[)")
+        check_setting("reference_distance_m", self.reference_distance_m, 0.0, math.inf, "()")
 
     def params_by_name(self) -> dict[str, float]:
         return dict(zip(PARAM_NAMES[self.variant], self.params))
@@ -106,8 +105,8 @@ class ShadowingSpec:
     xi = XI
 
     def __post_init__(self) -> None:
-        if self.sigma_db <= 0:
-            raise InvalidConfigError(f"sigma_db must be positive, got {self.sigma_db}")
+        check_setting("sigma_db", self.sigma_db, 0.0, math.inf, "()")
+        check_setting("mean_db", self.mean_db, -math.inf, math.inf, "()")
 
 
 def _log10(values: np.ndarray) -> np.ndarray:
@@ -223,28 +222,24 @@ class SceneSpec:
     wall_loss_db: tuple[float, float] = (5.0, 12.0)
 
     def __post_init__(self) -> None:
-        if self.reference_distance_m <= 0:
-            raise InvalidConfigError("reference_distance_m must be positive")
-        if self.max_distance_m <= self.reference_distance_m:
+        check_setting("reference_distance_m", self.reference_distance_m, 0.0, math.inf, "()")
+        check_setting("max_distance_m", self.max_distance_m, self.reference_distance_m, math.inf, "()")
+        # a scene holds the columns of all its points in memory at once
+        check_setting("num_points", self.num_points, 1, 10**6)
+        check_setting("reference_loss_db", self.reference_loss_db, -math.inf, math.inf, "()")
+        check_setting("path_loss_exponent", self.path_loss_exponent, -math.inf, math.inf, "()")
+        check_setting("shadowing_sigma_db", self.shadowing_sigma_db, 0.0, math.inf, "[)")
+        low, high = self.wall_spacing_m
+        check_setting("wall_spacing_m[0]", low, 0.0, math.inf, "()")
+        check_setting("wall_spacing_m[1]", high, low, math.inf, "[)")
+        if self.max_distance_m / low > MAX_SCENE_WALLS:
             raise InvalidConfigError(
-                "max_distance_m must exceed the reference distance"
-            )
-        if self.num_points < 1:
-            raise InvalidConfigError("num_points must be >= 1")
-        if self.shadowing_sigma_db < 0:
-            raise InvalidConfigError("shadowing_sigma_db must be >= 0")
-        lo, hi = self.wall_spacing_m
-        if not 0 < lo <= hi:
-            raise InvalidConfigError("wall_spacing_m must satisfy 0 < low <= high")
-        # written so that NaN fails it too: the wall draw has no size for it
-        if not self.max_distance_m / lo <= MAX_SCENE_WALLS:
-            raise InvalidConfigError(
-                f"{self.max_distance_m / lo:g} walls at the minimum wall spacing"
+                f"{self.max_distance_m / low:g} walls at the minimum wall spacing"
                 f" exceed the {MAX_SCENE_WALLS} a scene may hold"
             )
-        lo, hi = self.wall_loss_db
-        if lo > hi:
-            raise InvalidConfigError("wall_loss_db low bound exceeds high bound")
+        low, high = self.wall_loss_db
+        check_setting("wall_loss_db[0]", low, -math.inf, math.inf, "()")
+        check_setting("wall_loss_db[1]", high, low, math.inf, "[)")
 
 
 def simulate_scene(spec: SceneSpec, seed: int) -> dict[str, np.ndarray]:
@@ -333,9 +328,9 @@ def model_from_dict(payload: Mapping) -> PathLossModel:
         }
         return PathLossModel(
             variant,
-            tuple(float(named.get(name, 0.0)) for name in PARAM_NAMES[variant]),
-            shadowing_sigma_db=float(payload.get("shadowing_sigma_db", 0.0)),
-            reference_distance_m=float(payload.get("reference_distance_m", 1.0)),
+            tuple(named.get(name, 0.0) for name in PARAM_NAMES[variant]),
+            shadowing_sigma_db=payload.get("shadowing_sigma_db", 0.0),
+            reference_distance_m=payload.get("reference_distance_m", 1.0),
         )
     except InvalidConfigError:
         raise

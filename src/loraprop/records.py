@@ -8,6 +8,7 @@ gateway-relative geometry, plus the derived link-budget columns.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import sys
 from datetime import datetime
@@ -15,7 +16,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidDataError
+from .errors import InvalidConfigError, InvalidDataError
 
 #: Exact CSV header, in column order.
 CSV_COLUMNS = (
@@ -92,6 +93,26 @@ def check_range(column: str, value: float) -> float:
     if not low <= value <= high:
         raise InvalidDataError(f"bad-{column}: {value} outside [{low}, {high}]")
     return value
+
+
+def check_setting(name: str, value, low, high, brackets: str = "[]") -> None:
+    """Refuse a config setting's ``value`` unless it is a number within
+    ``low`` and ``high``, each end closed or open as ``brackets`` says
+    (``"[]"``, ``"(]"``, ...), and an integer when ``low`` is one: a bool,
+    a string, NaN, the infinities and a number beyond the float range are
+    refused too, each with the :class:`InvalidConfigError`
+    ``<name> must be in <interval>, got <value>``."""
+    integer = isinstance(low, numbers.Integral)
+    valid = (
+        isinstance(value, numbers.Integral if integer else numbers.Real)
+        and not isinstance(value, bool)
+        and (integer or abs(value) <= _MAX)
+        and (low <= value if brackets[0] == "[" else low < value)
+        and (value <= high if brackets[1] == "]" else value < high)
+    )
+    if not valid:
+        shown = value if isinstance(value, numbers.Number) else repr(value)
+        raise InvalidConfigError(f"{name} must be in {brackets[0]}{low}, {high}{brackets[1]}, got {shown}")
 
 
 class ObservationTable:

@@ -16,10 +16,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import loraprop
 from loraprop import pipeline
-from loraprop.cli import main
+from loraprop.cli import _SCENE_BLOCK, main
 from loraprop.link_budget import DEFAULT_LINK_BUDGET
 from loraprop.pipeline import csv_lines, ingest, run_pipeline, write_records_csv
-from loraprop.propagation import ModelVariant, PathLossModel, model_to_dict, save_model
+from loraprop.propagation import ModelVariant, PathLossModel, SceneSpec, model_to_dict, save_model, simulate_scene
 from loraprop.records import CSV_COLUMNS
 
 from helpers import concat, make_table, replace_columns, synth_dataset, use_cpus
@@ -146,7 +146,7 @@ class TestNonFiniteValues:
         model = self._nan_model(tmp_path / "nan.json")
         assert main(["predict", "--model", str(model), "--distance", "10"]) == 1
         assert capsys.readouterr().out == ""
-        assert "non-finite number" in caplog.text
+        assert "intercept_db must be in (-inf, inf), got nan" in caplog.text
 
     def test_non_finite_report_replaces_no_file(self, capsys, caplog, tmp_path):
         model = self._nan_model(tmp_path / "nan.json")
@@ -158,7 +158,7 @@ class TestNonFiniteValues:
         assert main(["evaluate", "--model", str(model), "--input", str(data), "--report", str(report)]) == 1
         assert report.read_text() == "earlier report\n"
         assert sorted(tmp_path.iterdir()) == before  # no manifest, no temporary file
-        assert "non-finite number" in caplog.text
+        assert "intercept_db must be in (-inf, inf), got nan" in caplog.text
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_trace_line_exits_1_before_any_output(self, capsys, caplog, tmp_path, value):
@@ -203,7 +203,7 @@ class TestDutyCycleCommand:
                             f'{{"sf": 7, "bw_hz": 125000, "payload_bytes": 18, "count": {count}}}\n')
         assert main(["duty-cycle", "--schedule", str(schedule)]) == 1
         assert capsys.readouterr().out == ""
-        assert "bad schedule entry at line 2: not a finite number" in caplog.text
+        assert f"count of entry 1 must be in [0.0, inf), got {float(count)}" in caplog.text
 
     @pytest.mark.parametrize("line", ["5", '"sf7"', "null", "[7, 125000]"])
     def test_entry_that_is_not_an_object_exits_1(self, capsys, caplog, tmp_path, line):
@@ -261,7 +261,8 @@ class TestLinkBudgetCommand:
         params.write_text(json.dumps(dataclasses.asdict(DEFAULT_LINK_BUDGET) | {field: math.nan}))
         assert main(["link-budget", "--rssi", "-73", "--snr", "0", "--params", str(params)]) == 1
         assert capsys.readouterr().out == ""
-        assert f"{field} must be finite, got nan" in caplog.text
+        interval = "(0.0, inf)" if field == "tx_antenna_height_m" else "(-inf, inf)"
+        assert f"{field} must be in {interval}, got nan" in caplog.text
 
 
 class TestAdrSimCommand:
@@ -305,7 +306,7 @@ class TestAdrSimCommand:
         assert main(["adr-sim", "--trace", str(trace), *flags]) == 1
         assert capsys.readouterr().out == ""
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert errors == [f"min_sf must be in 7..12, got {flags[-1]}"]
+        assert errors == [f"min_sf must be in [7, 12], got {flags[-1]}"]
 
     @pytest.mark.parametrize(
         "flags, error",
@@ -314,7 +315,7 @@ class TestAdrSimCommand:
              "current_power_dbm must be in [-200.0, 30.0], got -1e+300"),
             (["--fade-margin=1e300"], "fade_margin_db must be in [0.0, 64.0], got 1e+300"),
             (["--fade-margin=-1e300"], "fade_margin_db must be in [0.0, 64.0], got -1e+300"),
-            (["--power-step=-5"], "power_step_db must be in (0, 230.0], got -5.0"),
+            (["--power-step=-5"], "power_step_db must be in (0.0, 230.0], got -5.0"),
         ],
     )
     def test_absurd_power_margin_or_step_exits_1_before_any_output(self, capsys, caplog, tmp_path, flags, error):
@@ -461,11 +462,28 @@ class TestSimulateCommand:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.manifest.json").exists()
 
+    @pytest.mark.parametrize("points", [1, _SCENE_BLOCK, _SCENE_BLOCK + 1, 2 * _SCENE_BLOCK + 5])
+    def test_rows_written_a_block_at_a_time_match_the_whole_text(self, capsys, tmp_path, points):
+        # the CSV was once formatted whole and written in one call
+        scene = simulate_scene(SceneSpec(max_distance_m=2e4, num_points=points), 1)
+        crossed = scene["c_walls"] + scene["w_walls"]
+        rows = zip(*(c.tolist() for c in (scene["distance"], scene["true_pl"], scene["noisy_pl"], crossed)))
+        lines = ["distance,true_pl,noisy_pl,walls_crossed"]
+        lines += (f"{d!r},{pl!r},{noisy!r},{walls}" for d, pl, noisy, walls in rows)
+        text = "\n".join(lines) + "\n"
+        argv = ["simulate", "--seed", "1", "--max-distance", "2e4", "--points", str(points)]
+        out = tmp_path / "scene.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == text.encode()
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text
+
     @pytest.mark.parametrize(
         "flags, reason",
         [
-            (["--d0", "0"], "reference_distance_m must be positive"),
-            (["--d0=-1"], "reference_distance_m must be positive"),
+            (["--d0", "0"], "reference_distance_m must be in (0.0, inf), got 0.0"),
+            (["--d0=-1"], "reference_distance_m must be in (0.0, inf), got -1.0"),
             (["--max-distance", "1e17"], "2.5e+16 walls at the minimum wall spacing exceed the 1000000"),
         ],
         ids=["d0-zero", "d0-negative", "max-distance-1e17"],
@@ -899,9 +917,9 @@ class TestFitCommand:
     @pytest.mark.parametrize(
         "config, reason",
         [
-            ('{"rss_tolerance": NaN}', "rss_tolerance must be finite"),
-            ('{"damping_initial": Infinity}', "damping_initial must be finite"),
-            ('{"initial_params": [40, 3.5, NaN, 3]}', "initial_params[2] must be finite"),
+            ('{"rss_tolerance": NaN}', "rss_tolerance must be in (0.0, inf), got nan"),
+            ('{"damping_initial": Infinity}', "damping_initial must be in (0.0, inf), got inf"),
+            ('{"initial_params": [40, 3.5, NaN, 3]}', "initial_params[2] must be in (-inf, inf), got nan"),
         ],
     )
     def test_non_finite_fit_config_exits_1(self, capsys, caplog, tmp_path, cleaned_csv, config, reason):

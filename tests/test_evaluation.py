@@ -151,4 +151,4 @@ class TestFoldsFromOneDesignMatrix:
         # no path-loss model accepts
         records, _ = mw_observations(n=100, seed=2, sigma_db=1.0, coeffs=(90.0, -2.0, 9.0, 3.0))
         message = self._assert_same_error(records, ModelVariant.MW, 5, 0)
-        assert message == "path_loss_exponent must be positive"
+        assert message.startswith("path_loss_exponent must be in (0.0, inf), got -")

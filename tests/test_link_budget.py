@@ -1,10 +1,11 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from loraprop.errors import InvalidConfigError
+from loraprop.errors import InvalidConfigError, InvalidDataError
 from loraprop.link_budget import (
     DEFAULT_LINK_BUDGET,
     SF_THRESHOLDS,
@@ -107,7 +108,7 @@ class TestReceivable:
         assert receivable(-138.0, 10.0, 12) is False
 
     def test_unknown_sf(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidDataError, match=re.escape("bad-SF: 6 outside [7, 12]")):
             receivable(-100.0, 0.0, 6)
 
 
@@ -123,7 +124,7 @@ class TestThresholdTable:
 
     def test_snr_required_helper(self):
         assert snr_required(7) == -7.5
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidDataError, match=re.escape("bad-SF: 42 outside [7, 12]")):
             snr_required(42)
 
 

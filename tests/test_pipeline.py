@@ -928,6 +928,16 @@ class TestAtomicWrites:
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
+    def test_non_finite_json_replaces_no_file(self, tmp_path):
+        # what a model file holding NaN once showed through predict and evaluate
+        path = tmp_path / "eval.json"
+        write_json(path, {"run": 1})
+        old = path.read_bytes()
+        with pytest.raises(InvalidDataError, match="result holds a non-finite number"):
+            write_json(path, {"run": math.nan})
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["eval.json"]
+
     def test_new_files_are_written_whole(self, small_synth, tmp_path):
         write_json(tmp_path / "a.json", {"b": [1, 2], "a": None})
         assert (tmp_path / "a.json").read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    2\n  ]\n}\n'

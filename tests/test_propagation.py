@@ -501,14 +501,16 @@ class TestSimulateScene:
     @pytest.mark.parametrize("d0", [0.0, -1.0])
     def test_non_positive_reference_distance_rejected(self, d0):
         # d0 = 0 simulated nan/inf rows, d0 = -1 a math domain error
-        with pytest.raises(InvalidConfigError, match="reference_distance_m must be positive"):
+        with pytest.raises(InvalidConfigError, match=re.escape(f"reference_distance_m must be in (0.0, inf), got {d0}")):
             SceneSpec(max_distance_m=40.0, reference_distance_m=d0)
 
     @pytest.mark.parametrize("max_distance_m", [4e6 + 1e-3, 1e17, float("nan")])
     def test_layout_of_more_than_a_million_walls_rejected(self, max_distance_m):
         # at 1e17 m the wall loop's position stopped advancing and never ended
         SceneSpec(max_distance_m=4e6)  # 10**6 walls at the 4 m minimum spacing
-        with pytest.raises(InvalidConfigError, match="a scene may hold"):
+        # NaN is refused before the wall count, like any value that is not a number
+        reason = "max_distance_m must be in (1.0, inf), got nan" if math.isnan(max_distance_m) else "a scene may hold"
+        with pytest.raises(InvalidConfigError, match=re.escape(reason)):
             SceneSpec(max_distance_m=max_distance_m)
 
     @pytest.mark.parametrize("seed", [0, 3, 12, 21])
@@ -614,9 +616,9 @@ class TestModelIO:
     @pytest.mark.parametrize(
         "changes, message",
         [
-            ({"path_loss_exponent": 0.0}, "path_loss_exponent must be positive"),
-            ({"shadowing_sigma_db": -1.0}, "shadowing_sigma_db must be >= 0"),
-            ({"reference_distance_m": 0.0}, "reference_distance_m must be positive"),
+            ({"path_loss_exponent": 0.0}, "path_loss_exponent must be in (0.0, inf), got 0.0"),
+            ({"shadowing_sigma_db": -1.0}, "shadowing_sigma_db must be in [0.0, inf), got -1.0"),
+            ({"reference_distance_m": 0.0}, "reference_distance_m must be in (0.0, inf), got 0.0"),
         ],
     )
     def test_model_checks(self, changes, message):
