@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, InvalidDataError
+from .errors import FitError, InvalidConfigError, InvalidDataError
 from .propagation import (
     ENV_FIELDS,
     PARAM_NAMES,
@@ -51,7 +51,9 @@ class FitConfig:
     reference_distance_m: float = 1.0
 
     def __post_init__(self) -> None:
-        for k, value in enumerate(self.initial_params or ()):
+        if not isinstance(self.initial_params, (type(None), list, tuple, np.ndarray)):
+            raise InvalidConfigError(f"initial_params must be a list of numbers, got {self.initial_params!r}")
+        for k, value in enumerate(() if self.initial_params is None else self.initial_params):
             check_setting(f"initial_params[{k}]", value, -math.inf, math.inf, "()")
         check_setting("max_iterations", self.max_iterations, 1, math.inf, "[)")
         check_setting("rss_tolerance", self.rss_tolerance, 0.0, math.inf, "()")

@@ -86,8 +86,7 @@ SF_THRESHOLDS: dict[int, SfThreshold] = {
 
 
 def _threshold(sf: int) -> SfThreshold:
-    """The thresholds of ``sf``, once :func:`~loraprop.records.check_range`
-    has found it in the SF range."""
+    """The thresholds of ``sf``, refusing one outside ``COLUMN_RANGES["SF"]``."""
     return SF_THRESHOLDS[check_range("SF", sf)]
 
 

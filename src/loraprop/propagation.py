@@ -223,7 +223,7 @@ class SceneSpec:
 
     def __post_init__(self) -> None:
         check_setting("reference_distance_m", self.reference_distance_m, 0.0, math.inf, "()")
-        check_setting("max_distance_m", self.max_distance_m, self.reference_distance_m, math.inf, "()")
+        check_setting("max_distance_m", self.max_distance_m, float(self.reference_distance_m), math.inf, "()")
         # a scene holds the columns of all its points in memory at once
         check_setting("num_points", self.num_points, 1, 10**6)
         check_setting("reference_loss_db", self.reference_loss_db, -math.inf, math.inf, "()")
@@ -231,7 +231,7 @@ class SceneSpec:
         check_setting("shadowing_sigma_db", self.shadowing_sigma_db, 0.0, math.inf, "[)")
         low, high = self.wall_spacing_m
         check_setting("wall_spacing_m[0]", low, 0.0, math.inf, "()")
-        check_setting("wall_spacing_m[1]", high, low, math.inf, "[)")
+        check_setting("wall_spacing_m[1]", high, float(low), math.inf, "[)")
         if self.max_distance_m / low > MAX_SCENE_WALLS:
             raise InvalidConfigError(
                 f"{self.max_distance_m / low:g} walls at the minimum wall spacing"
@@ -239,7 +239,7 @@ class SceneSpec:
             )
         low, high = self.wall_loss_db
         check_setting("wall_loss_db[0]", low, -math.inf, math.inf, "()")
-        check_setting("wall_loss_db[1]", high, low, math.inf, "[)")
+        check_setting("wall_loss_db[1]", high, float(low), math.inf, "[)")
 
 
 def simulate_scene(spec: SceneSpec, seed: int) -> dict[str, np.ndarray]:

@@ -136,20 +136,23 @@ class TestNonFiniteValues:
         assert captured.out == ""
 
     @staticmethod
-    def _nan_model(path):
-        # json.dumps writes NaN by default; this stands for a hand-edited file
-        model = PathLossModel(ModelVariant.MW, (31.3, 3.62, 9.74, 2.64))
-        path.write_text(json.dumps(model_to_dict(model) | {"intercept_db": float("nan")}))
+    def _model(path):
+        save_model(PathLossModel(ModelVariant.MW, (31.3, 3.62, 9.74, 2.64)), path)
         return path
 
-    def test_non_finite_result_on_stdout_exits_1(self, capsys, caplog, tmp_path):
-        model = self._nan_model(tmp_path / "nan.json")
+    def test_non_finite_result_on_stdout_exits_1(self, capsys, caplog, tmp_path, monkeypatch):
+        # finite coefficients can still sum past the float range
+        monkeypatch.setattr("loraprop.cli.predict", lambda model, inputs: math.nan)
+        model = self._model(tmp_path / "model.json")
         assert main(["predict", "--model", str(model), "--distance", "10"]) == 1
         assert capsys.readouterr().out == ""
-        assert "intercept_db must be in (-inf, inf), got nan" in caplog.text
+        assert "non-finite number" in caplog.text
 
-    def test_non_finite_report_replaces_no_file(self, capsys, caplog, tmp_path):
-        model = self._nan_model(tmp_path / "nan.json")
+    def test_non_finite_report_replaces_no_file(self, capsys, caplog, tmp_path, monkeypatch):
+        evaluate = loraprop.cli.evaluate_model
+        monkeypatch.setattr("loraprop.cli.evaluate_model",
+                            lambda model, table: dataclasses.replace(evaluate(model, table), rmse_db=math.nan))
+        model = self._model(tmp_path / "model.json")
         data = tmp_path / "data.csv"
         write_records_csv(csv_lines(synth_dataset(rows_per_device=10, seed=4, duplicates_per_device=0).clean), data)
         report = tmp_path / "eval.json"
@@ -158,7 +161,20 @@ class TestNonFiniteValues:
         assert main(["evaluate", "--model", str(model), "--input", str(data), "--report", str(report)]) == 1
         assert report.read_text() == "earlier report\n"
         assert sorted(tmp_path.iterdir()) == before  # no manifest, no temporary file
-        assert "intercept_db must be in (-inf, inf), got nan" in caplog.text
+        assert "non-finite number" in caplog.text
+
+    @pytest.mark.parametrize("command", [["predict", "--distance", "10"], ["evaluate", "--input", "data.csv"]])
+    def test_non_finite_model_file_exits_1_before_any_output(self, capsys, caplog, tmp_path, command):
+        # json.dumps writes NaN by default; this stands for a hand-edited file
+        model = tmp_path / "nan.json"
+        model.write_text(json.dumps(model_to_dict(PathLossModel(ModelVariant.MW, (31.3, 3.62, 9.74, 2.64)))
+                                    | {"intercept_db": math.nan}))
+        before = sorted(tmp_path.iterdir())
+        assert main([command[0], "--model", str(model), *command[1:]]) == 1
+        assert capsys.readouterr().out == ""
+        assert sorted(tmp_path.iterdir()) == before
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["intercept_db must be in (-inf, inf), got nan"]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_trace_line_exits_1_before_any_output(self, capsys, caplog, tmp_path, value):

@@ -157,6 +157,20 @@ def test_radio_flags_are_bools(flag):
         assert str(info.value) == f"{flag} must be true or false, got {value!r}"
 
 
+def test_an_int_low_end_does_not_make_a_float_setting_integer():
+    # an int reference distance or low wall bound once refused every float above it
+    SceneSpec(40.5, reference_distance_m=2, wall_spacing_m=(4, 10.5), wall_loss_db=(5, 12.5))
+    with pytest.raises(InvalidConfigError, match=r"^max_distance_m must be in \(2\.0, inf\), got 2\.0$"):
+        SceneSpec(2.0, reference_distance_m=2)
+
+
+@pytest.mark.parametrize("value", [{}, "", 3.5, "40, 3.5"])
+def test_initial_params_is_a_list(value):
+    with pytest.raises(InvalidConfigError) as info:
+        FitConfig(initial_params=value)
+    assert str(info.value) == f"initial_params must be a list of numbers, got {value!r}"
+
+
 def _refused_run(capsys, caplog, argv, error):
     """``argv`` exits 1 with ``error`` as its one ERROR line and prints nothing."""
     assert main(argv) == 1
@@ -215,6 +229,15 @@ class TestCliProbes:
                 "--config", str(config)]
         _refused_run(capsys, caplog, argv, f"max_iterations must be in [1, inf), got {shown}")
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("value", ["{}", '""'])
+    def test_fit_config_initial_params_not_a_list(self, capsys, caplog, tmp_path, small_synth_csv, value):
+        # passed the config, then ended in a TypeError or ValueError traceback
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"initial_params": {value}}}')
+        argv = ["fit", "--variant", "mw", "--input", str(small_synth_csv), "--out", str(tmp_path / "m.json"),
+                "--config", str(config)]
+        _refused_run(capsys, caplog, argv, f"initial_params must be a list of numbers, got {json.loads(value)!r}")
 
     def test_simulate_points_past_a_million(self, capsys, caplog):
         # ended in numpy's _ArrayMemoryError traceback
