@@ -43,7 +43,7 @@ from .link_budget import (
 from .lora_phy import RadioConfig, duty_cycle, payload_symbols, symbol_duration, time_on_air
 from .pipeline import ingest, run_pipeline
 from .propagation import ENV_FIELDS, ModelVariant, SceneSpec, load_model, predict, save_model, simulate_scene
-from .records import check_range
+from .records import check_range, check_setting
 
 log = logging.getLogger("loraprop")
 
@@ -109,21 +109,10 @@ def finite_float(text: str) -> float:
 # Subcommand implementations
 
 
-def _radio_config_from_args(args: argparse.Namespace) -> RadioConfig:
-    return RadioConfig(
-        sf=args.sf,
-        bw_hz=args.bw,
-        payload_bytes=args.payload,
-        cr_index=args.cr,
-        preamble_symbols=args.preamble,
-        crc_on=args.crc,
-        implicit_header=args.implicit_header,
-        low_dr_opt=args.low_dr_opt,
-    )
-
-
 def cmd_airtime(args: argparse.Namespace) -> int:
-    cfg = _radio_config_from_args(args)
+    cfg = RadioConfig(sf=args.sf, bw_hz=args.bw, payload_bytes=args.payload, cr_index=args.cr,
+                      preamble_symbols=args.preamble, crc_on=args.crc, implicit_header=args.implicit_header,
+                      low_dr_opt=args.low_dr_opt)
     payload = {
         "t_symbol_ms": symbol_duration(cfg) * 1e3,
         "n_payload": payload_symbols(cfg),
@@ -134,21 +123,18 @@ def cmd_airtime(args: argparse.Namespace) -> int:
 
 def cmd_duty_cycle(args: argparse.Namespace) -> int:
     schedule = []
-    with open(args.schedule, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+    with open(args.schedule, "rb") as handle:
+        lines = handle.read().splitlines()  # at \n, \r\n and \r, as a text file's lines end
+    for line_no, line in enumerate(lines, start=1):
+        try:  # each fault, a byte that is not UTF-8 too, names its line
+            if not (text := line.decode("utf-8").strip()):
                 continue
-            try:
-                entry = json.loads(line)
-                count = entry.pop("count")
-                schedule.append((RadioConfig(**entry), count))
-            except LorapropError:
-                raise
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise LorapropError(
-                    f"bad schedule entry at line {line_no}: {exc}"
-                ) from exc
+            entry = json.loads(text)
+            count = entry.pop("count")
+            schedule.append((RadioConfig(**entry), count))
+            check_setting("count", count, 0.0, math.inf, "[)")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:  # a LorapropError too
+            raise LorapropError(f"schedule line {line_no}: {exc}") from exc
     report = duty_cycle(schedule, limit=args.limit)
     payload = {
         "total_airtime_ms_per_hour": report.total_airtime_ms_per_hour,
@@ -224,6 +210,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
             env = json.loads(args.env_json)
             if not isinstance(env, dict):
                 raise TypeError("not a JSON object")
+            unknown = sorted(set(env) - set(ENV_FIELDS))
+            if unknown:
+                raise ValueError(f"unknown readings {unknown}, not among {list(ENV_FIELDS)}")
+            for name, value in env.items():
+                if type(value) not in (int, float):  # bool is a subclass of int
+                    raise TypeError(f"{name} must be a JSON number, got {value!r}")
             given |= {name: float(env[name]) for name in ENV_FIELDS if extended or name in env}
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise LorapropError(f"bad --env-json: {exc}") from exc

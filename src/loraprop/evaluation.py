@@ -15,7 +15,7 @@ from . import fitting
 from .fitting import FitConfig, fit, fit_design, predictions  # noqa: F401 (perfbench traces evaluation.fit)
 from .metrics import EvalReport, evaluate_predictions
 from .pipeline import kfold
-from .propagation import PathLossModel
+from .propagation import PathLossModel, path_loss
 from .records import ObservationTable
 
 
@@ -82,6 +82,6 @@ def cross_validate(
     for fold_index, sides in enumerate(index):  # sides: (train rows, validation rows)
         # to_model applies the model's own checks (a positive exponent) to each fold's fit
         params = np.array(fit_design(x[sides[0]], y[sides[0]], variant, config).to_model().params)
-        scores = [evaluate_predictions(measured[i], x[i] @ params + fixed[i]) for i in sides]
+        scores = [evaluate_predictions(measured[i], path_loss(x[i], params, fixed[i])) for i in sides]
         reports.append(FoldReport(fold_index, *scores))
     return CrossValReport(folds=tuple(reports))

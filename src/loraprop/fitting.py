@@ -22,6 +22,7 @@ from .propagation import (
     PathLossModel,
     check_params,
     fixed_term,
+    path_loss,
     predictor_columns,
 )
 from .records import ObservationTable, check_setting
@@ -114,7 +115,7 @@ def predictions(
     """Predicted path loss per observation for a coefficient vector."""
     params = check_params(params, variant)
     x = design_matrix(observations, variant, reference_distance_m)
-    return x @ params + fixed_offsets(observations, variant)
+    return path_loss(x, params, fixed_offsets(observations, variant))
 
 
 def fit(

@@ -6,6 +6,7 @@ Pure functions on sequences; nothing here touches models or files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,26 +71,24 @@ def residual_stats(residuals: Sequence[float]) -> tuple[float, float, float]:
     m3 = float(np.mean(centred**3))
     if m2 == 0.0:
         raise InvalidDataError("residuals are constant")
-    skewness = m3 / m2**1.5
+    skewness = float(m3 / np.float64(m2) ** 1.5)  # numpy's power overflows to inf, where a float's raises
     return mean, skewness, float(np.sqrt(m2))
 
 
 def evaluate_predictions(
     actual: Sequence[float], predicted: Sequence[float]
 ) -> EvalReport:
-    """Bundle the standard metrics for one actual/predicted pair of vectors."""
+    """Bundle the standard metrics for one actual/predicted pair of vectors.
+    A metric that overflows the float range (the cube of a residual of
+    1e103 does) is an :class:`InvalidDataError`, and no numpy warning."""
     a = np.asarray(actual, dtype=float)
     p = np.asarray(predicted, dtype=float)
-    residuals = a - p
-    mean, skewness, sigma = residual_stats(residuals)
-    return EvalReport(
-        rmse_db=rmse(a, p),
-        r2=r_squared(a, p),
-        residual_mean_db=mean,
-        residual_skewness=skewness,
-        shadowing_sigma_db=sigma,
-        n_observations=int(a.size),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = residual_stats(a - p)
+        metrics = (rmse(a, p), r_squared(a, p), *moments)
+    if not all(map(math.isfinite, metrics)):
+        raise InvalidDataError("a metric of the residuals overflows the float range")
+    return EvalReport(*metrics, n_observations=int(a.size))
 
 
 def pdr(frame_counters: Sequence[int]) -> float:

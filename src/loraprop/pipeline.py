@@ -21,11 +21,11 @@ from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfigError, InvalidDataError, LorapropError
+from .errors import InvalidDataError, LorapropError
 from .jsonio import atomic_write, manifest, write_json
 from .link_budget import DEFAULT_LINK_BUDGET, esp, excess_over_noise_db_array, noise_power
 from .metrics import pdr
@@ -141,50 +141,41 @@ class IngestResult:
     rows_read: int
 
 
-def ingest(source: str | Path | TextIO) -> IngestResult:
-    """Parse a CSV export into an observation table, dropping anything malformed.
+def ingest(path: str | Path) -> IngestResult:
+    """Parse a CSV file into an observation table, dropping anything malformed.
 
     Each physical line is one record, and the first must be the canonical
     header, exactly.  Rows with missing cells, unparseable tokens,
     non-finite numbers, range violations or bytes that are not UTF-8, lines
     the ``csv`` module cannot read (a field over its size limit) and lines
     that leave a quote open are rejected and logged individually with a
-    reason; line numbers count physical lines.  Lines are parsed
-    :data:`_INGEST_BLOCK` at a time (see :func:`_read_block`).  A large file
-    is read in byte ranges on the usable CPUs (see :func:`_ingest_file`); the
+    reason; line numbers count physical lines.  The byte ranges of
+    :func:`_ranges` are read by :func:`_read_range`, the first in the
+    process and each other one in a forked child (:func:`_fork_map`); the
     result and the log do not depend on the number of CPUs.
     """
-    if isinstance(source, (str, Path)):
-        return _ingest_file(source)
-    _check_header(next(source, ""))
-    return _joined([_Ingest(source).part()])
+    ranges = _ranges(path)
+    ranges[-1] = (ranges[-1][0], None)  # the last range runs to the end, which a FIFO's size does not give
+    with _fork_map(partial(_read_range, path), ranges, "ingest") as parts:
+        return _joined(parts)
 
 
 #: Lines :func:`ingest` parses at a time.
 _INGEST_BLOCK = 4096
 #: The fewest bytes of a file per range: a file under twice this is read as one range.
 _MIN_RANGE_BYTES = 1 << 20
-#: A line as ``np.loadtxt`` reads it: time and id as bytes, one longer than a block takes, and 18 numbers.
-_BLOCK_DTYPE = np.dtype([("time", "S27"), ("device_id", "S65"), ("values", "f8", (18,))])
+#: The dtypes of the number columns, which follow the time and the id.
+_NUMBER_DTYPES = list(COLUMN_DTYPES.values())[2:]
+#: A line as ``np.loadtxt`` reads it: time and id as bytes, the id one longer than a block takes, and the numbers.
+_BLOCK_DTYPE = np.dtype([("time", "S27"), ("device_id", f"S{MAX_DEVICE_ID_CHARS + 1}"),
+                         ("values", "f8", (len(_NUMBER_DTYPES),))])
 #: The ASCII bytes ``str.strip`` removes.
 _SPACE_BYTES = np.bincount([9, 10, 11, 12, 13, 28, 29, 30, 31, 32], minlength=256).astype(bool)
-_VALUE = {name: k for k, name in enumerate(CSV_COLUMNS[2:])}
+#: The number columns of integers, whose values must be whole.
+_WHOLE = [k for k, dtype in enumerate(_NUMBER_DTYPES) if dtype == np.int64]
 #: Each number column's bounds: its :data:`COLUMN_RANGES` interval, else any finite value.
 _LOW, _HIGH = np.array([COLUMN_RANGES.get(name, (-np.finfo(float).max, np.finfo(float).max))
                         for name in CSV_COLUMNS[2:]]).T
-
-
-def _ingest_file(path: str | Path) -> IngestResult:
-    """:func:`ingest` of a file, in the byte ranges of :func:`_ranges`: the
-    parent checks the header line and reads the first range, and a forked
-    child reads each other one (:func:`_fork_map`), each range a block at a
-    time.  With one range no process is started."""
-    ranges = _ranges(path)
-    ranges[-1] = (ranges[-1][0], None)  # the last range runs to the end, which a FIFO's size does not give
-    with _range_text(path, *ranges[0]) as text:
-        _check_header(next(text, ""))
-        with _fork_map(partial(_read_range, path, text), ranges, "ingest") as parts:
-            return _joined(parts)
 
 
 def _ranges(path: str | Path) -> list[tuple[int, int]]:
@@ -228,25 +219,22 @@ class _ByteRange(io.RawIOBase):
         super().close()
 
 
-def _range_text(path: str | Path, start: int, end: int | None) -> TextIO:
-    """The bytes of a file from ``start`` up to ``end``, or to its end for
-    None, as text.  A byte that is not UTF-8 becomes a lone surrogate, which
-    rejects its row, and a byte-order mark is skipped at the start of the
-    file only."""
+def _read_range(path: str | Path, bounds: tuple[int, int | None]):
+    """The part (:meth:`_Ingest.part`) of the lines of the byte range
+    ``(start, end)`` of a file, or from ``start`` to its end for None, read
+    as text: a byte that is not UTF-8 becomes a lone surrogate, which rejects
+    its row.  The first range skips a byte-order mark and checks the header
+    line before its first block."""
+    start, end = bounds
     raw = open(path, "rb")
     if start:
         raw.seek(start)
     if end is not None:
         raw = io.BufferedReader(_ByteRange(raw, end - start))
-    return io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig", errors="surrogateescape", newline="")
-
-
-def _read_range(path: str | Path, first: TextIO, bounds: tuple[int, int | None]):
-    """The part (:meth:`_Ingest.part`) of the lines of the byte range
-    ``(start, end)`` of a file; ``first`` is the text of the first range,
-    its header line read."""
-    with first if bounds[0] == 0 else _range_text(path, *bounds) as text:
-        out = _Ingest(text, bounds[0])
+    with io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig", errors="surrogateescape", newline="") as text:
+        if not start:
+            _check_header(next(text, ""))
+        out = _Ingest(text, start)
     return out.part()
 
 
@@ -297,12 +285,12 @@ def _joined(parts: list) -> IngestResult:
 
 
 class _Ingest:
-    """An :func:`ingest` run over the lines of a stream, or of the byte range
-    from byte ``start`` of a file, read a block at a time
-    (:func:`_read_block`): pieces of the table's columns, the rejections and
-    the message of each, the rows read and the lines counted."""
+    """An :func:`ingest` run over the lines of the byte range from byte
+    ``start`` of a file, read a block at a time (:func:`_read_block`): pieces
+    of the table's columns, the rejections and the message of each, the rows
+    read and the lines counted."""
 
-    def __init__(self, lines: Iterable[str], start: int = 0) -> None:
+    def __init__(self, lines: Iterable[str], start: int) -> None:
         self.pieces = [[np.array([], dtype) for dtype in COLUMN_DTYPES.values()]]  # of an empty table
         self.rejections, self.notes, self.rows, self.lines, self.start = [], [], 0, 0, start
         while block := list(islice(lines, _INGEST_BLOCK)):
@@ -348,12 +336,12 @@ def _read_block(lines: list[str], out: _Ingest) -> None:
     text = "".join(lines)
     first, n = out.lines + 1, len(lines)
     out.lines += n
-    plain = np.flatnonzero(lengths)
+    plain = np.arange(n)
     if not text.isascii() or "\0" in text or '"' in text:
-        plain = np.flatnonzero([line.isascii() and "\0" not in line and '"' not in line and line != "" for line in lines])
+        plain = np.flatnonzero([line.isascii() and "\0" not in line and '"' not in line for line in lines])
     del text
-    # a row is 20 cells and 19 commas, and no cell may be over the csv module's limit
-    ok = (lengths[plain] >= 39) & (lengths[plain] <= csv.field_size_limit())
+    # a row is a character per cell and a comma between each two, and no cell may be over the csv module's limit
+    ok = (lengths[plain] >= 2 * len(CSV_COLUMNS) - 1) & (lengths[plain] <= csv.field_size_limit())
     pieces = _load(lines, plain[ok], halves=False)
     if not pieces and ok.any():
         data = np.frombuffer("".join([lines[k] for k in plain.tolist()]).encode("ascii"), np.uint8)
@@ -406,9 +394,9 @@ def _load(lines: list[str], rows: np.ndarray, halves: bool = True) -> list[tuple
 
 
 def _plain_numbers(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Which lines, the ``data`` bytes from each start to each end, hold 20
-    cells, no line break but their own end and 18 number cells of digits and
-    ``+,-./eE`` only: those numpy and ``float`` likely read alike."""
+    """Which lines, the ``data`` bytes from each start to each end, hold a
+    cell per column, no line break but their own end and number cells of
+    digits and ``+,-./eE`` only: those numpy and ``float`` likely read alike."""
     # a line's own end: \n, \r\n or \r, or nothing at the end of the input
     ending = ((data[ends - 1] == 10) | (data[ends - 1] == 13)).astype(np.intp)
     ending += (data[ends - 1] == 10) & (data[np.maximum(ends - 2, 0)] == 13) & (ends - starts >= 2)
@@ -417,7 +405,7 @@ def _plain_numbers(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np
     before = np.searchsorted(commas, starts)
     low = np.flatnonzero(data <= 13)
     breaks = np.diff(np.searchsorted(low[(data[low] == 10) | (data[low] == 13)], ends), prepend=0)
-    plain = (np.searchsorted(commas, starts + width) - before == 19) & (breaks == ending)
+    plain = (np.searchsorted(commas, starts + width) - before == len(CSV_COLUMNS) - 1) & (breaks == ending)
     # the number cells run from after the second comma to the line's end
     cells = np.where(plain, commas[np.minimum(before + 1, commas.size - 1)] + 1, starts)
     bounds = np.column_stack([cells, np.where(plain, starts + width, starts)]).ravel()
@@ -453,19 +441,18 @@ def _checked(table: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     days = months.astype("datetime64[D]")
     good &= day <= (months + 1).astype("datetime64[D]") - days
     of_day = ((hour * 60 + minute) * 60 + second).astype(np.int64) * 10**6 + np.where(fraction, micro, 0)
-    chars = np.ascontiguousarray(table["device_id"]).view(np.uint8).reshape(-1, 65)
+    chars = np.ascontiguousarray(table["device_id"]).view(np.uint8).reshape(-1, MAX_DEVICE_ID_CHARS + 1)
     size = np.count_nonzero(chars, axis=1)  # the line holds no NUL
     good &= (size >= 1) & (size <= MAX_DEVICE_ID_CHARS) & ~_SPACE_BYTES[chars[:, 0]]
     good &= ~_SPACE_BYTES[chars[np.arange(size.size), np.maximum(size - 1, 0)]]
     values = table["values"]
-    whole = values[:, [_VALUE[name] for name in ("SF", "f_count", "p_count", "c_walls", "w_walls")]]
+    whole = values[:, _WHOLE]
     good &= ((values >= _LOW) & (values <= _HIGH)).all(axis=1)  # NaN and infinities too
     good &= ((np.trunc(whole) == whole) & (whole < 2.0**63) & (whole >= -(2.0**63))).all(axis=1)
     # ASCII bytes widened to UCS-4 code points are the ids as numpy str
     width = max(1, int(size[good].max(initial=0)))
     ids = chars[good, :width].astype(np.uint32).view(f"U{width}").ravel()
-    dtypes = list(COLUMN_DTYPES.values())[2:]
-    numbers = [column[good].astype(dtype, copy=False) for column, dtype in zip(values.T, dtypes)]
+    numbers = [column[good].astype(dtype, copy=False) for column, dtype in zip(values.T, _NUMBER_DTYPES)]
     times = (days + (day - 1)).astype("datetime64[us]") + of_day
     return [times[good], ids, *numbers], good
 
@@ -534,6 +521,7 @@ def dedup_retransmissions(records: ObservationTable, window_s: float = 2.0) -> O
     than the window keeps one row per window.  Time deltas are raw
     wall-clock differences.
     """
+    check_setting("dedup_window_s", window_s, 0.0, math.inf, "[)")
     order = np.lexsort((records["f_count"], records["time"], records["device_id"]))
     device = records["device_id"][order]
     f_count = records["f_count"][order]
@@ -620,6 +608,7 @@ class IsolationForestConfig:
         check_setting("contamination", self.contamination, 0.0, 0.5, "()")
         check_setting("n_trees", self.n_trees, 1, math.inf, "[)")
         check_setting("subsample_size", self.subsample_size, 2, math.inf, "[)")
+        check_setting("seed", self.seed, 0, math.inf, "[)")
 
 
 @dataclass(frozen=True)
@@ -886,6 +875,7 @@ class SplitSpec:
 
     def __post_init__(self) -> None:
         check_setting("test_fraction", self.test_fraction, 0.0, 1.0, "()")
+        check_setting("seed", self.seed, 0, math.inf, "[)")
 
 
 def split(records: ObservationTable, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -917,8 +907,8 @@ def kfold(
     Validation sets are disjoint, cover every record exactly once and differ
     in size by at most one.
     """
-    if folds < 2:
-        raise InvalidConfigError("folds must be >= 2")
+    check_setting("folds", folds, 2, math.inf, "[)")
+    check_setting("seed", seed, 0, math.inf, "[)")
     if len(records) < folds:
         raise InvalidDataError(f"too few records ({len(records)}) for {folds} folds")
     rng = np.random.default_rng(seed)
@@ -1035,15 +1025,15 @@ def run_pipeline(
     All randomness derives from ``seed``; rerunning with identical inputs
     produces byte-identical files.
     """
+    # every setting is checked before the input is read
+    if_config = IsolationForestConfig(contamination=contamination, seed=seed)
+    split_spec = SplitSpec(test_fraction=test_fraction, seed=seed)
+    check_setting("dedup_window_s", dedup_window_s, 0.0, math.inf, "[)")
     # each stage's input table is dropped once its output and counts exist,
     # so at most two tables are alive at a time
     ingested = ingest(input_path)
     reasons = Counter(rejection.reason for rejection in ingested.rejections)
-    counts = {
-        "rows_read": ingested.rows_read,
-        "rejected": len(ingested.rejections),
-        "ingested": len(ingested.records),
-    }
+    counts = {"rows_read": ingested.rows_read, "rejected": len(ingested.rejections), "ingested": len(ingested.records)}
     n_violations = audit_derived_columns(ingested.records)
     deduped = dedup_retransmissions(ingested.records, window_s=dedup_window_s)
     del ingested
@@ -1053,16 +1043,11 @@ def run_pipeline(
         # delivery ratio uses every received frame: the SF filter would punch
         # artificial counter gaps.  Dedup left each device's rows in time order.
         # Anomalies are counted once the screen has run.
-        per_device[device] = {
-            "rows": idx.size,
-            "anomalies": 0,
-            "pdr": pdr(deduped["f_count"][idx].tolist()),
-        }
+        per_device[device] = {"rows": idx.size, "anomalies": 0, "pdr": pdr(deduped["f_count"][idx].tolist())}
     counts["after_dedup"] = len(deduped)
     sf_filtered = filter_sf(deduped)
     del deduped
 
-    if_config = IsolationForestConfig(contamination=contamination, seed=seed)
     flags, constant = flag_anomalies(sf_filtered, if_config)
     flagged = Counter(sf_filtered["device_id"][flags].tolist())
     counts["after_sf_filter"] = len(sf_filtered)
@@ -1074,7 +1059,7 @@ def run_pipeline(
         if device in constant:
             info["constant_features"] = constant[device]
 
-    train_index, test_index = split(clean, SplitSpec(test_fraction=test_fraction, seed=seed))
+    train_index, test_index = split(clean, split_spec)
     counts |= {"clean": len(clean), "train": train_index.size, "test": test_index.size}
 
     effective_config = {

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, InvalidDataError
 from .jsonio import read_json, write_json
-from .records import check_range, check_setting
+from .records import COLUMN_RANGES, check_range, check_setting
 
 #: dB-to-natural-log conversion constant, 10 / ln 10.
 XI = 10.0 / math.log(10.0)
@@ -159,6 +159,17 @@ def fixed_term(variant: ModelVariant, column: Callable[[str], Any], rows: int) -
     return 20.0 * _log10(freq_mhz)
 
 
+def path_loss(x: np.ndarray, params: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """``x @ params + fixed``: the deterministic loss of each row of the
+    predictor columns ``x``.  A loss that overflows the float range is an
+    :class:`InvalidDataError`, and no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = x @ params + fixed
+    if not np.isfinite(loss).all():
+        raise InvalidDataError("the predicted path loss overflows the float range")
+    return loss
+
+
 def predict(model: PathLossModel, inputs: Mapping[str, float]) -> float:
     """Deterministic path loss of one observation, in dB: the one-row form of
     the vectorised ``x @ params + fixed``.  ``inputs`` maps the CSV column
@@ -173,7 +184,7 @@ def predict(model: PathLossModel, inputs: Mapping[str, float]) -> float:
         return [check_range(name, inputs[name])]
 
     x = predictor_columns(model.variant, column, model.reference_distance_m)
-    return float((x @ np.array(model.params) + fixed_term(model.variant, column, 1))[0])
+    return float(path_loss(x, np.array(model.params), fixed_term(model.variant, column, 1))[0])
 
 
 def shadowing_pdf(spec: ShadowingSpec, eps_linear):
@@ -226,9 +237,16 @@ class SceneSpec:
         check_setting("max_distance_m", self.max_distance_m, float(self.reference_distance_m), math.inf, "()")
         # a scene holds the columns of all its points in memory at once
         check_setting("num_points", self.num_points, 1, 10**6)
-        check_setting("reference_loss_db", self.reference_loss_db, -math.inf, math.inf, "()")
-        check_setting("path_loss_exponent", self.path_loss_exponent, -math.inf, math.inf, "()")
-        check_setting("shadowing_sigma_db", self.shadowing_sigma_db, 0.0, math.inf, "[)")
+        # the losses at the reference distance and of a wall, and the spread
+        # of the shadowing, are no gain and no wider than the dBm interval,
+        # like any loss a reading can show
+        dbm_low, dbm_high = COLUMN_RANGES["rssi"]
+        widest = dbm_high - dbm_low
+        check_setting("reference_loss_db", self.reference_loss_db, 0.0, widest)
+        # the loss grows with distance, as a fitted model's does; indoor
+        # exponents lie near 2 to 6, and 10 keeps every loss of a sweep finite
+        check_setting("path_loss_exponent", self.path_loss_exponent, 0.0, 10.0, "(]")
+        check_setting("shadowing_sigma_db", self.shadowing_sigma_db, 0.0, widest)
         low, high = self.wall_spacing_m
         check_setting("wall_spacing_m[0]", low, 0.0, math.inf, "()")
         check_setting("wall_spacing_m[1]", high, float(low), math.inf, "[)")
@@ -238,8 +256,8 @@ class SceneSpec:
                 f" exceed the {MAX_SCENE_WALLS} a scene may hold"
             )
         low, high = self.wall_loss_db
-        check_setting("wall_loss_db[0]", low, -math.inf, math.inf, "()")
-        check_setting("wall_loss_db[1]", high, float(low), math.inf, "[)")
+        check_setting("wall_loss_db[0]", low, 0.0, widest)
+        check_setting("wall_loss_db[1]", high, float(low), widest)
 
 
 def simulate_scene(spec: SceneSpec, seed: int) -> dict[str, np.ndarray]:

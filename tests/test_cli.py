@@ -176,6 +176,37 @@ class TestNonFiniteValues:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == ["intercept_db must be in (-inf, inf), got nan"]
 
+    @pytest.mark.parametrize(
+        "coefficients, error",
+        [
+            ({"intercept_db": 1.7e308, "wall_loss_db": {"brick": 1.7e308, "wood": 2.64}},
+             "the predicted path loss overflows the float range"),
+            ({"intercept_db": 1e200}, "a metric of the residuals overflows the float range"),
+            ({"wall_loss_db": {"brick": 1e103, "wood": 2.64}}, "a metric of the residuals overflows the float range"),
+            ({"wall_loss_db": {"brick": 1e104, "wood": 2.64}}, "a metric of the residuals overflows the float range"),
+        ],
+        ids=["loss", "squares", "cubes", "power"],
+    )
+    def test_evaluate_a_model_whose_finite_coefficients_overflow(self, capsys, caplog, tmp_path, cleaned_csv,
+                                                                  coefficients, error):
+        # numpy warned of an overflow in matmul, square or power, and the
+        # spread's power of 1.5 ended in an OverflowError traceback
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(model_to_dict(PathLossModel(ModelVariant.MW, (31.3, 3.62, 9.74, 2.64)))
+                                    | coefficients))
+        assert main(["evaluate", "--model", str(model), "--input", str(cleaned_csv)]) == 1
+        assert capsys.readouterr().out == ""
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [error]
+
+    def test_predict_a_loss_that_overflows(self, capsys, caplog, tmp_path):
+        # printed numpy's overflow warning, then exited 1 as a non-finite result
+        model = tmp_path / "model.json"
+        save_model(PathLossModel(ModelVariant.MW, (1.7e308, 3.62, 1.7e308, 2.64)), model)
+        assert main(["predict", "--model", str(model), "--distance", "10", "--brick", "1"]) == 1
+        assert capsys.readouterr().out == ""
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["the predicted path loss overflows the float range"]
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_trace_line_exits_1_before_any_output(self, capsys, caplog, tmp_path, value):
         trace = tmp_path / "trace.txt"
@@ -219,7 +250,7 @@ class TestDutyCycleCommand:
                             f'{{"sf": 7, "bw_hz": 125000, "payload_bytes": 18, "count": {count}}}\n')
         assert main(["duty-cycle", "--schedule", str(schedule)]) == 1
         assert capsys.readouterr().out == ""
-        assert f"count of entry 1 must be in [0.0, inf), got {float(count)}" in caplog.text
+        assert f"schedule line 2: count must be in [0.0, inf), got {float(count)}" in caplog.text
 
     @pytest.mark.parametrize("line", ["5", '"sf7"', "null", "[7, 125000]"])
     def test_entry_that_is_not_an_object_exits_1(self, capsys, caplog, tmp_path, line):
@@ -228,7 +259,7 @@ class TestDutyCycleCommand:
         schedule.write_text('{"sf": 7, "bw_hz": 125000, "payload_bytes": 18, "count": 5}\n' + line + "\n")
         assert main(["duty-cycle", "--schedule", str(schedule)]) == 1
         assert capsys.readouterr().out == ""
-        assert "bad schedule entry at line 2" in caplog.text
+        assert "schedule line 2: " in caplog.text
 
 
 class TestLinkBudgetCommand:
@@ -979,7 +1010,7 @@ class TestFitCommand:
         path = tmp_path / "schedule.jsonl"
         path.write_bytes(b'{"sf": 7, "bw_hz": 125000, "payload_bytes": 18, "count": 5, "x": "\xff"}\n')
         assert main(["duty-cycle", "--schedule", str(path)]) == 1
-        assert "can't decode byte 0xff" in caplog.text
+        assert "schedule line 1: 'utf-8' codec can't decode byte 0xff" in caplog.text
 
     def test_malformed_model_file_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

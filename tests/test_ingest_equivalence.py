@@ -387,9 +387,17 @@ def csv_text(rows: list[list[str] | None], quoting: int = csv.QUOTE_MINIMAL) -> 
     return out.getvalue()
 
 
-def assert_same_ingest(text: str) -> None:
+def write_csv(path, text: str):
+    """``path``, holding ``text`` encoded as ingest decodes it."""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    return path
+
+
+def assert_same_ingest(text: str, path) -> None:
+    """``ingest`` of ``text`` written to the file ``path`` gives what the
+    per-row reference gives."""
     expected = reference_ingest(text)
-    result = ingest(io.StringIO(text, newline=""))
+    result = ingest(write_csv(path, text))
     assert result.rows_read == expected.rows_read
     assert [(r.line, r.reason) for r in result.rejections] == [
         (r.line, r.reason) for r in expected.rejections
@@ -437,15 +445,15 @@ _rows = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(rows=_rows, block=st.sampled_from([1, 2, 3, 7, pipeline._INGEST_BLOCK]))
-def test_ingest_matches_the_per_row_reference(rows, block):
+def test_ingest_matches_the_per_row_reference(rows, block, scratch_csv):
     for cells in rows:
         if cells is not None:
             assert_same_parse(cells)
     with mock.patch.object(pipeline, "_INGEST_BLOCK", block):
-        assert_same_ingest(csv_text(rows))
+        assert_same_ingest(csv_text(rows), scratch_csv)
 
 
-def test_files_longer_than_one_block():
+def test_files_longer_than_one_block(scratch_csv):
     rng = random.Random(5)
     rows = []
     for _ in range(2 * pipeline._INGEST_BLOCK + 777):
@@ -453,7 +461,7 @@ def test_files_longer_than_one_block():
             (rng.randrange(6), rng.randrange(len(CSV_COLUMNS)), rng.randrange(1000))
         ]
         rows.append(random_row(rng.choice, faults))
-    assert_same_ingest(csv_text(rows))
+    assert_same_ingest(csv_text(rows), scratch_csv)
 
 
 def one_row_file(cells: list[str], at: int, rows: int = 40) -> str:
@@ -503,25 +511,25 @@ def one_row_file(cells: list[str], at: int, rows: int = 40) -> str:
     ],
 )
 @pytest.mark.parametrize("at", [1, 2, 40])
-def test_cells_at_the_edge_of_the_block_reader(cell, column, at):
+def test_cells_at_the_edge_of_the_block_reader(cell, column, at, scratch_csv):
     # each cell, as the first row of a block, a later one or the last, gives
     # what the per-cell reference gives
     cells = [valid_cell(name, lambda options: options[0]) for name in CSV_COLUMNS]
     cells[CSV_COLUMNS.index(column)] = cell
     assert_same_parse(cells)
-    assert_same_ingest(one_row_file(cells, at))
+    assert_same_ingest(one_row_file(cells, at), scratch_csv)
 
 
-def test_finite_values_whose_sum_overflows_are_accepted():
+def test_finite_values_whose_sum_overflows_are_accepted(scratch_csv):
     # pressure and temperature are bounded only by finiteness
     cells = [valid_cell(name, lambda options: options[0]) for name in CSV_COLUMNS]
     cells[CSV_COLUMNS.index("pressure")] = cells[CSV_COLUMNS.index("temperature")] = "1e308"
     assert_same_parse(cells)
     assert parse_row(cells)[5:7] == (1e308, 1e308)
-    assert ingest(io.StringIO(one_row_file(cells, 3), newline="")).records["pressure"][2] == 1e308
+    assert ingest(write_csv(scratch_csv, one_row_file(cells, 3))).records["pressure"][2] == 1e308
 
 
-def test_each_block_s_first_row_is_checked_against_parse_row(monkeypatch):
+def test_each_block_s_first_row_is_checked_against_parse_row(monkeypatch, scratch_csv):
     calls = []
 
     def spy(cells):
@@ -531,12 +539,12 @@ def test_each_block_s_first_row_is_checked_against_parse_row(monkeypatch):
     monkeypatch.setattr(pipeline, "parse_row", spy)
     monkeypatch.setattr(pipeline, "_INGEST_BLOCK", 3)
     rows = plain_rows(10)
-    ingest(io.StringIO(csv_text(rows), newline=""))
+    ingest(write_csv(scratch_csv, csv_text(rows)))
     assert calls == [rows[0], rows[3], rows[6], rows[9]]
 
     monkeypatch.setattr(pipeline, "parse_row", lambda cells: parse_row(cells)[:-1] + (0.0,))
     with pytest.raises(RuntimeError, match="^ingest read line 1 as"):
-        ingest(io.StringIO(csv_text(rows), newline=""))
+        ingest(scratch_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -933,6 +941,22 @@ def test_fifo_is_read_as_one_stream(tmp_path, spied):
             assert outcome(lambda: ingest(fifo)) == expected
         writer.join()
     assert spied == {"forked": [], "streams": 2}
+
+
+@pytest.mark.parametrize("text", ["", "a,b,c\n" + csv_text(valid_rows(30))[len(HEADER_LINE):]],
+                         ids=["empty", "other header"])
+def test_malformed_header_in_a_file_and_a_fifo(tmp_path, bounded, text):
+    # the range readers start before the first one reads the header; none is left behind
+    expected = reference_read(text)
+    assert expected[0][1].startswith("malformed header: ")
+    assert_file_matches_the_reference(write_csv(tmp_path / "input.csv", text))
+    fifo = tmp_path / "input.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(text.encode("utf-8"),), daemon=True)
+    writer.start()
+    with in_ranges(3):
+        assert outcome(lambda: ingest(fifo)) == expected
+    writer.join()
 
 
 @pytest.mark.usefixtures("bounded")

@@ -1,5 +1,4 @@
 import gc
-import io
 import json
 import logging
 import math
@@ -59,12 +58,20 @@ GOOD_ROW = (
 )
 
 
-def csv_source(*rows):
-    return io.StringIO("\n".join([HEADER, *rows]) + "\n")
+@pytest.fixture
+def csv_source(tmp_path):
+    """Writes the header and the given lines to a file, encoded as ingest
+    decodes it, and gives its path."""
+    def write(*rows):
+        path = tmp_path / "input.csv"
+        path.write_bytes(("\n".join([HEADER, *rows]) + "\n").encode("utf-8", "surrogateescape"))
+        return path
+
+    return write
 
 
 class TestIngest:
-    def test_well_formed_row_accepted_verbatim(self):
+    def test_well_formed_row_accepted_verbatim(self, csv_source):
         result = ingest(csv_source(GOOD_ROW))
         assert result.rows_read == 1
         assert not result.rejections
@@ -76,40 +83,42 @@ class TestIngest:
         assert table["SF"][0] == 7
         assert table["exp_pl"][0] == 92.26
 
-    def test_missing_value_rejected(self):
+    def test_missing_value_rejected(self, csv_source):
         row = GOOD_ROW.replace("550.0", "")
         result = ingest(csv_source(row))
         assert len(result.records) == 0
         assert result.rejections[0].reason == "missing-value"
         assert result.rejections[0].line == 1
 
-    def test_non_finite_rejected(self):
+    def test_non_finite_rejected(self, csv_source):
         for token in ("nan", "inf", "-inf", "NaN"):
             result = ingest(csv_source(GOOD_ROW.replace("550.0", token)))
             assert len(result.records) == 0
             assert result.rejections[0].reason == "non-finite"
 
-    def test_unparseable_token_rejected(self):
+    def test_unparseable_token_rejected(self, csv_source):
         result = ingest(csv_source(GOOD_ROW.replace("-75.0,8.0", "oops,8.0")))
         assert result.rejections[0].reason == "bad-rssi"
 
-    def test_bad_timestamp_rejected(self):
+    def test_bad_timestamp_rejected(self, csv_source):
         result = ingest(csv_source(GOOD_ROW.replace("2024-01-01 00:00:00", "yesterday")))
         assert result.rejections[0].reason == "bad-time"
 
-    def test_out_of_range_sf_rejected(self):
+    def test_out_of_range_sf_rejected(self, csv_source):
         result = ingest(csv_source(GOOD_ROW.replace(",7,868.1", ",6,868.1")))
         assert result.rejections[0].reason == "bad-SF"
 
-    def test_wrong_field_count_rejected(self):
+    def test_wrong_field_count_rejected(self, csv_source):
         result = ingest(csv_source(GOOD_ROW + ",extra"))
         assert result.rejections[0].reason == "wrong-field-count"
 
-    def test_malformed_header(self):
+    def test_malformed_header(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
         with pytest.raises(InvalidDataError, match="malformed header"):
-            ingest(io.StringIO("a,b,c\n1,2,3\n"))
+            ingest(path)
 
-    def test_mixed_good_and_bad_rows(self):
+    def test_mixed_good_and_bad_rows(self, csv_source):
         bad = GOOD_ROW.replace("38.0", "")
         result = ingest(csv_source(GOOD_ROW, bad, GOOD_ROW))
         assert len(result.records) == 2
@@ -117,7 +126,7 @@ class TestIngest:
         assert result.rejections[0].line == 2
         assert len(result.rejections) / result.rows_read == pytest.approx(1 / 3)
 
-    def test_oversized_device_id_rejected_without_widening_the_column(self):
+    def test_oversized_device_id_rejected_without_widening_the_column(self, csv_source):
         # near the csv module's default field limit of 131072 characters; kept,
         # it would make every id in the column that wide
         long_id = GOOD_ROW.replace("dev0", "d" * 131_000)
@@ -126,7 +135,7 @@ class TestIngest:
         assert result.records["device_id"].tolist() == ["dev0", "dev0"]
         assert result.records["device_id"].dtype.itemsize <= 4 * MAX_DEVICE_ID_CHARS
 
-    def test_device_id_with_a_nul_is_not_merged_into_another(self):
+    def test_device_id_with_a_nul_is_not_merged_into_another(self, csv_source):
         result = ingest(csv_source(GOOD_ROW, GOOD_ROW.replace("dev0", "dev0\0")))
         assert [r.reason for r in result.rejections] == ["bad-device_id"]
         assert len(result.records) == 1
@@ -152,14 +161,6 @@ class TestIngest:
         assert not result.rejections
         assert rows_of(result.records) == rows_of(table)
 
-    def test_device_id_holding_a_carriage_return_is_rejected(self):
-        # a stream that splits lines at "\n" only keeps a "\r" in a quoted id
-        text = "\n".join([HEADER, GOOD_ROW, GOOD_ROW.replace("dev0", '"de\rv"'), GOOD_ROW, ""])
-        result = ingest(io.StringIO(text, newline="\n"))
-        assert result.rows_read == 3
-        assert [(r.line, r.reason) for r in result.rejections] == [(2, "bad-device_id")]
-        assert result.records["device_id"].tolist() == ["dev0", "dev0"]
-
     def test_bytes_that_are_not_utf8_reject_their_rows_only(self, tmp_path):
         rows = [
             GOOD_ROW,
@@ -175,19 +176,12 @@ class TestIngest:
         assert [(r.line, r.reason) for r in result.rejections] == [(n, "bad-encoding") for n in (2, 3, 4)]
         assert result.records["device_id"].tolist() == ["dev0", "n\u00f6de"]
 
-    def test_field_over_the_csv_limit_is_one_rejection(self):
+    def test_field_over_the_csv_limit_is_one_rejection(self, csv_source):
         huge = GOOD_ROW.replace("dev0", "d" * 200_000)
         result = ingest(csv_source(GOOD_ROW, huge, GOOD_ROW.replace("dev0", "dev1")))
         assert [(r.line, r.reason) for r in result.rejections] == [(2, "oversized-field")]
         assert result.rows_read == 3
         assert result.records["device_id"].tolist() == ["dev0", "dev1"]
-
-    def test_other_csv_errors_are_one_rejection(self):
-        # read without newline="", a carriage return inside a line is a csv.Error
-        result = ingest(csv_source(GOOD_ROW + "\r" + GOOD_ROW, GOOD_ROW))
-        assert [(r.line, r.reason) for r in result.rejections] == [(1, "bad-csv")]
-        assert (result.rows_read, len(result.records)) == (2, 1)
-
 
 
 def scalar_audit(table) -> int:

@@ -2,7 +2,8 @@
 a value that is not a number of the setting's kind, or lies outside its
 interval, is refused with ``<setting> must be in <interval>, got <value>``,
 and each end of the interval (or the nearest value it admits) is accepted.
-The CLI probes below each exited 0 or with a traceback before the check."""
+The CLI probes below each exited 0, with a traceback or with a message
+that named no schedule line before the check."""
 
 from __future__ import annotations
 
@@ -19,8 +20,10 @@ from loraprop.errors import InvalidConfigError
 from loraprop.fitting import FitConfig
 from loraprop.link_budget import DEFAULT_LINK_BUDGET, LinkBudgetParams
 from loraprop.lora_phy import RadioConfig, duty_cycle
-from loraprop.pipeline import IsolationForestConfig, SplitSpec
-from loraprop.propagation import PARAM_NAMES, ModelVariant, PathLossModel, SceneSpec, ShadowingSpec
+from loraprop.pipeline import IsolationForestConfig, SplitSpec, dedup_retransmissions, kfold, run_pipeline
+from loraprop.propagation import PARAM_NAMES, ModelVariant, PathLossModel, SceneSpec, ShadowingSpec, save_model
+
+from helpers import make_table
 
 INF = math.inf
 MAX = sys.float_info.max
@@ -29,6 +32,7 @@ EP_PARAMS = dict(zip(PARAM_NAMES[ModelVariant.MW_EP], (31.3, 3.62, 9.74, 2.64, 0
 RADIO = dict(sf=7, bw_hz=125_000.0, payload_bytes=18)
 ADR = dict(current_sf=12, current_power_dbm=-200.0, max_power_dbm=30.0)
 SCENE = dict(max_distance_m=40.0)
+TABLE = make_table(f_count=range(3))
 
 
 def _field(config_type, base, name):
@@ -79,17 +83,20 @@ SETTINGS = [
     ("SceneSpec", "max_distance_m", _field(SceneSpec, SCENE, "max_distance_m"), 1.0, INF, "()",
      [math.nextafter(1.0, 2.0), 4e6]),
     ("SceneSpec", "num_points", _field(SceneSpec, SCENE, "num_points"), 1, 10**6, "[]", [1, 10**6]),
-    ("SceneSpec", "reference_loss_db", _field(SceneSpec, SCENE, "reference_loss_db"), -INF, INF, "()", [-MAX, MAX]),
-    ("SceneSpec", "path_loss_exponent", _field(SceneSpec, SCENE, "path_loss_exponent"), -INF, INF, "()",
-     [-MAX, MAX]),
-    ("SceneSpec", "shadowing_sigma_db", _field(SceneSpec, SCENE, "shadowing_sigma_db"), 0.0, INF, "[)", [0.0, MAX]),
+    ("SceneSpec", "reference_loss_db", _field(SceneSpec, SCENE, "reference_loss_db"), 0.0, 230.0, "[]",
+     [0.0, 230.0]),
+    ("SceneSpec", "path_loss_exponent", _field(SceneSpec, SCENE, "path_loss_exponent"), 0.0, 10.0, "(]",
+     [TINY, 10.0]),
+    ("SceneSpec", "shadowing_sigma_db", _field(SceneSpec, SCENE, "shadowing_sigma_db"), 0.0, 230.0, "[]",
+     [0.0, 230.0]),
     ("SceneSpec", "wall_spacing_m[0]", lambda v: SceneSpec(40.0, wall_spacing_m=(v, 10.0)), 0.0, INF, "()",
      [4e-5, 10.0]),
     ("SceneSpec", "wall_spacing_m[1]", lambda v: SceneSpec(40.0, wall_spacing_m=(4.0, v)), 4.0, INF, "[)",
      [4.0, MAX]),
-    ("SceneSpec", "wall_loss_db[0]", lambda v: SceneSpec(40.0, wall_loss_db=(v, 12.0)), -INF, INF, "()",
-     [-MAX, 12.0]),
-    ("SceneSpec", "wall_loss_db[1]", lambda v: SceneSpec(40.0, wall_loss_db=(5.0, v)), 5.0, INF, "[)", [5.0, MAX]),
+    ("SceneSpec", "wall_loss_db[0]", lambda v: SceneSpec(40.0, wall_loss_db=(v, 12.0)), 0.0, 230.0, "[]",
+     [0.0, 12.0]),
+    ("SceneSpec", "wall_loss_db[1]", lambda v: SceneSpec(40.0, wall_loss_db=(5.0, v)), 5.0, 230.0, "[]",
+     [5.0, 230.0]),
     ("ShadowingSpec", "sigma_db", _field(ShadowingSpec, {}, "sigma_db"), 0.0, INF, "()", [TINY, MAX]),
     ("ShadowingSpec", "mean_db", _field(ShadowingSpec, {"sigma_db": 9.0}, "mean_db"), -INF, INF, "()", [-MAX, MAX]),
     *[("PathLossModel", name, _model_param(name), 0.0 if name == "path_loss_exponent" else -INF, INF, "()",
@@ -106,8 +113,15 @@ SETTINGS = [
     ("IsolationForestConfig", "n_trees", _field(IsolationForestConfig, {}, "n_trees"), 1, INF, "[)", [1, 2**100]),
     ("IsolationForestConfig", "subsample_size", _field(IsolationForestConfig, {}, "subsample_size"), 2, INF, "[)",
      [2, 2**100]),
+    ("IsolationForestConfig", "seed", _field(IsolationForestConfig, {}, "seed"), 0, INF, "[)", [0, 2**100]),
     ("SplitSpec", "test_fraction", _field(SplitSpec, {}, "test_fraction"), 0.0, 1.0, "()",
      [TINY, math.nextafter(1.0, 0.0)]),
+    ("SplitSpec", "seed", _field(SplitSpec, {}, "seed"), 0, INF, "[)", [0, 2**100]),
+    ("dedup_retransmissions", "dedup_window_s", lambda v: dedup_retransmissions(TABLE, v), 0.0, INF, "[)",
+     [0.0, MAX]),
+    # more folds than rows is refused as data, not as a setting
+    ("kfold", "folds", lambda v: kfold(TABLE, v, 0), 2, INF, "[)", [2, 3]),
+    ("kfold", "seed", lambda v: kfold(TABLE, 2, v), 0, INF, "[)", [0, 2**100]),
     ("duty_cycle", "limit", lambda v: duty_cycle([], limit=v), 0.0, INF, "()", [TINY, MAX]),
     ("duty_cycle", "count of entry 0", lambda v: duty_cycle([(RadioConfig(**RADIO), v)]), 0.0, INF, "[)",
      [0.0, 1e300]),
@@ -171,6 +185,23 @@ def test_initial_params_is_a_list(value):
     assert str(info.value) == f"initial_params must be a list of numbers, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "setting, error",
+    [
+        ({"seed": -1}, "seed must be in [0, inf), got -1"),
+        ({"contamination": 0.7}, "contamination must be in (0.0, 0.5), got 0.7"),
+        ({"dedup_window_s": -5.0}, "dedup_window_s must be in [0.0, inf), got -5.0"),
+        ({"test_fraction": 1.0}, "test_fraction must be in (0.0, 1.0), got 1.0"),
+    ],
+)
+def test_run_pipeline_checks_its_settings_before_it_reads_the_input(tmp_path, setting, error):
+    # a bad contamination was refused only after ingest, dedup and the SF filter
+    with pytest.raises(InvalidConfigError) as info:
+        run_pipeline(tmp_path / "missing.csv", tmp_path / "out", **setting)
+    assert str(info.value) == error
+    assert not (tmp_path / "out").exists()
+
+
 def _refused_run(capsys, caplog, argv, error):
     """``argv`` exits 1 with ``error`` as its one ERROR line and prints nothing."""
     assert main(argv) == 1
@@ -188,15 +219,50 @@ class TestCliProbes:
             ({"payload_bytes": 10.5}, "payload_bytes must be in [1, 255], got 10.5"),
             ({"cr_index": True}, "cr_index must be in [1, 4], got True"),
             ({"crc_on": "no"}, "crc_on must be true or false, got 'no'"),
-            ({"count": "3"}, "count of entry 0 must be in [0.0, inf), got '3'"),
+            ({"count": "3"}, "count must be in [0.0, inf), got '3'"),
             ({"preamble_symbols": 1e300}, "preamble_symbols must be in [0, 65535], got 1e+300"),
+            ({"bw_hz": 1e-300}, "bw_hz must be a LoRa bandwidth (7800, 10400, 15600, 20800, 31250, 41700, 62500,"
+                                " 125000, 250000, 500000 Hz), got 1e-300"),
+            ({"spreading": 7}, "RadioConfig.__init__() got an unexpected keyword argument 'spreading'"),
         ],
-        ids=["sf", "payload_bytes", "cr_index", "crc_on", "count", "preamble_symbols"],
+        ids=["sf", "payload_bytes", "cr_index", "crc_on", "count", "preamble_symbols", "bw_hz", "unknown-field"],
     )
     def test_duty_cycle_schedule_line(self, capsys, caplog, tmp_path, fields, error):
+        # a count was named by its 0-based entry and a radio field by no line at all
+        line = json.dumps({"sf": 7, "bw_hz": 125000, "payload_bytes": 18, "count": 5})
         schedule = tmp_path / "schedule.jsonl"
-        schedule.write_text(json.dumps({"sf": 7, "bw_hz": 125000, "payload_bytes": 18, "count": 5} | fields) + "\n")
-        _refused_run(capsys, caplog, ["duty-cycle", "--schedule", str(schedule)], error)
+        schedule.write_text(line + "\n\n" + json.dumps(json.loads(line) | fields) + "\n")
+        _refused_run(capsys, caplog, ["duty-cycle", "--schedule", str(schedule)], f"schedule line 3: {error}")
+
+    def test_duty_cycle_schedule_line_that_is_not_utf8(self, capsys, caplog, tmp_path):
+        # named no line
+        schedule = tmp_path / "schedule.jsonl"
+        schedule.write_bytes(b'{"sf": 7, "bw_hz": 125000, "payload_bytes": 18, "count": 5}\r\n{"x": "\xff"}\r\n')
+        _refused_run(capsys, caplog, ["duty-cycle", "--schedule", str(schedule)],
+                     "schedule line 2: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte")
+
+    @pytest.mark.parametrize("variant", ["mw", "mw-ep"])
+    @pytest.mark.parametrize(
+        "env, error",
+        [
+            ({"co2": True}, "co2 must be a JSON number, got True"),
+            ({"co2": "400"}, "co2 must be a JSON number, got '400'"),
+            ({"bogus": 1}, "unknown readings ['bogus'], not among ['temperature', 'humidity', 'pressure', 'pm25', 'co2']"),
+        ],
+        ids=["bool", "string", "unknown"],
+    )
+    def test_predict_env_json(self, capsys, caplog, tmp_path, variant, env, error):
+        # each exited 0 on an mw model, and an unknown key on an mw-ep one
+        model = tmp_path / "model.json"
+        if variant == "mw":
+            save_model(PathLossModel(ModelVariant.MW, (31.3, 3.62, 9.74, 2.64)), model)
+            flags = ["--env-json", json.dumps(env)]
+        else:
+            save_model(PathLossModel(ModelVariant.MW_EP, tuple(EP_PARAMS.values())), model)
+            readings = {"temperature": 21, "humidity": 38, "pressure": 323, "pm25": 2, "co2": 550} | env
+            flags = ["--env-json", json.dumps(readings), "--freq", "868.1", "--snr", "7.4"]
+        _refused_run(capsys, caplog, ["predict", "--model", str(model), "--distance", "10", *flags],
+                     f"bad --env-json: {error}")
 
     def test_airtime_preamble_past_16_bits(self, capsys, caplog):
         # printed "toa_ms": 1.024e+30
@@ -243,3 +309,25 @@ class TestCliProbes:
         # ended in numpy's _ArrayMemoryError traceback
         _refused_run(capsys, caplog, ["simulate", "--seed", "1", "--max-distance", "40", "--points", "1" + "0" * 15],
                      "num_points must be in [1, 1000000], got 1000000000000000")
+
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--exponent=-3", "--pl0=1e300"], "reference_loss_db must be in [0.0, 230.0], got 1e+300"),
+            (["--pl0=-1e300"], "reference_loss_db must be in [0.0, 230.0], got -1e+300"),
+            (["--exponent=1e308"], "path_loss_exponent must be in (0.0, 10.0], got 1e+308"),
+            (["--exponent=-3"], "path_loss_exponent must be in (0.0, 10.0], got -3.0"),
+            (["--sigma=1e308"], "shadowing_sigma_db must be in [0.0, 230.0], got 1e+308"),
+        ],
+        ids=["pl0-1e300", "pl0-negative", "exponent-1e308", "exponent-negative", "sigma-1e308"],
+    )
+    def test_simulate_loss_outside_its_bounds(self, capsys, caplog, flags, error):
+        # printed losses of 1e+300 and -1e+300, and inf cells with exponent 1e308 or sigma 1e308
+        _refused_run(capsys, caplog, ["simulate", "--seed", "1", "--max-distance", "40", *flags], error)
+
+    def test_pipeline_run_negative_dedup_window(self, capsys, caplog, tmp_path, small_synth_csv):
+        # exited 0 and kept every retransmission
+        out = tmp_path / "out"
+        _refused_run(capsys, caplog, ["pipeline", "run", "--input", str(small_synth_csv), "--out-dir", str(out),
+                                      "--dedup-window=-5"], "dedup_window_s must be in [0.0, inf), got -5.0")
+        assert not out.exists()
