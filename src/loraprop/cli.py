@@ -213,11 +213,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
             unknown = sorted(set(env) - set(ENV_FIELDS))
             if unknown:
                 raise ValueError(f"unknown readings {unknown}, not among {list(ENV_FIELDS)}")
+            missing = [name for name in ENV_FIELDS if extended and name not in env]
+            if missing:
+                raise ValueError(f"missing readings {missing}, which the extended variant needs")
             for name, value in env.items():
                 if type(value) not in (int, float):  # bool is a subclass of int
                     raise TypeError(f"{name} must be a JSON number, got {value!r}")
-            given |= {name: float(env[name]) for name in ENV_FIELDS if extended or name in env}
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            given |= {name: float(env[name]) for name in ENV_FIELDS if name in env}
+        except (TypeError, ValueError, OverflowError) as exc:
             raise LorapropError(f"bad --env-json: {exc}") from exc
     inputs = {"distance": args.distance, "c_walls": args.brick, "w_walls": args.wood}
     inputs |= {name: check_range(name, value) for name, value in given.items() if value is not None}

@@ -310,6 +310,15 @@ class TestCliProbes:
         _refused_run(capsys, caplog, ["simulate", "--seed", "1", "--max-distance", "40", "--points", "1" + "0" * 15],
                      "num_points must be in [1, 1000000], got 1000000000000000")
 
+    def test_predict_env_json_missing_a_reading(self, capsys, caplog, tmp_path):
+        # named the first missing reading by the bare repr of a KeyError: 'temperature'
+        model = tmp_path / "model.json"
+        save_model(PathLossModel(ModelVariant.MW_EP, tuple(EP_PARAMS.values())), model)
+        argv = ["predict", "--model", str(model), "--distance", "10", "--freq", "868.1", "--snr", "7.4",
+                "--env-json", '{"co2": 550}']
+        _refused_run(capsys, caplog, argv, "bad --env-json: missing readings ['temperature', 'humidity', 'pressure',"
+                                           " 'pm25'], which the extended variant needs")
+
     @pytest.mark.parametrize(
         "flags, error",
         [
