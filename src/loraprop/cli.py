@@ -26,6 +26,8 @@ from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .adr import AdrState, adr_step, record_snr, snr_margin
 from .errors import LorapropError
@@ -41,7 +43,7 @@ from .link_budget import (
     receivable,
 )
 from .lora_phy import RadioConfig, duty_cycle, payload_symbols, symbol_duration, time_on_air
-from .pipeline import ingest, run_pipeline
+from .pipeline import check_kfold, ingest, run_pipeline
 from .propagation import ENV_FIELDS, ModelVariant, SceneSpec, load_model, predict, save_model, simulate_scene
 from .records import check_range, check_setting
 
@@ -284,8 +286,9 @@ def _fit_config_from_file(path: str | None) -> FitConfig:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    config = _fit_config_from_file(args.config)
     records = ingest(args.input).records
-    report = fit(records, ModelVariant(args.variant), _fit_config_from_file(args.config))
+    report = fit(records, ModelVariant(args.variant), config)
     save_model(report.to_model(), args.out)
     payload = {
         "variant": report.variant.value,
@@ -305,8 +308,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_cross_validate(args: argparse.Namespace) -> int:
-    records = ingest(args.input).records
     config = _fit_config_from_file(args.config)
+    check_kfold(args.folds, args.seed)
+    records = ingest(args.input).records
     result = cross_validate(
         records, ModelVariant(args.variant), folds=args.folds, seed=args.seed, config=config
     )
@@ -430,9 +434,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # an overflow, invalid value or division by zero that no local errstate
+        # handles ends the command; a forked child inherits the state
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (LorapropError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         log.error("%s", exc)
+        return 1
+    except FloatingPointError as exc:
+        log.error("a computation left the float range: %s", exc)
         return 1
 
 

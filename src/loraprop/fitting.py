@@ -18,6 +18,7 @@ from .errors import FitError, InvalidConfigError, InvalidDataError
 from .propagation import (
     ENV_FIELDS,
     PARAM_NAMES,
+    PREDICTOR_INPUTS,
     ModelVariant,
     PathLossModel,
     check_params,
@@ -141,10 +142,7 @@ def fit_design(x: np.ndarray, y: np.ndarray, variant: ModelVariant, config: FitC
     if len(x) < p + 1:
         raise FitError(f"underdetermined: {len(x)} observations for {p} coefficients")
     if np.linalg.matrix_rank(x) < p:
-        raise FitError(
-            "singular normal equations: the design is rank-deficient "
-            "(e.g. all observations at a single distance)"
-        )
+        raise FitError(f"singular normal equations: the design is rank-deficient ({_rank_cause(x, variant)})")
 
     if config.initial_params is not None:
         alpha = check_params(np.array(config.initial_params), variant)
@@ -189,6 +187,24 @@ def fit_design(x: np.ndarray, y: np.ndarray, variant: ModelVariant, config: FitC
         shadowing_sigma_db=sigma,
         reference_distance_m=config.reference_distance_m,
     )
+
+
+def _rank_cause(x: np.ndarray, variant: ModelVariant) -> str:
+    """What leaves the design ``x`` rank-deficient, over the inputs behind its
+    columns after the intercept: those that hold one value, else one whose
+    span dwarfs every other's beyond :func:`numpy.linalg.matrix_rank`'s
+    relative tolerance, else a linear dependence among the columns."""
+    names = ("distance",) + PREDICTOR_INPUTS[variant]
+    with np.errstate(over="ignore", invalid="ignore"):
+        spans = (x[:, 1:].max(axis=0) - x[:, 1:].min(axis=0)).tolist()
+    single = [name for name, span in zip(names, spans) if span == 0.0]
+    if single:
+        return f"input(s) {single} hold one value"
+    widest = max(range(len(spans)), key=spans.__getitem__)
+    rest = max(spans[:widest] + spans[widest + 1 :])
+    if rest < spans[widest] * max(x.shape) * np.finfo(float).eps:
+        return f"{names[widest]} spans {spans[widest]:.3g}, which dwarfs every other input's span of at most {rest:.3g}"
+    return "its columns are linearly dependent"
 
 
 def standard_errors(

@@ -459,9 +459,6 @@ def _checked(table: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
 
 #: Gap in dB from its defining identity at which a derived cell is a violation.
 _AUDIT_TOLERANCE_DB = 0.01
-#: Rows :func:`audit_derived_columns` checks at a time, so that its
-#: temporary arrays stay small whatever the table's size.
-_AUDIT_BLOCK = 4096
 
 
 def audit_derived_columns(records: ObservationTable) -> int:
@@ -472,18 +469,7 @@ def audit_derived_columns(records: ObservationTable) -> int:
     Violations are counted and logged, never repaired: a mismatch means the
     exporting system disagrees with the documented derivation.
     """
-    columns = [records[name] for name in ("rssi", "snr", "exp_pl", "esp", "n_power")]
-    violations = sum(
-        _audit_block(*(column[start : start + _AUDIT_BLOCK] for column in columns))
-        for start in range(0, len(records), _AUDIT_BLOCK)
-    )
-    if violations:
-        log.warning("derived-column audit: %d violations", violations)
-    return violations
-
-
-def _audit_block(rssi, snr, exp_pl_db, esp_dbm, n_power_dbm) -> int:
-    """:func:`audit_derived_columns` of a block of rows, given as arrays."""
+    rssi, snr = records["rssi"], records["snr"]
     offset = DEFAULT_LINK_BUDGET.link_offset_db
     violations = 0
     with np.errstate(all="ignore"):
@@ -493,9 +479,9 @@ def _audit_block(rssi, snr, exp_pl_db, esp_dbm, n_power_dbm) -> int:
         # identity
         slack = 1e-9 + 1e-12 * (np.abs(rssi) + np.abs(snr))
         for expected, actual, identity in (
-            (offset - rssi, exp_pl_db, lambda rssi_dbm, snr_db: offset - rssi_dbm),
-            (rssi + snr - excess, esp_dbm, esp),
-            (rssi - excess, n_power_dbm, noise_power),
+            (offset - rssi, records["exp_pl"], lambda rssi_dbm, snr_db: offset - rssi_dbm),
+            (rssi + snr - excess, records["esp"], esp),
+            (rssi - excess, records["n_power"], noise_power),
         ):
             gap = np.abs(expected - actual)
             edge = np.abs(gap - _AUDIT_TOLERANCE_DB) <= slack
@@ -504,6 +490,8 @@ def _audit_block(rssi, snr, exp_pl_db, esp_dbm, n_power_dbm) -> int:
                 abs(identity(r, s) - a) >= _AUDIT_TOLERANCE_DB
                 for r, s, a in zip(rssi[edge].tolist(), snr[edge].tolist(), actual[edge].tolist())
             )
+    if violations:
+        log.warning("derived-column audit: %d violations", violations)
     return violations
 
 
@@ -555,42 +543,36 @@ def filter_sf(records: ObservationTable) -> ObservationTable:
 # Feature scaling
 
 
-def feature_matrix(
-    records: ObservationTable, features: Sequence[str] = FEATURE_FIELDS
-) -> np.ndarray:
-    """N x F float matrix of the requested columns, in the given order.
-
-    It is C-contiguous: the column means and spreads the anomaly screen
-    depends on are summed in that layout's order.
-    """
-    matrix = np.empty((len(records), len(features)))
-    for k, name in enumerate(features):
-        matrix[:, k] = records[name]
-    return matrix
-
-
 def standardize(
     records: ObservationTable, features: Sequence[str] = FEATURE_FIELDS
-) -> np.ndarray:
-    """Z-score the feature columns: the N x F matrix ``(raw - mean) / std``.
+) -> tuple[np.ndarray, list[str], list[str]]:
+    """Z-score the feature columns that can be: ``(scaled, constant, unscalable)``.
 
-    A constant feature is a ``zero-variance`` error; so is, under its own
-    reason, a varying one whose spread is not finite and positive (a sum
-    overflows or the squares underflow).
+    ``scaled`` is the N x k matrix ``(raw - mean) / std`` of the usable
+    features, in the given order; ``constant`` names the features with one
+    value, and ``unscalable`` those that vary but whose spread is not finite
+    and positive (a sum overflows or the squares underflow).  With two or
+    more features, each column of the C-contiguous matrix is summed row by row.
     """
     if len(records) < 2:
         raise InvalidDataError("standardize needs at least two records")
-    raw = feature_matrix(records, features)
-    flat = [name for name, low, high in zip(features, raw.min(axis=0), raw.max(axis=0)) if low == high]
-    if flat:
-        raise InvalidDataError(f"zero-variance feature(s): {flat}")
+    raw = np.empty((len(records), len(features)))
+    for k, name in enumerate(features):
+        raw[:, k] = records[name]
     with np.errstate(over="ignore", invalid="ignore"):
         mean = raw.mean(axis=0)
         std = raw.std(axis=0)
-    unscalable = [name for name, value in zip(features, std.tolist()) if not 0.0 < value < math.inf]
-    if unscalable:
-        raise InvalidDataError(f"feature(s) {unscalable} vary but their spread overflows or underflows")
-    return (raw - mean) / std
+    usable, constant, unscalable = [], [], []
+    for k, (name, low, high, spread) in enumerate(
+        zip(features, raw.min(axis=0).tolist(), raw.max(axis=0).tolist(), std.tolist())
+    ):
+        if not low < high:
+            constant.append(name)
+        elif not 0.0 < spread < math.inf:
+            unscalable.append(name)
+        else:
+            usable.append(k)
+    return (raw[:, usable] - mean[usable]) / std[usable], constant, unscalable
 
 
 # ---------------------------------------------------------------------------
@@ -794,26 +776,11 @@ def _rows_by_device(records: ObservationTable) -> list[tuple[str, np.ndarray]]:
     return list(zip(devices.tolist(), np.split(order, ends[:-1])))
 
 
-def _screen_device(rows: ObservationTable, device: str, config: IsolationForestConfig):
-    """Screen one device's rows (two or more): its flags, or None when it is
-    passed through, its constant features and the warnings to log about it
-    as ``(format, args)`` pairs."""
-    notes = []
-    varying = [name for name in FEATURE_FIELDS if rows[name].min() < rows[name].max()]
-    constant = [name for name in FEATURE_FIELDS if name not in varying]
-    if constant:
-        notes.append(("device %s has constant feature(s) %s; screening on the others", (device, constant)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        spread = feature_matrix(rows, varying).std(axis=0).tolist()
-    unscalable = [name for name, value in zip(varying, spread) if not 0.0 < value < math.inf]
-    if unscalable:
-        varying = [name for name in varying if name not in unscalable]
-        notes.append(("device %s has feature(s) %s that cannot be standardised; screening on the others", (device, unscalable)))
-    flags = None
-    if varying:
-        scaled = standardize(rows, varying)
-        flags = isolation_forest(scaled, config)
-    return flags, constant, notes
+def _screen_device(rows: ObservationTable, config: IsolationForestConfig):
+    """Screen one device's rows (two or more): its flags, or None when no
+    feature can be used, and its constant and unscalable features."""
+    scaled, constant, unscalable = standardize(rows)
+    return (isolation_forest(scaled, config) if scaled.shape[1] else None), constant, unscalable
 
 
 def _shares(devices: list, workers: int, subsample_size: int) -> list[list]:
@@ -835,30 +802,31 @@ def flag_anomalies(
     the constant feature columns of each device that has any.
 
     Each device gets its own scaler and forest so one node's operating
-    pattern cannot mask another's outliers.  A device is screened on its
-    non-constant features only; one with fewer than two rows or no varying
-    feature is passed through unflagged, and one whose spread is not finite
-    and positive (a sum overflows or squares underflow) is left out the same way.
-    Devices are spread over the workers (:func:`_fork_map`); flags and
-    warnings do not depend on the number of CPUs.
+    pattern cannot mask another's outliers.  A device is screened on the
+    features :func:`standardize` can use; one with fewer than two rows or no
+    usable feature is passed through unflagged.  Devices are spread over the
+    workers (:func:`_fork_map`); flags and warnings do not depend on the
+    number of CPUs.
     """
     flags = np.zeros(len(records), dtype=bool)
     constant: dict[str, list[str]] = {}
     devices = _rows_by_device(records)
     screened = [(device, idx) for device, idx in devices if idx.size >= 2]
     shares = _shares(screened, _workers(len(screened)), config.subsample_size)
-    with _fork_map(lambda share: [_screen_device(records.take(idx), device, config) for device, idx in share],
+    with _fork_map(lambda share: [_screen_device(records.take(idx), config) for _, idx in share],
                    shares, "anomaly screening") as values:
         results = dict(zip((device for device, _ in chain.from_iterable(shares)), chain.from_iterable(values)))
     for device, idx in devices:
         if idx.size < 2:
             log.warning("device %s has %d record(s); skipping anomaly screen", device, idx.size)
             continue
-        device_flags, device_constant, notes = results[device]
-        for message, args in notes:
-            log.warning(message, *args)
+        device_flags, device_constant, unscalable = results[device]
         if device_constant:
+            log.warning("device %s has constant feature(s) %s; screening on the others", device, device_constant)
             constant[device] = device_constant
+        if unscalable:
+            log.warning("device %s has feature(s) %s that cannot be standardised; screening on the others",
+                        device, unscalable)
         if device_flags is not None:
             flags[idx] = device_flags
     return flags, constant
@@ -899,6 +867,12 @@ def daily_distribution(records: ObservationTable) -> dict[str, float]:
     return {day.isoformat(): 100.0 * count / total for day, count in shares}
 
 
+def check_kfold(folds: int, seed: int) -> None:
+    """Refuse a fold count below 2 or a negative seed."""
+    check_setting("folds", folds, 2, math.inf, "[)")
+    check_setting("seed", seed, 0, math.inf, "[)")
+
+
 def kfold(
     records: ObservationTable, folds: int, seed: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -907,8 +881,7 @@ def kfold(
     Validation sets are disjoint, cover every record exactly once and differ
     in size by at most one.
     """
-    check_setting("folds", folds, 2, math.inf, "[)")
-    check_setting("seed", seed, 0, math.inf, "[)")
+    check_kfold(folds, seed)
     if len(records) < folds:
         raise InvalidDataError(f"too few records ({len(records)}) for {folds} folds")
     rng = np.random.default_rng(seed)

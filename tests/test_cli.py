@@ -980,6 +980,25 @@ class TestFitCommand:
         assert reason in caplog.text
         assert not model.exists()
 
+    def test_initial_params_whose_residuals_overflow_exit_1_without_a_warning(self, tmp_path):
+        # printed seven numpy RuntimeWarnings, then exited 1 with
+        # "shadowing_sigma_db must be in [0.0, inf), got nan"
+        data = tmp_path / "data.csv"
+        write_records_csv(csv_lines(synth_dataset(rows_per_device=50, seed=4, duplicates_per_device=0).clean), data)
+        config = tmp_path / "config.json"
+        config.write_text('{"initial_params": [1.7e308, 3.5, 1.7e308, 3.0]}')
+        src = str(Path(loraprop.__file__).resolve().parents[1])
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["fit", "--variant", "mw", "--input", str(data), "--config", str(config),
+                "--out", str(tmp_path / "m.json")]
+        done = subprocess.run([sys.executable, "-m", "loraprop.cli", *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == 1
+        assert "RuntimeWarning" not in done.stderr
+        assert [line for line in done.stderr.splitlines() if line.startswith("ERROR")] == [
+            "ERROR loraprop: a computation left the float range: overflow encountered in matmul"
+        ]
+        assert not (tmp_path / "m.json").exists()
+
     def test_refit_is_byte_identical(self, capsys, tmp_path, cleaned_csv):
         paths = [tmp_path / "m1.json", tmp_path / "m2.json"]
         for path in paths:

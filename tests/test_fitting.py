@@ -200,6 +200,39 @@ class TestFitProperties:
         with pytest.raises(FitError, match="rank-deficient"):
             fit(records, ModelVariant.MW)
 
+    @pytest.mark.parametrize("column", ["pressure", "temperature"])
+    def test_rank_refusal_names_an_input_whose_span_dwarfs_the_others(self, column):
+        # one 1e160 in 300 rows leaves rank 1 of 10, and the refusal read
+        # "e.g. all observations at a single distance"
+        records = synth_dataset(rows_per_device=60, seed=4, duplicates_per_device=0).clean.take(np.arange(300))
+        values = records[column].copy()
+        values[150] = 1e160
+        with pytest.raises(FitError) as info:
+            fit(replace_columns(records, **{column: values}), ModelVariant.MW_EP)
+        prefix = (f"singular normal equations: the design is rank-deficient ({column} spans 1e+160, "
+                  "which dwarfs every other input's span of at most ")
+        assert str(info.value).startswith(prefix)
+        assert float(str(info.value)[len(prefix):-1]) < 1e4
+
+    @pytest.mark.parametrize(
+        "walls, cause",
+        [
+            ("varied", "input(s) ['distance'] hold one value"),
+            ("equal", "its columns are linearly dependent"),
+        ],
+    )
+    def test_rank_refusal_names_its_cause(self, walls, cause):
+        rng = np.random.default_rng(2)
+        c_walls = rng.integers(0, 3, 50)
+        if walls == "varied":
+            records = make_table(distance=10.0, c_walls=c_walls, w_walls=rng.integers(0, 4, 50))
+        else:  # every row has as many wood walls as brick ones
+            records = make_table(distance=rng.uniform(2.0, 40.0, 50), c_walls=c_walls, w_walls=c_walls)
+        records = replace_columns(records, f_count=np.arange(50), exp_pl=90.0 + rng.normal(0.0, 2.0, 50))
+        with pytest.raises(FitError) as info:
+            fit(records, ModelVariant.MW)
+        assert str(info.value) == f"singular normal equations: the design is rank-deficient ({cause})"
+
     def test_iteration_cap_reports_non_convergence(self):
         records, _ = mw_observations(n=200, seed=6, sigma_db=8.0)
         report = fit(records, ModelVariant.MW, FitConfig(max_iterations=1))

@@ -170,7 +170,7 @@ def test_every_device_of_the_a7_corpus(a7_corpus):
     devices = _rows_by_device(screened)
     assert len(devices) == 5
     for _, idx in devices:
-        scaled = standardize(screened.take(idx), FEATURE_FIELDS)
+        scaled, _, _ = standardize(screened.take(idx), FEATURE_FIELDS)
         assert_same_as_reference(scaled, config)
 
 

@@ -412,46 +412,65 @@ class TestFilterSf:
         assert rows_of(filter_sf(once)) == rows_of(once)
 
 
+def raw_less_mean_over_spread(records, features, usable):
+    """``(raw - mean) / std`` of the ``usable`` columns, each column's mean and
+    spread taken over the C-contiguous matrix of every one of ``features``."""
+    raw = np.column_stack([records[name] for name in features])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = raw.mean(axis=0), raw.std(axis=0)
+    k = [features.index(name) for name in usable]
+    return (raw[:, k] - mean[k]) / std[k]
+
+
 class TestStandardize:
     def test_zero_mean_unit_spread(self, small_synth):
-        scaled = standardize(small_synth.clean)
+        scaled, constant, unscalable = standardize(small_synth.clean)
+        assert (constant, unscalable) == ([], [])
         np.testing.assert_allclose(scaled.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(scaled.std(axis=0), 1.0, atol=1e-9)
 
     def test_shift_invariance(self):
         records = make_table(co2=[500.0 + i * 10 for i in range(10)])
         shifted = make_table(co2=[600.0 + i * 10 for i in range(10)])
-        a = standardize(records, features=("co2",))
-        b = standardize(shifted, features=("co2",))
+        a, _, _ = standardize(records, features=("co2",))
+        b, _, _ = standardize(shifted, features=("co2",))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_returns_raw_less_mean_over_spread(self, small_synth):
-        from loraprop.pipeline import feature_matrix
+        scaled, _, _ = standardize(small_synth.clean)
+        expected = raw_less_mean_over_spread(small_synth.clean, FEATURE_FIELDS, FEATURE_FIELDS)
+        np.testing.assert_array_equal(scaled, expected)
 
-        raw = feature_matrix(small_synth.clean)
-        expected = (raw - raw.mean(axis=0)) / raw.std(axis=0)
-        np.testing.assert_array_equal(standardize(small_synth.clean), expected)
-
-    def test_feature_whose_sum_overflows_is_rejected_by_name(self):
+    def test_feature_whose_sum_overflows_is_named_unscalable(self):
         records = make_table(co2=[500.0, 510.0, 520.0, 530.0, 540.0], temperature=[1.7e308, 1.7e308, 20.0, 21.0, 22.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidDataError, match=r"\['temperature'\] vary but") as caught:
-                standardize(records, features=("co2", "temperature"))
-        assert "co2" not in str(caught.value)
+            scaled, constant, unscalable = standardize(records, features=("co2", "temperature"))
+        assert (constant, unscalable) == ([], ["temperature"])
+        expected = raw_less_mean_over_spread(records, ("co2", "temperature"), ("co2",))
+        np.testing.assert_array_equal(scaled, expected)
 
     def test_feature_whose_squares_underflow_is_not_called_constant(self):
         records = make_table(co2=[0.0, 1e-170, 0.0, 1e-170])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidDataError, match=r"\['co2'\] vary but") as caught:
-                standardize(records, features=("co2",))
-        assert "zero-variance" not in str(caught.value)
+            scaled, constant, unscalable = standardize(records, features=("co2",))
+        assert (constant, unscalable) == ([], ["co2"])
+        assert scaled.shape == (4, 0)
 
-    def test_zero_variance_feature_rejected(self):
-        records = make_table(co2=500.0, f_count=range(5))
-        with pytest.raises(InvalidDataError, match="zero-variance"):
-            standardize(records, features=("co2",))
+    def test_zero_variance_feature_named_constant(self):
+        records = make_table(co2=500.0, temperature=[20.0, 21.0, 23.0, 22.0, 20.5])
+        scaled, constant, unscalable = standardize(records, features=("co2", "temperature"))
+        assert (constant, unscalable) == (["co2"], [])
+        expected = raw_less_mean_over_spread(records, ("co2", "temperature"), ("temperature",))
+        np.testing.assert_array_equal(scaled, expected)
+
+    def test_every_feature_constant(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled, constant, unscalable = standardize(make_table(f_count=range(6)))
+        assert scaled.shape == (6, 0)
+        assert (constant, unscalable) == (list(FEATURE_FIELDS), [])
 
     def test_too_few_records(self):
         with pytest.raises(InvalidDataError):
@@ -587,7 +606,7 @@ class TestIsolationForest:
         assert int(flags[mine].sum()) == round(0.05 * int(mine.sum()))
         # the device is screened as if pm25 were not among its features
         varying = tuple(name for name in FEATURE_FIELDS if name != "pm25")
-        scaled = standardize(flat.take(mine), varying)
+        scaled, _, _ = standardize(flat.take(mine), varying)
         np.testing.assert_array_equal(flags[mine], isolation_forest(scaled, config))
         # and every other device as before
         unchanged, _ = flag_anomalies(clean, config)
@@ -610,10 +629,31 @@ class TestIsolationForest:
         assert constant == {}
         assert "device dev1 has feature(s) ['pm25'] that cannot be standardised" in caplog.text
         varying = tuple(name for name in FEATURE_FIELDS if name != "pm25")
-        scaled = standardize(odd.take(mine), varying)
+        scaled, _, _ = standardize(odd.take(mine), varying)
         np.testing.assert_array_equal(flags[mine], isolation_forest(scaled, config))
         unchanged, _ = flag_anomalies(clean, config)
         np.testing.assert_array_equal(flags[~mine], unchanged[~mine])
+
+    def test_device_with_a_constant_and_an_unscalable_feature(self, small_synth, caplog, tmp_path):
+        clean = small_synth.clean
+        config = IsolationForestConfig(contamination=0.05, seed=42)
+        mine = clean["device_id"] == "dev1"
+        temperature = clean["temperature"].copy()
+        temperature[np.flatnonzero(mine)[:2]] = 1.7e308
+        odd = replace_columns(clean, pm25=np.where(mine, 5.0, clean["pm25"]), temperature=temperature)
+        flags, constant = flag_anomalies(odd, config)
+        assert constant == {"dev1": ["pm25"]}
+        assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("device dev1 ")] == [
+            "device dev1 has constant feature(s) ['pm25']; screening on the others",
+            "device dev1 has feature(s) ['temperature'] that cannot be standardised; screening on the others",
+        ]
+        rest = tuple(name for name in FEATURE_FIELDS if name not in ("pm25", "temperature"))
+        scaled, _, _ = standardize(odd.take(mine), rest)
+        np.testing.assert_array_equal(flags[mine], isolation_forest(scaled, config))
+        path = tmp_path / "odd.csv"
+        write_records_csv(csv_lines(odd), path)
+        manifest = run_pipeline(path, tmp_path / "out", contamination=0.05).manifest
+        assert manifest["per_device"]["dev1"]["constant_features"] == ["pm25"]
 
     def test_device_without_a_varying_feature_passes_unflagged(self, small_synth):
         clean = small_synth.clean
@@ -732,6 +772,21 @@ class TestParallelScreen:
             run_pipeline(devices32[1], tmp_path, seed=42, contamination=0.05)
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_float_error_in_a_child_ends_the_command(self, devices32, monkeypatch, tmp_path, caplog):
+        # the child inherits the command's floating-point guard, so its
+        # overflow is an error sent to the parent, not a warning
+        from loraprop.cli import main
+
+        use_cpus(monkeypatch, 2)
+        self._in_child(monkeypatch, lambda: np.float64(1e308) * 10.0)
+        out = tmp_path / "out"
+        assert main(["pipeline", "run", "--input", str(devices32[1]), "--out-dir", str(out)]) == 1
+        assert multiprocessing.active_children() == []
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            "a computation left the float range: overflow encountered in scalar multiply"
+        ]
+        assert not (out / "manifest.json").exists()
 
     def test_child_that_dies_is_an_error_not_a_wait(self, devices32, monkeypatch):
         use_cpus(monkeypatch, 2)

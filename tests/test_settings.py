@@ -202,6 +202,29 @@ def test_run_pipeline_checks_its_settings_before_it_reads_the_input(tmp_path, se
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, error",
+    [
+        (["fit", "--out", "m.json"], ["--config", '{"max_iterations": 0}'], "max_iterations must be in [1, inf), got 0"),
+        (["cross-validate"], ["--config", '{"damping_down": 1.5}'], "damping_down must be in (0.0, 1.0), got 1.5"),
+        (["cross-validate"], ["--folds", "1"], "folds must be in [2, inf), got 1"),
+    ],
+    ids=["fit-config", "cross-validate-config", "cross-validate-folds"],
+)
+def test_model_commands_check_their_settings_before_they_read_the_input(
+    capsys, caplog, tmp_path, monkeypatch, small_synth_csv, command, flag, error
+):
+    # the input was ingested first, and a fold count was checked only in kfold
+    read = []
+    monkeypatch.setattr("loraprop.cli.ingest", lambda path: read.append(path))
+    if flag[0] == "--config":
+        (tmp_path / "config.json").write_text(flag[1])
+        flag = ["--config", str(tmp_path / "config.json")]
+    argv = [command[0], "--variant", "mw", "--input", str(small_synth_csv), *command[1:], *flag]
+    _refused_run(capsys, caplog, argv, error)
+    assert read == []
+
+
 def _refused_run(capsys, caplog, argv, error):
     """``argv`` exits 1 with ``error`` as its one ERROR line and prints nothing."""
     assert main(argv) == 1

@@ -13,6 +13,7 @@ import importlib.util
 import inspect
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -164,3 +165,27 @@ def test_run_pipeline_formats_the_clean_table_once_and_writes_train_and_test_fro
     for name, index in (("train", result.train_index), ("test", result.test_index)):
         lines = (tmp_path / f"{name}.csv").read_text(encoding="utf-8").splitlines(keepends=True)
         assert lines == [header, *(cleaned[i] for i in index.tolist())]
+
+
+def test_screen_spans_one_standardize_and_one_forest_per_device(monkeypatch):
+    """The traced run times the anomaly screen's layers through the
+    ``loraprop.pipeline`` attributes: every screened device opens one
+    ``standardize``, one ``isolation_forest`` and one ``fit_isolation_forest``
+    span under ``flag_anomalies``."""
+    from loraprop import pipeline
+
+    from helpers import synth_dataset
+
+    recorder = tracing.Recorder()
+    for module_name, attribute, name, attrs in tracing.SPANS:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attribute, recorder.span(name, getattr(module, attribute), attrs))
+    monkeypatch.setattr(pipeline, "_workers", lambda most: 1)  # every device screened in this process
+    table = synth_dataset(rows_per_device=30, seed=5, duplicates_per_device=0).clean
+    devices = len(set(table["device_id"].tolist()))
+    pipeline.flag_anomalies(table, pipeline.IsolationForestConfig(n_trees=5, contamination=0.05))
+    names = Counter(span.name for span in recorder.spans)
+    assert names == {"pipeline.flag_anomalies": 1, "pipeline.standardize": devices,
+                     "pipeline.isolation_forest": devices, "pipeline.fit_isolation_forest": devices}
+    assert recorder.spans[0].name == "pipeline.flag_anomalies"
+    assert all(span.parent is not None for span in recorder.spans[1:])
