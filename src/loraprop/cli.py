@@ -60,6 +60,39 @@ def _args_config(args: argparse.Namespace, *skip: str) -> dict:
     return {k: v for k, v in vars(args).items() if k not in drop}
 
 
+#: The flags naming files a command reads, and those naming files it writes,
+#: in the order its manifest lists them.
+_INPUT_FLAGS = ("schedule", "params", "trace", "model", "input", "config")
+_OUTPUT_FLAGS = ("out", "report")
+
+
+def _manifest_path(output: str) -> Path:
+    """Where the manifest of a run whose first output is ``output`` goes."""
+    primary = Path(output)
+    return primary.with_name(primary.stem + ".manifest.json")
+
+
+def _check_paths(args: argparse.Namespace) -> None:
+    """Refuse, before any input is read, an output whose directory does not
+    exist, and an output that is an input, another output or the manifest."""
+    flags = vars(args)
+    outputs = [name for name in _OUTPUT_FLAGS if flags.get(name)]
+    for name in outputs:
+        folder = os.path.dirname(flags[name]) or "."
+        if not os.path.isdir(folder):
+            raise LorapropError(f"--{name} {flags[name]}: no directory {folder}")
+    named = [(f"--{name}", flags[name], name in outputs) for name in _INPUT_FLAGS + _OUTPUT_FLAGS
+             if flags.get(name)]
+    if outputs:
+        named.append((f"the manifest of --{outputs[0]}", str(_manifest_path(flags[outputs[0]])), True))
+    seen: dict[str, str] = {}  # the inputs come first, so an output meets every file named before it
+    for label, path, written in named:
+        real = os.path.realpath(path)
+        if written and real in seen:
+            raise LorapropError(f"{seen[real]} and {label} name the same file: {path}")
+        seen.setdefault(real, label)
+
+
 def _finish(args: argparse.Namespace, config: dict, payload: dict | None = None) -> int:
     """Write ``payload`` to ``--report``, or print it, then emit the run's
     manifest: beside the first file written (``--out``, else ``--report``),
@@ -71,21 +104,16 @@ def _finish(args: argparse.Namespace, config: dict, payload: dict | None = None)
             write_json(flags["report"], payload)
         else:
             print(to_json(payload, indent=2))
-    outputs = [flags[name] for name in ("out", "report") if flags.get(name)]
+    outputs = [flags[name] for name in _OUTPUT_FLAGS if flags.get(name)]
     record = manifest(
         args.command,
         config,
-        inputs=[
-            flags[name]
-            for name in ("schedule", "params", "trace", "model", "input", "config")
-            if flags.get(name)
-        ],
+        inputs=[flags[name] for name in _INPUT_FLAGS if flags.get(name)],
         outputs=outputs,
         seeds={"seed": args.seed} if "seed" in flags else {},
     )
     if outputs:
-        primary = Path(outputs[0])
-        write_json(primary.with_name(primary.stem + ".manifest.json"), record)
+        write_json(_manifest_path(outputs[0]), record)
     else:
         log.info("manifest: %s", to_json(record, sort_keys=True))
     return 0
@@ -437,6 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         # an overflow, invalid value or division by zero that no local errstate
         # handles ends the command; a forked child inherits the state
         with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _check_paths(args)
             return args.func(args)
     except (LorapropError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         log.error("%s", exc)

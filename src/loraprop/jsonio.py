@@ -18,7 +18,10 @@ def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextI
     """A UTF-8 text handle on a new file beside ``path`` that replaces ``path`` when
     the block completes; on an exception the new file is removed instead."""
     temp = Path(path).with_name(f".{Path(path).name}.{os.urandom(6).hex()}.tmp")
-    handle = open(temp, "x", newline=newline, encoding="utf-8")
+    try:
+        handle = open(temp, "x", newline=newline, encoding="utf-8")
+    except OSError as exc:  # named by the path written, not by the hidden one
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
     try:
         with handle:
             yield handle

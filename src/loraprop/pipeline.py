@@ -17,7 +17,6 @@ import stat
 from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from types import SimpleNamespace
@@ -154,9 +153,8 @@ def ingest(path: str | Path) -> IngestResult:
     process and each other one in a forked child (:func:`_fork_map`); the
     result and the log do not depend on the number of CPUs.
     """
-    ranges = _ranges(path)
-    ranges[-1] = (ranges[-1][0], None)  # the last range runs to the end, which a FIFO's size does not give
-    with _fork_map(partial(_read_range, path), ranges, "ingest") as parts:
+    # each range is read before _fork_map hands out its values, the parent's too
+    with _fork_map(lambda bounds: _started(_read_range(path, bounds)), _ranges(path), "ingest") as parts:
         return _joined(parts)
 
 
@@ -178,13 +176,14 @@ _LOW, _HIGH = np.array([COLUMN_RANGES.get(name, (-np.finfo(float).max, np.finfo(
                         for name in CSV_COLUMNS[2:]]).T
 
 
-def _ranges(path: str | Path) -> list[tuple[int, int]]:
+def _ranges(path: str | Path) -> list[tuple[int, int | None]]:
     """The byte ranges ``(start, end)`` of a file, one per worker
     (:func:`_workers`) and per :data:`_MIN_RANGE_BYTES`: range ``k`` of ``n``
     starts right after the first ``\\n`` at or after byte ``size * k / n``.
     That is always a line start and a UTF-8 character boundary, and never
     inside a ``\\r\\n``; a file without a ``\\n``, such as a CR-only file, or
-    anything but a regular file, such as a FIFO, is one range."""
+    anything but a regular file, such as a FIFO, is one range.  The last
+    range's end is None, the end of the file, which a FIFO's size does not give."""
     info = os.stat(path)
     workers = _workers(info.st_size // _MIN_RANGE_BYTES) if stat.S_ISREG(info.st_mode) else 1
     starts = [0]
@@ -196,7 +195,7 @@ def _ranges(path: str | Path) -> list[tuple[int, int]]:
                     pass
                 if starts[-1] < raw.tell() < info.st_size:
                     starts.append(raw.tell())
-    return list(zip(starts, starts[1:] + [info.st_size]))
+    return list(zip(starts, starts[1:] + [None]))
 
 
 class _ByteRange(io.RawIOBase):
@@ -220,22 +219,40 @@ class _ByteRange(io.RawIOBase):
 
 
 def _read_range(path: str | Path, bounds: tuple[int, int | None]):
-    """The part (:meth:`_Ingest.part`) of the lines of the byte range
-    ``(start, end)`` of a file, or from ``start`` to its end for None, read
-    as text: a byte that is not UTF-8 becomes a lone surrogate, which rejects
-    its row.  The first range skips a byte-order mark and checks the header
-    line before its first block."""
+    """What :func:`_joined` takes of the lines of the byte range ``(start,
+    end)`` of a file, or from ``start`` to its end for None, read a block at
+    a time (:func:`_read_block`): ``(rows read, lines, rejections)``, each
+    rejection ``(line, reason, message)``, then the pieces of each column in
+    turn, each dropped as it is given.  The lines are read as text: a byte
+    that is not UTF-8 becomes a lone surrogate, which rejects its row.  The
+    first range skips a byte-order mark and checks the header line before
+    its first block."""
     start, end = bounds
     raw = open(path, "rb")
     if start:
         raw.seek(start)
     if end is not None:
         raw = io.BufferedReader(_ByteRange(raw, end - start))
+    pieces = [[np.array([], dtype) for dtype in COLUMN_DTYPES.values()]]  # of an empty table
+    rejections, rows, lines = [], 0, 0
     with io.TextIOWrapper(raw, encoding="utf-8" if start else "utf-8-sig", errors="surrogateescape", newline="") as text:
         if not start:
             _check_header(next(text, ""))
-        out = _Ingest(text, start)
-    return out.part()
+        while block := list(islice(text, _INGEST_BLOCK)):
+            columns, block_rows, block_rejections = _read_block(block, lines + 1, start)
+            rows, lines = rows + block_rows, lines + len(block)
+            rejections += block_rejections
+            if columns:
+                pieces.append(columns)
+            del columns  # so each piece goes once it is given
+    yield rows, lines, rejections
+    for _ in CSV_COLUMNS:
+        yield [piece.pop(0) for piece in pieces]
+
+
+def _started(part):
+    """The generator ``part``, run up to its first value."""
+    return chain([next(part)], part)
 
 
 def _cells(line: str) -> list[str]:
@@ -262,18 +279,17 @@ def _check_header(line: str) -> None:
 
 
 def _joined(parts: list) -> IngestResult:
-    """The ingest result of the parts of the input (:meth:`_Ingest.part`),
-    in input order.  Line numbers count on from part to part; each
-    rejection is logged at DEBUG in line order, then the counts at INFO.
-    Each column is joined in turn, each part's pieces dropped once they are
-    joined."""
+    """The ingest result of the parts of the input (:func:`_read_range`), in
+    input order.  Line numbers count on from part to part; each rejection is
+    logged at DEBUG in line order, then the counts at INFO.  Each column is
+    joined in turn, each part's pieces dropped once they are joined."""
     heads = [next(part) for part in parts]
     rejections: list[Rejection] = []
     rows = offset = 0
-    for part_rows, lines, part_rejections, notes in heads:
-        for rejection, note in zip(part_rejections, notes):
-            rejections.append(Rejection(rejection.line + offset, rejection.reason))
-            log.debug("rejected row %d: %s", rejections[-1].line, note)
+    for part_rows, lines, part_rejections in heads:
+        for line, reason, message in part_rejections:
+            rejections.append(Rejection(line + offset, reason))
+            log.debug("rejected row %d: %s", line + offset, message)
         rows += part_rows
         offset += lines
     del heads
@@ -284,58 +300,20 @@ def _joined(parts: list) -> IngestResult:
     return result
 
 
-class _Ingest:
-    """An :func:`ingest` run over the lines of the byte range from byte
-    ``start`` of a file, read a block at a time (:func:`_read_block`): pieces
-    of the table's columns, the rejections and the message of each, the rows
-    read and the lines counted."""
-
-    def __init__(self, lines: Iterable[str], start: int) -> None:
-        self.pieces = [[np.array([], dtype) for dtype in COLUMN_DTYPES.values()]]  # of an empty table
-        self.rejections, self.notes, self.rows, self.lines, self.start = [], [], 0, 0, start
-        while block := list(islice(lines, _INGEST_BLOCK)):
-            _read_block(block, self)
-
-    def part(self):
-        """What :func:`_joined` takes of this run: ``(rows read, lines,
-        rejections, messages)``, then the pieces of each column in turn,
-        each dropped from the run as it is given."""
-        yield self.rows, self.lines, self.rejections, self.notes
-        for _ in CSV_COLUMNS:
-            yield [piece.pop(0) for piece in self.pieces]
-
-    def take(self, line: str, number: int) -> tuple | None:
-        """The values of ``line``, data line ``number``, read as one record
-        through ``csv`` and :func:`parse_row`; None for a blank line, and for
-        a rejected one, which is counted and kept with its reason."""
-        try:
-            if not (cells := _cells(line)):
-                return None
-            values = parse_row(cells)
-        except (csv.Error, LorapropError) as exc:
-            reason = str(exc).split(":", 1)[0]
-            if isinstance(exc, csv.Error):
-                reason = "oversized-field" if str(exc).startswith("field larger than field limit") else "bad-csv"
-            self.rejections.append(Rejection(line=number, reason=reason))
-            self.notes.append(str(exc))
-            values = None
-        self.rows += 1
-        return values
-
-
-def _read_block(lines: list[str], out: _Ingest) -> None:
-    """Parse the lines into ``out``, each line one record.  The ASCII lines
-    without a NUL or a quote long enough to hold a row go to ``np.loadtxt``
-    at once (:func:`_load`); if it refuses one, the lines
-    :func:`_plain_numbers` leaves out are set aside and the rest read by
-    halves around any it still refuses.  The rows that pass every check
-    (:func:`_checked`) are taken, the first also parsed by
-    :func:`parse_row`, a difference being an error.  Every other line goes
-    through ``csv`` and :func:`parse_row` (:meth:`_Ingest.take`)."""
+def _read_block(lines: list[str], first: int, start: int) -> tuple[list[np.ndarray], int, list[tuple]]:
+    """The columns of the records of the lines, data lines ``first`` on of
+    the byte range from byte ``start``, each line one record; the rows read;
+    and the rejections ``(line, reason, message)``.  The ASCII lines without
+    a NUL or a quote long enough to hold a row go to ``np.loadtxt`` at once
+    (:func:`_load`); if it refuses one, the lines :func:`_plain_numbers`
+    leaves out are set aside and the rest read by halves around any it still
+    refuses.  The rows that pass every check (:func:`_checked`) are taken,
+    the first also parsed by :func:`parse_row`, a difference being an error.
+    Every other line is read through ``csv`` and :func:`parse_row`; a blank
+    one is no row."""
     lengths = np.fromiter(map(len, lines), np.intp, len(lines))
     text = "".join(lines)
-    first, n = out.lines + 1, len(lines)
-    out.lines += n
+    n = len(lines)
     plain = np.arange(n)
     if not text.isascii() or "\0" in text or '"' in text:
         plain = np.flatnonzero([line.isascii() and "\0" not in line and '"' not in line for line in lines])
@@ -348,12 +326,11 @@ def _read_block(lines: list[str], out: _Ingest) -> None:
         ends = np.cumsum(lengths[plain])
         pieces = _load(lines, plain[ok & _plain_numbers(data, ends - lengths[plain], ends)])
         del data
-    columns, rows = None, plain[:0]
+    columns, rows = [], plain[:0]
     if pieces:
         rows, table = (np.concatenate(part) if len(part) > 1 else part[0] for part in zip(*pieces))
         columns, good = _checked(table)
         rows = rows[good]
-        out.rows += rows.size
     if rows.size:
         got = tuple(column[0].item() for column in columns)
         try:
@@ -361,19 +338,27 @@ def _read_block(lines: list[str], out: _Ingest) -> None:
         except LorapropError as exc:
             expected = exc
         if repr(expected) != repr(got):
-            where = f" of the byte range from {out.start}" if out.start else ""
+            where = f" of the byte range from {start}" if start else ""
             raise RuntimeError(f"ingest read line {first + rows[0]}{where} as {got!r}, parse_row as {expected!r}")
-    taken = [(first + k, values) for k in np.flatnonzero(np.bincount(rows, minlength=n) == 0).tolist()
-             if (values := out.take(lines[k], first + k)) is not None]
+    rejections, taken = [], []
+    for k in np.flatnonzero(np.bincount(rows, minlength=n) == 0).tolist():
+        try:
+            if cells := _cells(lines[k]):
+                taken.append((first + k, parse_row(cells)))
+        except (csv.Error, LorapropError) as exc:
+            reason = str(exc).split(":", 1)[0]
+            if isinstance(exc, csv.Error):
+                reason = "oversized-field" if str(exc).startswith("field larger than field limit") else "bad-csv"
+            rejections.append((first + k, reason, str(exc)))
+    kept = rows.size + len(taken)
     if taken:
         at, rest = zip(*taken)
         parsed = [np.array(column, dtype) for column, dtype in zip(zip(*rest), COLUMN_DTYPES.values())]
-        if columns is not None:
+        if rows.size:
             order = np.argsort(np.concatenate([first + rows, at]), kind="stable")
             parsed = [np.concatenate(pair)[order] for pair in zip(columns, parsed)]
         columns = parsed
-    if columns is not None and len(columns[0]):
-        out.pieces.append(columns)
+    return (columns if kept else []), kept + len(rejections), rejections
 
 
 def _load(lines: list[str], rows: np.ndarray, halves: bool = True) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -996,12 +981,23 @@ def run_pipeline(
     machine-readable manifest into ``out_dir``.
 
     All randomness derives from ``seed``; rerunning with identical inputs
-    produces byte-identical files.
+    produces byte-identical files.  An input that is one of these files, and
+    an ``out_dir`` that cannot be made a directory, are refused before the
+    input is read; the directory is made only once the files are ready.
     """
     # every setting is checked before the input is read
     if_config = IsolationForestConfig(contamination=contamination, seed=seed)
     split_spec = SplitSpec(test_fraction=test_fraction, seed=seed)
     check_setting("dedup_window_s", dedup_window_s, 0.0, math.inf, "[)")
+    # and so are the output paths
+    out = Path(out_dir)
+    outputs = {name: out / f"{name}.csv" for name in ("cleaned", "train", "test")}
+    for target in [*outputs.values(), out / "manifest.json"]:
+        if os.path.realpath(input_path) == os.path.realpath(target):
+            raise LorapropError(f"--input and --out-dir name the same file: {input_path}")
+    existing = next(folder for folder in (out, *out.parents) if folder.exists())
+    if not existing.is_dir():
+        raise LorapropError(f"--out-dir {out_dir}: {existing} is not a directory")
     # each stage's input table is dropped once its output and counts exist,
     # so at most two tables are alive at a time
     ingested = ingest(input_path)
@@ -1048,21 +1044,16 @@ def run_pipeline(
 
     # each cleaned row is formatted once; train and test partition its lines
     lines = csv_lines(clean)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = {
-        "cleaned": lines,
-        "train": [lines[i] for i in train_index.tolist()],
-        "test": [lines[i] for i in test_index.tolist()],
-    }
-    for name, rows in outputs.items():
-        write_records_csv(rows, out / f"{name}.csv")
+    write_records_csv(lines, outputs["cleaned"])
+    write_records_csv([lines[i] for i in train_index.tolist()], outputs["train"])
+    write_records_csv([lines[i] for i in test_index.tolist()], outputs["test"])
 
     record = manifest(
         "pipeline run",
         effective_config,
         input=str(input_path),
-        outputs={name: str(out / f"{name}.csv") for name in outputs},
+        outputs={name: str(path) for name, path in outputs.items()},
         config=effective_config,
         counts=counts,
         rejections_by_reason=dict(sorted(reasons.items())),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import multiprocessing
 import os
 from pathlib import Path
 
@@ -14,6 +15,14 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "dataset: needs the published measurement dataset (set LORAPROP_DATASET)"
     )
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Every test leaves no child process behind.  ``active_children`` also
+    reaps the children that have ended."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import logging
@@ -15,8 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import loraprop
-from loraprop import pipeline
+from loraprop import cli, pipeline
 from loraprop.cli import _SCENE_BLOCK, main
+from loraprop.errors import LorapropError
+from loraprop.jsonio import atomic_write
 from loraprop.link_budget import DEFAULT_LINK_BUDGET
 from loraprop.pipeline import csv_lines, ingest, run_pipeline, write_records_csv
 from loraprop.propagation import ModelVariant, PathLossModel, SceneSpec, model_to_dict, save_model, simulate_scene
@@ -762,7 +765,8 @@ class TestPipelineCommand:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         out = tmp_path / "out"
         if command == "fit":
-            argv = ["fit", "--variant", "mw", "--input", str(raw), "--out", str(out / "m.json")]
+            out = tmp_path / "m.json"  # in a directory that exists, which fit checks before it reads
+            argv = ["fit", "--variant", "mw", "--input", str(raw), "--out", str(out)]
         else:
             argv = ["pipeline", "run", "--input", str(raw), "--out-dir", str(out)]
         assert main(argv) == 1
@@ -880,6 +884,103 @@ class TestMutatedInput:
         assert manifest["counts"]["ingested"] == 199
         assert manifest["rejections_by_reason"] == {"bad-csv": 1}
         assert "rejected row 4: quote not closed on its line" in caplog.text
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    """A working directory holding a 300-row ``small.csv``, a copy of it at
+    ``pd/train.csv``, and ``o.json``, a model fitted to it, with its manifest."""
+    monkeypatch.chdir(tmp_path)
+    write_records_csv(csv_lines(synth_dataset(rows_per_device=60, seed=2, duplicates_per_device=0).records),
+                      tmp_path / "small.csv")
+    (tmp_path / "pd").mkdir()
+    shutil.copy(tmp_path / "small.csv", tmp_path / "pd" / "train.csv")
+    assert main(["fit", "--variant", "mw", "--input", "small.csv", "--out", "o.json"]) == 0
+    return tmp_path
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The paths given to ``ingest``, by the CLI or by ``run_pipeline``; a
+    read ends the command."""
+    calls = []
+
+    def spy(path):
+        calls.append(str(path))
+        raise LorapropError("read")
+
+    monkeypatch.setattr(cli, "ingest", spy)
+    monkeypatch.setattr(pipeline, "ingest", spy)
+    return calls
+
+
+def tree(root: Path) -> dict:
+    """Every path under ``root``, with the bytes of each file."""
+    return {str(path.relative_to(root)): path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+class TestOutputPaths:
+    """Output paths are checked before any input is read: a command that
+    would write over a file it reads, or over another file it writes, or
+    into a directory that does not exist, exits 1 with one error and writes
+    nothing."""
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["fit", "--variant", "mw", "--input", "small.csv", "--out", "o.json", "--report", "o.json"],
+         "--out and --report"),
+        (["fit", "--variant", "mw", "--input", "small.csv", "--out", "small.csv"], "--input and --out"),
+        (["fit", "--variant", "mw", "--input", "small.csv", "--out", "o.json", "--report", "o.manifest.json"],
+         "--report and the manifest of --out"),
+        (["evaluate", "--model", "o.json", "--input", "small.csv", "--report", "o.json"], "--model and --report"),
+        (["fit", "--variant", "mw", "--input", "o.manifest.json", "--out", "o.json"],
+         "--input and the manifest of --out"),
+        (["evaluate", "--model", "o.json", "--input", "small.csv", "--report", "./pd/../o.json"],
+         "--model and --report"),
+        (["pipeline", "run", "--input", "pd/train.csv", "--out-dir", "pd"], "--input and --out-dir"),
+        (["pipeline", "run", "--input", "pd/manifest.json", "--out-dir", "pd"], "--input and --out-dir"),
+    ], ids=["out is report", "out is input", "report is manifest", "report is model", "manifest is input",
+            "report is model by another path", "input is train split", "input is pipeline manifest"])
+    def test_output_over_an_input_or_another_output_is_refused(self, workdir, reads, capsys, caplog, argv, flags):
+        before = tree(workdir)
+        caplog.clear()
+        assert main(argv) == 1
+        assert reads == []
+        errors = [record.getMessage() for record in caplog.records if record.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith(f"{flags} name the same file: "), errors
+        assert capsys.readouterr().out == ""
+        assert tree(workdir) == before
+
+    @pytest.mark.parametrize("argv, error", [
+        (["pipeline", "run", "--input", "small.csv", "--out-dir", "small.csv"],
+         "--out-dir small.csv: small.csv is not a directory"),
+        (["pipeline", "run", "--input", "small.csv", "--out-dir", "small.csv/sub"],
+         "--out-dir small.csv/sub: small.csv is not a directory"),
+        (["fit", "--variant", "mw", "--input", "small.csv", "--out", "sub/o.json"], "--out sub/o.json: no directory sub"),
+        (["fit", "--variant", "mw", "--input", "small.csv", "--out", "m.json", "--report", "small.csv/r.json"],
+         "--report small.csv/r.json: no directory small.csv"),
+        (["cross-validate", "--variant", "mw", "--input", "small.csv", "--report", "sub/cv.json"],
+         "--report sub/cv.json: no directory sub"),
+    ], ids=["out-dir is a file", "out-dir under a file", "out in no directory", "report under a file",
+            "cross-validate report in no directory"])
+    def test_unusable_output_location_is_refused_before_the_input_is_read(
+        self, workdir, reads, capsys, caplog, argv, error
+    ):
+        before = tree(workdir)
+        caplog.clear()
+        assert main(argv) == 1
+        assert reads == []
+        assert [record.getMessage() for record in caplog.records if record.levelname == "ERROR"] == [error]
+        assert capsys.readouterr().out == ""
+        assert tree(workdir) == before
+
+    def test_atomic_write_error_names_the_path_written(self, tmp_path):
+        target = tmp_path / "missing" / "o.json"
+        with pytest.raises(FileNotFoundError) as raised:
+            with atomic_write(target):
+                pass
+        assert (raised.value.errno, raised.value.strerror) == (errno.ENOENT, os.strerror(errno.ENOENT))
+        assert raised.value.filename == str(target)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFitCommand:

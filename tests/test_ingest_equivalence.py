@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import logging
 import math
 import multiprocessing
@@ -28,6 +29,7 @@ import random
 import re
 import signal
 import threading
+import time
 import warnings
 from array import array
 from contextlib import contextmanager
@@ -38,9 +40,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from loraprop import pipeline
+from loraprop import cli, pipeline
 from loraprop.errors import InvalidDataError, LorapropError
-from loraprop.pipeline import IngestResult, Rejection, ingest
+from loraprop.fitting import fit
+from loraprop.pipeline import IngestResult, Rejection, csv_lines, ingest, write_records_csv
+from loraprop.propagation import ModelVariant
 from loraprop import records
 from loraprop.records import (
     COLUMN_DTYPES,
@@ -50,7 +54,7 @@ from loraprop.records import (
     parse_row,
 )
 
-from helpers import use_cpus
+from helpers import synth_dataset, use_cpus
 
 log = logging.getLogger(__name__)
 
@@ -976,10 +980,10 @@ class TestRangeProcesses:
         ``in_parent``, in the parent) before it reads."""
         parent, read_block = os.getpid(), pipeline._read_block
 
-        def spy(lines, out):
+        def spy(*args):
             if (os.getpid() == parent) == in_parent:
                 act()
-            return read_block(lines, out)
+            return read_block(*args)
 
         monkeypatch.setattr(pipeline, "_read_block", spy)
 
@@ -1020,4 +1024,47 @@ class TestRangeProcesses:
         # a pool worker is daemonic, and a daemonic process may not start one
         with in_ranges(2), multiprocessing.get_context("fork").Pool(1) as pool:
             got = pool.apply(pipeline._ranges, (path,))
-        assert got == [(0, path.stat().st_size)]
+        assert got == [(0, None)]
+
+    @pytest.mark.parametrize("slow", [0, 1, 2], ids=["parent", "first child", "last child"])
+    def test_range_that_ends_last_changes_nothing(self, tmp_path, monkeypatch, slow):
+        path = tmp_path / "late.csv"
+        rows = plain_rows(90)
+        path.write_text(csv_text(rows), encoding="utf-8")
+        starts = range_lines(path, 3)
+        assert len(starts) == 3
+        rssi = CSV_COLUMNS.index("rssi")
+        for line in (1, starts[1] - 1, starts[1], starts[2] + 1, 90):  # rejections in every range
+            rows[line - 1][rssi] = rows[line - 1][rssi].replace("5", "x", 1)  # same length: the ranges stay
+        path.write_text(csv_text(rows), encoding="utf-8")
+        assert range_lines(path, 3) == starts
+        expected = outcome(lambda: ingest(path))  # one range: the file is under _MIN_RANGE_BYTES
+        assert len(expected[0][1]) == 5
+        with in_ranges(3):
+            late = pipeline._ranges(path)[slow][0]
+        read_block = pipeline._read_block
+
+        def spy(lines, first, start):
+            if start == late:
+                time.sleep(0.3)  # the other ranges are read, and the children's sent, before this one
+            return read_block(lines, first, start)
+
+        monkeypatch.setattr(pipeline, "_read_block", spy)
+        with in_ranges(3):
+            assert outcome(lambda: ingest(path)) == expected
+
+    def test_fit_of_a_file_read_in_two_ranges_is_the_same_every_run(self, tmp_path):
+        # the benchmark's check of the fitted coefficients, run in one process
+        path = tmp_path / "train.csv"
+        write_records_csv(csv_lines(synth_dataset(rows_per_device=60, seed=5, duplicates_per_device=0).records), path)
+        params = []
+        for run in range(3):
+            report = tmp_path / f"report{run}.json"
+            argv = ["fit", "--variant", "mw-ep", "--input", str(path), "--out", str(tmp_path / f"model{run}.json"),
+                    "--report", str(report)]
+            with in_ranges(2):
+                assert len(pipeline._ranges(path)) == 2
+                assert cli.main(argv) == 0
+            params.append(json.loads(report.read_text())["params"])
+        direct = fit(ingest(path).records, ModelVariant.MW_EP).params_by_name()
+        assert params == [direct] * 3
